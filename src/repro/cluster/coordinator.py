@@ -97,6 +97,9 @@ class ClusterCoordinator:
             worker with ``target=<its url>``).
         tracer: the :class:`~repro.obs.trace.Tracer` scatter spans are
             recorded into (defaults to the process-wide tracer).
+        breaker_clock: the ``clock`` of every slot's
+            :class:`~repro.cluster.resilience.CircuitBreaker` — a test
+            seam for stepping cooldowns without sleeping.
     """
 
     def __init__(
@@ -110,6 +113,7 @@ class ClusterCoordinator:
         resilience: Optional[ResilienceConfig] = None,
         fault_injector=None,
         tracer: Optional[Tracer] = None,
+        breaker_clock=time.monotonic,
     ):
         self.lake_dir = Path(lake_dir)
         manifest_path = self.lake_dir / "partitioned.json"
@@ -208,6 +212,7 @@ class ClusterCoordinator:
                 failure_threshold=cfg.breaker_failure_threshold,
                 cooldown=cfg.breaker_cooldown,
                 max_cooldown=cfg.breaker_max_cooldown,
+                clock=breaker_clock,
             )
             for _ in range(self.shard_map.n_workers)
         ]
@@ -477,7 +482,8 @@ class ClusterCoordinator:
         """One worker call with breaker / latency / deadline bookkeeping.
 
         Success feeds the hedge-delay latency window (shared and
-        per-slot) and closes the slot's breaker; a transport failure
+        per-slot) and resets a closed breaker's failure count (a demoted
+        slot stays demoted until its probe); a transport failure
         records against the breaker (demoting the worker when it opens).
         A worker-side 504 means the propagated budget expired in flight
         — surfaced as :class:`DeadlineExceeded`, never as a liveness
@@ -507,7 +513,7 @@ class ClusterCoordinator:
             elapsed = time.monotonic() - start
         self._latency.record(elapsed)
         self._slot_latency[slot].record(elapsed)
-        self._breakers[slot].record_success()
+        self._breakers[slot].record_call_success()
         return payload
 
     def _hedge_delay(self) -> float:

@@ -28,13 +28,12 @@ of the differential oracle without any approximation budget.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.obs.metrics import BoundedHistogram
 from repro.serve.client import DEADLINE_HEADER  # noqa: F401  (re-export)
 
 
@@ -76,39 +75,37 @@ class Deadline:
 class LatencyTracker:
     """A bounded sliding window of call latencies with quantile reads.
 
-    Thread-safe. ``default`` is returned until the first sample lands,
+    Thread-safe: a lock around an
+    :class:`~repro.obs.metrics.BoundedHistogram`, which owns the window,
+    the exact lifetime ``count`` / ``total`` and the nearest-rank
+    quantile rule. ``default`` is returned until the first sample lands,
     so hedging has a sane delay during warmup.
     """
 
     def __init__(self, window: int = 512, default: float = 0.05):
-        self._samples: deque[float] = deque(maxlen=int(window))
+        self._histogram = BoundedHistogram(maxlen=int(window))
         self._lock = threading.Lock()
         self.default = float(default)
-        self.count = 0
-        #: exact lifetime sum of recorded seconds (the ``_sum`` series
-        #: of a metrics summary — the window alone under-reports it)
-        self.total = 0.0
 
     def record(self, seconds: float) -> None:
         with self._lock:
-            self._samples.append(float(seconds))
-            self.count += 1
-            self.total += float(seconds)
+            self._histogram.add(float(seconds))
 
     def quantile(self, q: float = 0.95) -> float:
-        """The q-quantile of the current window (nearest-rank).
-
-        Nearest-rank picks the ``ceil(q * n)``-th smallest sample
-        (1-based); ``int(q * n)`` would be off by one whenever ``q * n``
-        lands on an integer — e.g. p95 of 20 samples must be the 19th
-        smallest, not the 20th (the max).
-        """
+        """The nearest-rank q-quantile of the current window."""
         with self._lock:
-            if not self._samples:
-                return self.default
-            ranked = sorted(self._samples)
-        rank = min(len(ranked) - 1, max(0, math.ceil(q * len(ranked)) - 1))
-        return ranked[rank]
+            return self._histogram.quantile(q, default=self.default)
+
+    @property
+    def count(self) -> int:
+        """Lifetime number of recorded calls."""
+        return self._histogram.count
+
+    @property
+    def total(self) -> float:
+        """Exact lifetime sum of recorded seconds (the ``_sum`` series of
+        a metrics summary — the window alone under-reports it)."""
+        return self._histogram.total
 
 
 #: circuit-breaker states
@@ -203,6 +200,18 @@ class CircuitBreaker:
             self._failures = 0
             self._consecutive_opens = 0
             self._state_since = self._clock()
+
+    def record_call_success(self) -> None:
+        """One successful ordinary call: forget past failures while closed.
+
+        A call already in flight when the breaker opened (a hedge loser,
+        say) must not close it: only the half-open probe, which replays
+        what the worker missed before re-promoting it, reports through
+        :meth:`record_success`.
+        """
+        with self._lock:
+            if self._state == BREAKER_CLOSED:
+                self._failures = 0
 
     def should_probe(self) -> bool:
         """Whether a half-open probe may be issued right now.

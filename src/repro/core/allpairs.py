@@ -7,9 +7,10 @@ joinable to? This runs Algorithm 3 with each column as the query
 directed joinability graph — directed because ``jn`` is asymmetric
 (§II-B).
 
-The repository index is built once and reused across all |R| searches,
-which is exactly the "index once, search many times" regime PEXESO's
-related-work section argues indexing methods should support.
+The repository index is built once and the |R| searches run as
+fixed-size :class:`~repro.core.engine.BatchSearch` batches, which is
+exactly the "index once, search many times" regime PEXESO's related-work
+section argues indexing methods should support.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.core.index import PexesoIndex
-from repro.core.search import AblationFlags, pexeso_search
+from repro.core.engine import BatchSearch
+from repro.core.search import AblationFlags
 from repro.core.stats import SearchStats
+
+#: query columns per engine batch in :func:`discover_joinable_pairs`
+_BATCH_QUERIES = 32
 
 
 @dataclass(frozen=True)
@@ -123,28 +128,33 @@ def discover_joinable_pairs(
     """
     if index.pivot_space is None:
         raise RuntimeError("index is not built; call fit() first")
-    stats = SearchStats()
-    edges: list[JoinableEdge] = []
     queries = column_ids if column_ids is not None else sorted(index.column_rows)
     for query_column in queries:
-        rows = index.column_rows.get(query_column)
-        if rows is None:
+        if query_column not in index.column_rows:
             raise KeyError(f"unknown column id {query_column}")
-        query_vectors = index.vectors[rows]
-        result = pexeso_search(
-            index, query_vectors, tau, joinability, flags=flags, stats=stats
+    # Batches of query columns share tau, hence one pivot mapping, one HG_Q
+    # and one blocking descent each; T resolves per query size. Slicing
+    # bounds the verifier state, which is O(batch x touched columns).
+    engine = BatchSearch(index, flags=flags)
+    stats = SearchStats()
+    edges: list[JoinableEdge] = []
+    for start in range(0, len(queries), _BATCH_QUERIES):
+        chunk = queries[start : start + _BATCH_QUERIES]
+        batch = engine.search_many(
+            [index.vectors[index.column_rows[c]] for c in chunk], tau, joinability
         )
-        for hit in result.joinable:
-            if hit.column_id == query_column and not include_self:
-                continue
-            edges.append(
-                JoinableEdge(
-                    query_column=query_column,
-                    target_column=hit.column_id,
-                    match_count=hit.match_count,
-                    joinability=hit.joinability,
-                )
+        stats.merge(batch.stats)
+        edges.extend(
+            JoinableEdge(
+                query_column=query_column,
+                target_column=hit.column_id,
+                match_count=hit.match_count,
+                joinability=hit.joinability,
             )
+            for query_column, result in zip(chunk, batch.results)
+            for hit in result.joinable
+            if include_self or hit.column_id != query_column
+        )
     return JoinabilityGraph(
         edges=edges, tau=float(tau), joinability=float(joinability), stats=stats
     )

@@ -1,11 +1,10 @@
-"""Batch query engine: vectorised multi-query joinable-column search.
+"""Batch query engine: the one search pipeline, for one query or many.
 
-:func:`~repro.core.search.pexeso_search` answers one query column at a
-time; real workloads (the all-columns discovery mode of
+Every threshold search runs here — :func:`~repro.core.search.pexeso_search`
+is a batch of one, the all-columns discovery mode of
 :mod:`repro.lake.discovery`, the Table 5 ML-enrichment pipeline, CLI
-batch mode) issue one search per candidate column and pay the full
-pipeline setup for each. :class:`BatchSearch` amortises that work across
-a whole batch:
+batch mode, every shard of a partitioned lake and the serving layer issue
+batches. :class:`BatchSearch` shares the pipeline setup across a batch:
 
 * all query columns are pivot-mapped in **one** vectorised pass over the
   stacked ``(ΣQ_i, dim)`` matrix;
@@ -17,23 +16,23 @@ a whole batch:
   once instead of once per query;
 * verification runs over NumPy row-blocks spanning the whole batch
   (:func:`~repro.core.verifier.verify_row_blocks`) with per-(query,
-  column) state arrays instead of per-row Python loops;
+  column) state arrays;
 * batches mixing several τ values are split into per-τ groups that run
   concurrently on a thread pool.
 
-**Exactness guarantee.** For every query ``i`` in the batch,
-``BatchSearch.search_many(queries, tau, joinability).results[i]``
-contains the same joinable column IDs, the same match counts (including
-the lower-bound clamping produced by early termination) and the same
-joinability values as ``pexeso_search(index, queries[i], tau,
-joinability)`` — under any metric, thresholds and
-:class:`~repro.core.search.AblationFlags` configuration. The only things
-allowed to differ are work/time counters: shared blocking work is
-counted once for the batch, and a column firing an early-termination
-rule mid row-block may have a few more distances computed than the
-sequential run (see :func:`~repro.core.verifier.verify_row_blocks`).
-This invariant is enforced by ``tests/core/test_engine.py`` and the
-randomised property suite ``tests/integration/test_batch_exactness.py``.
+**Exactness guarantee.** ``search_many(queries, tau, joinability).results[i]``
+is identical to the exhaustive scan
+(:func:`~repro.baselines.exact_naive.naive_search`: same joinable column
+IDs; the same match counts with ``exact_counts``, otherwise the lower
+bound ``T <= count <= truth`` early termination stops at) and independent
+of batch composition: a batch of N equals N batches of one — under any
+metric, thresholds and :class:`~repro.core.search.AblationFlags`
+configuration. Only work/time counters depend on the batch: shared
+blocking work is counted once, and a column firing an early-termination
+rule mid row-block may have a few more distances computed (see
+:func:`~repro.core.verifier.verify_row_blocks`). Enforced by
+``tests/core/test_engine.py``, the randomised property suite
+``tests/integration/test_batch_exactness.py`` and the differential oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro.core.index import PexesoIndex
 from repro.core.search import AblationFlags, JoinableColumn, SearchResult
 from repro.core.stats import SearchStats
 from repro.core.thresholds import joinability_count
-from repro.core.verifier import verify_row_blocks
+from repro.core.verifier import DEFAULT_ROW_BLOCK_SIZE, verify_row_blocks
 
 
 @dataclass
@@ -59,11 +58,14 @@ class BatchResult:
     """Results of one batch search.
 
     ``results[i]`` is the :class:`~repro.core.search.SearchResult` of the
-    i-th query, exactly as the sequential search would have produced it.
-    Its ``stats`` hold that query's own verification counters plus its
-    share of blocking output (matching/candidate pairs, pivot-mapping
-    distances); ``stats`` on the batch aggregates everything, counting
-    work shared across queries (grid descent, HG_Q build) once.
+    i-th query, exactly as a batch of one would have produced it. A query
+    alone in its τ group carries the group's full stats (blocker and
+    verifier counters, stage timings); a query sharing a blocking pass
+    carries its own verification counters plus its share of blocking
+    output (matching/candidate pairs, pivot-mapping distances), because
+    the shared descent cannot be attributed. ``stats`` on the batch
+    aggregates everything, counting shared work (grid descent, HG_Q
+    build) once.
     """
 
     results: list[SearchResult]
@@ -97,7 +99,7 @@ class BatchSearch:
         index: a built index (shared, read-only across the batch).
         flags: ablation switches applied to every query in the batch.
         exact_counts: disable early termination so all match counts are
-            exact (mirrors the ``pexeso_search`` parameter).
+            exact.
         max_workers: thread-pool width for independent work units. A
             value > 1 additionally splits each per-τ group into about
             ``max_workers`` subgroups so even a single-τ batch runs
@@ -117,7 +119,7 @@ class BatchSearch:
         flags: Optional[AblationFlags] = None,
         exact_counts: bool = False,
         max_workers: Optional[int] = None,
-        row_block_size: int = 8,
+        row_block_size: int = DEFAULT_ROW_BLOCK_SIZE,
         record_batch_sizes: bool = False,
     ):
         if index.pivot_space is None or index.grid is None:
@@ -288,13 +290,18 @@ class BatchSearch:
             "blocking", time.perf_counter() - stage_started
         )
 
-        per_stats = [SearchStats() for _ in columns]
-        for r, cells in block_result.match_pairs.items():
-            per_stats[query_of_row[r]].matching_pairs += len(cells)
-        for r, cells in block_result.candidate_pairs.items():
-            per_stats[query_of_row[r]].candidate_pairs += len(cells)
-        for local, size in enumerate(sizes):
-            per_stats[local].pivot_mapping_distances += size * index.n_pivots
+        # A query alone in its group owns the group's stats outright; a
+        # shared blocking pass can only be split by its output pairs.
+        if len(columns) == 1:
+            per_stats = [group_stats]
+        else:
+            per_stats = [SearchStats() for _ in columns]
+            for r, cells in block_result.match_pairs.items():
+                per_stats[query_of_row[r]].matching_pairs += len(cells)
+            for r, cells in block_result.candidate_pairs.items():
+                per_stats[query_of_row[r]].candidate_pairs += len(cells)
+            for local, size in enumerate(sizes):
+                per_stats[local].pivot_mapping_distances += size * index.n_pivots
 
         verdicts = verify_row_blocks(
             block_result,
@@ -309,7 +316,7 @@ class BatchSearch:
             sizes,
             query_of_row,
             stats=group_stats,
-            per_query_stats=per_stats,
+            per_query_stats=per_stats if len(columns) > 1 else None,
             use_lemma1=flags.lemma1,
             use_lemma2=flags.lemma2,
             use_lemma7=flags.lemma7,
@@ -418,7 +425,7 @@ def batch_search(
     flags: Optional[AblationFlags] = None,
     exact_counts: bool = False,
     max_workers: Optional[int] = None,
-    row_block_size: int = 8,
+    row_block_size: int = DEFAULT_ROW_BLOCK_SIZE,
 ) -> BatchResult:
     """One-shot convenience wrapper around :class:`BatchSearch`."""
     engine = BatchSearch(

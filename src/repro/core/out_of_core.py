@@ -573,13 +573,8 @@ class PartitionedPexeso:
             ef_search=ef_search,
         )
         result = batch.results[0]
-        return SearchResult(
-            joinable=result.joinable,
-            stats=batch.stats,
-            tau=result.tau,
-            t_count=result.t_count,
-            query_size=result.query_size,
-        )
+        result.stats = batch.stats
+        return result
 
     def topk(
         self,
@@ -1033,9 +1028,7 @@ class LakeSearcher:
             return pexeso_search(
                 self.backend, query_vectors, tau, joinability,
                 flags=flags, exact_counts=exact_counts,
-                allowed_columns=(
-                    frozenset(allowed[0].tolist()) if allowed is not None else None
-                ),
+                allowed_columns=allowed[0] if allowed is not None else None,
             )
         return self.backend.search(
             query_vectors, tau, joinability,

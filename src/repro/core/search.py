@@ -1,26 +1,23 @@
 """Joinable-column search — Algorithm 3 (paper §III-E).
 
-:func:`pexeso_search` assembles the pipeline: map the query column into
-the pivot space, build ``HG_Q``, quick-browse aligned leaf cells, run
-Algorithm 1 (blocking) and Algorithm 2 (verification), and return the
-joinable columns. The :class:`AblationFlags` switches reproduce the
-paper's Fig. 9 ablation (each lemma group can be disabled without
-affecting exactness — only performance).
+The result types and the :class:`AblationFlags` switches (the paper's
+Fig. 9 ablation: each lemma group can be disabled without affecting
+exactness — only performance) live here. The pipeline itself — map the
+query column into the pivot space, build ``HG_Q``, quick-browse aligned
+leaf cells, run Algorithm 1 (blocking) and Algorithm 2 (verification) —
+is :class:`~repro.core.engine.BatchSearch`; :func:`pexeso_search` is a
+batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.blocker import block
-from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
 from repro.core.stats import SearchStats
-from repro.core.thresholds import joinability_count
-from repro.core.verifier import verify
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ def pexeso_search(
     flags: Optional[AblationFlags] = None,
     exact_counts: bool = False,
     stats: Optional[SearchStats] = None,
-    allowed_columns: Optional[frozenset] = None,
+    allowed_columns: Optional[Iterable[int]] = None,
 ) -> SearchResult:
     """Find every indexed column joinable to the query column (Alg. 3).
 
@@ -114,7 +111,8 @@ def pexeso_search(
         flags: ablation switches; defaults to full PEXESO.
         exact_counts: disable early termination so reported match counts
             are exact (slower; used by tests and the effectiveness study).
-        stats: optional counter object to accumulate into.
+        stats: optional counter object to accumulate into (it becomes the
+            result's ``stats``).
         allowed_columns: optional ANN candidate restriction (see
             :mod:`repro.core.ann`) — only these columns are verified and
             eligible as hits; their results are bit-identical to the
@@ -123,77 +121,22 @@ def pexeso_search(
     Returns:
         A :class:`SearchResult` with hits sorted by column ID.
     """
-    if index.pivot_space is None or index.grid is None:
-        raise RuntimeError("index is not built; call fit() first")
-    flags = flags if flags is not None else AblationFlags()
-    stats = stats if stats is not None else SearchStats()
+    # engine imports this module's result types, so the import is deferred
+    from repro.core.engine import BatchSearch
 
-    query_vectors = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
-    if query_vectors.shape[0] == 0:
-        raise ValueError("query column is empty")
-    if query_vectors.shape[1] != index.dim:
-        raise ValueError(
-            f"query dim {query_vectors.shape[1]} != index dim {index.dim}"
-        )
-    if not np.isfinite(query_vectors).all():
-        raise ValueError("query contains NaN or infinite values")
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    t_count = joinability_count(joinability, query_vectors.shape[0])
-
-    # Algorithm 3 line 1: pivot-map the query and build HG_Q.
-    query_mapped = index.pivot_space.map_vectors(query_vectors)
-    stats.pivot_mapping_distances += query_mapped.size
-    hg_q = HierarchicalGrid.build(
-        query_mapped,
-        levels=index.levels,
-        extent=index.pivot_space.extent,
-        store_members=True,
+    engine = BatchSearch(index, flags=flags, exact_counts=exact_counts)
+    batch = engine.search_many(
+        [query_vectors],
+        [tau],
+        [joinability],
+        allowed_columns=(
+            [np.fromiter(allowed_columns, dtype=np.int64)]
+            if allowed_columns is not None
+            else None
+        ),
     )
-
-    # Lines 2-4: quick browsing + blocking.
-    block_result = block(
-        hg_q,
-        index.grid,
-        query_mapped,
-        tau,
-        stats=stats,
-        use_lemma34=flags.lemma34,
-        use_lemma56=flags.lemma56,
-        use_quick_browsing=flags.quick_browsing,
-    )
-
-    # Line 5: verification.
-    verdict = verify(
-        block_result,
-        index.inverted,
-        query_vectors,
-        query_mapped,
-        index.vectors,
-        index.mapped,
-        index.metric,
-        tau,
-        t_count,
-        stats=stats,
-        use_lemma1=flags.lemma1,
-        use_lemma2=flags.lemma2,
-        use_lemma7=flags.lemma7,
-        early_accept=flags.early_accept,
-        exact_counts=exact_counts,
-        allowed_columns=allowed_columns,
-    )
-
-    n_q = query_vectors.shape[0]
-    hits = [
-        JoinableColumn(
-            column_id=col,
-            match_count=verdict.match_counts.get(col, 0),
-            joinability=verdict.match_counts.get(col, 0) / n_q,
-            exact_count=verdict.exact,
-        )
-        for col in sorted(verdict.joinable)
-        if col in index.column_rows  # deleted columns never surface
-    ]
-    return SearchResult(
-        joinable=hits, stats=stats, tau=tau, t_count=t_count, query_size=n_q
-    )
+    result = batch.results[0]
+    if stats is not None:
+        stats.merge(result.stats)
+        result.stats = stats
+    return result

@@ -5,26 +5,22 @@ discovery; PEXESO's threshold search extends to exact top-k naturally:
 find the k columns with the highest joinability ``jn(Q, S)``, breaking
 ties by column ID.
 
-Strategy: run blocking once, then verify with *exact counts* while
-maintaining a running k-th-best lower bound ``theta``. The Lemma 7
-mismatch bound generalises — a column whose possible match count falls
-below ``theta`` can be abandoned. The result provably equals sorting all
-exact joinabilities.
+Strategy: a top-k search is a threshold search whose ``T`` is the floor a
+column must reach, with early accept off so counts stay exact — one
+:func:`~repro.core.search.pexeso_search` call (Lemma 7 abandons every
+column that can no longer reach the floor), then sort and cut at k. The
+result provably equals sorting all exact joinabilities.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.core.blocker import block
-from repro.core.filtering import lemma1_filter_mask, lemma2_match_mask
-from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
+from repro.core.search import AblationFlags, pexeso_search
 from repro.core.stats import SearchStats
 
 
@@ -67,121 +63,32 @@ def pexeso_topk(
     Returns:
         Hits sorted by decreasing joinability, ties by ascending column ID.
     """
-    if index.pivot_space is None or index.grid is None:
-        raise RuntimeError("index is not built; call fit() first")
     if k < 1:
         raise ValueError("k must be at least 1")
     if theta < 0:
         raise ValueError("theta must be non-negative")
-    stats = stats if stats is not None else SearchStats()
-    query_vectors = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
-    if query_vectors.shape[0] == 0:
+    n_q = np.atleast_2d(np.asarray(query_vectors)).shape[0]
+    if n_q == 0:
         raise ValueError("query column is empty")
-    n_q = query_vectors.shape[0]
     k = min(k, index.n_columns)
 
-    query_mapped = index.pivot_space.map_vectors(query_vectors)
-    stats.pivot_mapping_distances += query_mapped.size
-    hg_q = HierarchicalGrid.build(
-        query_mapped, levels=index.levels, extent=index.pivot_space.extent
+    # Zero-match columns never rank (the floor is at least 1); a floor above
+    # |Q| is unreachable, so T is clamped and the floor re-applied below.
+    floor = max(1, theta)
+    result = pexeso_search(
+        index,
+        query_vectors,
+        tau,
+        min(floor, n_q),
+        flags=AblationFlags(early_accept=False),
+        stats=stats,
     )
-    pairs = block(hg_q, index.grid, query_mapped, tau, stats=stats)
-
-    started = time.perf_counter()
-    # Per column: how many query vectors can still match it. A query vector
-    # contributes to a column's potential only if blocking produced a pair
-    # touching that column.
-    potential: dict[int, int] = {}
-    candidate_queries: dict[int, list[int]] = {}
-    match_cells_by_q = pairs.match_pairs
-    cand_cells_by_q = pairs.candidate_pairs
-    proven: dict[int, set[int]] = {}  # column -> query rows proven to match
-    pending: dict[int, list[int]] = {}  # column -> query rows needing checks
-
-    for q in set(match_cells_by_q) | set(cand_cells_by_q):
-        proven_cols = set()
-        if q in match_cells_by_q:
-            proven_cols = set(
-                index.inverted.columns_in_cells(match_cells_by_q[q])
-            )
-            for col in proven_cols:
-                proven.setdefault(col, set()).add(q)
-        if q in cand_cells_by_q:
-            for col in index.inverted.columns_in_cells(cand_cells_by_q[q]):
-                if col not in proven_cols:
-                    pending.setdefault(col, []).append(q)
-
-    counts: dict[int, int] = {col: len(rows) for col, rows in proven.items()}
-    upper: dict[int, int] = {}
-    for col in set(counts) | set(pending):
-        upper[col] = counts.get(col, 0) + len(pending.get(col, []))
-
-    # Process columns in decreasing upper-bound order; stop once the k-th
-    # best confirmed count meets the best remaining upper bound.
-    heap = [(-bound, col) for col, bound in upper.items()]
-    heapq.heapify(heap)
-    confirmed: list[tuple[int, int]] = []  # (count, col) exact
-    best_k: list[int] = []  # min-heap of top-k counts
-
-    while heap:
-        neg_bound, col = heapq.heappop(heap)
-        bound = -neg_bound
-        floor = max(theta, best_k[0]) if len(best_k) == k else theta
-        if bound < floor:
-            stats.lemma7_skips += 1 + len(heap)
-            break  # nothing left can enter the (global) top-k
-        count = counts.get(col, 0)
-        for q in pending.get(col, []):
-            # Threshold pruning: even if all remaining pending rows match,
-            # can this column still beat the current k-th best?
-            rows = _column_rows_in_cells(index, cand_cells_by_q[q], col)
-            if rows.size == 0:
-                continue
-            mapped_batch = index.mapped[rows]
-            matched = False
-            hits2 = lemma2_match_mask(mapped_batch, query_mapped[q], tau)
-            if hits2.any():
-                stats.lemma2_matched += int(hits2.sum())
-                matched = True
-            else:
-                pruned = lemma1_filter_mask(mapped_batch, query_mapped[q], tau)
-                stats.lemma1_filtered += int(pruned.sum())
-                survivors = rows[~pruned]
-                if survivors.size:
-                    distances = index.metric.distances_to(
-                        query_vectors[q], index.vectors[survivors]
-                    )
-                    stats.distance_computations += int(survivors.size)
-                    matched = bool((distances <= tau).any())
-            if matched:
-                count += 1
-        confirmed.append((count, col))
-        heapq.heappush(best_k, count)
-        if len(best_k) > k:
-            heapq.heappop(best_k)
-
-    # Only columns with at least one matching query vector participate —
-    # a zero-joinability column is not "joinable" in any useful sense, and
-    # blocking never surfaces columns with no potential matches anyway.
-    confirmed.sort(key=lambda pair: (-pair[0], pair[1]))
-    hits = [
-        (col, count, count / n_q)
-        for count, col in confirmed
-        if count > 0 and col in index.column_rows
-    ][:k]
-    stats.verification_seconds += time.perf_counter() - started
-    return TopKResult(hits=hits, stats=stats, tau=float(tau), k=k)
-
-
-def _column_rows_in_cells(index: PexesoIndex, cells, column_id: int) -> np.ndarray:
-    """Global row indices of ``column_id`` inside the given leaf cells."""
-    rows: list[int] = []
-    for cell in cells:
-        for posting in index.inverted.postings(cell):
-            if posting.column_id == column_id:
-                rows.extend(posting.rows)
-                break
-    return np.asarray(rows, dtype=np.intp)
+    ranked = sorted(
+        (hit for hit in result.joinable if hit.match_count >= floor),
+        key=lambda hit: (-hit.match_count, hit.column_id),
+    )
+    hits = [(hit.column_id, hit.match_count, hit.joinability) for hit in ranked[:k]]
+    return TopKResult(hits=hits, stats=result.stats, tau=float(tau), k=k)
 
 
 def naive_topk(

@@ -6,15 +6,11 @@ increasing ID order). Within a column the surviving vectors are checked
 with point-level pivot filtering (Lemma 1), pivot matching (Lemma 2) and,
 only when both are inconclusive, an exact distance computation.
 
-Two implementations are provided:
-
-* :func:`verify` — the reference implementation, one Python iteration per
-  query row (the paper's Algorithm 2 verbatim);
-* :func:`verify_row_blocks` — the batch engine's implementation: query
-  rows (possibly spanning *many* query columns) are processed in NumPy
-  row-blocks, with per-(query, column) state arrays replacing the Python
-  dict/set bookkeeping. It reproduces :func:`verify`'s results exactly,
-  including the early-termination match counts (see its docstring).
+:func:`verify_row_blocks` is the only implementation: the rows of one or
+many query columns are processed in NumPy row-blocks with per-(query,
+column) state arrays. Every search path (``pexeso_search``, ``BatchSearch``,
+the partitioned shards, top-k) runs it; ``row_block_size=1`` is the paper's
+Algorithm 2 verbatim, because a one-row block cannot fire mid-block.
 
 Two early-termination rules from the paper:
 
@@ -45,6 +41,9 @@ from repro.core.inverted_index import InvertedIndex
 from repro.core.metric import Metric
 from repro.core.stats import SearchStats
 
+#: query rows per vectorised verification block, for every caller
+DEFAULT_ROW_BLOCK_SIZE = 8
+
 
 @dataclass
 class VerifyResult:
@@ -60,166 +59,6 @@ class VerifyResult:
     mismatch_counts: dict[int, int] = field(default_factory=dict)
     joinable: set[int] = field(default_factory=set)
     exact: bool = False
-
-
-def verify(
-    block_result: BlockResult,
-    inverted_index: InvertedIndex,
-    query_vectors: np.ndarray,
-    query_mapped: np.ndarray,
-    target_vectors: np.ndarray,
-    target_mapped: np.ndarray,
-    metric: Metric,
-    tau: float,
-    t_count: int,
-    stats: Optional[SearchStats] = None,
-    use_lemma1: bool = True,
-    use_lemma2: bool = True,
-    use_lemma7: bool = True,
-    early_accept: bool = True,
-    exact_counts: bool = False,
-    allowed_columns: Optional[frozenset] = None,
-) -> VerifyResult:
-    """Run Algorithm 2 over the blocking output.
-
-    Args:
-        block_result: matching/candidate pairs from Algorithm 1.
-        inverted_index: leaf cell -> column postings of the repository.
-        query_vectors / query_mapped: original and pivot-mapped query rows.
-        target_vectors / target_mapped: the repository's global vector
-            store and its pivot mapping (rows addressed by postings).
-        metric: original-space metric.
-        tau: distance threshold.
-        t_count: joinability threshold as an absolute match count.
-        stats: counters to update.
-        use_lemma1 / use_lemma2 / use_lemma7: ablation switches (Fig. 9).
-        early_accept: stop verifying a column once it is joinable.
-        exact_counts: disable both early-termination rules so the returned
-            match counts are exact joinability numerators (used by tests
-            and by callers that need exact ``jn`` values).
-        allowed_columns: optional ANN candidate restriction — columns
-            outside the set are dropped before any bookkeeping, as if the
-            blocking output never mentioned them. Verification of the
-            allowed columns is untouched (per-column state is
-            independent), so restricted results are bit-identical to the
-            unrestricted run filtered to the allowed set.
-    """
-    stats = stats if stats is not None else SearchStats()
-    started = time.perf_counter()
-    result = VerifyResult(exact=exact_counts)
-    if exact_counts:
-        early_accept = False
-        use_lemma7 = False
-
-    n_q = query_vectors.shape[0]
-    max_mismatch = n_q - t_count  # mismatches beyond this kill the column
-    match_counts = result.match_counts
-    mismatch_counts = result.mismatch_counts
-    joinable = result.joinable
-    dead: set[int] = set()
-
-    query_rows = set(block_result.match_pairs) | set(block_result.candidate_pairs)
-    for q in sorted(query_rows):
-        q_vec = query_vectors[q]
-        q_map = query_mapped[q]
-        matched_cols: set[int] = set()
-
-        # -- matching pairs: Lemma 5/6 already proved the match (Alg. 2 l.1–3)
-        match_cells = block_result.match_pairs.get(q)
-        if match_cells:
-            for col in inverted_index.columns_in_cells(match_cells):
-                if allowed_columns is not None and col not in allowed_columns:
-                    continue
-                if col in matched_cols:
-                    continue
-                matched_cols.add(col)
-                if col in dead:
-                    continue
-                if col in joinable and early_accept:
-                    continue
-                count = match_counts.get(col, 0) + 1
-                match_counts[col] = count
-                if count >= t_count:
-                    joinable.add(col)
-
-        # -- candidate pairs: DaaT over columns (Alg. 2 l.4–20).
-        # Columns that can be skipped (already matched by this q, dead by
-        # Lemma 7, or early-accepted) are dropped first; the surviving
-        # columns' candidate vectors are then checked in ONE batched
-        # Lemma 1/2 + distance evaluation and the verdict segmented back
-        # per column. The distances computed are exactly those of the
-        # per-column loop, only evaluated together.
-        cand_cells = block_result.candidate_pairs.get(q)
-        if not cand_cells:
-            continue
-        active_cols: list[int] = []
-        row_blocks: list[list[int]] = []
-        for col, rows in inverted_index.columns_in_cells(cand_cells).items():
-            if allowed_columns is not None and col not in allowed_columns:
-                continue
-            if col in matched_cols:
-                continue
-            if col in dead:
-                stats.lemma7_skips += 1
-                continue
-            if col in joinable and early_accept:
-                stats.early_accepts += 1
-                continue
-            active_cols.append(col)
-            row_blocks.append(rows)
-        if not active_cols:
-            continue
-        stats.columns_verified += len(active_cols)
-
-        row_idx = np.asarray(
-            [r for rows in row_blocks for r in rows], dtype=np.intp
-        )
-        col_of = np.repeat(
-            np.arange(len(active_cols)),
-            [len(rows) for rows in row_blocks],
-        )
-        mapped_batch = target_mapped[row_idx]
-
-        row_matched = np.zeros(row_idx.size, dtype=bool)
-        if use_lemma2:
-            lemma2_hits = lemma2_match_mask(mapped_batch, q_map, tau)
-            stats.lemma2_matched += int(lemma2_hits.sum())
-            row_matched |= lemma2_hits
-        # A column proven matched by Lemma 2 needs no distance work.
-        col_done = np.zeros(len(active_cols), dtype=bool)
-        np.logical_or.at(col_done, col_of[row_matched], True)
-
-        undecided = ~row_matched & ~col_done[col_of]
-        if use_lemma1 and undecided.any():
-            pruned = np.zeros(row_idx.size, dtype=bool)
-            pruned[undecided] = lemma1_filter_mask(
-                mapped_batch[undecided], q_map, tau
-            )
-            stats.lemma1_filtered += int(pruned.sum())
-            undecided &= ~pruned
-        if undecided.any():
-            survivors = np.nonzero(undecided)[0]
-            distances = metric.distances_to(q_vec, target_vectors[row_idx[survivors]])
-            stats.distance_computations += int(survivors.size)
-            row_matched[survivors[distances <= tau]] = True
-            np.logical_or.at(col_done, col_of[survivors[distances <= tau]], True)
-
-        matched_mask = col_done
-        for local, col in enumerate(active_cols):
-            if matched_mask[local]:
-                matched_cols.add(col)
-                count = match_counts.get(col, 0) + 1
-                match_counts[col] = count
-                if count >= t_count:
-                    joinable.add(col)
-            else:
-                miss = mismatch_counts.get(col, 0) + 1
-                mismatch_counts[col] = miss
-                if use_lemma7 and miss > max_mismatch:
-                    dead.add(col)
-
-    stats.verification_seconds += time.perf_counter() - started
-    return result
 
 
 def verify_row_blocks(
@@ -241,13 +80,12 @@ def verify_row_blocks(
     use_lemma7: bool = True,
     early_accept: bool = True,
     exact_counts: bool = False,
-    row_block_size: int = 64,
+    row_block_size: int = DEFAULT_ROW_BLOCK_SIZE,
     allowed_columns: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> list[VerifyResult]:
     """Vectorised Algorithm 2 over the stacked rows of a *batch* of queries.
 
-    The per-row Python loop of :func:`verify` is replaced by three layers
-    of NumPy batching:
+    Three layers of NumPy batching:
 
     * rows are consumed ``row_block_size`` at a time, turning one
       Lemma 1/2 + distance evaluation per (row, column) episode into one
@@ -262,19 +100,20 @@ def verify_row_blocks(
       block take a pure array update, and only the rare "firing" columns
       are replayed episode-by-episode with the sequential rules.
 
-    Exactness: the returned joinable sets, match counts and mismatch
-    counts are **identical** to running :func:`verify` on each query
-    separately (same gating order, same count clamping under early
-    termination; exact distances go through the same
-    :meth:`~repro.core.metric.Metric.distances_to` per query row as the
-    sequential path). The work counters may differ slightly: episodes of
-    a column that fires *mid-block* were already pushed through the
+    Exactness: the returned joinable sets, match counts (including the
+    clamping under early termination) and mismatch counts do not depend
+    on ``row_block_size`` or on which other queries share the batch:
+    gating follows the row-at-a-time order of Algorithm 2, and exact
+    distances go through one
+    :meth:`~repro.core.metric.Metric.distances_to` call per query row.
+    Only the work counters depend on the block size: episodes of a
+    column that fires *mid-block* were already pushed through the
     batched Lemma 2 / Lemma 1 / distance evaluation before the replay
-    discovers that the sequential algorithm would have skipped them, so
+    discovers that Algorithm 2 would have skipped them, so
     ``distance_computations``, ``lemma1_filtered`` and ``lemma2_matched``
-    can exceed the sequential counts by at most one block's worth per
-    firing column (the skip counters ``lemma7_skips`` /
-    ``early_accepts`` still mirror the sequential decisions).
+    can exceed the ``row_block_size=1`` counts by at most one block's
+    worth per firing column (the skip counters ``lemma7_skips`` /
+    ``early_accepts`` still mirror the row-at-a-time decisions).
 
     Args:
         block_result: blocking output keyed by *global* (stacked) row.
@@ -432,20 +271,19 @@ def verify_row_blocks(
         )
 
         # A column appearing in both lists of one row is counted once, via
-        # the match path (the sequential ``matched_cols`` dedup).
+        # the match path.
         removed = np.zeros(key_a.size, dtype=bool)
         if cand_idx.size and kind_a.any():
             combo = key_a * n_rows_total + qrow_a
             dup = np.isin(combo[cand_idx], combo[kind_a])
             removed[cand_idx[dup]] = True
         # Episodes outside a query's ANN candidate set are dropped before
-        # skip accounting and evaluation — the sequential path never saw
-        # them either, so no counter or state may move.
+        # skip accounting and evaluation, so no counter or state may move.
         if allowed_flat is not None:
             removed |= ~allowed_flat[key_a]
 
         # -- block-start skips: columns already dead (Lemma 7) or already
-        # accepted are exactly what the sequential loop would skip.
+        # accepted are exactly what Algorithm 2 skips.
         dead_skip = dead[key_a] & ~removed
         acc_skip = (
             joinable[key_a] & ~dead_skip & ~removed
@@ -489,8 +327,8 @@ def verify_row_blocks(
                 undecided[u[pruned]] = False
             if undecided.any():
                 sv = np.nonzero(undecided)[0]
-                # One distances_to call per query row — the identical code
-                # path (and arithmetic) the sequential verifier uses.
+                # One distances_to call per query row, so the arithmetic
+                # does not depend on the block size or the batch.
                 # pair_qrow is non-decreasing, so rows form contiguous runs.
                 sv_qrow = pair_qrow[sv]
                 distances = np.empty(sv.size)

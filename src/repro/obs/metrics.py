@@ -20,7 +20,7 @@ One registry replaces the three ad-hoc ``metrics_text`` string builders
 
 :class:`BoundedHistogram` is the storage half: a bounded window of
 recent samples with *exact* lifetime count/sum, nearest-rank quantiles
-(the same rule as ``LatencyTracker``), and enough list compatibility
+(``LatencyTracker`` stores one and delegates), and enough list compatibility
 (``iter``/``len``/``==``/``append``/``+``) that it drops into
 ``SearchStats`` field-wise merge unchanged.
 """
@@ -78,8 +78,8 @@ class BoundedHistogram:
     per fused dispatch, forever), the retained window is capped at
     ``maxlen`` samples while ``count`` / ``total`` / ``max_value`` stay
     exact over the full lifetime. Quantiles are nearest-rank over the
-    retained window — the same rule as
-    :class:`~repro.cluster.resilience.LatencyTracker`.
+    retained window; :class:`~repro.cluster.resilience.LatencyTracker`
+    is a lock around one of these.
 
     List compatibility (iteration, ``len``, equality against a list,
     ``append`` and ``+``-merge) keeps the
@@ -140,8 +140,11 @@ class BoundedHistogram:
     def quantile(self, q: float, default: float = 0.0) -> float:
         """Nearest-rank q-quantile of the retained window.
 
-        Same rule as ``LatencyTracker.quantile``: the ``ceil(q * n)``-th
-        smallest sample (1-based), clamped to the window.
+        The ``ceil(q * n)``-th smallest sample (1-based), clamped to the
+        window; ``int(q * n)`` would be off by one whenever ``q * n``
+        lands on an integer — p95 of 20 samples is the 19th smallest,
+        not the max. The one quantile rule behind every exported
+        percentile (``LatencyTracker`` delegates here).
         """
         if not self._samples:
             return default

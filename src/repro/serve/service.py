@@ -516,10 +516,8 @@ class QueryService:
         self._merge_stats(batch.stats)
         result = batch.results[0]
         # the dispatch-level breakdown is the request's breakdown (one
-        # request, one dispatch); a fresh merged copy avoids aliasing
-        result.stats.stage_seconds = (
-            result.stats.stage_seconds + batch.stats.stage_seconds
-        )
+        # request, one dispatch); a copy avoids aliasing
+        result.stats.stage_seconds = batch.stats.stage_seconds.copy()
         return result, generation
 
     def _execute_batch(self, requests: Sequence[PendingRequest]) -> None:
@@ -561,9 +559,7 @@ class QueryService:
         for request, result in zip(requests, batch.results):
             # a fused request's breakdown: the whole batch's stage costs
             # (it waited through them) plus its own time on the queue
-            result.stats.stage_seconds = (
-                result.stats.stage_seconds + batch.stats.stage_seconds
-            )
+            result.stats.stage_seconds = batch.stats.stage_seconds.copy()
             result.stats.stage_seconds.add(
                 "queue_wait",
                 max(0.0, dispatch_started - request.enqueued_at),

@@ -164,6 +164,21 @@ class TestCircuitBreaker:
         assert breaker.current_cooldown() == 1.0
         assert breaker.transitions["closed"] == 1
 
+    def test_ordinary_call_success_never_closes_an_open_breaker(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=2, cooldown=1.0, clock=clock)
+        breaker.record_failure()
+        breaker.record_call_success()  # closed: the failure is forgotten
+        assert breaker.record_failure() == BREAKER_CLOSED
+        assert breaker.record_failure() == BREAKER_OPEN
+        breaker.record_call_success()  # a call in flight before the open
+        assert breaker.state == BREAKER_OPEN
+        clock.advance(1.0)
+        assert breaker.should_probe()
+        breaker.record_call_success()
+        assert breaker.state == BREAKER_HALF_OPEN
+        assert breaker.transitions["closed"] == 0
+
     def test_trip_forces_open_and_closed_never_probes(self):
         clock = FakeClock()
         breaker = CircuitBreaker(failure_threshold=5, clock=clock)
@@ -318,6 +333,7 @@ class TestWorkerFlapping:
         half-open probe replays what it missed and re-promotes it, and
         generation vectors never regress across the whole sequence."""
         coord_faults = FaultInjector(seed=9)
+        clock = FakeClock()
         with LocalCluster(
             lake_dir,
             n_workers=2,
@@ -328,6 +344,7 @@ class TestWorkerFlapping:
                 fault_injector=coord_faults,
                 retries=0,
                 resilience=ResilienceConfig(breaker_cooldown=0.01),
+                breaker_clock=clock,
             ),
         ) as cluster:
             coordinator = cluster.coordinator
@@ -365,7 +382,8 @@ class TestWorkerFlapping:
 
                 # breaker cooldown elapses -> the half-open probe replays
                 # the missed mutation and re-promotes
-                time.sleep(0.02)
+                assert coordinator.probe_half_open() == []  # still cooling
+                clock.advance(2 * coordinator._breakers[0].current_cooldown())
                 probed = coordinator.probe_half_open()
                 assert probed == [0]
                 assert coordinator.shard_map.statuses() == ["up", "up"]
@@ -384,6 +402,38 @@ class TestWorkerFlapping:
             assert described["worker_failovers"][0] == 3
             assert described["breakers"] == [BREAKER_CLOSED, BREAKER_CLOSED]
             assert coordinator._breakers[0].transitions["closed"] == 3
+
+    def test_late_success_to_a_demoted_worker_leaves_it_to_the_probe(
+        self, lake_dir, columns
+    ):
+        """A call already in flight when its worker was demoted (a hedge
+        loser) answers late: the breaker must stay open, or the slot the
+        shard map lists as down would never be granted a probe again."""
+        clock = FakeClock()
+        with LocalCluster(
+            lake_dir,
+            n_workers=2,
+            replication=2,
+            mode="thread",
+            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            coordinator_kwargs=dict(
+                resilience=ResilienceConfig(breaker_cooldown=1.0),
+                breaker_clock=clock,
+            ),
+        ) as cluster:
+            coordinator = cluster.coordinator
+
+            def demoted_mid_flight(client, parts, deadline_ms, span):
+                coordinator._demote(0)
+                return client.healthz()
+
+            coordinator._timed_call(0, None, demoted_mid_flight, None)
+            assert coordinator.shard_map.statuses()[0] == "down"
+            assert coordinator._breakers[0].state == BREAKER_OPEN
+            clock.advance(1.0)
+            assert coordinator.probe_half_open() == [0]
+            assert coordinator.shard_map.statuses() == ["up", "up"]
+            assert coordinator._breakers[0].state == BREAKER_CLOSED
 
     def test_probe_backs_off_while_the_worker_stays_dead(
         self, lake_dir, columns

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.metric import EuclideanMetric, normalize_rows
+from repro.core.verifier import verify_row_blocks
 
 
 def make_columns(rng: np.random.Generator, n_columns: int, dim: int,
@@ -15,6 +16,22 @@ def make_columns(rng: np.random.Generator, n_columns: int, dim: int,
         normalize_rows(rng.normal(size=(int(rng.integers(*rows)), dim)))
         for _ in range(n_columns)
     ]
+
+
+@pytest.fixture(scope="session")
+def verify_one():
+    """``verify_row_blocks`` for one query column over one index: returns
+    the query's :class:`~repro.core.verifier.VerifyResult`."""
+
+    def run(pairs, index, queries, q_mapped, tau, t_count, **kwargs):
+        n = queries.shape[0]
+        return verify_row_blocks(
+            pairs, index.inverted, queries, q_mapped,
+            index.vectors, index.mapped, index.metric,
+            tau, [t_count], [n], np.zeros(n, dtype=np.intp), **kwargs,
+        )[0]
+
+    return run
 
 
 @pytest.fixture(scope="session")

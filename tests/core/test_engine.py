@@ -1,16 +1,19 @@
-"""Batch query engine: results must be identical to sequential search.
+"""Batch query engine: a batch of N equals N batches of one, and both
+equal the exhaustive scan.
 
 The contract under test (see :mod:`repro.core.engine`): for every query
 in a batch, ``BatchSearch`` returns exactly what N independent
-``pexeso_search`` calls would — same joinable column IDs, same match
-counts (including the early-termination lower bounds), same joinability
-values — across metrics, thresholds, ablation configurations, row-block
-sizes and thread-pool widths.
+``pexeso_search`` calls (batches of one) would — same joinable column
+IDs, same match counts (including the early-termination lower bounds),
+same joinability values — across metrics, thresholds, ablation
+configurations, row-block sizes and thread-pool widths; and every result
+obeys the oracle rule against ``naive_search``.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines.exact_naive import naive_search
 from repro.core.engine import BatchResult, BatchSearch, batch_search
 from repro.core.index import PexesoIndex
 from repro.core.metric import ChebyshevMetric, EuclideanMetric, ManhattanMetric, normalize_rows
@@ -25,8 +28,28 @@ def make_queries(seed: int, n_queries: int, dim: int, rows=(1, 14)) -> list[np.n
     ]
 
 
-def assert_batch_equals_sequential(index, queries, tau, joinability, **engine_kwargs):
-    """Per-query equality of hits, counts and thresholds."""
+def assert_oracle_rule(index, query, tau, joinability, got):
+    """The perf ledger's ``wrong_hits`` rule: column IDs equal the
+    exhaustive scan's; a match count equals the scan's when marked exact
+    and otherwise lies between T and the scan's count (early termination
+    reports a lower bound)."""
+    live = sorted(index.column_rows)
+    truth = naive_search(
+        [index.vectors[index.column_rows[c]] for c in live],
+        query, tau, joinability, metric=index.metric,
+    )
+    expected = {live[h.column_id]: h.match_count for h in truth.joinable}
+    assert got.column_ids == sorted(expected)
+    for hit in got.joinable:
+        if hit.exact_count:
+            assert hit.match_count == expected[hit.column_id]
+        else:
+            assert truth.t_count <= hit.match_count <= expected[hit.column_id]
+
+
+def assert_batch_equals_singles(index, queries, tau, joinability, **engine_kwargs):
+    """Per-query equality of hits, counts and thresholds between one batch
+    and batches of one, plus the oracle rule on every batch result."""
     flags = engine_kwargs.pop("flags", None)
     exact_counts = engine_kwargs.pop("exact_counts", False)
     batch = BatchSearch(
@@ -52,6 +75,7 @@ def assert_batch_equals_sequential(index, queries, tau, joinability, **engine_kw
         assert got.t_count == want.t_count
         assert got.query_size == want.query_size
         assert got.tau == want.tau
+        assert_oracle_rule(index, query, t, j, got)
     return batch
 
 
@@ -65,25 +89,25 @@ def queries():
     return make_queries(seed=77, n_queries=8, dim=8)
 
 
-class TestBatchEqualsSequential:
+class TestBatchEqualsSingles:
     def test_default_flags(self, index, queries):
-        assert_batch_equals_sequential(index, queries, 0.6, 0.3)
+        assert_batch_equals_singles(index, queries, 0.6, 0.3)
 
     @pytest.mark.parametrize("name", sorted(ABLATIONS))
     def test_all_ablation_configs(self, index, queries, name):
-        assert_batch_equals_sequential(
+        assert_batch_equals_singles(
             index, queries, 0.5, 0.4, flags=ABLATIONS[name]
         )
 
     def test_everything_disabled(self, index, queries):
-        assert_batch_equals_sequential(
+        assert_batch_equals_singles(
             index, queries, 0.7, 0.3, flags=AblationFlags.none()
         )
 
     @pytest.mark.parametrize("tau", [0.05, 0.3, 0.8, 1.4])
     @pytest.mark.parametrize("joinability", [0.1, 0.6, 1.0])
     def test_threshold_grid(self, index, queries, tau, joinability):
-        assert_batch_equals_sequential(index, queries, tau, joinability)
+        assert_batch_equals_singles(index, queries, tau, joinability)
 
     @pytest.mark.parametrize(
         "metric_cls", [EuclideanMetric, ManhattanMetric, ChebyshevMetric]
@@ -92,21 +116,21 @@ class TestBatchEqualsSequential:
         metric_index = PexesoIndex.build(
             small_columns, metric=metric_cls(), n_pivots=3, levels=3
         )
-        assert_batch_equals_sequential(metric_index, queries, 0.6, 0.4)
+        assert_batch_equals_singles(metric_index, queries, 0.6, 0.4)
 
     def test_exact_counts_mode(self, index, queries):
-        batch = assert_batch_equals_sequential(
+        batch = assert_batch_equals_singles(
             index, queries, 0.8, 0.2, exact_counts=True
         )
         for result in batch.results:
             assert all(h.exact_count for h in result.joinable)
 
     def test_absolute_joinability_counts(self, index, queries):
-        assert_batch_equals_sequential(index, queries, 0.6, 1)
+        assert_batch_equals_singles(index, queries, 0.6, 1)
 
     @pytest.mark.parametrize("row_block_size", [1, 3, 8, 64, 1000])
     def test_row_block_sizes(self, index, queries, row_block_size):
-        assert_batch_equals_sequential(
+        assert_batch_equals_singles(
             index, queries, 0.55, 0.35, row_block_size=row_block_size
         )
 
@@ -114,28 +138,28 @@ class TestBatchEqualsSequential:
         rng = np.random.default_rng(5)
         taus = [float(rng.uniform(0.1, 1.0)) for _ in queries]
         joins = [float(rng.uniform(0.1, 1.0)) for _ in queries]
-        assert_batch_equals_sequential(index, queries, taus, joins)
+        assert_batch_equals_singles(index, queries, taus, joins)
 
     def test_thread_pool_with_mixed_taus(self, index, queries):
         taus = [0.3, 0.6] * (len(queries) // 2)
-        assert_batch_equals_sequential(index, queries, taus, 0.4, max_workers=4)
+        assert_batch_equals_singles(index, queries, taus, 0.4, max_workers=4)
 
     def test_thread_pool_splits_single_tau_batch(self, index, queries):
         # max_workers > 1 splits one tau group into parallel subgroups;
-        # results must stay identical to the sequential reference.
-        assert_batch_equals_sequential(index, queries, 0.6, 0.3, max_workers=3)
+        # results must stay identical to the batches of one.
+        assert_batch_equals_singles(index, queries, 0.6, 0.3, max_workers=3)
 
     def test_serial_mode(self, index, queries):
-        assert_batch_equals_sequential(index, queries, 0.6, 0.3, max_workers=1)
+        assert_batch_equals_singles(index, queries, 0.6, 0.3, max_workers=1)
 
     def test_single_query_batch(self, index, small_query):
-        assert_batch_equals_sequential(index, [small_query], 0.6, 0.3)
+        assert_batch_equals_singles(index, [small_query], 0.6, 0.3)
 
     def test_deleted_columns_never_surface(self, small_columns, queries):
         mutable = PexesoIndex.build(small_columns, n_pivots=3, levels=3)
         mutable.delete_column(0)
         mutable.delete_column(7)
-        batch = assert_batch_equals_sequential(mutable, queries, 0.9, 0.2)
+        batch = assert_batch_equals_singles(mutable, queries, 0.9, 0.2)
         for ids in batch.column_ids:
             assert 0 not in ids and 7 not in ids
 

@@ -7,7 +7,6 @@ from repro.core.blocker import BlockResult
 from repro.core.index import PexesoIndex
 from repro.core.metric import EuclideanMetric, normalize_rows
 from repro.core.stats import SearchStats
-from repro.core.verifier import verify
 
 
 @pytest.fixture()
@@ -23,7 +22,7 @@ def tight_cluster_index():
 
 
 class TestMatchPairsOnly:
-    def test_columns_credited_without_distances(self, tight_cluster_index):
+    def test_columns_credited_without_distances(self, verify_one, tight_cluster_index):
         columns, index = tight_cluster_index
         queries = columns[0][:3]
         q_mapped = index.pivot_space.map_vectors(queries)
@@ -33,15 +32,14 @@ class TestMatchPairsOnly:
             for cell in index.inverted.cells():
                 pairs.add_match(q, cell)
         stats = SearchStats()
-        verdict = verify(
-            pairs, index.inverted, queries, q_mapped,
-            index.vectors, index.mapped, index.metric,
+        verdict = verify_one(
+            pairs, index, queries, q_mapped,
             tau=2.0, t_count=3, stats=stats,
         )
         assert verdict.joinable == {0, 1, 2, 3}
         assert stats.distance_computations == 0  # match pairs need no work
 
-    def test_duplicate_match_cells_count_once(self, tight_cluster_index):
+    def test_duplicate_match_cells_count_once(self, verify_one, tight_cluster_index):
         columns, index = tight_cluster_index
         queries = columns[0][:2]
         q_mapped = index.pivot_space.map_vectors(queries)
@@ -49,9 +47,8 @@ class TestMatchPairsOnly:
         cell = next(iter(index.inverted.cells()))
         pairs.add_match(0, cell)
         pairs.add_match(0, cell)  # duplicate
-        verdict = verify(
-            pairs, index.inverted, queries, q_mapped,
-            index.vectors, index.mapped, index.metric,
+        verdict = verify_one(
+            pairs, index, queries, q_mapped,
             tau=2.0, t_count=1, exact_counts=True, stats=SearchStats(),
         )
         for col, count in verdict.match_counts.items():
@@ -59,34 +56,34 @@ class TestMatchPairsOnly:
 
 
 class TestEmptyInputs:
-    def test_empty_block_result(self, tight_cluster_index):
+    def test_empty_block_result(self, verify_one, tight_cluster_index):
         columns, index = tight_cluster_index
         queries = columns[0][:2]
         q_mapped = index.pivot_space.map_vectors(queries)
-        verdict = verify(
-            BlockResult(), index.inverted, queries, q_mapped,
-            index.vectors, index.mapped, index.metric,
+        verdict = verify_one(
+            BlockResult(), index, queries, q_mapped,
             tau=0.5, t_count=1, stats=SearchStats(),
         )
         assert verdict.joinable == set()
         assert verdict.match_counts == {}
 
-    def test_candidate_cells_with_no_postings(self, tight_cluster_index):
+    def test_candidate_cells_with_no_postings(self, verify_one, tight_cluster_index):
         columns, index = tight_cluster_index
         queries = columns[0][:1]
         q_mapped = index.pivot_space.map_vectors(queries)
         pairs = BlockResult()
         pairs.add_candidate(0, 10**9)  # unoccupied cell code
-        verdict = verify(
-            pairs, index.inverted, queries, q_mapped,
-            index.vectors, index.mapped, index.metric,
+        verdict = verify_one(
+            pairs, index, queries, q_mapped,
             tau=0.5, t_count=1, stats=SearchStats(),
         )
         assert verdict.joinable == set()
 
 
 class TestExactCountsForcesFullWork:
-    def test_exact_counts_disables_lemma7_and_early_accept(self, tight_cluster_index):
+    def test_exact_counts_disables_lemma7_and_early_accept(
+        self, verify_one, tight_cluster_index
+    ):
         columns, index = tight_cluster_index
         queries = np.vstack([columns[0][:2], columns[1][:2]])
         q_mapped = index.pivot_space.map_vectors(queries)
@@ -94,9 +91,8 @@ class TestExactCountsForcesFullWork:
         for q in range(queries.shape[0]):
             for cell in index.inverted.cells():
                 pairs.add_candidate(q, cell)
-        verdict = verify(
-            pairs, index.inverted, queries, q_mapped,
-            index.vectors, index.mapped, index.metric,
+        verdict = verify_one(
+            pairs, index, queries, q_mapped,
             tau=2.0, t_count=1,
             exact_counts=True, early_accept=True, use_lemma7=True,
             stats=SearchStats(),

@@ -129,7 +129,9 @@ class TestJsonOutput:
             "--tau", "0.2", "--joinability", "0.2", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"tau", "t_count", "query_size", "hits"}
+        # timings: the one-query search now carries the engine's stage
+        # breakdown, as the partitioned layout and /search always did
+        assert set(payload) == {"tau", "t_count", "query_size", "hits", "timings"}
         assert payload["hits"], "workload is built to produce hits"
         for hit in payload["hits"]:
             assert {"column_id", "table", "column", "match_count",
