@@ -122,24 +122,6 @@ def lwdc_like(seed: int = 2, scale: float = 1.0) -> BenchDataset:
     )
 
 
-def deep_like(seed: int = 3, scale: float = 1.0) -> BenchDataset:
-    """DEEP profile: few but long columns, 64-dim embeddings.
-
-    Byte-heavy relative to its column count — sized so persistence
-    costs (decompression, array reads) dominate over per-file constant
-    overhead, which the *WDC profiles are far too small to show.
-    """
-    return make_dataset(
-        "DEEP-like",
-        n_tables=max(6, int(72 * scale)),
-        rows_range=(500, 900),
-        dim=64,
-        n_entities=4000,
-        query_rows=20,
-        seed=seed,
-    )
-
-
 def make_query_batch(dataset, n_queries: int, query_rows: int = 20):
     """Embed ``n_queries`` generated query tables over the dataset's domains."""
     queries = []

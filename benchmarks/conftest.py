@@ -2,7 +2,7 @@
 
 import pytest
 
-from common import deep_like, lwdc_like, open_like, swdc_like
+from common import lwdc_like, open_like, swdc_like
 
 
 @pytest.fixture(scope="session")
@@ -18,8 +18,3 @@ def swdc_dataset():
 @pytest.fixture(scope="session")
 def lwdc_dataset():
     return lwdc_like()
-
-
-@pytest.fixture(scope="session")
-def deep_dataset():
-    return deep_like()

@@ -5,7 +5,7 @@ the ``repro`` binary via the ``console_scripts`` entry point, or run as
 ``python -m repro.cli``)::
 
     repro index  LAKE_DIR INDEX_DIR [--dim 64] [--pivots 5] [--levels 4]
-                 [--partitions N] [--partitioner jsd] [--format v2|v3]
+                 [--partitions N] [--partitioner jsd]
     repro search INDEX_DIR QUERY_CSV [--column NAME]
                  [--tau 0.06] [--joinability 0.6] [--top-k K]
                  [--all-columns] [--workers W] [--partitions N]
@@ -56,13 +56,7 @@ from repro.core.metric import EuclideanMetric
 from repro.core.out_of_core import LakeSearcher, PartitionedPexeso
 from repro.core.partition import PARTITIONERS
 from repro.core.atomic import atomic_write_text
-from repro.core.persistence import (
-    FORMAT_VERSION,
-    V2_FORMAT_VERSION,
-    load_any,
-    save_index,
-    save_partitioned,
-)
+from repro.core.persistence import load_any, save_index, save_partitioned
 from repro.core.thresholds import distance_threshold
 from repro.embedding.hashing import HashingNGramEmbedder
 from repro.lake.csv_loader import load_csv
@@ -91,7 +85,6 @@ def cmd_index(args: argparse.Namespace) -> int:
         print("no indexable key columns found", file=sys.stderr)
         return 1
     n_vectors = sum(c.shape[0] for c in vector_columns)
-    fmt = {"v2": V2_FORMAT_VERSION, "v3": FORMAT_VERSION}[args.format]
     if args.partitions > 1:
         lake = PartitionedPexeso(
             n_pivots=args.pivots,
@@ -101,13 +94,13 @@ def cmd_index(args: argparse.Namespace) -> int:
             partitioner=args.partitioner,
             spill_dir=args.index_dir,
         ).fit(vector_columns)
-        out = save_partitioned(lake, args.index_dir, fmt=fmt)
+        out = save_partitioned(lake, args.index_dir)
         layout = f"{len([g for g in lake.partition_columns if g])} partitions"
     else:
         index = PexesoIndex.build(
             vector_columns, n_pivots=args.pivots, levels=args.levels, seed=args.seed
         )
-        out = save_index(index, args.index_dir, fmt=fmt)
+        out = save_index(index, args.index_dir)
         layout = "single index"
     catalog = {
         "columns": [
@@ -205,9 +198,7 @@ def _cluster_search(args: argparse.Namespace, catalog: dict, embedder) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     index_dir = Path(args.index_dir)
     catalog = json.loads((index_dir / "catalog.json").read_text())
-    embedder = HashingNGramEmbedder(
-        dim=catalog["embedder"]["dim"], seed=catalog["embedder"]["seed"]
-    )
+    embedder = HashingNGramEmbedder.from_catalog(catalog)
     if args.ef_search is not None and args.recall_target is not None:
         print("give at most one of --ef-search / --recall-target",
               file=sys.stderr)
@@ -528,10 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(paper §IV out-of-core layout)")
     p_index.add_argument("--partitioner", choices=sorted(PARTITIONERS),
                          default="jsd", help="column-to-partition strategy")
-    p_index.add_argument("--format", choices=("v2", "v3"), default="v3",
-                         help="on-disk index format: v3 (raw mmap-able "
-                              ".npy arrays, the default) or v2 (legacy "
-                              "compressed .npz archive)")
     p_index.set_defaults(func=cmd_index)
 
     p_search = sub.add_parser("search", help="search a saved index")

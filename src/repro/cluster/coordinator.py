@@ -38,21 +38,22 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.core.atomic import atomic_write_text
-from repro.core.engine import BatchResult, merge_shard_batches
+from repro.core.engine import BatchResult, merge_shard_batches, validated_vectors
 from repro.core.metric import get_metric
 from repro.core.stats import SearchStats
-from repro.core.thresholds import distance_threshold
+from repro.core.thresholds import resolve_tau
 from repro.core.topk import TopKResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Tracer, default_tracer
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.schema import METRIC_HELP, search_result_from_payload
+from repro.serve.schema import label_column, search_result_from_payload
 from repro.cluster.resilience import (
     BREAKER_CLOSED,
     CircuitBreaker,
@@ -124,6 +125,8 @@ class ClusterCoordinator:
             )
         manifest = json.loads(manifest_path.read_text())
         self.metric = get_metric(manifest["metric"])
+        #: ``resolve_tau(tau, tau_fraction, dim)`` over the lake's metric
+        self.resolve_tau = partial(resolve_tau, metric=self.metric)
         self.wave_width = max(1, int(wave_width))
         self.retries = int(retries)
         self.timeout = float(timeout)
@@ -257,16 +260,6 @@ class ClusterCoordinator:
         """Last known per-worker generations, indexed by worker slot."""
         return list(self._generations)
 
-    def resolve_tau(
-        self, tau: Optional[float], tau_fraction: Optional[float], dim: int
-    ) -> float:
-        """An absolute τ from either form (mirrors the serving layer)."""
-        if (tau is None) == (tau_fraction is None):
-            raise ValueError("give exactly one of tau / tau_fraction")
-        if tau is not None:
-            return float(tau)
-        return distance_threshold(float(tau_fraction), self.metric, dim)
-
     def _validated_vectors(self, vectors) -> np.ndarray:
         """Reject malformed inputs before they reach any worker.
 
@@ -275,16 +268,7 @@ class ClusterCoordinator:
         seen during write-through are read as replica divergence and
         demote the worker.
         """
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if vectors.shape[0] == 0:
-            raise ValueError("vector column is empty")
-        if vectors.shape[1] != self.dim:
-            raise ValueError(
-                f"vector dim {vectors.shape[1]} != lake dim {self.dim}"
-            )
-        if not np.isfinite(vectors).all():
-            raise ValueError("vectors contain NaN or infinite values")
-        return vectors
+        return validated_vectors(vectors, self.dim, "vector column")
 
     # -- worker lifecycle ----------------------------------------------------------
 
@@ -954,13 +938,8 @@ class ClusterCoordinator:
             # re-saving the lake and restarting the cluster.
             self._mutation_log.append(("add", part, gid, vectors.tolist()))
             generations = self._ack_generations(applied)
-        if self.columns is not None:
-            while len(self.columns) <= gid:
-                self.columns.append({"table": "?", "column": "?"})
-            self.columns[gid] = {
-                "table": str(table) if table is not None else f"column_{gid}",
-                "column": str(column) if column is not None else "key",
-            }
+            if self.columns is not None:
+                label_column(self.columns, gid, table, column)
         self._save()
         return gid, generations
 
@@ -1099,8 +1078,9 @@ class ClusterCoordinator:
             "columns": self.columns,
         }
 
-    def metrics_text(self, extra: Optional[dict] = None) -> str:
-        """Prometheus exposition for the coordinator's ``/metrics``.
+    def metrics_registry(self) -> MetricsRegistry:
+        """The coordinator's ``/metrics`` families (the server appends its
+        admission gauges and renders).
 
         Built on :class:`~repro.obs.metrics.MetricsRegistry` (the metric
         names predate the registry and stay byte-identical; the registry
@@ -1109,8 +1089,7 @@ class ClusterCoordinator:
         status, per-slot failover counts, breaker state, and a per-slot
         call-latency summary (p50/p95/p99 + ``_sum``/``_count``), so a
         scrape sees *which* worker flapped or slowed, not just that one
-        did. ``extra`` appends caller-supplied values (the cluster
-        server's admission counters).
+        did.
         """
         statuses = self.shard_map.statuses()
         with self._stats_lock:
@@ -1170,12 +1149,11 @@ class ClusterCoordinator:
                     "Per-slot worker call latency (bounded window).",
                     source=tracker, labels=labels,
                 )
-        for name, value in (extra or {}).items():
-            if name in ("admission_shed", "deadline_rejects"):
-                registry.counter(name, METRIC_HELP.get(name, name), value)
-            else:
-                registry.gauge(name, METRIC_HELP.get(name, name), value)
-        return registry.render()
+        return registry
+
+    def metrics_text(self) -> str:
+        """Prometheus exposition of :meth:`metrics_registry` alone."""
+        return self.metrics_registry().render()
 
     def wait_serviceable(self, timeout: float = 30.0, poll: float = 0.05) -> bool:
         """Block until every partition has a live worker (or timeout)."""

@@ -40,6 +40,9 @@ from repro.serve.client import DEADLINE_HEADER  # noqa: F401  (re-export)
 class DeadlineExceeded(RuntimeError):
     """The request's latency budget ran out (HTTP 504 at the edge)."""
 
+    #: read by the front door's exception -> status mapping
+    http_status = 504
+
 
 class Deadline:
     """A monotonic-clock latency budget for one request."""

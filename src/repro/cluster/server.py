@@ -1,27 +1,21 @@
-"""HTTP front door for one :class:`~repro.cluster.coordinator.ClusterCoordinator`.
+"""The coordinator's route table over the shared HTTP front door.
 
-The coordinator speaks the *same* JSON schema as a single-node serving
-process, so :class:`~repro.serve.client.ServeClient` and ``search
---json`` consumers work unchanged — the only schema difference is that
-``generation`` is a per-worker vector instead of one integer. On top of
-the serving endpoints it adds the worker lifecycle:
+The coordinator is served by the same
+:class:`~repro.serve.server.ServeHTTPServer` and request handler as a
+serving node (:mod:`repro.serve.server` describes the gate sequence);
+this module only registers :data:`COORDINATOR_ROUTES` over a
+:class:`~repro.cluster.coordinator.ClusterCoordinator`. It speaks the
+*same* JSON schema, so :class:`~repro.serve.client.ServeClient` and
+``search --json`` consumers work unchanged — the only schema difference
+is that ``generation`` is a per-worker vector instead of one integer.
+On top of the serving node's eight endpoints the table adds the worker
+lifecycle (``POST /workers``, ``POST /workers/N/ready``, ``POST
+/health-check``), ``GET /cluster`` (an alias of ``/stats``) and ``GET
+/columns/N``.
 
-==================  ======  ==============================================
-path                method  body / response
-==================  ======  ==============================================
-/search             POST    shared search payload (generation = vector)
-/topk               POST    shared topk payload (generation = vector)
-/columns            POST    routed live add -> ``{"column_id", "generation"}``
-/columns/N          DELETE  routed live delete (all live replicas)
-/workers            POST    ``{"url"?}`` -> ``{"slot", "parts", ...}``
-/workers/N/ready    POST    ``{"url"}`` -> ``{"ok", "replayed"}``
-/health-check       POST    probe every worker now -> ``{"workers", ...}``
-/cluster            GET     shard map, worker statuses, routing telemetry
-/stats              GET     alias of /cluster
-/healthz            GET     ``{"ok": <serviceable>, "generation": [...]}``
-/metrics            GET     Prometheus text (cluster counters + slot labels)
-/debug/traces       GET     recent trace trees + slow-query log (JSON)
-==================  ======  ==============================================
+Only ``/search`` and ``/topk`` are shed under overload: refusing a
+worker's lifecycle report or a write-through would turn congestion into
+unavailability (a worker stuck down, a replica diverging).
 
 ``503`` signals an unserviceable cluster (some partition has no live
 worker); transport failures during a request fail over to replicas
@@ -30,306 +24,139 @@ before that verdict is reached.
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 from typing import Any, Optional
 
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.resilience import Deadline, DeadlineExceeded
-from repro.cluster.shard_map import ClusterUnavailable
-from repro.obs.trace import Tracer, default_tracer
+from repro.cluster.resilience import Deadline
+from repro.obs.trace import Tracer
 from repro.serve.client import DEADLINE_HEADER
-from repro.serve.faults import apply_server_faults
 from repro.serve.schema import search_payload, topk_payload
 from repro.serve.server import (
-    AdmissionController,
-    GracefulHTTPServer,
+    OPERATOR_ROUTES,
     JsonRequestHandler,
+    Route,
+    RouteTable,
+    ServeHTTPServer,
+    delete_column,
+    parse_ef_search,
+    stats,
 )
 
+#: the coordinator is served by the one front-door class
+ClusterHTTPServer = ServeHTTPServer
 
-class ClusterHTTPServer(GracefulHTTPServer):
-    """The coordinator process: routing state plus the JSON API.
 
-    ``max_concurrent`` bounds concurrently-executing search/top-k
-    requests (excess arrivals are shed 429 + Retry-After); lifecycle
-    and mutation endpoints are never shed — refusing a worker's
-    ``ready`` report or a write-through during overload would turn
-    congestion into unavailability. ``fault_injector`` scripts faults
-    against the coordinator's *own* front door (its worker clients get
-    the coordinator's injector, passed separately).
+def _request_deadline(request: JsonRequestHandler, body: dict) -> Optional[Deadline]:
+    """This request's latency budget, from the header or the body.
+
+    The header carries the remaining milliseconds a propagating caller
+    measured at send time; ``"deadline_ms"`` in the body is the
+    end-client form. ``None`` when the request carries neither (the
+    coordinator then applies its configured default, if any).
     """
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        coordinator: ClusterCoordinator,
-        quiet: bool = True,
-        max_concurrent: Optional[int] = None,
-        fault_injector=None,
-        tracer: Optional[Tracer] = None,
-    ):
-        self.coordinator = coordinator
-        self.quiet = quiet
-        self.embedder = None
-        self.preprocess = True
-        self.admission = AdmissionController(max_concurrent)
-        self.fault_injector = fault_injector
-        self.tracer = tracer if tracer is not None else coordinator.tracer
-        self._counter_lock = threading.Lock()
-        self.deadline_rejects = 0
-        catalog = coordinator.catalog
-        if catalog and "embedder" in catalog:
-            from repro.embedding.hashing import HashingNGramEmbedder
-
-            self.embedder = HashingNGramEmbedder(
-                dim=catalog["embedder"]["dim"],
-                seed=catalog["embedder"]["seed"],
-            )
-            self.preprocess = catalog.get("preprocess", True)
-        super().__init__(address, ClusterHandler)
-
-    def count_deadline_reject(self) -> None:
-        with self._counter_lock:
-            self.deadline_rejects += 1
-
-    def resilience_metrics(self) -> dict[str, float]:
-        metrics = self.admission.snapshot()
-        with self._counter_lock:
-            metrics["deadline_rejects"] = float(self.deadline_rejects)
-        return metrics
+    raw = request.headers.get(DEADLINE_HEADER)
+    if raw is None:
+        raw = body.get("deadline_ms")
+    if raw is None:
+        return None
+    return Deadline.from_ms(float(raw))
 
 
-class ClusterHandler(JsonRequestHandler):
-    """Request handler translating HTTP to coordinator calls."""
-
-    server: ClusterHTTPServer  # for type checkers
-
-    def _resolve_tau(self, body: dict, query) -> float:
-        return self.server.coordinator.resolve_tau(
-            body.get("tau"), body.get("tau_fraction"), query.shape[1]
+def _search(request: JsonRequestHandler, body: dict) -> dict:
+    coordinator = request.server.backend
+    query, tau = request.query_and_tau(body)
+    joinability = body.get("joinability", 0.6)
+    ef_search = parse_ef_search(body)
+    with request.server.tracer.trace(
+        "coordinator.search", parent=request.trace_context()
+    ) as span:
+        span.annotate(n_queries=int(query.shape[0]), tau=float(tau))
+        result, generations = coordinator.search(
+            query, tau, joinability, deadline=_request_deadline(request, body),
+            ef_search=ef_search, trace=span,
         )
+    return search_payload(
+        result, columns=coordinator.columns, generation=generations,
+        ef_search=ef_search,
+    )
 
-    # -- verbs ---------------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        try:
-            coordinator = self.server.coordinator
-            if self.path == "/healthz":
-                self._send_json({
-                    "ok": coordinator.shard_map.is_serviceable(),
-                    "generation": coordinator.generation_vector(),
-                    "n_columns": coordinator.n_columns,
-                    "workers": coordinator.shard_map.statuses(),
-                })
-            elif self.path in ("/cluster", "/stats"):
-                self._send_json(coordinator.describe())
-            elif self.path == "/metrics":
-                self._send_text(
-                    coordinator.metrics_text(
-                        extra=self.server.resilience_metrics()
-                    )
-                )
-            elif self.path == "/debug/traces":
-                tracer = self.server.tracer
-                self._send_json({
-                    "traces": tracer.traces(),
-                    "slow_queries": tracer.slow_queries(),
-                })
-            else:
-                parts = self.path.strip("/").split("/")
-                if len(parts) == 2 and parts[0] == "columns":
-                    cid = int(parts[1])
-                    self._send_json({
-                        "column_id": cid,
-                        "live": coordinator.has_column(cid),
-                        "partition": coordinator.column_partition(cid),
-                    })
-                else:
-                    self._send_error_json(f"unknown path {self.path}", 404)
-        except ValueError as exc:
-            self._send_error_json(str(exc), 400)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_error_json(str(exc), 500)
-
-    def do_POST(self) -> None:  # noqa: N802
-        # Only the expensive read path is sheddable: refusing a worker's
-        # lifecycle report or a mutation during overload would turn
-        # congestion into unavailability (a worker stuck down, a replica
-        # diverging), so those bypass admission. Drain and the fault
-        # plane gate every POST.
-        server = self.server
-        if getattr(server, "draining", False):
-            self._discard_body()
-            self._send_error_json(
-                "server is draining", 503,
-                retry_after=getattr(server, "drain_retry_after", 1.0),
-            )
-            return
-        if apply_server_faults(self):
-            return
-        token = False
-        if self.path in ("/search", "/topk"):
-            admission = server.admission
-            if not admission.try_acquire():
-                self._discard_body()
-                self._send_error_json(
-                    "server over capacity; request shed", 429,
-                    retry_after=admission.retry_after,
-                )
-                return
-            token = admission
-        try:
-            self._do_post_body()
-        finally:
-            self._end_request(token)
-
-    def _do_post_body(self) -> None:
-        try:
-            body = self._read_body()
-            parts = self.path.strip("/").split("/")
-            if self.path == "/search":
-                if self._deadline_expired():
-                    return
-                self._handle_search(body)
-            elif self.path == "/topk":
-                if self._deadline_expired():
-                    return
-                self._handle_topk(body)
-            elif self.path == "/columns":
-                self._handle_add_column(body)
-            elif self.path == "/workers":
-                reply = self.server.coordinator.register_worker(body.get("url"))
-                self._send_json(reply)
-            elif self.path == "/health-check":
-                statuses = self.server.coordinator.health_check()
-                self._send_json({
-                    "workers": statuses,
-                    "serviceable":
-                        self.server.coordinator.shard_map.is_serviceable(),
-                })
-            elif len(parts) == 3 and parts[0] == "workers" and parts[2] == "ready":
-                reply = self.server.coordinator.worker_ready(
-                    int(parts[1]), str(body["url"])
-                )
-                self._send_json(reply)
-            else:
-                self._send_error_json(f"unknown path {self.path}", 404)
-        except DeadlineExceeded as exc:
-            self._send_error_json(str(exc), 504)
-        except ClusterUnavailable as exc:
-            self._send_error_json(str(exc), 503)
-        except (ValueError, KeyError, TypeError) as exc:
-            self._send_error_json(str(exc), 400)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_error_json(str(exc), 500)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        if getattr(self.server, "draining", False):
-            self._send_error_json(
-                "server is draining", 503,
-                retry_after=getattr(self.server, "drain_retry_after", 1.0),
-            )
-            return
-        if apply_server_faults(self):
-            return
-        try:
-            parts = self.path.strip("/").split("/")
-            if len(parts) == 2 and parts[0] == "columns":
-                try:
-                    column_id = int(parts[1])
-                except ValueError as exc:
-                    raise ValueError(f"bad column id {parts[1]!r}") from exc
-                try:
-                    generation = self.server.coordinator.delete_column(column_id)
-                except KeyError:
-                    self._send_error_json(f"unknown column id {column_id}", 404)
-                    return
-                self._send_json({"deleted": column_id, "generation": generation})
-            else:
-                self._send_error_json(f"unknown path {self.path}", 404)
-        except ClusterUnavailable as exc:
-            self._send_error_json(str(exc), 503)
-        except ValueError as exc:
-            self._send_error_json(str(exc), 400)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_error_json(str(exc), 500)
-
-    # -- endpoint bodies -----------------------------------------------------------
-
-    def _request_deadline(self, body: dict):
-        """This request's latency budget, from the header or the body.
-
-        The header carries the remaining milliseconds a propagating
-        caller measured at send time; ``"deadline_ms"`` in the body is
-        the end-client form. ``None`` when the request carries neither
-        (the coordinator then applies its configured default, if any).
-        """
-        raw = self.headers.get(DEADLINE_HEADER)
-        if raw is None:
-            raw = body.get("deadline_ms")
-        if raw is None:
-            return None
-        return Deadline.from_ms(float(raw))
-
-    def _handle_search(self, body: dict) -> None:
-        query = self._query_vectors(body)
-        tau = self._resolve_tau(body, query)
-        joinability = body.get("joinability", 0.6)
-        ef_search = self._parse_ef_search(body)
-        with self.server.tracer.trace(
-            "coordinator.search", parent=self._trace_context()
-        ) as span:
-            span.annotate(n_queries=int(query.shape[0]), tau=float(tau))
-            result, generations = self.server.coordinator.search(
-                query, tau, joinability, deadline=self._request_deadline(body),
-                ef_search=ef_search, trace=span,
-            )
-        self._send_json(
-            search_payload(
-                result,
-                columns=self.server.coordinator.columns,
-                generation=generations,
-                ef_search=ef_search,
-            )
+def _topk(request: JsonRequestHandler, body: dict) -> dict:
+    coordinator = request.server.backend
+    query, tau = request.query_and_tau(body)
+    k = int(body.get("k", 10))
+    with request.server.tracer.trace(
+        "coordinator.topk", parent=request.trace_context()
+    ) as span:
+        span.annotate(n_queries=int(query.shape[0]), k=k)
+        result, generations = coordinator.topk(
+            query, tau, k, deadline=_request_deadline(request, body),
+            trace=span,
         )
+    return topk_payload(
+        result, columns=coordinator.columns, generation=generations
+    )
 
-    def _handle_topk(self, body: dict) -> None:
-        query = self._query_vectors(body)
-        tau = self._resolve_tau(body, query)
-        k = int(body.get("k", 10))
-        with self.server.tracer.trace(
-            "coordinator.topk", parent=self._trace_context()
-        ) as span:
-            span.annotate(n_queries=int(query.shape[0]), k=k)
-            result, generations = self.server.coordinator.topk(
-                query, tau, k, deadline=self._request_deadline(body),
-                trace=span,
-            )
-        self._send_json(
-            topk_payload(
-                result,
-                columns=self.server.coordinator.columns,
-                generation=generations,
-            )
-        )
 
-    def _handle_add_column(self, body: dict) -> None:
-        # partition/column_id are the *worker-level* write-through fields;
-        # the coordinator does its own placement and ID allocation, and
-        # silently ignoring them would let a client retry marked
-        # idempotent (it carried an explicit ID) double-insert here.
-        for field in ("partition", "column_id"):
-            if field in body:
-                raise ValueError(
-                    f'"{field}" is set by the coordinator, not by clients; '
-                    "send the vectors only"
-                )
-        vectors = self._query_vectors(body)
-        column_id, generations = self.server.coordinator.add_column(
-            vectors, table=body.get("table"), column=body.get("column")
-        )
-        self._send_json({"column_id": column_id, "generation": generations})
+def _add_column(request: JsonRequestHandler, body: dict) -> dict:
+    # partition/column_id are the *worker-level* write-through fields;
+    # the coordinator does its own placement and ID allocation, and
+    # silently ignoring them would let a client retry marked
+    # idempotent (it carried an explicit ID) double-insert here.
+    for field in ("partition", "column_id"):
+        if field in body:
+            raise ValueError(
+                f'"{field}" is set by the coordinator, not by clients; '
+                "send the vectors only"
+            )
+    column_id, generations = request.server.backend.add_column(
+        request.query_vectors(body),
+        table=body.get("table"), column=body.get("column"),
+    )
+    return {"column_id": column_id, "generation": generations}
+
+
+def _column_info(request: JsonRequestHandler, body: dict, column_id: int) -> dict:
+    coordinator = request.server.backend
+    return {
+        "column_id": column_id,
+        "live": coordinator.has_column(column_id),
+        "partition": coordinator.column_partition(column_id),
+    }
+
+
+def _register_worker(request: JsonRequestHandler, body: dict) -> dict:
+    return request.server.backend.register_worker(body.get("url"))
+
+
+def _worker_ready(request: JsonRequestHandler, body: dict, slot: int) -> dict:
+    return request.server.backend.worker_ready(slot, str(body["url"]))
+
+
+def _health_check(request: JsonRequestHandler, body: dict) -> dict:
+    coordinator = request.server.backend
+    statuses = coordinator.health_check()
+    return {
+        "workers": statuses,
+        "serviceable": coordinator.shard_map.is_serviceable(),
+    }
+
+
+#: only the expensive read path is sheddable; lifecycle reports and
+#: write-through are never refused (see the module docstring)
+COORDINATOR_ROUTES: RouteTable = {
+    **OPERATOR_ROUTES,
+    ("GET", "/cluster"): Route(stats),
+    ("GET", "/columns/N"): Route(_column_info),
+    ("POST", "/search"): Route(_search, shed=True, deadline=True),
+    ("POST", "/topk"): Route(_topk, shed=True, deadline=True),
+    ("POST", "/columns"): Route(_add_column),
+    ("DELETE", "/columns/N"): Route(delete_column),
+    ("POST", "/workers"): Route(_register_worker),
+    ("POST", "/workers/N/ready"): Route(_worker_ready),
+    ("POST", "/health-check"): Route(_health_check),
+}
 
 
 def make_cluster_server(
@@ -349,7 +176,8 @@ def make_cluster_server(
     arguments — ``n_workers`` is required in that case). Run it exactly
     like a serving node: ``serve_forever()`` on a thread, ``close()``
     to drain and stop. ``max_concurrent`` / ``fault_injector`` configure
-    the *server's* admission gate and front-door fault plane.
+    the *server's* admission gate and front-door fault plane (the
+    coordinator's worker clients get the coordinator's own injector).
     """
     if isinstance(lake_dir_or_coordinator, ClusterCoordinator):
         coordinator = lake_dir_or_coordinator
@@ -359,8 +187,16 @@ def make_cluster_server(
         coordinator = ClusterCoordinator(
             Path(lake_dir_or_coordinator), **coordinator_kwargs
         )
-    return ClusterHTTPServer(
-        (host, port), coordinator, quiet=quiet,
+    embedder, preprocess = None, True
+    catalog = coordinator.catalog
+    if catalog and "embedder" in catalog:
+        from repro.embedding.hashing import HashingNGramEmbedder
+
+        embedder = HashingNGramEmbedder.from_catalog(catalog)
+        preprocess = catalog.get("preprocess", True)
+    return ServeHTTPServer(
+        (host, port), coordinator, COORDINATOR_ROUTES,
+        embedder=embedder, preprocess=preprocess, quiet=quiet,
         max_concurrent=max_concurrent, fault_injector=fault_injector,
         tracer=tracer,
     )

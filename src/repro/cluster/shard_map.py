@@ -39,7 +39,10 @@ WORKER_STATUSES = ("empty", "joining", "up", "down")
 
 
 class ClusterUnavailable(RuntimeError):
-    """No live worker can answer for some partition."""
+    """No live worker can answer for some partition (HTTP 503 at the edge)."""
+
+    #: read by the front door's exception -> status mapping
+    http_status = 503
 
 
 @dataclass

@@ -76,12 +76,9 @@ def start_worker(
     # calls instead of reading every shard's arrays into the heap.
     backend = load_partitioned(Path(lake_dir), parts=assignment["parts"], mmap=True)
     service = QueryService(backend, **service_kwargs)
-    # the server continues remote trace contexts into the same tracer
-    # the service records its spans in (one buffer per worker process)
     server = make_server(
         service, host=host, port=port,
         fault_injector=fault_injector, max_concurrent=max_concurrent,
-        tracer=service.tracer,
     )
     thread = threading.Thread(
         target=server.serve_forever, name=f"cluster-worker-{slot}", daemon=True

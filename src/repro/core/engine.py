@@ -53,6 +53,28 @@ from repro.core.thresholds import joinability_count
 from repro.core.verifier import DEFAULT_ROW_BLOCK_SIZE, verify_row_blocks
 
 
+def validated_vectors(
+    vectors, dim: Optional[int], what: str = "query column"
+) -> np.ndarray:
+    """``vectors`` as a non-empty, finite ``(n, dim)`` float64 array.
+
+    The one malformed-input check in front of the engine, the serving
+    layer and the cluster coordinator (``dim=None`` skips the width
+    check for callers that cannot know it up front).
+
+    Raises:
+        ValueError: naming ``what`` and the defect.
+    """
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if vectors.shape[0] == 0:
+        raise ValueError(f"{what} is empty")
+    if dim is not None and vectors.shape[1] != dim:
+        raise ValueError(f"{what} dim {vectors.shape[1]} != index dim {dim}")
+    if not np.isfinite(vectors).all():
+        raise ValueError(f"{what} contains NaN or infinite values")
+    return vectors
+
+
 @dataclass
 class BatchResult:
     """Results of one batch search.
@@ -167,7 +189,10 @@ class BatchSearch:
         if self.record_batch_sizes:
             batch_stats.coalesced_batch_sizes.append(n)
 
-        arrays = [self._validated(q, position) for position, q in enumerate(queries)]
+        arrays = [
+            validated_vectors(q, self.index.dim, f"query column {position}")
+            for position, q in enumerate(queries)
+        ]
         taus = self._per_query(tau, n, "tau")
         joins = self._per_query(joinability, n, "joinability")
         if allowed_columns is not None and len(allowed_columns) != n:
@@ -222,19 +247,6 @@ class BatchSearch:
     __call__ = search_many
 
     # -- internals ----------------------------------------------------------------
-
-    def _validated(self, query: np.ndarray, position: int) -> np.ndarray:
-        query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-        if query.shape[0] == 0:
-            raise ValueError(f"query column {position} is empty")
-        if query.shape[1] != self.index.dim:
-            raise ValueError(
-                f"query column {position} dim {query.shape[1]} != index dim "
-                f"{self.index.dim}"
-            )
-        if not np.isfinite(query).all():
-            raise ValueError(f"query column {position} contains NaN or infinite values")
-        return query
 
     @staticmethod
     def _per_query(value, n: int, name: str) -> list:

@@ -21,21 +21,19 @@ Member rows (kept for ``HG_Q`` only, mirroring §III-B's structural
 difference between the query and repository grids) live in a CSR layout:
 one row-index array grouped by sorted leaf code plus an offsets array.
 
-A :class:`GridCell` object tree equivalent to the original
-tuple-coordinate representation is still available through ``root`` /
-``cells`` / ``leaf_cells`` — it is built lazily from the code arrays and
-is meant for inspection and tests, not for hot paths.
+There is no per-cell object: the tuple-coordinate object tree of the
+original design lives on only as the test oracle
+:class:`repro.core.reference.ReferenceGrid`, which the array structure
+is checked against cell for cell.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.cellcodes import check_code_width, decode_cells, encode_cells
-
-Coords = tuple[int, ...]
 
 #: alias: cells are int64 codes everywhere downstream of the grid
 CellCode = int
@@ -58,24 +56,6 @@ def _merge_sorted_unique(current: np.ndarray, new: np.ndarray) -> np.ndarray:
     if not fresh.any():
         return current
     return np.insert(current, positions[fresh], new[fresh])
-
-
-class GridCell:
-    """One populated cell of a hierarchical grid (lazy object view)."""
-
-    __slots__ = ("level", "coords", "children", "members")
-
-    def __init__(self, level: int, coords: Coords):
-        self.level = level
-        self.coords = coords
-        #: populated child cells (next finer level)
-        self.children: list["GridCell"] = []
-        #: vector row indices, kept at leaf level only (and only when the
-        #: grid stores members, i.e. for HG_Q)
-        self.members: list[int] = []
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"GridCell(level={self.level}, coords={self.coords})"
 
 
 class HierarchicalGrid:
@@ -110,8 +90,6 @@ class HierarchicalGrid:
         self._row_codes = np.empty(0, dtype=np.int64)
         #: cached members CSR: (starts over sorted leaves, row order)
         self._members_cache: Optional[tuple[np.ndarray, np.ndarray]] = None
-        #: cached GridCell object tree: (root, per-level coord dicts)
-        self._tree_cache: Optional[tuple[GridCell, list[dict[Coords, GridCell]]]] = None
         self.n_vectors = 0
 
     # -- construction ------------------------------------------------------------
@@ -188,7 +166,6 @@ class HierarchicalGrid:
         if self.store_members:
             self._row_codes = np.concatenate([self._row_codes, codes])
             self._members_cache = None
-        self._tree_cache = None
         self.n_vectors += mapped.shape[0]
         return codes
 
@@ -266,94 +243,6 @@ class HierarchicalGrid:
     def level_coords(self, level: int) -> np.ndarray:
         """Decoded ``(n_cells, n_dims)`` integer coordinates of one level."""
         return decode_cells(self._level_codes[level], self.n_dims, level)
-
-    def cell_box(self, cell: GridCell) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounds ``(lo, hi)`` of a cell.
-
-        The root box spans the whole pivot space.
-        """
-        if cell.level == 0:
-            lo = np.zeros(self.n_dims)
-            hi = np.full(self.n_dims, self.extent)
-            return lo, hi
-        size = self.cell_size(cell.level)
-        coords = np.asarray(cell.coords, dtype=np.float64)
-        lo = coords * size
-        return lo, lo + size
-
-    # -- object-tree view (tests / inspection) -----------------------------------
-
-    def _tree(self) -> tuple[GridCell, list[dict[Coords, GridCell]]]:
-        """Build (and cache) the GridCell object tree from the code arrays."""
-        if self._tree_cache is None:
-            root = GridCell(0, ())
-            cells: list[dict[Coords, GridCell]] = [{(): root}]
-            parents: dict[int, GridCell] = {0: root}
-            for level in range(1, self.levels + 1):
-                codes = self._level_codes[level]
-                coords_arr = decode_cells(codes, self.n_dims, level)
-                level_map: dict[Coords, GridCell] = {}
-                next_parents: dict[int, GridCell] = {}
-                for code, coords in zip(codes.tolist(), coords_arr.tolist()):
-                    cell = GridCell(level, tuple(coords))
-                    level_map[cell.coords] = cell
-                    parents[code >> self.n_dims].children.append(cell)
-                    next_parents[code] = cell
-                cells.append(level_map)
-                parents = next_parents
-            if self.store_members:
-                starts, order = self._members_csr()
-                leaves = self._level_codes[self.levels]
-                coords_arr = decode_cells(leaves, self.n_dims, self.levels)
-                leaf_map = cells[self.levels]
-                for i, coords in enumerate(coords_arr.tolist()):
-                    leaf_map[tuple(coords)].members = order[
-                        starts[i] : starts[i + 1]
-                    ].tolist()
-            self._tree_cache = (root, cells)
-        return self._tree_cache
-
-    @property
-    def root(self) -> GridCell:
-        """Root of the object-tree view."""
-        return self._tree()[0]
-
-    @property
-    def cells(self) -> list[dict[Coords, GridCell]]:
-        """Per-level cell maps of the object-tree view (index 0 = root)."""
-        return self._tree()[1]
-
-    @property
-    def leaf_cells(self) -> dict[Coords, GridCell]:
-        """Populated leaf cells keyed by coordinates (object-tree view)."""
-        return self._tree()[1][self.levels]
-
-    def iter_cells(self, level: int) -> Iterator[GridCell]:
-        """Iterate populated cells of one level (object-tree view)."""
-        return iter(self._tree()[1][level].values())
-
-    def subtree_leaves(self, cell: GridCell) -> list[GridCell]:
-        """All populated leaf cells nested under ``cell`` (itself if a leaf)."""
-        if cell.level == self.levels:
-            return [cell]
-        out: list[GridCell] = []
-        stack = [cell]
-        while stack:
-            current = stack.pop()
-            if current.level == self.levels:
-                out.append(current)
-            else:
-                stack.extend(current.children)
-        return out
-
-    def subtree_members(self, cell: GridCell) -> list[int]:
-        """Member row indices of all leaves under ``cell`` (HG_Q only)."""
-        if not self.store_members:
-            raise RuntimeError("this grid does not store member indices")
-        out: list[int] = []
-        for leaf in self.subtree_leaves(cell):
-            out.extend(leaf.members)
-        return out
 
     # -- reporting ---------------------------------------------------------------
 

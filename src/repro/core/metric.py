@@ -161,15 +161,14 @@ METRIC_REGISTRY = {
 def register_metric(cls: type) -> type:
     """Register a custom :class:`Metric` subclass under its ``name``.
 
-    Registered metrics round-trip through the array-native persistence
-    format (the manifest stores only the name), so spilled partitions and
-    saved indexes built with them never fall back to pickling. The class
-    must therefore be reconstructible from its name alone:
+    Only registered metrics can be saved or spilled: the array-native
+    persistence format stores the metric's name and nothing else. The
+    class must therefore be reconstructible from its name alone:
     ``cls(counter=None)`` — the call :func:`get_metric` makes on load —
     has to produce an equivalent metric. A class whose instances carry
-    extra constructor state would reload with the defaults — keep such
-    metrics unregistered so they take the pickle path instead. Usable as
-    a class decorator::
+    extra constructor state would reload with the defaults, so
+    :func:`metric_round_trips` refuses it and such an index stays in
+    memory. Usable as a class decorator::
 
         @register_metric
         class HammingMetric(Metric):
@@ -197,7 +196,7 @@ def metric_round_trips(metric: Metric) -> bool:
     ``metric.name`` and ``load_index`` resolves it via :func:`get_metric`,
     so the name must map back to exactly the instance's class *and* the
     class must be default-constructible (that is how :func:`get_metric`
-    rebuilds it). Anything else falls back to the pickle spill.
+    rebuilds it). ``save_index`` raises ``ValueError`` for anything else.
     """
     if METRIC_REGISTRY.get(getattr(metric, "name", "")) is not type(metric):
         return False

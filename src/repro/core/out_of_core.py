@@ -5,16 +5,19 @@ When the repository does not fit in memory, the columns are partitioned
 :class:`~repro.core.index.PexesoIndex` is built per partition, and each
 partition is (optionally) spilled to disk in the array-native
 :mod:`~repro.core.persistence` format (raw ``.npy`` files per
-partition — no pickling, and loading is a handful of ``mmap`` calls
-instead of reconstructing a Python object graph).
+partition; loading is a handful of ``mmap`` calls instead of
+reconstructing a Python object graph). That is the only spill format:
+a custom metric must be registered (``register_metric``) to spill.
 
 The sharded layer is the fast path, not a fallback:
 
 * :meth:`PartitionedPexeso.search_many` answers many query columns over
   many shards in one pass — every shard runs the batch engine
   (:class:`~repro.core.engine.BatchSearch`: one shared pivot mapping,
-  one HG_Q build, one blocking descent per τ group) and shards fan out
-  over a thread pool (``max_workers``);
+  one HG_Q build, one blocking descent per τ group); shards run one
+  after another by default (:data:`DEFAULT_SHARD_WORKERS` is 1: with a
+  pure-Python blocker holding the GIL, threads measured 2x *slower*)
+  and fan out over a thread pool when ``max_workers`` asks for it;
 * in spill mode, loads stay one-partition-per-worker: a thread-safe LRU
   (:class:`ShardLRU`) keeps at most ``lru_shards`` indexes resident, so
   memory stays bounded while repeated queries skip the disk;
@@ -35,10 +38,8 @@ and the CLI build against.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -49,15 +50,25 @@ import numpy as np
 from repro.core.ann import candidate_lists
 from repro.core.engine import BatchResult, BatchSearch, merge_shard_batches
 from repro.core.index import PexesoIndex
-from repro.core.metric import Metric, metric_round_trips
+from repro.core.metric import Metric
 from repro.core.persistence import load_index, save_index
 from repro.core.partition import PARTITIONERS, partition_labels
 from repro.core.search import AblationFlags, SearchResult, pexeso_search
 from repro.core.stats import SearchStats
 from repro.core.topk import TopKResult, pexeso_topk
 
-#: default shard fan-out width when ``max_workers`` is not given
-DEFAULT_SHARD_WORKERS = 4
+#: default shard fan-out width when ``max_workers`` is not given. One,
+#: because the ledger measures ``core.out_of_core.fanout_penalty`` at
+#: 2.1-2.2 (4 threads *slower* than 1): the blocker is pure Python and
+#: holds the GIL, so shard threads only add contention. Revisit once the
+#: blocker releases it; callers with I/O-bound shards pass ``max_workers``.
+DEFAULT_SHARD_WORKERS = 1
+
+#: spill-mode resident-shard bound when neither ``lru_shards`` nor
+#: ``max_workers`` was chosen — what the former 4-wide default fan-out
+#: kept resident, so running shards on one thread does not also mean
+#: re-opening every shard (~2.7 ms each in the ledger) on every query
+DEFAULT_LRU_SHARDS = 4
 
 
 class ShardLRU:
@@ -171,9 +182,13 @@ class PartitionedPexeso:
         kmeans_iters: the clustering iteration bound ``t``.
         max_workers: default shard fan-out width for ``search_many`` /
             ``topk`` (overridable per call); ``None`` picks
-            ``min(4, #shards)``.
+            :data:`DEFAULT_SHARD_WORKERS` — 1, shards run one after
+            another, because threads measured slower while the blocker
+            holds the GIL.
         lru_shards: spill-mode resident-shard bound; defaults to the
-            resolved worker count (one partition per worker).
+            resolved worker count (one partition per worker), or to
+            :data:`DEFAULT_LRU_SHARDS` when ``max_workers`` was not
+            chosen either.
         mmap: open spilled v3 partitions memory-mapped (zero-copy; see
             :func:`~repro.core.persistence.load_index`). The LRU then
             bounds address-space mappings rather than heap, so spill
@@ -338,41 +353,21 @@ class PartitionedPexeso:
     def _spill(self, part: int, index: PexesoIndex) -> None:
         """Write one partition to disk in the array-native format.
 
-        Spills use the current (v3, mmap-able) format and are
-        crash-atomic: a killed spill leaves the partition's previous
-        complete epoch on disk. The format reconstructs the metric from
-        its registry name, so any metric whose name round-trips through
-        ``METRIC_REGISTRY`` — built-in or registered via
-        :func:`~repro.core.metric.register_metric` — spills without
-        pickling. Only a truly unregistered custom
-        :class:`~repro.core.metric.Metric` instance falls back to the
-        seed's pickle spill (slower to load, but it round-trips
-        arbitrary metric objects), and doing so now warns instead of
-        degrading silently.
+        Spills are crash-atomic: a killed spill leaves the partition's
+        previous complete epoch on disk. The format reconstructs the
+        metric from its registry name, so a custom
+        :class:`~repro.core.metric.Metric` must be registered via
+        :func:`~repro.core.metric.register_metric`; an unregistered one
+        makes :func:`~repro.core.persistence.save_index` raise
+        ``ValueError`` before anything is written.
         """
-        if metric_round_trips(index.metric):
-            self._spilled[part] = save_index(index, self.spill_dir / f"partition_{part}")
-        else:
-            warnings.warn(
-                f"metric {type(index.metric).__name__} is not registered in "
-                "METRIC_REGISTRY; spilling partitions via pickle. Register "
-                "it with repro.core.metric.register_metric to use the "
-                "array-native format.",
-                stacklevel=3,
-            )
-            path = self.spill_dir / f"partition_{part}.pkl"
-            with open(path, "wb") as fh:
-                pickle.dump(index, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            self._spilled[part] = path
+        self._spilled[part] = save_index(index, self.spill_dir / f"partition_{part}")
 
     def _load(self, part: int) -> Optional[PexesoIndex]:
         """Load one spilled partition from disk (no caching)."""
         path = self._spilled.get(part)
         if path is None:
             return None
-        if path.suffix == ".pkl":
-            with open(path, "rb") as fh:
-                return pickle.load(fh)
         return load_index(path, mmap=self.mmap)
 
     def _ensure_lru(self, workers: int) -> None:
@@ -381,11 +376,14 @@ class PartitionedPexeso:
         Called on the coordinating thread before shards fan out, so pool
         workers never race on creation. Without an explicit
         ``lru_shards`` bound the capacity tracks the widest fan-out seen
-        (one partition per worker); an explicit bound is never changed.
+        (one partition per worker), starting from
+        :data:`DEFAULT_LRU_SHARDS` on a lake whose ``max_workers`` was
+        left to the default; an explicit bound is never changed.
         """
         if not self._spilled:
             return
-        capacity = max(1, self.lru_shards or workers)
+        floor = DEFAULT_LRU_SHARDS if self.max_workers is None else 1
+        capacity = self.lru_shards or max(workers, floor)
         with self._lru_lock:
             if self._lru is None:
                 self._lru = ShardLRU(self._load, capacity)

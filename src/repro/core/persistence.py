@@ -7,7 +7,7 @@ CSR arrays for the inverted index — the whole structure round-trips as
 a handful of arrays plus a small ``manifest.json``; nothing is pickled
 and no Python object graph is rebuilt on load.
 
-Format **version 3** (the write default): every array is one raw
+Format **version 3** (the only format written): every array is one raw
 aligned ``.npy`` file inside a per-save epoch directory
 (``arrays_v3_<epoch>/``), so :func:`load_index` opens them with
 ``mmap_mode="r"`` — loading a shard is a few ``open``/``mmap`` calls and
@@ -23,11 +23,12 @@ instant leaves either the old complete index or the new complete index;
 stale epoch directories and ``*.tmp-*`` files are ignored by loaders
 and swept by the next successful save.
 
-Format version 2 (one compressed ``index.npz``) is still **read**
-supported — v2 directories load eagerly exactly as before, and saving
-with ``fmt=2`` is kept for compatibility tooling. Version-1 directories
-(the pre-array layout with a ``structure.pkl``) are rejected with a
-clear error; rebuild the index to migrate.
+Format version 2 (one compressed ``index.npz``) is **read-only**: v2
+directories still load (eagerly — the archive must be decompressed) and
+re-saving one migrates it to v3 in place, but nothing writes v2 any
+more. Version-1 directories (the pre-array layout with a
+``structure.pkl``) are rejected with a clear error; rebuild the index
+to migrate.
 
 Partitioned lakes persist as a lake-level ``partitioned.json`` manifest
 (labels, global column IDs per partition, build knobs) plus one
@@ -56,10 +57,10 @@ from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
 from repro.core.inverted_index import InvertedIndex
 
-#: current write default; bumped when the on-disk layout changes
+#: the format every save writes; bumped when the on-disk layout changes
 FORMAT_VERSION = 3
 
-#: the pre-mmap single-archive layout, still loadable (read-only compat)
+#: the pre-mmap single-archive layout, still loadable (never written)
 V2_FORMAT_VERSION = 2
 
 #: formats :func:`load_index` accepts
@@ -104,7 +105,7 @@ _V3_ANN_ARRAYS = (
 
 
 def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
-    """The arrays + manifest fields shared by every save format."""
+    """The arrays + manifest fields of one saved index."""
     inverted = index.inverted
     column_ids = np.fromiter(
         index.column_rows, dtype=np.int64, count=len(index.column_rows)
@@ -159,50 +160,41 @@ def _sweep_stale_epochs(directory: Path, keep: str | None) -> None:
             shutil.rmtree(entry, ignore_errors=True)
 
 
-def save_index(
-    index: PexesoIndex, directory: str | Path, fmt: int = FORMAT_VERSION
-) -> Path:
-    """Persist a built index; returns the directory written.
+def save_index(index: PexesoIndex, directory: str | Path) -> Path:
+    """Persist a built index (format v3); returns the directory written.
 
-    Args:
-        fmt: on-disk format — ``3`` (raw mmap-able ``.npy`` files, the
-            default) or ``2`` (one compressed ``index.npz``; kept so v2
-            lakes can still be produced for compatibility testing).
-
-    The write is crash-atomic in both formats: array data lands under
-    names the current manifest does not reference, and the manifest swap
-    is one ``os.replace``. A killed writer can never leave a directory
-    that loads as a half-written index.
+    The write is crash-atomic: array data lands under names the current
+    manifest does not reference, and the manifest swap is one
+    ``os.replace``. A killed writer can never leave a directory that
+    loads as a half-written index.
 
     Raises:
         RuntimeError: when the index has not been built.
-        ValueError: for an unknown ``fmt``.
+        ValueError: when the index's metric cannot round-trip through its
+            registry name (unregistered or not default-constructible
+            custom metric) — register it with
+            :func:`repro.core.metric.register_metric` and rebuild.
+            Nothing is written.
     """
+    from repro.core.metric import metric_round_trips
+
     if index.pivot_space is None or index.grid is None:
         raise RuntimeError("cannot save an unbuilt index")
-    if fmt not in SUPPORTED_FORMATS:
-        raise ValueError(f"unknown index format {fmt}; supported: {SUPPORTED_FORMATS}")
+    if not metric_round_trips(index.metric):
+        raise ValueError(
+            f"metric {type(index.metric).__name__} cannot be "
+            "reconstructed from its registry name, so the saved "
+            "index would be unloadable; register it with "
+            "repro.core.metric.register_metric and rebuild"
+        )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     arrays, manifest = _index_payload(index)
-    manifest = {"format_version": fmt, **manifest}
+    manifest = {"format_version": FORMAT_VERSION, **manifest}
     manifest["extent"] = float(index.pivot_space.extent)
 
-    if fmt == V2_FORMAT_VERSION:
-        manifest.pop("extent")
-        np.savez_compressed(
-            directory / _ARCHIVE,
-            extent=np.float64(index.pivot_space.extent),
-            **arrays,
-        )
-        atomic_write_text(
-            directory / "manifest.json", json.dumps(manifest, indent=2)
-        )
-        clean_temp_artifacts(directory)
-        return directory
-
-    # v3: arrays into a fresh epoch dir, manifest flip last, then sweep.
+    # arrays into a fresh epoch dir, manifest flip last, then sweep
     epoch = 0
     manifest_path = directory / "manifest.json"
     if manifest_path.exists():
@@ -415,14 +407,12 @@ def mutable_manifest_fields(lake) -> dict:
     }
 
 
-def save_partitioned(
-    lake, directory: str | Path, fmt: int = FORMAT_VERSION
-) -> Path:
+def save_partitioned(lake, directory: str | Path) -> Path:
     """Persist a fitted :class:`~repro.core.out_of_core.PartitionedPexeso`.
 
     Writes ``partitioned.json`` (labels, per-partition global column
     IDs, build knobs) plus one array-native index directory per
-    non-empty partition, each in format ``fmt`` (v3 by default). A lake
+    non-empty partition (:func:`save_index`). A lake
     already spilled *into* ``directory`` reuses its partition
     directories; resident partitions are saved fresh; partitions
     spilled elsewhere are loaded and re-saved. The lake-level manifest
@@ -431,13 +421,9 @@ def save_partitioned(
 
     Raises:
         RuntimeError: when the lake has not been fitted.
-        ValueError: when the lake's metric cannot round-trip through its
-            registry name (unregistered or not default-constructible
-            custom metric) — register it with
-            :func:`repro.core.metric.register_metric` and rebuild.
+        ValueError: from :func:`save_index`, when the lake's metric
+            cannot round-trip through its registry name.
     """
-    from repro.core.metric import metric_round_trips
-
     if lake.labels is None:
         raise RuntimeError("cannot save an unfitted partitioned lake")
     directory = Path(directory)
@@ -450,28 +436,13 @@ def save_partitioned(
             continue
         subdir = f"partition_{part}"
         if part in lake._resident:
-            index = lake._resident[part]
-            if not metric_round_trips(index.metric):
-                raise ValueError(
-                    f"metric {type(index.metric).__name__} cannot be "
-                    "reconstructed from its registry name, so the saved "
-                    "lake would be unloadable; register it with "
-                    "repro.core.metric.register_metric and rebuild"
-                )
-            save_index(index, directory / subdir, fmt=fmt)
+            save_index(lake._resident[part], directory / subdir)
         else:
             spilled = lake._spilled.get(part)
             if spilled is None:
                 raise RuntimeError(f"partition {part} has no index to save")
-            if spilled.suffix == ".pkl":
-                raise ValueError(
-                    f"partition {part} was pickle-spilled (unregistered "
-                    "custom metric); register the metric with "
-                    "repro.core.metric.register_metric and rebuild to "
-                    "persist the lake"
-                )
             if spilled.resolve() != (directory / subdir).resolve():
-                save_index(load_index(spilled), directory / subdir, fmt=fmt)
+                save_index(load_index(spilled), directory / subdir)
         if metric_name is None:
             metric_name = json.loads(
                 (directory / subdir / "manifest.json").read_text()

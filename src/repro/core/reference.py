@@ -4,13 +4,12 @@ The array-native index core (:mod:`repro.core.grid`,
 :mod:`repro.core.inverted_index`) replaced the original row-by-row Python
 build. This module keeps that original implementation — tuple-coordinate
 grid cells inserted one row at a time, per-cell ``Posting`` lists
-maintained with ``bisect``/``insort`` — verbatim, for two purposes:
-
-* ``benchmarks/bench_index_build.py`` measures the array-native build
-  against it (the PR's >= 3x speedup claim is asserted against this
-  builder, not against a strawman);
-* equivalence tests check that the CSR inverted index holds exactly the
-  postings the reference build produces, cell for cell, row for row.
+maintained with ``bisect``/``insort`` — verbatim, as the test oracle:
+``tests/core/test_reference_equivalence.py`` checks that the CSR inverted
+index holds exactly the postings the reference build produces, cell for
+cell and row for row, and ``tests/core/test_grid.py`` /
+``test_structure_properties.py`` check the code-array grid against the
+object tree (children, members and per-level cell sets).
 
 It is **not** wired into any search path.
 """

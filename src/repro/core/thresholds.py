@@ -13,6 +13,7 @@ algorithms consume.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from repro.core.metric import Metric
 
@@ -31,6 +32,22 @@ def distance_threshold(fraction: float, metric: Metric, dim: int) -> float:
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"distance fraction must be in (0, 1], got {fraction}")
     return fraction * metric.max_distance(dim)
+
+
+def resolve_tau(
+    tau: Optional[float], tau_fraction: Optional[float], dim: int, metric: Metric
+) -> float:
+    """An absolute τ from exactly one of its two request forms.
+
+    ``tau`` is already absolute; ``tau_fraction`` is converted as the CLI
+    does, relative to the metric's maximum distance at ``dim``. Serving
+    backends bind their metric and expose this as ``backend.resolve_tau``.
+    """
+    if (tau is None) == (tau_fraction is None):
+        raise ValueError("give exactly one of tau / tau_fraction")
+    if tau is not None:
+        return float(tau)
+    return distance_threshold(float(tau_fraction), metric, dim)
 
 
 def joinability_count(threshold: float | int, query_size: int) -> int:

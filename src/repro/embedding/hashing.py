@@ -68,6 +68,13 @@ class HashingNGramEmbedder(ColumnEmbedderMixin):
         self._cache_size = cache_size
         self._bucket_cache: dict[int, np.ndarray] = {}
 
+    @classmethod
+    def from_catalog(cls, catalog: dict) -> "HashingNGramEmbedder":
+        """The embedder a CLI-written ``catalog.json`` names: the same
+        ``dim`` and ``seed`` the lake was indexed with, so query strings
+        land in the indexed space."""
+        return cls(dim=catalog["embedder"]["dim"], seed=catalog["embedder"]["seed"])
+
     @property
     def dim(self) -> int:
         return self._dim

@@ -45,6 +45,23 @@ def _ref(columns: Optional[Sequence[dict]], column_id: int) -> dict[str, Any]:
     return {"table": ref["table"], "column": ref["column"]}
 
 
+def label_column(
+    columns: list, column_id: int, table: Optional[str], column: Optional[str]
+) -> None:
+    """Write a live-added column's catalog entry at its ``column_id`` slot.
+
+    Positional, never an append: concurrent adds finish in any order and
+    an append would shift every later label by one. Unlabelled slots
+    below it are padded with ``"?"``. Callers serialise the call.
+    """
+    while len(columns) <= column_id:
+        columns.append({"table": "?", "column": "?"})
+    columns[column_id] = {
+        "table": str(table) if table is not None else f"column_{column_id}",
+        "column": str(column) if column is not None else "key",
+    }
+
+
 def _generation_value(generation: Generation) -> Union[int, list[int]]:
     if isinstance(generation, int):
         return generation

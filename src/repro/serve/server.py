@@ -1,28 +1,26 @@
-"""Stdlib HTTP JSON API over a :class:`~repro.serve.service.QueryService`.
+"""The HTTP front door: one stdlib JSON server over a search backend.
 
 A ``ThreadingHTTPServer`` — one thread per connection — which is exactly
 the arrival pattern the service's micro-batcher is built for: concurrent
 handler threads calling ``service.search`` coalesce into fused engine
 dispatches.
 
-Endpoints (all JSON unless noted):
+There is one server class (:class:`ServeHTTPServer`) and one request
+handler (:class:`JsonRequestHandler`); what a process answers is data, a
+:data:`RouteTable` over a *backend*. Every request runs one gate
+sequence (:meth:`JsonRequestHandler._dispatch`), so a policy difference
+between a serving node and the cluster coordinator is a different
+:class:`Route` entry, never a branch in this module. The serving node's
+table over a :class:`~repro.serve.service.QueryService` is
+:data:`SERVICE_ROUTES` below — read it for the endpoint list;
+:mod:`repro.cluster.server` registers the coordinator's. Both share the
+operator GETs (:data:`OPERATOR_ROUTES`), written once over
+``backend.describe()`` and ``backend.metrics_registry()``.
 
-=========  ======  ===================================================
-path       method  body / response
-=========  ======  ===================================================
-/search    POST    ``{"vectors"|"values", "tau"|"tau_fraction",
-                   "joinability"}`` -> shared search payload
-/topk      POST    ``{"vectors"|"values", "tau"|"tau_fraction", "k"}``
-/columns   POST    ``{"vectors"|"values"}`` -> ``{"column_id",
-                   "generation"}`` (live add)
-/columns/N DELETE  -> ``{"deleted", "generation"}`` (live delete)
-/stats     GET     service state (cache, coalescing, backend)
-/healthz   GET     ``{"ok": true, "generation": G}``
-/metrics   GET     Prometheus text exposition (registry-rendered)
-/debug/traces GET  recent trace trees + slow-query log (JSON)
-=========  ======  ===================================================
-
-``"values"`` (raw strings) requires the server to hold an embedder —
+Request bodies are JSON objects: ``/search`` takes ``{"vectors"|"values",
+"tau"|"tau_fraction", "joinability"}``, ``/topk`` swaps ``joinability``
+for ``k``, ``POST /columns`` takes ``{"vectors"|"values"}``. ``"values"``
+(raw strings) requires the server to hold an embedder —
 :func:`make_server` wires one up from a CLI-built index directory's
 ``catalog.json``; ``"vectors"`` always works.
 """
@@ -33,17 +31,23 @@ import json
 import signal
 import threading
 import time
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.ann import normalized_ef_search
-from repro.obs.trace import TRACE_HEADER, TraceContext, Tracer, default_tracer
+from repro.obs.trace import TRACE_HEADER, TraceContext, Tracer
 from repro.serve.client import DEADLINE_HEADER
 from repro.serve.faults import apply_server_faults
-from repro.serve.schema import base_metrics_registry, search_payload, topk_payload
+from repro.serve.schema import (
+    METRIC_HELP,
+    label_column,
+    search_payload,
+    topk_payload,
+)
 from repro.serve.service import QueryService
 
 
@@ -211,13 +215,69 @@ def install_signal_handlers(server: GracefulHTTPServer) -> None:
         signal.signal(signum, _handle)
 
 
+class RequestError(Exception):
+    """A refusal with a status of its own (unknown path or id -> 404).
+
+    Any exception may carry an ``http_status``; the handler answers with
+    it, which is how a backend's own failures (an expired deadline, an
+    unserviceable cluster) reach the wire without this module knowing
+    their types.
+    """
+
+    def __init__(self, http_status: int, message: str):
+        super().__init__(message)
+        self.http_status = http_status
+
+
+@dataclass(frozen=True)
+class Route:
+    """What one ``(method, path pattern)`` does and which gates guard it.
+
+    ``call(request, body, *ids)`` returns the reply — a dict is sent as
+    JSON, a str as plain text; ``ids`` are the path's ``N`` segments as
+    integers. ``shed`` puts the route behind admission control (``429``
+    + ``Retry-After`` over capacity); ``deadline`` refuses work whose
+    propagated ``X-Repro-Deadline-Ms`` budget is already spent (``504``).
+    """
+
+    call: Callable[..., Union[dict, str]]
+    shed: bool = False
+    deadline: bool = False
+
+
+#: ``(method, path pattern) -> Route``; an ``N`` segment matches one id
+RouteTable = Mapping[tuple[str, str], Route]
+
+
+def find_route(
+    routes: RouteTable, method: str, path: str
+) -> tuple[Optional[Route], list[str]]:
+    """The route serving ``method path`` plus its raw id segments."""
+    segments = path.strip("/").split("/")
+    for (verb, pattern), route in routes.items():
+        wanted = pattern.strip("/").split("/")
+        if verb == method and len(wanted) == len(segments) and all(
+            w == "N" or w == s for w, s in zip(wanted, segments)
+        ):
+            return route, [s for w, s in zip(wanted, segments) if w == "N"]
+    return None, []
+
+
 class ServeHTTPServer(GracefulHTTPServer):
-    """The serving process: a query service plus optional lake context.
+    """The one HTTP front door: a backend behind a route table.
+
+    A serving node (or cluster worker) holds a
+    :class:`~repro.serve.service.QueryService`, the cluster coordinator
+    a :class:`~repro.cluster.coordinator.ClusterCoordinator`; what
+    differs between them is the ``routes`` table, never this class.
 
     Args:
         address: ``(host, port)``; port 0 binds an ephemeral port
             (read it back from ``server_address``).
-        service: the resident :class:`~repro.serve.service.QueryService`.
+        backend: the resident object the routes call — it supplies
+            ``describe()``, ``metrics_registry()``, ``resolve_tau()``
+            and a ``tracer`` besides its search and maintenance calls.
+        routes: the :data:`RouteTable` this server answers.
         embedder: optional string embedder enabling ``"values"`` inputs.
         columns: optional column catalog (``[{"table", "column"}, ...]``)
             used to label hits in responses.
@@ -225,21 +285,22 @@ class ServeHTTPServer(GracefulHTTPServer):
             (must match how the lake was indexed).
         quiet: suppress per-request access logging.
         max_concurrent: admission-control capacity — at most this many
-            POST/DELETE requests execute at once; excess arrivals are
-            shed with ``429`` + ``Retry-After``. ``None`` = unlimited.
+            requests on ``shed`` routes execute at once; excess arrivals
+            get ``429`` + ``Retry-After``. ``None`` = unlimited.
         fault_injector: optional
             :class:`~repro.serve.faults.FaultInjector` whose schedule
-            runs against incoming requests (scripted slow-worker
-            delays, injected errors, dropped connections).
+            runs against incoming POST/DELETE requests (scripted
+            slow-worker delays, injected errors, dropped connections).
         tracer: the :class:`~repro.obs.trace.Tracer` recording request
             spans (continued from the ``X-Repro-Trace`` header when a
-            caller sends one); defaults to the process-wide tracer.
+            caller sends one); defaults to the backend's tracer.
     """
 
     def __init__(
         self,
         address: tuple[str, int],
-        service: QueryService,
+        backend,
+        routes: RouteTable,
         embedder=None,
         columns: Optional[Sequence[dict]] = None,
         preprocess: bool = True,
@@ -248,18 +309,27 @@ class ServeHTTPServer(GracefulHTTPServer):
         fault_injector=None,
         tracer: Optional[Tracer] = None,
     ):
-        self.service = service
+        self.backend = backend
+        self.routes = routes
         self.embedder = embedder
         self.columns = list(columns) if columns is not None else None
-        self._columns_lock = threading.Lock()
+        self.columns_lock = threading.Lock()
         self.preprocess = preprocess
         self.quiet = quiet
         self.admission = AdmissionController(max_concurrent)
         self.fault_injector = fault_injector
-        self.tracer = tracer if tracer is not None else default_tracer()
+        self.tracer = tracer if tracer is not None else backend.tracer
         self._counter_lock = threading.Lock()
         self.deadline_rejects = 0
-        super().__init__(address, ServeHandler)
+        super().__init__(address, JsonRequestHandler)
+
+    @property
+    def service(self):
+        """The backend, under the name a serving node's callers use."""
+        return self.backend
+
+    #: ... and under the name the coordinator's callers use
+    coordinator = service
 
     def count_deadline_reject(self) -> None:
         with self._counter_lock:
@@ -274,48 +344,94 @@ class ServeHTTPServer(GracefulHTTPServer):
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
-    """Shared JSON plumbing for the serving and cluster HTTP APIs.
-
-    Subclasses implement the verbs; the owning server is expected to
-    carry ``quiet`` plus — for ``"values"`` query support — ``embedder``
-    and ``preprocess`` attributes.
-    """
+    """The one request handler: every verb is a route-table dispatch."""
 
     protocol_version = "HTTP/1.1"
+    server: ServeHTTPServer  # for type checkers
+
+    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._dispatch("POST")
+
+    def do_DELETE(self) -> None:  # noqa: N802
+        self._dispatch("DELETE")
+
+    def _dispatch(self, method: str) -> None:
+        """Drain -> fault plane -> admission -> body -> deadline -> call.
+
+        GETs are the operator's view and skip the first two gates: they
+        keep answering through a drain and never advance a fault
+        schedule. An early refusal consumes the unread body first (see
+        :meth:`_discard_body`).
+        """
+        server = self.server
+        if method != "GET":
+            if server.draining:
+                self._discard_body()
+                self._send_error_json(
+                    "server is draining", 503,
+                    retry_after=server.drain_retry_after,
+                )
+                return
+            if apply_server_faults(self):
+                return
+        route, raw_ids = find_route(server.routes, method, self.path)
+        admitted = route is not None and route.shed
+        if admitted and not server.admission.try_acquire():
+            self._discard_body()
+            self._send_error_json(
+                "server over capacity; request shed", 429,
+                retry_after=server.admission.retry_after,
+            )
+            return
+        try:
+            body = self._read_body()
+            if route is None:
+                raise RequestError(404, f"unknown path {self.path}")
+            if route.deadline and self._deadline_expired():
+                raise RequestError(504, "deadline expired")
+            reply = route.call(self, body, *map(int, raw_ids))  # bad id -> 400
+            if isinstance(reply, str):
+                self._send(reply, "text/plain; charset=utf-8")
+            else:
+                self._send(json.dumps(reply), "application/json")
+        except Exception as exc:
+            status = getattr(exc, "http_status", None)
+            if status is None:
+                bad_input = isinstance(exc, (ValueError, KeyError, TypeError))
+                status = 400 if bad_input else 500
+            self._send_error_json(str(exc), status)
+        finally:
+            if admitted:
+                server.admission.release()
 
     # -- plumbing ------------------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not getattr(self.server, "quiet", True):
+        if not self.server.quiet:
             super().log_message(format, *args)
 
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, text: str, status: int = 200) -> None:
+    def _send(
+        self, text: str, content_type: str, status: int = 200,
+        retry_after: Optional[float] = None,
+    ) -> None:
         body = text.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if retry_after is not None:
+            self.send_header("Retry-After", f"{retry_after:g}")
         self.end_headers()
         self.wfile.write(body)
 
     def _send_error_json(
         self, message: str, status: int, retry_after: Optional[float] = None
     ) -> None:
-        body = json.dumps({"error": message}).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(
+            json.dumps({"error": message}), "application/json", status, retry_after
+        )
 
     def _discard_body(self) -> None:
         """Consume an unread request body before an early error reply.
@@ -336,46 +452,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             except OSError:  # pragma: no cover - client already gone
                 pass
 
-    # -- resilience gate -----------------------------------------------------------
-
-    def _begin_request(self):
-        """Drain / fault / admission gate, run before a mutating verb.
-
-        Returns ``None`` when the request was consumed (a 503/429 or an
-        injected fault already answered, or the connection was dropped)
-        — the verb must return immediately. Otherwise returns a token
-        for :meth:`_end_request` (the admission slot to release, or
-        ``False`` when no slot was taken).
-        """
-        server = self.server
-        if getattr(server, "draining", False):
-            self._discard_body()
-            self._send_error_json(
-                "server is draining", 503,
-                retry_after=getattr(server, "drain_retry_after", 1.0),
-            )
-            return None
-        if apply_server_faults(self):
-            return None
-        admission = getattr(server, "admission", None)
-        if admission is None:
-            return False
-        if not admission.try_acquire():
-            self._discard_body()
-            self._send_error_json(
-                "server over capacity; request shed", 429,
-                retry_after=admission.retry_after,
-            )
-            return None
-        return admission
-
-    @staticmethod
-    def _end_request(token) -> None:
-        if token:
-            token.release()
-
     def _deadline_expired(self) -> bool:
-        """Reject work whose propagated budget is already spent.
+        """Whether the propagated budget is already spent (and count it).
 
         Reads the ``X-Repro-Deadline-Ms`` header (remaining budget in
         milliseconds at send time); a non-positive value means the
@@ -391,15 +469,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             return False
         if remaining_ms > 0:
             return False
-        counter = getattr(self.server, "count_deadline_reject", None)
-        if counter is not None:
-            counter()
-        self._send_error_json("deadline expired", 504)
+        self.server.count_deadline_reject()
         return True
-
-    def _trace_context(self) -> Optional[TraceContext]:
-        """The caller's trace context from ``X-Repro-Trace`` (or None)."""
-        return TraceContext.from_header(self.headers.get(TRACE_HEADER))
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -414,7 +485,13 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             raise ValueError("request body must be a JSON object")
         return body
 
-    def _query_vectors(self, body: dict) -> np.ndarray:
+    # -- what the route calls read off a request -----------------------------------
+
+    def trace_context(self) -> Optional[TraceContext]:
+        """The caller's trace context from ``X-Repro-Trace`` (or None)."""
+        return TraceContext.from_header(self.headers.get(TRACE_HEADER))
+
+    def query_vectors(self, body: dict) -> np.ndarray:
         """The query column from either raw vectors or embeddable strings."""
         if ("vectors" in body) == ("values" in body):
             raise ValueError('give exactly one of "vectors" / "values"')
@@ -436,222 +513,159 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             values = [to_full_form(v) for v in values]
         return self.server.embedder.embed_column(values)
 
-    @staticmethod
-    def _parse_parts(body: dict) -> Optional[list[int]]:
-        """The optional partition restriction of a scatter-routed request."""
-        parts = body.get("parts")
-        if parts is None:
-            return None
-        if not isinstance(parts, (list, tuple)):
-            raise ValueError('"parts" must be a JSON array of partition ids')
-        return [int(p) for p in parts]
-
-    @staticmethod
-    def _parse_ef_search(body: dict) -> Optional[int]:
-        """The optional ANN beam-width knob (``None`` = exact, the default)."""
-        ef_search = body.get("ef_search")
-        if ef_search is None:
-            return None
-        if isinstance(ef_search, bool) or not isinstance(ef_search, int):
-            raise ValueError('"ef_search" must be a positive JSON integer')
-        return normalized_ef_search(ef_search)
-
-
-class ServeHandler(JsonRequestHandler):
-    """Request handler translating HTTP to service calls."""
-
-    server: ServeHTTPServer  # for type checkers
-
-    def _resolve_tau(self, body: dict, query: np.ndarray) -> float:
-        tau = body.get("tau")
-        fraction = body.get("tau_fraction")
-        return self.server.service.resolve_tau(tau, fraction, query.shape[1])
-
-    # -- verbs ---------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        try:
-            service = self.server.service
-            if self.path == "/healthz":
-                self._send_json({
-                    "ok": True,
-                    "generation": service.generation,
-                    "n_columns": service.n_columns,
-                })
-            elif self.path == "/stats":
-                self._send_json(service.describe())
-            elif self.path == "/metrics":
-                stats = service.snapshot_stats()
-                batches, coalesced = service.coalescing_totals()
-                extra = {
-                    "coalesced_batches": batches,
-                    "coalesced_requests": coalesced,
-                    "generation": service.generation,
-                    "columns": service.n_columns,
-                    "cache_size": len(service.cache),
-                }
-                lru = service.lru_info()
-                if lru is not None:
-                    extra.update(
-                        resident_shards=lru["resident"],
-                        spilled_shards=lru["spilled"],
-                        shard_lru_size=lru["lru_size"],
-                        shard_lru_capacity=lru["lru_capacity"],
-                        shard_lru_hits=lru["lru_hits"],
-                        shard_lru_misses=lru["lru_misses"],
-                    )
-                extra.update(self.server.resilience_metrics())
-                registry = base_metrics_registry(stats, extra)
-                registry.summary(
-                    "batch_size",
-                    "Requests fused per micro-batch dispatch.",
-                    source=stats.coalesced_batch_sizes,
-                )
-                for stage, hist in sorted(service.stage_histograms().items()):
-                    registry.summary(
-                        "stage_seconds",
-                        "Per-stage search wall time (one sample per dispatch).",
-                        source=hist,
-                        labels={"stage": stage},
-                    )
-                self._send_text(registry.render())
-            elif self.path == "/debug/traces":
-                tracer = self.server.tracer
-                self._send_json({
-                    "traces": tracer.traces(),
-                    "slow_queries": tracer.slow_queries(),
-                })
-            else:
-                self._send_error_json(f"unknown path {self.path}", 404)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_error_json(str(exc), 500)
-
-    def do_POST(self) -> None:  # noqa: N802
-        token = self._begin_request()
-        if token is None:
-            return
-        try:
-            body = self._read_body()
-            if self.path == "/search":
-                if not self._deadline_expired():
-                    self._handle_search(body)
-            elif self.path == "/topk":
-                if not self._deadline_expired():
-                    self._handle_topk(body)
-            elif self.path == "/columns":
-                self._handle_add_column(body)
-            else:
-                self._send_error_json(f"unknown path {self.path}", 404)
-        except (ValueError, KeyError, TypeError) as exc:
-            self._send_error_json(str(exc), 400)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_error_json(str(exc), 500)
-        finally:
-            self._end_request(token)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        token = self._begin_request()
-        if token is None:
-            return
-        try:
-            self._do_delete_body()
-        finally:
-            self._end_request(token)
-
-    def _do_delete_body(self) -> None:
-        try:
-            parts = self.path.strip("/").split("/")
-            if len(parts) == 2 and parts[0] == "columns":
-                try:
-                    column_id = int(parts[1])
-                except ValueError as exc:
-                    raise ValueError(f"bad column id {parts[1]!r}") from exc
-                try:
-                    generation = self.server.service.delete_column(column_id)
-                except KeyError:
-                    self._send_error_json(f"unknown column id {column_id}", 404)
-                    return
-                self._send_json({"deleted": column_id, "generation": generation})
-            else:
-                self._send_error_json(f"unknown path {self.path}", 404)
-        except ValueError as exc:
-            self._send_error_json(str(exc), 400)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send_error_json(str(exc), 500)
-
-    # -- endpoint bodies -----------------------------------------------------------
-
-    def _handle_search(self, body: dict) -> None:
-        query = self._query_vectors(body)
-        tau = self._resolve_tau(body, query)
-        joinability = body.get("joinability", 0.6)
-        ef_search = self._parse_ef_search(body)
-        with self.server.tracer.trace(
-            "serve.search", parent=self._trace_context()
-        ) as span:
-            span.annotate(n_queries=int(query.shape[0]), tau=float(tau))
-            response = self.server.service.search(
-                query, tau, joinability, parts=self._parse_parts(body),
-                ef_search=ef_search, trace=span,
-            )
-        self._send_json(
-            search_payload(
-                response.result,
-                columns=self.server.columns,
-                generation=response.generation,
-                cached=response.cached,
-                ef_search=ef_search,
-            )
+    def query_and_tau(self, body: dict) -> tuple[np.ndarray, float]:
+        """The query column and its absolute τ (from either τ form)."""
+        query = self.query_vectors(body)
+        tau = self.server.backend.resolve_tau(
+            body.get("tau"), body.get("tau_fraction"), query.shape[1]
         )
+        return query, tau
 
-    def _handle_topk(self, body: dict) -> None:
-        query = self._query_vectors(body)
-        tau = self._resolve_tau(body, query)
-        k = int(body.get("k", 10))
-        with self.server.tracer.trace(
-            "serve.topk", parent=self._trace_context()
-        ) as span:
-            span.annotate(n_queries=int(query.shape[0]), k=k)
-            response = self.server.service.topk(
-                query, tau, k,
-                parts=self._parse_parts(body), theta=int(body.get("theta", 0)),
-                trace=span,
-            )
-        self._send_json(
-            topk_payload(
-                response.result,
-                columns=self.server.columns,
-                generation=response.generation,
-                cached=response.cached,
-            )
-        )
 
-    def _handle_add_column(self, body: dict) -> None:
-        vectors = self._query_vectors(body)
-        table = body.get("table")
-        column = body.get("column")
-        part = body.get("partition")
-        explicit_id = body.get("column_id")
-        column_id, generation = self.server.service.add_column(
-            vectors,
-            part=int(part) if part is not None else None,
-            column_id=int(explicit_id) if explicit_id is not None else None,
+def parse_ef_search(body: dict) -> Optional[int]:
+    """The optional ANN beam-width knob (``None`` = exact, the default)."""
+    ef_search = body.get("ef_search")
+    if ef_search is None:
+        return None
+    if isinstance(ef_search, bool) or not isinstance(ef_search, int):
+        raise ValueError('"ef_search" must be a positive JSON integer')
+    return normalized_ef_search(ef_search)
+
+
+def _parse_parts(body: dict) -> Optional[list[int]]:
+    """The optional partition restriction of a scatter-routed request."""
+    parts = body.get("parts")
+    if parts is None:
+        return None
+    if not isinstance(parts, (list, tuple)):
+        raise ValueError('"parts" must be a JSON array of partition ids')
+    return [int(p) for p in parts]
+
+
+# -- routes every backend shares ---------------------------------------------------
+
+
+def _healthz(request: JsonRequestHandler, body: dict) -> dict:
+    state = request.server.backend.describe()
+    reply = {
+        "ok": state.get("serviceable", True),
+        "generation": state["generation"],
+        "n_columns": state["n_columns"],
+    }
+    if "workers" in state:
+        reply["workers"] = [worker["status"] for worker in state["workers"]]
+    return reply
+
+
+def stats(request: JsonRequestHandler, body: dict) -> dict:
+    return request.server.backend.describe()
+
+
+def _metrics(request: JsonRequestHandler, body: dict) -> str:
+    registry = request.server.backend.metrics_registry()
+    for name, value in request.server.resilience_metrics().items():
+        if name in ("admission_shed", "deadline_rejects"):
+            registry.counter(name, METRIC_HELP.get(name, name), value)
+        else:
+            registry.gauge(name, METRIC_HELP.get(name, name), value)
+    return registry.render()
+
+
+def _traces(request: JsonRequestHandler, body: dict) -> dict:
+    tracer = request.server.tracer
+    return {"traces": tracer.traces(), "slow_queries": tracer.slow_queries()}
+
+
+def delete_column(request: JsonRequestHandler, body: dict, column_id: int) -> dict:
+    try:
+        generation = request.server.backend.delete_column(column_id)
+    except KeyError:
+        raise RequestError(404, f"unknown column id {column_id}") from None
+    return {"deleted": column_id, "generation": generation}
+
+
+#: the operator's view, identical on every backend and never gated
+OPERATOR_ROUTES: RouteTable = {
+    ("GET", "/healthz"): Route(_healthz),
+    ("GET", "/stats"): Route(stats),
+    ("GET", "/metrics"): Route(_metrics),
+    ("GET", "/debug/traces"): Route(_traces),
+}
+
+
+# -- the serving node's routes (backend: QueryService) -----------------------------
+
+
+def _search(request: JsonRequestHandler, body: dict) -> dict:
+    query, tau = request.query_and_tau(body)
+    joinability = body.get("joinability", 0.6)
+    ef_search = parse_ef_search(body)
+    with request.server.tracer.trace(
+        "serve.search", parent=request.trace_context()
+    ) as span:
+        span.annotate(n_queries=int(query.shape[0]), tau=float(tau))
+        response = request.server.backend.search(
+            query, tau, joinability, parts=_parse_parts(body),
+            ef_search=ef_search, trace=span,
         )
-        if self.server.columns is not None:
-            # Handler threads add concurrently, so the catalog entry is
-            # written at its column_id slot under a lock — a positional
-            # append could interleave with another add and shift every
-            # later label by one.
-            entry = {
-                "table": str(table) if table is not None else f"column_{column_id}",
-                "column": str(column) if column is not None else "key",
-            }
-            with self.server._columns_lock:
-                catalog = self.server.columns
-                while len(catalog) <= column_id:
-                    catalog.append({"table": "?", "column": "?"})
-                catalog[column_id] = entry
-        self._send_json({"column_id": column_id, "generation": generation})
+    return search_payload(
+        response.result,
+        columns=request.server.columns,
+        generation=response.generation,
+        cached=response.cached,
+        ef_search=ef_search,
+    )
+
+
+def _topk(request: JsonRequestHandler, body: dict) -> dict:
+    query, tau = request.query_and_tau(body)
+    k = int(body.get("k", 10))
+    with request.server.tracer.trace(
+        "serve.topk", parent=request.trace_context()
+    ) as span:
+        span.annotate(n_queries=int(query.shape[0]), k=k)
+        response = request.server.backend.topk(
+            query, tau, k,
+            parts=_parse_parts(body), theta=int(body.get("theta", 0)),
+            trace=span,
+        )
+    return topk_payload(
+        response.result,
+        columns=request.server.columns,
+        generation=response.generation,
+        cached=response.cached,
+    )
+
+
+def _add_column(request: JsonRequestHandler, body: dict) -> dict:
+    server = request.server
+    vectors = request.query_vectors(body)
+    part = body.get("partition")
+    explicit_id = body.get("column_id")
+    column_id, generation = server.backend.add_column(
+        vectors,
+        part=int(part) if part is not None else None,
+        column_id=int(explicit_id) if explicit_id is not None else None,
+    )
+    if server.columns is not None:
+        # handler threads add concurrently and the slot write pads the
+        # list first, so it is not atomic
+        with server.columns_lock:
+            label_column(
+                server.columns, column_id, body.get("table"), body.get("column")
+            )
+    return {"column_id": column_id, "generation": generation}
+
+
+#: a serving node sheds every mutating verb: it owns no one else's state,
+#: so refusing work under overload is always safe
+SERVICE_ROUTES: RouteTable = {
+    **OPERATOR_ROUTES,
+    ("POST", "/search"): Route(_search, shed=True, deadline=True),
+    ("POST", "/topk"): Route(_topk, shed=True, deadline=True),
+    ("POST", "/columns"): Route(_add_column, shed=True),
+    ("DELETE", "/columns/N"): Route(delete_column, shed=True),
+}
 
 
 def make_server(
@@ -696,10 +710,7 @@ def make_server(
             if embedder is None and "embedder" in catalog:
                 from repro.embedding.hashing import HashingNGramEmbedder
 
-                embedder = HashingNGramEmbedder(
-                    dim=catalog["embedder"]["dim"],
-                    seed=catalog["embedder"]["seed"],
-                )
+                embedder = HashingNGramEmbedder.from_catalog(catalog)
             if preprocess is None:
                 preprocess = catalog.get("preprocess", True)
     else:
@@ -707,6 +718,7 @@ def make_server(
     return ServeHTTPServer(
         (host, port),
         service,
+        SERVICE_ROUTES,
         embedder=embedder,
         columns=columns,
         preprocess=True if preprocess is None else bool(preprocess),

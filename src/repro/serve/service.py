@@ -30,22 +30,26 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.ann import normalized_ef_search
+from repro.core.engine import validated_vectors
 from repro.core.index import PexesoIndex
+from repro.core.metric import EuclideanMetric
 from repro.core.out_of_core import LakeSearcher, PartitionedPexeso
 from repro.core.search import AblationFlags, SearchResult
 from repro.core.stats import SearchStats, StageTimings
-from repro.core.thresholds import distance_threshold
+from repro.core.thresholds import resolve_tau
 from repro.core.topk import TopKResult
-from repro.obs.metrics import BoundedHistogram
+from repro.obs.metrics import BoundedHistogram, MetricsRegistry
 from repro.obs.trace import Tracer, default_tracer
 from repro.serve.cache import ResultCache, query_cache_key
 from repro.serve.coalescer import MicroBatcher, PendingRequest
+from repro.serve.schema import METRIC_HELP, base_metrics_registry
 
 
 class RWLock:
@@ -166,6 +170,11 @@ class QueryService:
         else:
             searcher = LakeSearcher(backend, flags=flags, max_workers=max_workers)
         self.searcher = searcher
+        metric = searcher.backend.metric
+        if metric is None:  # a PartitionedPexeso built with the default
+            metric = EuclideanMetric()
+        #: ``resolve_tau(tau, tau_fraction, dim)`` over the lake's metric
+        self.resolve_tau = partial(resolve_tau, metric=metric)
         self.exact_counts = exact_counts
         self.flags = flags
         self._rw = RWLock()
@@ -213,28 +222,6 @@ class QueryService:
     @property
     def coalescing_enabled(self) -> bool:
         return self._batcher is not None
-
-    def resolve_tau(
-        self,
-        tau: Optional[float],
-        tau_fraction: Optional[float],
-        dim: int,
-    ) -> float:
-        """An absolute τ from either an absolute value or a fraction.
-
-        The fraction is converted exactly as the CLI does: relative to
-        the metric's maximum distance at the query's dimensionality.
-        """
-        if (tau is None) == (tau_fraction is None):
-            raise ValueError("give exactly one of tau / tau_fraction")
-        if tau is not None:
-            return float(tau)
-        metric = self.searcher.backend.metric
-        if metric is None:  # a PartitionedPexeso built with the default
-            from repro.core.metric import EuclideanMetric
-
-            metric = EuclideanMetric()
-        return distance_threshold(float(tau_fraction), metric, dim)
 
     # -- serving -------------------------------------------------------------------
 
@@ -450,21 +437,46 @@ class QueryService:
             "shard_lru": self.lru_info(),
         }
 
+    def metrics_registry(self) -> MetricsRegistry:
+        """The service's ``/metrics`` families (the server appends its
+        admission gauges and renders)."""
+        stats = self.snapshot_stats()
+        batches, coalesced = self.coalescing_totals()
+        extra = {
+            "coalesced_batches": batches,
+            "coalesced_requests": coalesced,
+            "generation": self._generation,
+            "columns": self.n_columns,
+            "cache_size": len(self.cache),
+        }
+        lru = self.lru_info()
+        if lru is not None:
+            extra.update(
+                resident_shards=lru["resident"],
+                spilled_shards=lru["spilled"],
+                shard_lru_size=lru["lru_size"],
+                shard_lru_capacity=lru["lru_capacity"],
+                shard_lru_hits=lru["lru_hits"],
+                shard_lru_misses=lru["lru_misses"],
+            )
+        registry = base_metrics_registry(stats, extra)
+        registry.summary(
+            "batch_size", METRIC_HELP["batch_size"],
+            source=stats.coalesced_batch_sizes,
+        )
+        for stage, hist in sorted(self.stage_histograms().items()):
+            registry.summary(
+                "stage_seconds", METRIC_HELP["stage_seconds"],
+                source=hist, labels={"stage": stage},
+            )
+        return registry
+
     # -- internals -----------------------------------------------------------------
 
     def _validated_query(self, query: np.ndarray) -> np.ndarray:
         """Reject malformed queries before they can poison a fused batch."""
-        query = np.atleast_2d(np.asarray(query, dtype=np.float64))
-        if query.shape[0] == 0:
-            raise ValueError("query column is empty")
-        if not np.isfinite(query).all():
-            raise ValueError("query contains NaN or infinite values")
-        index = self.searcher.index
-        if index is not None and query.shape[1] != index.dim:
-            raise ValueError(
-                f"query dim {query.shape[1]} != index dim {index.dim}"
-            )
-        return query
+        index = self.searcher.index  # None over a partitioned lake
+        return validated_vectors(query, index.dim if index is not None else None)
 
     def _count_cache(self, hit: bool) -> None:
         with self._stats_lock:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.metric import EuclideanMetric, normalize_rows
+from repro.core.persistence import V2_FORMAT_VERSION, _index_payload
 from repro.core.verifier import verify_row_blocks
 
 
@@ -32,6 +37,32 @@ def verify_one():
         )[0]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def write_v2():
+    """Write ``index`` as a format-v2 directory (one compressed
+    ``index.npz`` + manifest), replacing whatever ``directory`` held.
+
+    The library only *reads* v2 any more; this is the layout the retired
+    writer produced, kept here so the read path stays tested.
+    """
+
+    def write(index, directory) -> Path:
+        directory = Path(directory)
+        shutil.rmtree(directory, ignore_errors=True)
+        directory.mkdir(parents=True)
+        arrays, manifest = _index_payload(index)
+        np.savez_compressed(
+            directory / "index.npz",
+            extent=np.float64(index.pivot_space.extent),
+            **arrays,
+        )
+        manifest = {"format_version": V2_FORMAT_VERSION, **manifest}
+        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        return directory
+
+    return write
 
 
 @pytest.fixture(scope="session")

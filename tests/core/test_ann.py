@@ -30,12 +30,7 @@ from repro.core.ann import (
 from repro.core.index import PexesoIndex
 from repro.core.metric import normalize_rows
 from repro.core.out_of_core import LakeSearcher, PartitionedPexeso
-from repro.core.persistence import (
-    FORMAT_VERSION,
-    V2_FORMAT_VERSION,
-    load_index,
-    save_index,
-)
+from repro.core.persistence import load_index, save_index
 
 
 def clustered_columns(seed: int = 0, n_columns: int = 40, dim: int = 6):
@@ -292,7 +287,7 @@ class TestPersistence:
         columns, _ = lake
         index = PexesoIndex.build(columns, n_pivots=2, levels=3)
         graph = index.build_ann_graph()
-        save_index(index, tmp_path / "idx", fmt=FORMAT_VERSION)
+        save_index(index, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx", mmap=True)
         assert loaded.ann_graph is not None
         np.testing.assert_array_equal(loaded.ann_graph.node_columns, graph.node_columns)
@@ -311,18 +306,17 @@ class TestPersistence:
         columns, _ = lake
         index = PexesoIndex.build(columns, n_pivots=2, levels=3)
         assert index.ann_graph is None
-        save_index(index, tmp_path / "plain", fmt=FORMAT_VERSION)
+        save_index(index, tmp_path / "plain")
         loaded = load_index(tmp_path / "plain", mmap=True)
         assert loaded.ann_graph is None
         # and the tier still works through a lazy build
         assert loaded.ensure_ann_graph() is not None
 
-    def test_v2_format_rebuilds_lazily(self, lake, tmp_path):
+    def test_v2_format_rebuilds_lazily(self, lake, tmp_path, write_v2):
         columns, _ = lake
         index = PexesoIndex.build(columns, n_pivots=2, levels=3)
         index.build_ann_graph()
-        save_index(index, tmp_path / "v2", fmt=V2_FORMAT_VERSION)
-        loaded = load_index(tmp_path / "v2")
+        loaded = load_index(write_v2(index, tmp_path / "v2"))
         assert loaded.ann_graph is None  # v2 does not persist the graph
         query = make_query(columns, 7)
         want = LakeSearcher(index).search(query, 0.3, 0.5, ef_search=6)

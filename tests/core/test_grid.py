@@ -1,10 +1,18 @@
-"""Tests for the sparse hierarchical grid."""
+"""Tests for the sparse hierarchical grid.
+
+The grid has no per-cell objects; structure is asserted through the
+array API (``level_codes`` / ``level_coords``, ``children_codes``,
+``leaf_members``, ``subtree_leaf_codes``, ``subtree_member_rows``) and
+checked cell for cell against the object-tree oracle
+:class:`repro.core.reference.ReferenceGrid`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.cellcodes import encode_cells
+from repro.core.cellcodes import decode_cells, encode_cells
 from repro.core.grid import HierarchicalGrid
+from repro.core.reference import ReferenceGrid
 
 
 @pytest.fixture()
@@ -13,38 +21,73 @@ def mapped():
     return rng.uniform(0.0, 2.0, size=(100, 3))
 
 
+def reference_grid(mapped, levels, extent=2.0):
+    ref = ReferenceGrid(mapped.shape[1], levels, extent)
+    ref.insert(mapped)
+    return ref
+
+
+def level_cells(grid, level):
+    """``(code, coords tuple)`` of every populated cell of one level."""
+    codes = grid.level_codes(level)
+    return list(zip(codes.tolist(), map(tuple, grid.level_coords(level).tolist())))
+
+
+def cell_box(grid, level, coords):
+    size = grid.cell_size(level)
+    lo = np.asarray(coords, dtype=np.float64) * size
+    return lo, lo + size
+
+
 class TestConstruction:
     def test_every_vector_lands_in_one_leaf(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        members = [m for cell in grid.leaf_cells.values() for m in cell.members]
+        ref = reference_grid(mapped, levels=3)
+        members = []
+        for code, coords in level_cells(grid, 3):
+            rows = grid.leaf_members(code).tolist()
+            assert rows == ref.leaf_cells[coords].members
+            members.extend(rows)
         assert sorted(members) == list(range(100))
 
     def test_leaf_count_bounded_by_vectors(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=4, extent=2.0)
-        assert len(grid.leaf_cells) <= 100
+        assert grid.leaf_codes.size <= 100
 
     def test_level_cell_counts_are_monotone(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=4, extent=2.0)
-        sizes = [len(grid.cells[level]) for level in range(1, 5)]
+        sizes = [grid.level_codes(level).size for level in range(1, 5)]
         assert sizes == sorted(sizes)
 
     def test_root_children_cover_level1(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        assert {c.coords for c in grid.root.children} == set(grid.cells[1])
+        np.testing.assert_array_equal(grid.children_codes(0, 0), grid.level_codes(1))
 
     def test_parent_child_nesting(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
+        ref = reference_grid(mapped, levels=3)
         for level in range(1, 3):
-            for cell in grid.iter_cells(level):
-                for child in cell.children:
-                    assert child.level == level + 1
-                    assert tuple(c >> 1 for c in child.coords) == cell.coords
+            seen = []
+            for code, coords in level_cells(grid, level):
+                children = grid.children_codes(level, code)
+                child_coords = {
+                    tuple(c) for c in decode_cells(children, 3, level + 1).tolist()
+                }
+                assert all(
+                    tuple(c >> 1 for c in child) == coords for child in child_coords
+                )
+                assert child_coords == {
+                    child.coords for child in ref.cells[level][coords].children
+                }
+                seen.extend(children.tolist())
+            # every cell of the next level hangs under exactly one parent
+            assert sorted(seen) == grid.level_codes(level + 1).tolist()
 
     def test_vectors_inside_their_leaf_box(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        for cell in grid.leaf_cells.values():
-            lo, hi = grid.cell_box(cell)
-            for m in cell.members:
+        for code, coords in level_cells(grid, 3):
+            lo, hi = cell_box(grid, 3, coords)
+            for m in grid.leaf_members(code):
                 # boundary values may be clipped into the last cell
                 assert (mapped[m] >= lo - 1e-9).all()
                 assert (mapped[m] <= hi + 1e-9).all() or np.isclose(
@@ -53,13 +96,14 @@ class TestConstruction:
 
     def test_boundary_value_clipped_to_last_cell(self):
         grid = HierarchicalGrid.build(np.array([[2.0, 2.0]]), levels=2, extent=2.0)
-        assert list(grid.leaf_cells) == [(3, 3)]
+        assert grid.level_coords(2).tolist() == [[3, 3]]
 
     def test_store_members_false(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=2, extent=2.0, store_members=False)
-        assert all(not cell.members for cell in grid.leaf_cells.values())
         with pytest.raises(RuntimeError):
-            grid.subtree_members(grid.root)
+            grid.leaf_members(int(grid.leaf_codes[0]))
+        with pytest.raises(RuntimeError):
+            grid.subtree_member_rows(0, 0)
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_invalid_levels(self, bad):
@@ -85,15 +129,16 @@ class TestGeometry:
 
     def test_cell_box(self):
         grid = HierarchicalGrid.build(np.array([[0.6, 1.4]]), levels=2, extent=2.0)
-        cell = next(iter(grid.leaf_cells.values()))
-        lo, hi = grid.cell_box(cell)
+        ((_, coords),) = level_cells(grid, 2)
+        lo, hi = cell_box(grid, 2, coords)
         np.testing.assert_allclose(hi - lo, 0.5)
         assert (np.array([0.6, 1.4]) >= lo).all()
         assert (np.array([0.6, 1.4]) <= hi).all()
 
     def test_root_box_is_whole_space(self):
         grid = HierarchicalGrid(3, 2, extent=2.0)
-        lo, hi = grid.cell_box(grid.root)
+        assert grid.level_codes(0).tolist() == [0]
+        lo, hi = cell_box(grid, 0, (0, 0, 0))
         np.testing.assert_allclose(lo, 0.0)
         np.testing.assert_allclose(hi, 2.0)
 
@@ -107,21 +152,28 @@ class TestGeometry:
 class TestTraversal:
     def test_subtree_leaves_of_root_is_all(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        leaves = grid.subtree_leaves(grid.root)
-        assert {leaf.coords for leaf in leaves} == set(grid.leaf_cells)
+        np.testing.assert_array_equal(grid.subtree_leaf_codes(0, 0), grid.leaf_codes)
+        assert {coords for _, coords in level_cells(grid, 3)} == set(
+            reference_grid(mapped, levels=3).leaf_cells
+        )
 
     def test_subtree_members_of_root_is_all(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        assert sorted(grid.subtree_members(grid.root)) == list(range(100))
+        assert sorted(grid.subtree_member_rows(0, 0).tolist()) == list(range(100))
 
     def test_subtree_of_leaf_is_itself(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        leaf = next(iter(grid.leaf_cells.values()))
-        assert grid.subtree_leaves(leaf) == [leaf]
+        leaf = int(grid.leaf_codes[0])
+        assert grid.subtree_leaf_codes(3, leaf).tolist() == [leaf]
+        np.testing.assert_array_equal(
+            grid.subtree_member_rows(3, leaf), grid.leaf_members(leaf)
+        )
 
     def test_n_cells(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        assert grid.n_cells == sum(len(grid.cells[level]) for level in (1, 2, 3))
+        assert grid.n_cells == sum(grid.level_codes(level).size for level in (1, 2, 3))
+        ref = reference_grid(mapped, levels=3)
+        assert grid.n_cells == sum(len(ref.cells[level]) for level in (1, 2, 3))
 
 
 class TestIncrementalInsert:
@@ -135,14 +187,14 @@ class TestIncrementalInsert:
         grid = HierarchicalGrid(2, 2, extent=2.0)
         grid.insert(np.array([[0.1, 0.1]]))
         grid.insert(np.array([[0.1, 0.1]]))
-        cell = grid.leaf_cells[(0, 0)]
-        assert cell.members == [0, 1]
+        origin = int(encode_cells(np.array([[0, 0]]), n_dims=2, bits_per_axis=2)[0])
+        assert grid.leaf_members(origin).tolist() == [0, 1]
 
     def test_insert_creates_ancestors_once(self):
         grid = HierarchicalGrid(2, 3, extent=2.0)
         grid.insert(np.array([[0.1, 0.1], [0.11, 0.11]]))
-        assert len(grid.cells[1]) == 1
-        assert len(grid.root.children) == 1
+        assert grid.level_codes(1).size == 1
+        assert grid.children_codes(0, 0).size == 1
 
     def test_memory_bytes_positive(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=2, extent=2.0)

@@ -197,6 +197,20 @@ class TestNormalizeRows:
         np.testing.assert_array_equal(original, np.ones((2, 2)))
 
 
+def _assert_spill_refused(metric, directory):
+    """Spilling a lake built on ``metric`` raises and leaves no files."""
+    from repro.core.out_of_core import PartitionedPexeso
+
+    rng = np.random.default_rng(3)
+    columns = [normalize_rows(rng.normal(size=(6, 4))) for _ in range(4)]
+    lake = PartitionedPexeso(
+        metric=metric, n_pivots=2, levels=2, n_partitions=2, spill_dir=directory
+    )
+    with pytest.raises(ValueError, match="register_metric"):
+        lake.fit(columns)
+    assert list(directory.iterdir()) == []
+
+
 class TestRegisterMetric:
     def test_register_round_trips(self):
         from repro.core.metric import (
@@ -275,7 +289,7 @@ class TestRegisterMetric:
         finally:
             del METRIC_REGISTRY["CamelCase-Test"]
 
-    def test_non_default_constructible_metric_does_not_round_trip(self):
+    def test_non_default_constructible_metric_does_not_round_trip(self, tmp_path):
         from repro.core.metric import (
             METRIC_REGISTRY,
             metric_round_trips,
@@ -292,12 +306,13 @@ class TestRegisterMetric:
 
         try:
             # Registered, but get_metric could not reconstruct it — the
-            # persistence gate must send it down the pickle path.
+            # persistence gate must refuse to write it.
             assert not metric_round_trips(ScaledMetric(2.0))
+            _assert_spill_refused(ScaledMetric(2.0), tmp_path)
         finally:
             del METRIC_REGISTRY["scaled-test"]
 
-    def test_metric_without_counter_kwarg_does_not_round_trip(self):
+    def test_metric_without_counter_kwarg_does_not_round_trip(self, tmp_path):
         from repro.core.metric import (
             METRIC_REGISTRY,
             metric_round_trips,
@@ -313,8 +328,8 @@ class TestRegisterMetric:
 
         try:
             # cls() works, but get_metric's cls(counter=None) would not —
-            # the gate must reject it so the spill falls back to pickle
-            # instead of saving an unloadable lake.
+            # the gate must reject it instead of saving an unloadable lake.
             assert not metric_round_trips(NoCounterMetric())
+            _assert_spill_refused(NoCounterMetric(), tmp_path)
         finally:
             del METRIC_REGISTRY["no-counter-test"]

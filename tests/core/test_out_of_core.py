@@ -411,20 +411,19 @@ class TestCustomMetricSpill:
         finally:
             del METRIC_REGISTRY["registered-test-metric"]
 
-    def test_unregistered_metric_falls_back_to_pickle_with_warning(
-        self, columns, query, tmp_path
-    ):
-        with pytest.warns(UserWarning, match="not registered"):
-            lake = PartitionedPexeso(
-                metric=_UnregisteredMetric(),
-                n_pivots=2,
-                levels=2,
-                n_partitions=3,
-                spill_dir=tmp_path,
-            ).fit(columns)
-        assert len(list(tmp_path.glob("partition_*.pkl"))) >= 1
-        want = naive_search(columns, query, 0.8, 0.3, metric=_UnregisteredMetric())
-        assert lake.search(query, 0.8, 0.3).column_ids == want.column_ids
+    def test_unregistered_metric_refuses_to_spill(self, columns, tmp_path):
+        """No pickle fallback: an unregistered metric fails at spill time
+        with the register-it error, and nothing is written."""
+        lake = PartitionedPexeso(
+            metric=_UnregisteredMetric(),
+            n_pivots=2,
+            levels=2,
+            n_partitions=3,
+            spill_dir=tmp_path,
+        )
+        with pytest.raises(ValueError, match="register_metric"):
+            lake.fit(columns)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLakeSearcher:
@@ -470,6 +469,19 @@ class TestLruCapacityTracksFanOut:
         assert lake._lru is not None and lake._lru.capacity == 1
         lake.search(query, 0.8, 0.3, max_workers=4)
         assert lake._lru.capacity == 4  # follows the widest fan-out seen
+
+    def test_default_width_keeps_the_former_residency(self, columns, query, tmp_path):
+        """DEFAULT_SHARD_WORKERS dropped to 1; a lake that chose no width
+        must not start re-opening every shard on every query."""
+        from repro.core.out_of_core import DEFAULT_LRU_SHARDS
+
+        lake = PartitionedPexeso(
+            n_pivots=2, levels=2, n_partitions=4, spill_dir=tmp_path
+        ).fit(columns)
+        lake.search(query, 0.8, 0.3)
+        assert lake._lru.capacity == DEFAULT_LRU_SHARDS
+        lake.search(query, 0.8, 0.3)
+        assert lake.lru_info()["lru_hits"] >= len(lake._spilled)
 
     def test_explicit_bound_never_grows(self, columns, query, tmp_path):
         lake = PartitionedPexeso(

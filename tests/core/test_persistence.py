@@ -291,18 +291,14 @@ class TestV3Format:
         again = load_index(target)
         assert again.n_columns == loaded.n_columns
 
-    def test_unknown_format_rejected_on_save(self, built, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            save_index(built, tmp_path / "idx", fmt=99)
-
 
 class TestV2Compat:
-    """v2 (single .npz) directories stay loadable; v3 is the default."""
+    """v2 (single .npz) directories stay loadable; only v3 is written."""
 
-    def test_v2_save_and_load(self, built, small_query, tmp_path):
+    def test_v2_save_and_load(self, built, small_query, tmp_path, write_v2):
         from repro.core.persistence import V2_FORMAT_VERSION
 
-        save_index(built, tmp_path / "idx", fmt=V2_FORMAT_VERSION)
+        write_v2(built, tmp_path / "idx")
         assert (tmp_path / "idx" / "index.npz").exists()
         manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
         assert manifest["format_version"] == V2_FORMAT_VERSION
@@ -313,11 +309,10 @@ class TestV2Compat:
                 == pexeso_search(built, small_query, tau, 0.3).column_ids
             )
 
-    def test_migration_v2_to_v3_in_place(self, built, small_query, tmp_path):
-        from repro.core.persistence import V2_FORMAT_VERSION
-
-        target = tmp_path / "idx"
-        save_index(built, target, fmt=V2_FORMAT_VERSION)
+    def test_migration_v2_to_v3_in_place(
+        self, built, small_query, tmp_path, write_v2
+    ):
+        target = write_v2(built, tmp_path / "idx")
         migrated = load_index(target)
         save_index(migrated, target)  # re-save upgrades to v3
         manifest = json.loads((target / "manifest.json").read_text())
@@ -329,19 +324,20 @@ class TestV2Compat:
             == pexeso_search(built, small_query, 0.6, 0.3).column_ids
         )
 
-    def test_partitioned_v2_lake_loads(self, small_columns, small_query, tmp_path):
+    def test_partitioned_v2_lake_loads(
+        self, small_columns, small_query, tmp_path, write_v2
+    ):
         from repro.core.out_of_core import PartitionedPexeso
-        from repro.core.persistence import (
-            V2_FORMAT_VERSION,
-            load_partitioned,
-            save_partitioned,
-        )
+        from repro.core.persistence import load_partitioned, save_partitioned
 
         lake = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=3, seed=5).fit(
             small_columns
         )
-        save_partitioned(lake, tmp_path / "lake", fmt=V2_FORMAT_VERSION)
+        save_partitioned(lake, tmp_path / "lake")
+        for part_dir in (tmp_path / "lake").glob("partition_*"):
+            write_v2(load_index(part_dir, mmap=False), part_dir)
         assert list((tmp_path / "lake").glob("partition_*/index.npz"))
+        assert not list((tmp_path / "lake").glob("partition_*/arrays_v3_*"))
         loaded = load_partitioned(tmp_path / "lake")
         assert (
             loaded.search(small_query, 0.8, 0.3).column_ids

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cellcodes import decode_cells
 from repro.core.grid import HierarchicalGrid
 from repro.core.inverted_index import InvertedIndex
 from repro.core.partition import HistogramSpace, jensen_shannon_divergence
+from repro.core.reference import ReferenceGrid
 
 
 @st.composite
@@ -19,32 +21,55 @@ def mapped_points(draw):
     return rng.uniform(0.0, 2.0, size=(n, dims))
 
 
+def _box(grid, level, coords):
+    size = grid.cell_size(level)
+    lo = np.asarray(coords, dtype=np.float64) * size
+    return lo, lo + size
+
+
 class TestGridProperties:
     @settings(max_examples=40, deadline=None)
     @given(points=mapped_points(), levels=st.integers(1, 6))
     def test_members_partition_rows(self, points, levels):
         grid = HierarchicalGrid.build(points, levels=levels, extent=2.0)
-        members = sorted(
-            m for cell in grid.leaf_cells.values() for m in cell.members
-        )
-        assert members == list(range(points.shape[0]))
+        ref = ReferenceGrid(points.shape[1], levels, 2.0)
+        ref.insert(points)
+        members = []
+        for code, coords in zip(
+            grid.leaf_codes.tolist(), grid.level_coords(levels).tolist()
+        ):
+            rows = grid.leaf_members(code).tolist()
+            assert rows == ref.leaf_cells[tuple(coords)].members
+            members.extend(rows)
+        assert sorted(members) == list(range(points.shape[0]))
 
     @settings(max_examples=40, deadline=None)
     @given(points=mapped_points(), levels=st.integers(1, 6))
     def test_every_leaf_reachable_from_root(self, points, levels):
         grid = HierarchicalGrid.build(points, levels=levels, extent=2.0)
-        reachable = {leaf.coords for leaf in grid.subtree_leaves(grid.root)}
-        assert reachable == set(grid.leaf_cells)
+        frontier = [0]
+        for level in range(levels):
+            frontier = [
+                child
+                for code in frontier
+                for child in grid.children_codes(level, code).tolist()
+            ]
+        assert frontier == grid.leaf_codes.tolist()
+        np.testing.assert_array_equal(grid.subtree_leaf_codes(0, 0), grid.leaf_codes)
 
     @settings(max_examples=40, deadline=None)
     @given(points=mapped_points(), levels=st.integers(1, 5))
     def test_child_boxes_nest_inside_parents(self, points, levels):
         grid = HierarchicalGrid.build(points, levels=levels, extent=2.0)
         for level in range(1, levels):
-            for cell in grid.iter_cells(level):
-                lo, hi = grid.cell_box(cell)
-                for child in cell.children:
-                    c_lo, c_hi = grid.cell_box(child)
+            for code, coords in zip(
+                grid.level_codes(level).tolist(), grid.level_coords(level).tolist()
+            ):
+                lo, hi = _box(grid, level, coords)
+                children = grid.children_codes(level, code)
+                assert children.size >= 1
+                for child in decode_cells(children, grid.n_dims, level + 1).tolist():
+                    c_lo, c_hi = _box(grid, level + 1, child)
                     assert (c_lo >= lo - 1e-12).all()
                     assert (c_hi <= hi + 1e-12).all()
 
@@ -58,10 +83,13 @@ class TestGridProperties:
         incremental.insert(points[:split])
         if split < points.shape[0]:
             incremental.insert(points[split:])
-        assert set(batch.leaf_cells) == set(incremental.leaf_cells)
-        for coords, cell in batch.leaf_cells.items():
-            assert sorted(cell.members) == sorted(
-                incremental.leaf_cells[coords].members
+        for level in range(1, levels + 1):
+            np.testing.assert_array_equal(
+                batch.level_codes(level), incremental.level_codes(level)
+            )
+        for code in batch.leaf_codes.tolist():
+            np.testing.assert_array_equal(
+                batch.leaf_members(code), incremental.leaf_members(code)
             )
 
 

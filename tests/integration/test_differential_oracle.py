@@ -459,7 +459,7 @@ def test_ann_lane_matches_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_persistence_formats_and_backends_agree(seed, tmp_path):
+def test_persistence_formats_and_backends_agree(seed, tmp_path, write_v2):
     """The storage/kernel lane: every on-disk format and kernel backend
     replays the same seeds bit-identically.
 
@@ -473,12 +473,7 @@ def test_persistence_formats_and_backends_agree(seed, tmp_path):
     mismatch here.
     """
     from repro.core import kernels
-    from repro.core.persistence import (
-        FORMAT_VERSION,
-        V2_FORMAT_VERSION,
-        load_index,
-        save_index,
-    )
+    from repro.core.persistence import load_index, save_index
 
     columns, queries, metric, tau, joinability, n_partitions = make_scenario(seed)
     index = PexesoIndex.build(columns, metric=metric, n_pivots=2, levels=3)
@@ -488,9 +483,8 @@ def test_persistence_formats_and_backends_agree(seed, tmp_path):
     ]
 
     lanes = {}
-    save_index(index, tmp_path / "v2", fmt=V2_FORMAT_VERSION)
-    lanes["v2"] = load_index(tmp_path / "v2")
-    save_index(index, tmp_path / "v3", fmt=FORMAT_VERSION)
+    lanes["v2"] = load_index(write_v2(index, tmp_path / "v2"))
+    save_index(index, tmp_path / "v3")
     lanes["v3-eager"] = load_index(tmp_path / "v3", mmap=False)
     lanes["v3-mmap"] = load_index(tmp_path / "v3", mmap=True)
 

@@ -10,6 +10,7 @@ benchmarks/bench_ann.py`), where the lake is big enough for the default
 beam to be a real cut.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -62,3 +63,19 @@ def test_ann_curve_runs_at_ci_size(bench_module):
     full = out["curve"][-1]
     assert full["recall"] == 1.0
     assert full["columns_verified"] == out["exact_columns_verified"]
+
+
+def test_bench_json_artifact_schema(bench_module, tmp_path, monkeypatch):
+    """``write_bench_json`` — the artifact writer ``bench_ann`` and the
+    serving / cluster / tail-latency benchmarks share."""
+    import common
+
+    monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+    path = common.write_bench_json("smoke_check", {"speedup": 2.0, "ok": True})
+    assert path == tmp_path / "BENCH_smoke_check.json"
+    payload = json.loads(path.read_text())
+    assert payload["schema_version"] == 1
+    assert payload["bench"] == "smoke_check"
+    assert payload["metrics"] == {"speedup": 2.0, "ok": True}
+    for key in ("unix_time", "python", "numpy", "kernel_backend"):
+        assert key in payload
