@@ -11,10 +11,10 @@ theta-shared sharded top-k are identical to a single in-memory index.
 """
 
 import tempfile
-from pathlib import Path
 
 from repro.core.index import PexesoIndex
 from repro.core.out_of_core import PartitionedPexeso
+from repro.core.persistence import load_partitioned
 from repro.core.search import pexeso_search
 from repro.core.thresholds import distance_threshold
 from repro.core.topk import pexeso_topk
@@ -35,8 +35,9 @@ def main() -> None:
             partitioner="jsd", spill_dir=spill_dir,
             max_workers=4, lru_shards=2,
         ).fit(columns)
-        spilled = list(Path(spill_dir).glob("partition_*/index.npz"))
-        print(f"{len(spilled)} partitions spilled to disk, "
+        # the spill directory is a complete lake as soon as fit returns
+        spilled = load_partitioned(spill_dir).lru_info()["spilled"]
+        print(f"{spilled} partitions spilled to disk, "
               f"resident memory: {lake_index.memory_bytes()} bytes")
 
         result = lake_index.search(query, tau, joinability=0.25)

@@ -56,7 +56,7 @@ from repro.core.metric import EuclideanMetric
 from repro.core.out_of_core import LakeSearcher, PartitionedPexeso
 from repro.core.partition import PARTITIONERS
 from repro.core.atomic import atomic_write_text
-from repro.core.persistence import load_any, save_index, save_partitioned
+from repro.core.persistence import load_any, save_index
 from repro.core.thresholds import distance_threshold
 from repro.embedding.hashing import HashingNGramEmbedder
 from repro.lake.csv_loader import load_csv
@@ -93,8 +93,8 @@ def cmd_index(args: argparse.Namespace) -> int:
             n_partitions=args.partitions,
             partitioner=args.partitioner,
             spill_dir=args.index_dir,
-        ).fit(vector_columns)
-        out = save_partitioned(lake, args.index_dir)
+        ).fit(vector_columns)  # a spilled fit commits the lake
+        out = lake.spill_dir
         layout = f"{len([g for g in lake.partition_columns if g])} partitions"
     else:
         index = PexesoIndex.build(

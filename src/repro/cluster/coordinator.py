@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.atomic import atomic_write_text
 from repro.core.engine import BatchResult, merge_shard_batches, validated_vectors
-from repro.core.metric import get_metric
+from repro.core.persistence import load_partitioned
 from repro.core.stats import SearchStats
 from repro.core.thresholds import resolve_tau
 from repro.core.topk import TopKResult
@@ -78,9 +78,10 @@ class ClusterCoordinator:
 
     Args:
         lake_dir: a directory produced by
-            :func:`~repro.core.persistence.save_partitioned` (the
-            ``partitioned.json`` manifest names the partitions and their
-            global column IDs; ``catalog.json``, when present, labels
+            :func:`~repro.core.persistence.save_partitioned`, opened
+            lazily with :func:`~repro.core.persistence.load_partitioned`
+            for its partitions, global column IDs, metric and
+            dimensionality (``catalog.json``, when present, labels
             hits and enables ``"values"`` queries at the coordinator).
         n_workers: number of worker slots in the plan.
         replication: replicas per partition (clamped to ``n_workers``).
@@ -117,39 +118,30 @@ class ClusterCoordinator:
         breaker_clock=time.monotonic,
     ):
         self.lake_dir = Path(lake_dir)
-        manifest_path = self.lake_dir / "partitioned.json"
-        if not manifest_path.exists():
-            raise FileNotFoundError(
-                f"no partitioned manifest under {self.lake_dir}; the cluster "
-                "serves saved partitioned lakes (repro.cli index --partitions N)"
-            )
-        manifest = json.loads(manifest_path.read_text())
-        self.metric = get_metric(manifest["metric"])
+        # lazy: one JSON read, no shard is opened
+        lake = load_partitioned(self.lake_dir)
+        self.metric = lake.metric
+        #: the embedding dimensionality, for tau_fraction resolution
+        self.dim = lake.dim
         #: ``resolve_tau(tau, tau_fraction, dim)`` over the lake's metric
         self.resolve_tau = partial(resolve_tau, metric=self.metric)
         self.wave_width = max(1, int(wave_width))
         self.retries = int(retries)
         self.timeout = float(timeout)
 
-        parts = sorted(int(p) for p in manifest["partitions"])
+        parts = [p for p, globals_ in enumerate(lake.partition_columns) if globals_]
         #: live global column id -> partition
         self._column_partition: dict[int, int] = {}
-        deleted = {int(c) for c in manifest.get("deleted_column_ids", [])}
-        for part, globals_ in enumerate(manifest["partition_columns"]):
+        self._deleted_ids: set[int] = set()
+        for part, globals_ in enumerate(lake.partition_columns):
             for cid in globals_:
-                if cid >= 0 and cid not in deleted:
-                    self._column_partition[int(cid)] = part
-        self._deleted_ids = set(deleted)
+                if lake.has_column(cid):
+                    self._column_partition[cid] = part
+                elif cid >= 0:
+                    self._deleted_ids.add(cid)
         next_gid = max(
-            (c for g in manifest["partition_columns"] for c in g), default=-1
+            (c for g in lake.partition_columns for c in g), default=-1
         ) + 1
-
-        # the embedding dimensionality, for tau_fraction resolution
-        part_manifest = json.loads(
-            (self.lake_dir / manifest["partitions"][str(parts[0])] /
-             "manifest.json").read_text()
-        )
-        self.dim = int(part_manifest["dim"])
 
         self.columns: Optional[list[dict]] = None
         catalog_path = self.lake_dir / "catalog.json"
@@ -471,8 +463,11 @@ class ClusterCoordinator:
         records against the breaker (demoting the worker when it opens).
         A worker-side 504 means the propagated budget expired in flight
         — surfaced as :class:`DeadlineExceeded`, never as a liveness
-        failure. ``trace`` parents a per-attempt ``worker.call`` span
-        whose context travels to the worker on the wire.
+        failure. So is a transport error that arrives once the deadline
+        has passed: the budget-capped socket timeout fired, which says
+        nothing about the worker's health. ``trace`` parents a
+        per-attempt ``worker.call`` span whose context travels to the
+        worker on the wire.
         """
         if deadline is not None:
             deadline.check(f"call to worker {slot}")
@@ -491,7 +486,11 @@ class ClusterCoordinator:
                         f"worker {slot} rejected expired work"
                     ) from exc
                 raise  # the worker answered; not a liveness failure
-            except (OSError, ClusterUnavailable):
+            except (OSError, ClusterUnavailable) as exc:
+                if deadline is not None and deadline.expired():
+                    raise DeadlineExceeded(
+                        f"budget ran out during the call to worker {slot}"
+                    ) from exc
                 self._demote(slot)
                 raise
             elapsed = time.monotonic() - start

@@ -1,11 +1,12 @@
 """Crash-safe file writes for manifests and array files.
 
-Every manifest in the system (``manifest.json``, ``partitioned.json``,
-``cluster.json``) is the single source of truth for an on-disk layout,
-and live maintenance rewrites them while workers may be killed at any
-moment (the oracle's failover lane does exactly that). A bare
-``Path.write_text`` truncates the destination before writing, so a kill
-mid-write leaves a half-manifest that makes the whole lake unloadable.
+Every manifest is the single source of truth for one on-disk layout
+(``manifest.json`` for an index, ``partitioned.json`` for a whole lake —
+its shards have none — and ``cluster.json``), and live maintenance
+rewrites them while workers may be killed at any moment (the oracle's
+failover lane does exactly that). A bare ``Path.write_text`` truncates
+the destination first, so a kill mid-write leaves a half-manifest that
+makes the whole lake unloadable.
 
 The fix is the classic same-directory temp file + ``os.replace`` dance:
 the new content is written under a ``*.tmp-*`` name in the destination

@@ -4,10 +4,11 @@ When the repository does not fit in memory, the columns are partitioned
 (by default with the JSD clustering of :mod:`repro.core.partition`), one
 :class:`~repro.core.index.PexesoIndex` is built per partition, and each
 partition is (optionally) spilled to disk in the array-native
-:mod:`~repro.core.persistence` format (raw ``.npy`` files per
-partition; loading is a handful of ``mmap`` calls instead of
-reconstructing a Python object graph). That is the only spill format:
-a custom metric must be registered (``register_metric``) to spill.
+:mod:`~repro.core.persistence` lake layout (loading is a handful of
+``mmap`` calls). Every write — fit, add, delete — is one
+:func:`~repro.core.persistence.commit_lake`, so a spill directory is a
+loadable lake from the end of ``fit`` on. A custom metric must be
+registered (``register_metric``) to spill.
 
 The sharded layer is the fast path, not a fallback:
 
@@ -51,7 +52,7 @@ from repro.core.ann import candidate_lists
 from repro.core.engine import BatchResult, BatchSearch, merge_shard_batches
 from repro.core.index import PexesoIndex
 from repro.core.metric import Metric
-from repro.core.persistence import load_index, save_index
+from repro.core.persistence import commit_lake, load_shard
 from repro.core.partition import PARTITIONERS, partition_labels
 from repro.core.search import AblationFlags, SearchResult, pexeso_search
 from repro.core.stats import SearchStats
@@ -175,10 +176,11 @@ class PartitionedPexeso:
     Args:
         n_partitions: number of partitions (paper uses 10 for LWDC).
         partitioner: ``jsd`` | ``average-kmeans`` | ``random``.
-        spill_dir: when given, partition indexes are written here (one
-            array-native index directory each) and at most ``lru_shards``
-            are resident at a time (the out-of-core mode); when ``None``
-            all partitions stay in memory.
+        spill_dir: when given, the lake is written here (one epoch
+            directory per partition, named by ``partitioned.json``) and
+            at most ``lru_shards`` partitions are resident at a time (the
+            out-of-core mode); when ``None`` all partitions stay in
+            memory.
         kmeans_iters: the clustering iteration bound ``t``.
         max_workers: default shard fan-out width for ``search_many`` /
             ``topk`` (overridable per call); ``None`` picks
@@ -240,8 +242,12 @@ class PartitionedPexeso:
         #: (deleted columns keep their slot as a tombstone so the
         #: positional local-id -> global-id mapping stays valid)
         self.partition_columns: list[list[int]] = []
+        #: vector dimensionality (set by fit and by load_partitioned)
+        self.dim: Optional[int] = None
         self._resident: dict[int, PexesoIndex] = {}
-        self._spilled: dict[int, Path] = {}
+        #: per spilled partition, its ``partitioned.json`` entry (the
+        #: shard's directory and live epoch)
+        self._spilled: dict[int, dict] = {}
         self._lru: Optional[ShardLRU] = None
         self._lru_lock = threading.Lock()
         #: lazy reverse map: global column id -> (partition, local id)
@@ -251,8 +257,8 @@ class PartitionedPexeso:
         self._next_gid: Optional[int] = None
         #: when set, this lake hosts only these partitions (a cluster
         #: worker's shard subset); searches, mutations and column lookups
-        #: are restricted to them and the shared on-disk manifest is
-        #: never rewritten (the cluster coordinator owns that metadata)
+        #: are restricted to them and the shared on-disk lake is never
+        #: written (the cluster coordinator owns that metadata)
         self.hosted_parts: Optional[frozenset[int]] = None
 
     # -- construction ------------------------------------------------------------
@@ -283,34 +289,35 @@ class PartitionedPexeso:
             n_iter=self.kmeans_iters, rng=rng,
         )
 
-        self.partition_columns = []
-        self._resident.clear()
-        self._spilled.clear()
+        groups = [np.flatnonzero(self.labels == part) for part in range(k)]
+        self.partition_columns = [
+            [int(column_ids[p]) for p in positions] for positions in groups
+        ]
+        self.dim = int(np.atleast_2d(columns[0]).shape[1])
+        self._resident = {}
+        self._spilled = {}
         self._lru = None
         self._column_shard = None
         self._deleted_ids = set()
         self._next_gid = None
-        if self.spill_dir is not None:
-            self.spill_dir.mkdir(parents=True, exist_ok=True)
 
-        for part in range(k):
-            positions = np.flatnonzero(self.labels == part)
-            if positions.size == 0:
-                self.partition_columns.append([])
-                continue
-            index = PexesoIndex.build(
+        # lazy: a spilled fit writes each shard before building the next
+        shards = (
+            (part, PexesoIndex.build(
                 [columns[p] for p in positions],
                 metric=self.metric,
                 n_pivots=self.n_pivots,
                 levels=self.levels,
                 pivot_method=self.pivot_method,
                 seed=self.seed + part,
-            )
-            self.partition_columns.append([int(column_ids[p]) for p in positions])
-            if self.spill_dir is not None:
-                self._spill(part, index)
-            else:
-                self._resident[part] = index
+            ))
+            for part, positions in enumerate(groups)
+            if positions.size
+        )
+        if self.spill_dir is None:
+            self._resident = dict(shards)
+        else:
+            commit_lake(self, self.spill_dir, shards)
         return self
 
     @classmethod
@@ -350,25 +357,9 @@ class PartitionedPexeso:
         )
         return lake.fit(columns, column_ids=column_ids)
 
-    def _spill(self, part: int, index: PexesoIndex) -> None:
-        """Write one partition to disk in the array-native format.
-
-        Spills are crash-atomic: a killed spill leaves the partition's
-        previous complete epoch on disk. The format reconstructs the
-        metric from its registry name, so a custom
-        :class:`~repro.core.metric.Metric` must be registered via
-        :func:`~repro.core.metric.register_metric`; an unregistered one
-        makes :func:`~repro.core.persistence.save_index` raise
-        ``ValueError`` before anything is written.
-        """
-        self._spilled[part] = save_index(index, self.spill_dir / f"partition_{part}")
-
-    def _load(self, part: int) -> Optional[PexesoIndex]:
+    def _load(self, part: int) -> PexesoIndex:
         """Load one spilled partition from disk (no caching)."""
-        path = self._spilled.get(part)
-        if path is None:
-            return None
-        return load_index(path, mmap=self.mmap)
+        return load_shard(self.spill_dir, part, self._spilled[part], mmap=self.mmap)
 
     def _ensure_lru(self, workers: int) -> None:
         """Create (or widen) the shard LRU for a ``workers``-wide fan-out.
@@ -415,9 +406,9 @@ class PartitionedPexeso:
 
         Every hosted partition must be non-empty. Once restricted,
         searches fan out over the hosted partitions only, mutations may
-        only target them, and the on-disk ``partitioned.json`` is never
-        refreshed — a worker sees just its slice of the lake, so writing
-        the shared manifest from that partial view would clobber the
+        only target them, and nothing is committed to disk — a worker
+        sees just its slice of the lake, so writing the shared
+        ``partitioned.json`` from that partial view would clobber the
         other workers' columns.
         """
         self._require_fitted()
@@ -691,45 +682,18 @@ class PartitionedPexeso:
         self._next_gid += 1
         return gid
 
-    def _mutable_index(self, part: int) -> PexesoIndex:
-        """The shard's index, loaded if spilled (mutations re-spill it)."""
-        if part in self._resident:
-            return self._resident[part]
-        index, _ = self._get_index(part)
-        return index
-
     def _after_mutation(self, part: int, index: PexesoIndex) -> None:
-        """Re-spill a mutated shard and refresh caches + manifest."""
+        """Commit a mutated spilled shard and replace its LRU slot.
+
+        One :func:`~repro.core.persistence.commit_lake`: the shard's
+        fresh epoch and the lake's column maps become live together. A
+        resident shard (an in-memory lake, or a cluster worker's hosted
+        slice) writes nothing.
+        """
         if part in self._spilled:
-            self._spill(part, index)
+            commit_lake(self, self.spill_dir, [(part, index)])
             if self._lru is not None:
                 self._lru.put(part, index)
-        self._refresh_manifest()
-
-    def _refresh_manifest(self) -> None:
-        """Keep an on-disk ``partitioned.json`` consistent after mutations.
-
-        Only the mutable parts (labels, local->global maps, deleted ids)
-        are rewritten; a lake that was never saved as a partitioned
-        directory has no manifest and nothing to refresh. A
-        parts-restricted lake (a cluster worker's subset) never writes
-        the manifest: its view of the other partitions is partial and
-        possibly stale, and the cluster coordinator owns that metadata
-        (``cluster.json``).
-        """
-        if self.spill_dir is None or self.hosted_parts is not None:
-            return
-        manifest_path = self.spill_dir / "partitioned.json"
-        if not manifest_path.exists():
-            return
-        import json
-
-        from repro.core.atomic import atomic_write_text
-        from repro.core.persistence import mutable_manifest_fields
-
-        manifest = json.loads(manifest_path.read_text())
-        manifest.update(mutable_manifest_fields(self))
-        atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
 
     def add_column(
         self,
@@ -742,8 +706,8 @@ class PartitionedPexeso:
         The column joins the least-loaded non-empty partition (empty
         partitions never got an index at fit time), whose
         :meth:`~repro.core.index.PexesoIndex.add_column` does the §III-E
-        incremental insert. A spilled shard is loaded, mutated, written
-        back and its LRU slot replaced, so later searches see the new
+        incremental insert. A spilled shard is loaded, mutated, committed
+        and its LRU slot replaced, so later searches see the new
         column no matter which path fetches the shard. Callers running
         concurrent searches must serialize mutations against them (the
         serving layer's :class:`~repro.serve.service.QueryService` does
@@ -803,7 +767,7 @@ class PartitionedPexeso:
             self._ensure_next_gid()
             self._next_gid = max(self._next_gid, gid + 1)
 
-        index = self._mutable_index(part)
+        index = self._get_index(part)[0]
         local = index.add_column(vectors)
         cols = self.partition_columns[part]
         while len(cols) < local:  # keep positional local-id alignment
@@ -830,7 +794,7 @@ class PartitionedPexeso:
         if column_id not in mapping:
             raise KeyError(f"unknown column id {column_id}")
         part, local = mapping[column_id]
-        index = self._mutable_index(part)
+        index = self._get_index(part)[0]
         index.delete_column(local)
         self._deleted_ids.add(int(column_id))
         del mapping[column_id]

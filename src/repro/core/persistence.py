@@ -1,42 +1,35 @@
-"""Index persistence: save/load a PexesoIndex to a directory.
+"""Index persistence: save/load a PexesoIndex or a partitioned lake.
 
 The offline component of Fig. 1 builds the index once and serves many
-online queries, so the index must outlive the process. Because the index
-core is array-native — sorted leaf cell codes for the grid, lexsorted
-CSR arrays for the inverted index — the whole structure round-trips as
-a handful of arrays plus a small ``manifest.json``; nothing is pickled
-and no Python object graph is rebuilt on load.
+online queries, so the index must outlive the process. The index core
+is array-native, so it round-trips as a handful of arrays plus a few
+manifest fields; nothing is pickled. Every array is one raw aligned
+``.npy`` file inside an *epoch* directory (``arrays_v3_<epoch>/``) that
+loads open with ``mmap_mode="r"``: no copying, no decompression and
+almost no resident memory until pages are touched. Two layouts:
 
-Format **version 3** (the only format written): every array is one raw
-aligned ``.npy`` file inside a per-save epoch directory
-(``arrays_v3_<epoch>/``), so :func:`load_index` opens them with
-``mmap_mode="r"`` — loading a shard is a few ``open``/``mmap`` calls and
-costs no copying, no decompression and almost no resident memory until
-pages are actually touched. That makes cluster-worker cold start and
-failover near-instant and lets the shard LRU hold far more shards than
-RAM would allow (capacity is address space, not heap).
+* a **single index** (:func:`save_index` / :func:`load_index`, format
+  3): epoch directories plus a ``manifest.json`` naming the live one;
+* a **partitioned lake** (:func:`save_partitioned` /
+  :func:`load_partitioned`, lake format 2): ``partition_<p>/`` holds
+  *only* epoch directories, and one ``partitioned.json`` names every
+  shard's live epoch next to its index fields, the labels and the
+  global column IDs. Loading is one JSON read; shards stay on disk
+  until a search pulls them through the shard LRU.
 
-Crash safety: array files are written into a *fresh* epoch directory
-and the manifest — which names the epoch directory — is swapped in with
-an atomic rename (:mod:`repro.core.atomic`). A writer killed at any
-instant leaves either the old complete index or the new complete index;
-stale epoch directories and ``*.tmp-*`` files are ignored by loaders
-and swept by the next successful save.
+Crash safety is one rule: arrays land in a *fresh* epoch nothing names
+yet, one atomic manifest rename (:mod:`repro.core.atomic`) publishes
+them, then what the manifest no longer names is swept. A lake's only
+commit point is that flip of ``partitioned.json``, made by
+:func:`commit_lake` alone — ``fit(spill_dir=)``, ``add_column``,
+``delete_column`` and :func:`save_partitioned` all go through it — so a
+writer killed at any instant leaves the old lake or the new one.
 
-Format version 2 (one compressed ``index.npz``) is **read-only**: v2
-directories still load (eagerly — the archive must be decompressed) and
-re-saving one migrates it to v3 in place, but nothing writes v2 any
-more. Version-1 directories (the pre-array layout with a
-``structure.pkl``) are rejected with a clear error; rebuild the index
-to migrate.
-
-Partitioned lakes persist as a lake-level ``partitioned.json`` manifest
-(labels, global column IDs per partition, build knobs) plus one
-array-native index directory per non-empty partition
-(:func:`save_partitioned` / :func:`load_partitioned`). Loading is lazy:
-partitions stay on disk until a search pulls them through the shard
-LRU. :func:`load_any` dispatches on the directory layout so callers
-need not know which flavour was saved.
+Read-only layouts: single-index format 2 (one ``index.npz``) and lake
+format 1 (a ``manifest.json`` per shard) still load; the next write
+rewrites them in the current format. Single-index version 1 (a
+``structure.pkl``) is rejected; rebuild to migrate. :func:`load_any`
+dispatches on the directory layout.
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ from __future__ import annotations
 import json
 import shutil
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,17 +59,24 @@ V2_FORMAT_VERSION = 2
 #: formats :func:`load_index` accepts
 SUPPORTED_FORMATS = (V2_FORMAT_VERSION, FORMAT_VERSION)
 
-#: bumped when the partitioned-lake layout changes
-PARTITIONED_FORMAT_VERSION = 1
+#: the lake layout every commit writes: ``partitioned.json`` names every
+#: shard's live epoch
+PARTITIONED_FORMAT_VERSION = 2
+
+#: the lake layout whose shards carried their own ``manifest.json``;
+#: still loadable (never written)
+V1_PARTITIONED_FORMAT_VERSION = 1
 
 _ARCHIVE = "index.npz"
 
+_MANIFEST = "manifest.json"
+
 _PARTITIONED_MANIFEST = "partitioned.json"
 
-#: v3 epoch-directory prefix (the manifest names the live one)
+#: v3 epoch-directory prefix (a manifest names the live one)
 _V3_ARRAYS_PREFIX = "arrays_v3_"
 
-#: the arrays a v3 index directory persists, one ``.npy`` each, with the
+#: the arrays an epoch directory persists, one ``.npy`` each, with the
 #: dtype they are saved (and therefore mmapped) as
 _V3_ARRAYS = (
     ("vectors", np.float64),
@@ -92,9 +92,9 @@ _V3_ARRAYS = (
     ("column_counts", np.int64),
 )
 
-#: optional v3 arrays persisting the ANN column graph (repro.core.ann).
+#: optional arrays persisting the ANN column graph (repro.core.ann).
 #: Written only when the index carries a graph and declared by an "ann"
-#: manifest field, so pre-ANN v3 directories keep loading unchanged.
+#: manifest field, so pre-ANN epochs keep loading unchanged.
 _V3_ANN_ARRAYS = (
     ("ann_node_columns", np.int64),
     ("ann_centroids", np.float64),
@@ -145,36 +145,18 @@ def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, manifest
 
 
-def _sweep_stale_epochs(directory: Path, keep: str | None) -> None:
-    """Drop epoch dirs a crashed (or superseded) save left behind.
-
-    Safe while readers hold mmaps into a removed directory: on POSIX the
-    unlinked files' pages stay valid until the last mapping goes away.
-    """
-    for entry in directory.iterdir():
-        if (
-            entry.is_dir()
-            and entry.name.startswith(_V3_ARRAYS_PREFIX)
-            and entry.name != keep
-        ):
-            shutil.rmtree(entry, ignore_errors=True)
+# -- the epoch writer and the array reader ----------------------------------------
 
 
-def save_index(index: PexesoIndex, directory: str | Path) -> Path:
-    """Persist a built index (format v3); returns the directory written.
+def _write_epoch(index: PexesoIndex, directory: Path) -> dict:
+    """Write ``index``'s arrays into a fresh epoch dir under ``directory``
+    and return the manifest fields naming it. The epoch is numbered past
+    every one already there, so no live epoch or debris is written into.
 
-    The write is crash-atomic: array data lands under names the current
-    manifest does not reference, and the manifest swap is one
-    ``os.replace``. A killed writer can never leave a directory that
-    loads as a half-written index.
-
-    Raises:
+    Raises (before anything is written):
         RuntimeError: when the index has not been built.
-        ValueError: when the index's metric cannot round-trip through its
-            registry name (unregistered or not default-constructible
-            custom metric) — register it with
-            :func:`repro.core.metric.register_metric` and rebuild.
-            Nothing is written.
+        ValueError: when the metric cannot round-trip through its registry
+            name — register it with :func:`~repro.core.metric.register_metric`.
     """
     from repro.core.metric import metric_round_trips
 
@@ -187,55 +169,49 @@ def save_index(index: PexesoIndex, directory: str | Path) -> Path:
             "index would be unloadable; register it with "
             "repro.core.metric.register_metric and rebuild"
         )
-    directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    arrays, manifest = _index_payload(index)
-    manifest = {"format_version": FORMAT_VERSION, **manifest}
-    manifest["extent"] = float(index.pivot_space.extent)
-
-    # arrays into a fresh epoch dir, manifest flip last, then sweep
-    epoch = 0
-    manifest_path = directory / "manifest.json"
-    if manifest_path.exists():
-        try:
-            previous = json.loads(manifest_path.read_text())
-            prior_dir = str(previous.get("arrays_dir", ""))
-            if prior_dir.startswith(_V3_ARRAYS_PREFIX):
-                epoch = int(prior_dir[len(_V3_ARRAYS_PREFIX):]) + 1
-        except (ValueError, OSError):
-            pass  # unreadable prior manifest: start a fresh epoch chain
-    arrays_dir = f"{_V3_ARRAYS_PREFIX}{epoch:08d}"
+    arrays, fields = _index_payload(index)
+    fields["extent"] = float(index.pivot_space.extent)
+    epochs = [
+        int(suffix)
+        for entry in directory.glob(f"{_V3_ARRAYS_PREFIX}*")
+        if (suffix := entry.name[len(_V3_ARRAYS_PREFIX):]).isdigit()
+    ]
+    arrays_dir = f"{_V3_ARRAYS_PREFIX}{max(epochs, default=-1) + 1:08d}"
     epoch_path = directory / arrays_dir
-    if epoch_path.exists():  # a crashed writer got this far; restart it
-        shutil.rmtree(epoch_path)
     epoch_path.mkdir()
-    for name, dtype in _V3_ARRAYS:
+    layout = _V3_ARRAYS
+    graph = index.ann_graph
+    if graph is not None:
+        arrays.update(
+            ann_node_columns=graph.node_columns,
+            ann_centroids=graph.centroids,
+            ann_box_min=graph.box_min,
+            ann_box_max=graph.box_max,
+            ann_neighbors=graph.neighbors,
+        )
+        layout += _V3_ANN_ARRAYS
+        fields["ann"] = {"entry": int(graph.entry)}
+    for name, dtype in layout:
         atomic_write_array(
             epoch_path / f"{name}.npy", arrays[name].astype(dtype, copy=False)
         )
-    graph = getattr(index, "ann_graph", None)
-    if graph is not None:
-        ann_arrays = {
-            "ann_node_columns": graph.node_columns,
-            "ann_centroids": graph.centroids,
-            "ann_box_min": graph.box_min,
-            "ann_box_max": graph.box_max,
-            "ann_neighbors": graph.neighbors,
-        }
-        for name, dtype in _V3_ANN_ARRAYS:
-            atomic_write_array(
-                epoch_path / f"{name}.npy",
-                ann_arrays[name].astype(dtype, copy=False),
-            )
-        manifest["ann"] = {"entry": int(graph.entry)}
-    manifest["arrays_dir"] = arrays_dir
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
-    _sweep_stale_epochs(directory, keep=arrays_dir)
+    fields["arrays_dir"] = arrays_dir
+    return fields
+
+
+def _sweep_stale_epochs(directory: Path, keep: str) -> None:
+    """After a flip: drop every epoch dir but ``keep``, ``*.tmp-*`` debris
+    and a migrated v2 archive.
+
+    Safe while readers hold mmaps into a removed directory: on POSIX the
+    unlinked files' pages stay valid until the last mapping goes away.
+    """
+    for entry in directory.glob(f"{_V3_ARRAYS_PREFIX}*"):
+        if entry.name != keep:
+            shutil.rmtree(entry, ignore_errors=True)
     clean_temp_artifacts(directory)
-    # The npz of an in-place v2 -> v3 re-save is now dead weight.
     (directory / _ARCHIVE).unlink(missing_ok=True)
-    return directory
 
 
 def _np_load(path: Path, mmap_mode: Optional[str]) -> np.ndarray:
@@ -267,67 +243,27 @@ def _load_v3_arrays(
             f"v3 index manifest names missing arrays dir {arrays_dir}"
         )
     mode = "r" if mmap else None
-    arrays = {
-        name: _np_load(arrays_dir / f"{name}.npy", mode)
-        for name, _ in _V3_ARRAYS
-    }
     # The ANN column graph rides along only when the manifest declares it
     # (same epoch directory, so the crash-atomicity story is unchanged).
-    if manifest.get("ann"):
-        for name, _ in _V3_ANN_ARRAYS:
-            arrays[name] = _np_load(arrays_dir / f"{name}.npy", mode)
-    return arrays
+    layout = _V3_ARRAYS + (_V3_ANN_ARRAYS if manifest.get("ann") else ())
+    return {name: _np_load(arrays_dir / f"{name}.npy", mode) for name, _ in layout}
 
 
-def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
-    """Load an index saved by :func:`save_index`.
+def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
+    """Rebuild the index whose arrays ``manifest`` names under ``directory``.
 
-    Args:
-        mmap: open a v3 directory's arrays with ``mmap_mode="r"``
-            (zero-copy; pages fault in on first touch). ``False`` reads
-            them eagerly into RAM. v2 directories always load eagerly
-            (the npz must be decompressed).
-
-    Mutating a mmap-loaded index is safe: every maintenance path
-    (§III-E append/delete) builds *new* arrays rather than writing in
-    place, and the one in-place structure (the inverted index's CSR
-    offsets) is materialised at load time.
-
-    Raises:
-        FileNotFoundError: when the directory lacks the expected files.
-        ValueError: on a format-version mismatch.
+    ``manifest`` is a single-index ``manifest.json`` or one shard entry
+    of ``partitioned.json``; both carry the same index fields.
     """
     from repro.core.metric import get_metric
     from repro.core.pivot import PivotSpace
 
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no index manifest under {directory}")
-    # A concurrent re-save flips the manifest to a new epoch directory
-    # and sweeps the old one; a reader that fetched the manifest just
-    # before the flip can find its arrays gone mid-open. The manifest it
-    # re-reads then names the new complete epoch, so retrying gives a
-    # consistent snapshot (arrays are never mixed across epochs — any
-    # miss restarts the whole open).
-    for attempt in range(10):
-        manifest = json.loads(manifest_path.read_text())
-        fmt = manifest.get("format_version")
-        if fmt not in SUPPORTED_FORMATS:
-            raise ValueError(
-                f"index format {fmt} not in supported {SUPPORTED_FORMATS}"
-            )
-        try:
-            if fmt == V2_FORMAT_VERSION:
-                arrays = dict(np.load(directory / _ARCHIVE))
-                extent = float(arrays.pop("extent"))
-            else:
-                arrays = _load_v3_arrays(directory, manifest, mmap)
-                extent = float(manifest["extent"])
-            break
-        except FileNotFoundError:
-            if attempt == 9:
-                raise
+    if manifest.get("format_version") == V2_FORMAT_VERSION:
+        arrays = dict(np.load(directory / _ARCHIVE))
+        extent = float(arrays.pop("extent"))
+    else:
+        arrays = _load_v3_arrays(directory, manifest, mmap)
+        extent = float(manifest["extent"])
 
     index = PexesoIndex(
         metric=get_metric(manifest["metric"]),
@@ -390,68 +326,144 @@ def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
     return index
 
 
+def _open_consistent(
+    directory: Path, reread: Callable[[], dict], mmap: bool, manifest=None
+) -> PexesoIndex:
+    """:func:`_read_index` of ``manifest`` (default ``reread()``) that
+    survives a concurrent commit: one that flipped and swept the epoch
+    being opened makes ``reread()`` name the new, complete one, and the
+    open restarts (arrays are never mixed across epochs)."""
+    for attempt in range(10):
+        manifest = manifest or reread()  # a missing manifest raises here
+        try:
+            return _read_index(directory, manifest, mmap)
+        except FileNotFoundError:
+            if attempt == 9:
+                raise
+            manifest = None
+    raise AssertionError("unreachable")
+
+
+# -- single indexes ---------------------------------------------------------------
+
+
+def save_index(index: PexesoIndex, directory: str | Path) -> Path:
+    """Persist a built index (format v3); returns the directory written.
+
+    The write is crash-atomic: array data lands in an epoch the current
+    manifest does not name, and the manifest swap is one
+    ``os.replace``. A killed writer can never leave a directory that
+    loads as a half-written index.
+
+    Raises RuntimeError / ValueError as :func:`_write_epoch` does.
+    """
+    directory = Path(directory)
+    fields = _write_epoch(index, directory)
+    manifest = {"format_version": FORMAT_VERSION, **fields}
+    atomic_write_text(directory / _MANIFEST, json.dumps(manifest, indent=2))
+    _sweep_stale_epochs(directory, keep=fields["arrays_dir"])
+    return directory
+
+
+def _read_index_manifest(directory: Path) -> dict:
+    path = directory / _MANIFEST
+    if not path.exists():
+        raise FileNotFoundError(f"no index manifest under {directory}")
+    manifest = json.loads(path.read_text())
+    fmt = manifest.get("format_version")
+    if fmt not in SUPPORTED_FORMATS:
+        raise ValueError(f"index format {fmt} not in supported {SUPPORTED_FORMATS}")
+    return manifest
+
+
+def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
+    """Load an index saved by :func:`save_index`.
+
+    Args:
+        mmap: open a v3 directory's arrays with ``mmap_mode="r"``
+            (zero-copy; pages fault in on first touch). ``False`` reads
+            them eagerly into RAM. v2 directories always load eagerly
+            (the npz must be decompressed).
+
+    Mutating a mmap-loaded index is safe: every maintenance path
+    (§III-E append/delete) builds *new* arrays rather than writing in
+    place, and the one in-place structure (the inverted index's CSR
+    offsets) is materialised at load time.
+
+    Raises:
+        FileNotFoundError: when the directory lacks the expected files.
+        ValueError: on a format-version mismatch.
+    """
+    directory = Path(directory)
+    return _open_consistent(directory, lambda: _read_index_manifest(directory), mmap)
+
+
 # -- partitioned lakes ------------------------------------------------------------
 
 
-def mutable_manifest_fields(lake) -> dict:
-    """The manifest fields live maintenance can change.
+def _read_lake(directory: Path) -> tuple[dict, dict[int, dict]]:
+    """``partitioned.json`` plus every shard's entry, keyed by partition."""
+    path = directory / _PARTITIONED_MANIFEST
+    if not path.exists():
+        raise FileNotFoundError(f"no partitioned manifest under {directory}")
+    manifest = json.loads(path.read_text())
+    fmt = manifest.get("format_version")
+    if fmt == PARTITIONED_FORMAT_VERSION:
+        shards = {int(p): entry for p, entry in manifest["partitions"].items()}
+    elif fmt == V1_PARTITIONED_FORMAT_VERSION:
+        # each shard's own manifest.json names its epoch (or v2 archive)
+        shards = {
+            int(p): {"dir": subdir, **_read_index_manifest(directory / subdir)}
+            for p, subdir in manifest["partitions"].items()
+        }
+    else:
+        raise ValueError(f"partitioned format {fmt} not in supported (1, 2)")
+    return manifest, shards
 
-    One serialization shared by :func:`save_partitioned` and the lake's
-    in-place manifest refresh after ``add_column`` / ``delete_column``,
-    so the two paths can never drift apart.
+
+def load_shard(directory: Path, part: int, entry: dict, mmap: bool) -> PexesoIndex:
+    """Open one partition of the lake in ``directory`` from its entry."""
+    return _open_consistent(
+        directory / entry["dir"], lambda: _read_lake(directory)[1][part], mmap, entry
+    )
+
+
+def commit_lake(
+    lake, directory: str | Path, fresh: Iterable[tuple[int, PexesoIndex]] = ()
+) -> None:
+    """The one commit point of a partitioned lake.
+
+    Writes a fresh epoch for every ``(partition, index)`` of ``fresh``
+    (consumed lazily, so shards can be built one at a time) and for
+    every other non-empty partition ``directory`` does not hold yet,
+    flips ``partitioned.json`` once — naming every shard's live epoch
+    next to the lake's labels and column maps — and then sweeps what the
+    flipped manifest no longer names. A crash before the flip leaves
+    the previous lake; any crash after it, the new one.
+
+    In the lake's own spill directory the other partitions keep the
+    epochs the lake names (format-1 shards, which name their own, are
+    rewritten) and the lake is pointed at the new ones.
     """
-    return {
-        "labels": np.asarray(lake.labels).astype(int).tolist(),
-        "partition_columns": [list(map(int, g)) for g in lake.partition_columns],
-        "deleted_column_ids": sorted(int(c) for c in lake._deleted_ids),
-    }
-
-
-def save_partitioned(lake, directory: str | Path) -> Path:
-    """Persist a fitted :class:`~repro.core.out_of_core.PartitionedPexeso`.
-
-    Writes ``partitioned.json`` (labels, per-partition global column
-    IDs, build knobs) plus one array-native index directory per
-    non-empty partition (:func:`save_index`). A lake
-    already spilled *into* ``directory`` reuses its partition
-    directories; resident partitions are saved fresh; partitions
-    spilled elsewhere are loaded and re-saved. The lake-level manifest
-    is written atomically, last, so a killed saver leaves either the old
-    lake or the new one.
-
-    Raises:
-        RuntimeError: when the lake has not been fitted.
-        ValueError: from :func:`save_index`, when the lake's metric
-            cannot round-trip through its registry name.
-    """
-    if lake.labels is None:
-        raise RuntimeError("cannot save an unfitted partitioned lake")
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    own = lake.spill_dir is not None and directory.resolve() == lake.spill_dir.resolve()
+    shards = dict(lake._spilled) if own else {}
 
-    partitions: dict[str, str] = {}
-    metric_name = None
-    for part, globals_ in enumerate(lake.partition_columns):
-        if not globals_:
-            continue
+    def write(part: int, index: PexesoIndex) -> None:
         subdir = f"partition_{part}"
-        if part in lake._resident:
-            save_index(lake._resident[part], directory / subdir)
-        else:
-            spilled = lake._spilled.get(part)
-            if spilled is None:
-                raise RuntimeError(f"partition {part} has no index to save")
-            if spilled.resolve() != (directory / subdir).resolve():
-                save_index(load_index(spilled), directory / subdir)
-        if metric_name is None:
-            metric_name = json.loads(
-                (directory / subdir / "manifest.json").read_text()
-            )["metric"]
-        partitions[str(part)] = subdir
+        shards[part] = {"dir": subdir, **_write_epoch(index, directory / subdir)}
+
+    for part, index in fresh:
+        write(part, index)
+    for part, globals_ in enumerate(lake.partition_columns):
+        entry = shards.get(part)
+        # not in this directory yet, or a format-1 shard's own manifest
+        if globals_ and (entry is None or "format_version" in entry):
+            write(part, lake._get_index(part)[0])
 
     manifest = {
         "format_version": PARTITIONED_FORMAT_VERSION,
-        "metric": metric_name,
+        "metric": next(iter(shards.values()))["metric"],
         "n_pivots": lake.n_pivots,
         "levels": lake.levels,
         "pivot_method": lake.pivot_method,
@@ -459,14 +471,40 @@ def save_partitioned(lake, directory: str | Path) -> Path:
         "n_partitions": lake.n_partitions,
         "partitioner": lake.partitioner,
         "kmeans_iters": lake.kmeans_iters,
-        **mutable_manifest_fields(lake),
-        "partitions": partitions,
+        "labels": np.asarray(lake.labels).astype(int).tolist(),
+        "partition_columns": [list(map(int, g)) for g in lake.partition_columns],
+        "deleted_column_ids": sorted(int(c) for c in lake._deleted_ids),
+        "partitions": {str(p): shards[p] for p in sorted(shards)},
     }
-    atomic_write_text(
-        directory / _PARTITIONED_MANIFEST, json.dumps(manifest, indent=2)
-    )
+    atomic_write_text(directory / _PARTITIONED_MANIFEST, json.dumps(manifest, indent=2))
+    if own:
+        lake._spilled = shards
+
+    live = {entry["dir"]: entry["arrays_dir"] for entry in shards.values()}
+    for shard_dir in directory.glob("partition_*"):
+        if shard_dir.name not in live:  # a partition of a previous lake
+            shutil.rmtree(shard_dir, ignore_errors=True)
+        elif shard_dir.is_dir():
+            _sweep_stale_epochs(shard_dir, keep=live[shard_dir.name])
+            (shard_dir / _MANIFEST).unlink(missing_ok=True)
     clean_temp_artifacts(directory)
-    return directory
+
+
+def save_partitioned(lake, directory: str | Path) -> Path:
+    """Persist a fitted :class:`~repro.core.out_of_core.PartitionedPexeso`.
+
+    One :func:`commit_lake`: a lake already spilled *into* ``directory``
+    keeps its shard epochs and re-commits ``partitioned.json``; anywhere
+    else every non-empty partition gets a fresh epoch. A killed saver
+    leaves either the old lake or the new one.
+
+    Raises RuntimeError when the lake has not been fitted, and
+    ValueError as :func:`_write_epoch` does.
+    """
+    if lake.labels is None:
+        raise RuntimeError("cannot save an unfitted partitioned lake")
+    commit_lake(lake, directory)
+    return Path(directory)
 
 
 def load_partitioned(
@@ -487,10 +525,9 @@ def load_partitioned(
             hosted shards, mutations may only target them, and the
             shared on-disk layout is never written back — the worker
             owns its resident slice, the coordinator owns the metadata.
-            Over a v3 lake with ``mmap=True`` the open is zero-copy, so
-            worker cold start and failover cost milliseconds, not a
-            full-shard read.
-        mmap: open v3 partitions memory-mapped (see :func:`load_index`).
+            With ``mmap=True`` the open is zero-copy, so worker cold
+            start and failover cost milliseconds, not a full-shard read.
+        mmap: open partitions memory-mapped (see :func:`load_index`).
 
     Raises:
         FileNotFoundError: when the directory lacks the manifest.
@@ -501,16 +538,7 @@ def load_partitioned(
     from repro.core.out_of_core import PartitionedPexeso
 
     directory = Path(directory)
-    manifest_path = directory / _PARTITIONED_MANIFEST
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no partitioned manifest under {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format_version") != PARTITIONED_FORMAT_VERSION:
-        raise ValueError(
-            f"partitioned format {manifest.get('format_version')} != "
-            f"{PARTITIONED_FORMAT_VERSION}"
-        )
-
+    manifest, shards = _read_lake(directory)
     lake = PartitionedPexeso(
         metric=get_metric(manifest["metric"]),
         n_pivots=manifest["n_pivots"],
@@ -524,29 +552,20 @@ def load_partitioned(
         mmap=mmap,
     )
     lake.labels = np.asarray(manifest["labels"], dtype=np.intp)
-    lake.partition_columns = [
-        [int(cid) for cid in globals_]
-        for globals_ in manifest["partition_columns"]
-    ]
-    lake._spilled = {
-        int(part): directory / subdir
-        for part, subdir in manifest["partitions"].items()
-    }
-    lake._deleted_ids = {
-        int(cid) for cid in manifest.get("deleted_column_ids", [])
-    }
+    lake.partition_columns = [list(map(int, g)) for g in manifest["partition_columns"]]
+    lake._deleted_ids = set(map(int, manifest.get("deleted_column_ids", [])))
+    lake.dim = int(next(iter(shards.values()))["dim"])
+    lake._spilled = shards
     if parts is not None:
         wanted = sorted({int(p) for p in parts})
-        unknown = [p for p in wanted if str(p) not in manifest["partitions"]]
+        unknown = [p for p in wanted if p not in shards]
         if unknown:
             raise KeyError(
                 f"partitions {unknown} are not in the saved lake "
-                f"(have: {sorted(int(p) for p in manifest['partitions'])})"
+                f"(have: {sorted(shards)})"
             )
         for p in wanted:
-            lake._resident[p] = load_index(
-                directory / manifest["partitions"][str(p)], mmap=mmap
-            )
+            lake._resident[p] = lake._load(p)
         # Nothing stays spilled: the hosted shards are resident, the
         # rest are not this lake's to touch (no re-spill, no LRU).
         lake._spilled = {}

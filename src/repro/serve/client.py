@@ -117,7 +117,8 @@ class ServeClient:
 
         ``deadline_ms`` attaches the remaining latency budget as the
         ``X-Repro-Deadline-Ms`` header and caps the socket timeout to
-        it, so a call never outlives the budget it carries. ``trace``
+        it, so a call never outlives the budget it carries (a spent
+        budget keeps the normal timeout, to hear the server's 504). ``trace``
         (a :class:`~repro.obs.trace.Span` or ``TraceContext``) attaches
         the ``X-Repro-Trace`` header so the server joins the caller's
         trace.
@@ -130,7 +131,8 @@ class ServeClient:
         timeout = self.timeout
         if deadline_ms is not None:
             headers[DEADLINE_HEADER] = f"{float(deadline_ms):.3f}"
-            timeout = min(timeout, max(float(deadline_ms) / 1000.0, 0.001))
+            if deadline_ms > 0:
+                timeout = min(timeout, float(deadline_ms) / 1000.0)
         trace_header = self._trace_header_value(trace)
         if trace_header is not None:
             headers[TRACE_HEADER] = trace_header

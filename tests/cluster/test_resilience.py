@@ -292,6 +292,34 @@ class TestDeadlinePropagation:
                 in coordinator.metrics_text()
             )
 
+    def test_budget_running_out_in_a_worker_call_demotes_nobody(
+        self, lake_dir, reference, columns
+    ):
+        """The budget-capped socket timeout fires on a slow (not dead)
+        worker: a deadline violation, never a breaker failure, so with
+        replication 1 the next request is still served exactly."""
+        slow = FaultInjector(seed=5)
+        slow.script("delay", path="/search", delay=0.6, first=1)
+        with LocalCluster(
+            lake_dir,
+            n_workers=2,
+            replication=1,
+            mode="thread",
+            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_fault_injectors=[slow, None],
+            coordinator_kwargs=dict(retries=0),
+        ) as cluster:
+            coordinator = cluster.coordinator
+            query = columns[4][:5]
+            with pytest.raises(DeadlineExceeded):
+                coordinator.search(query, 0.6, 0.3, deadline=Deadline.from_ms(150.0))
+            assert coordinator._deadline_violations == 1
+            assert coordinator.shard_map.statuses() == ["up", "up"]
+            assert [b.state for b in coordinator._breakers] == [BREAKER_CLOSED] * 2
+            want = reference.search(query, 0.6, 0.3, exact_counts=True)
+            reply = cluster.client.search(vectors=query, tau=0.6, joinability=0.3)
+            assert parity(reply["hits"], want)
+
     def test_generous_budget_answers_exactly(
         self, lake_dir, reference, columns
     ):

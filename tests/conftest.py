@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.metric import EuclideanMetric, normalize_rows
-from repro.core.persistence import V2_FORMAT_VERSION, _index_payload
+from repro.core.persistence import V2_FORMAT_VERSION, _index_payload, save_index
 from repro.core.verifier import verify_row_blocks
 
 
@@ -60,6 +60,49 @@ def write_v2():
         )
         manifest = {"format_version": V2_FORMAT_VERSION, **manifest}
         (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        return directory
+
+    return write
+
+
+@pytest.fixture(scope="session")
+def write_format1_lake(write_v2):
+    """Write a fitted lake in lake format 1, replacing ``directory``.
+
+    In format 1 every non-empty partition is a complete single-index
+    directory with its own ``manifest.json`` (v3, or v2 with
+    ``v2=True``) and ``partitioned.json`` names only those directories.
+    The library only *reads* format 1; this is the layout its retired
+    writer produced, kept here so the read path stays tested.
+    """
+
+    def write(lake, directory, v2: bool = False) -> Path:
+        directory = Path(directory)
+        shutil.rmtree(directory, ignore_errors=True)
+        directory.mkdir(parents=True)
+        partitions = {}
+        for part, globals_ in enumerate(lake.partition_columns):
+            if globals_:
+                index = lake._get_index(part)[0]
+                subdir = f"partition_{part}"
+                (write_v2 if v2 else save_index)(index, directory / subdir)
+                partitions[str(part)] = subdir
+        manifest = {
+            "format_version": 1,
+            "metric": index.metric.name,
+            "n_pivots": lake.n_pivots,
+            "levels": lake.levels,
+            "pivot_method": lake.pivot_method,
+            "seed": lake.seed,
+            "n_partitions": lake.n_partitions,
+            "partitioner": lake.partitioner,
+            "kmeans_iters": lake.kmeans_iters,
+            "labels": np.asarray(lake.labels).astype(int).tolist(),
+            "partition_columns": [list(map(int, g)) for g in lake.partition_columns],
+            "deleted_column_ids": sorted(int(c) for c in lake._deleted_ids),
+            "partitions": partitions,
+        }
+        (directory / "partitioned.json").write_text(json.dumps(manifest, indent=2))
         return directory
 
     return write

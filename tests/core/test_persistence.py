@@ -325,17 +325,15 @@ class TestV2Compat:
         )
 
     def test_partitioned_v2_lake_loads(
-        self, small_columns, small_query, tmp_path, write_v2
+        self, small_columns, small_query, tmp_path, write_format1_lake
     ):
         from repro.core.out_of_core import PartitionedPexeso
-        from repro.core.persistence import load_partitioned, save_partitioned
+        from repro.core.persistence import load_partitioned
 
         lake = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=3, seed=5).fit(
             small_columns
         )
-        save_partitioned(lake, tmp_path / "lake")
-        for part_dir in (tmp_path / "lake").glob("partition_*"):
-            write_v2(load_index(part_dir, mmap=False), part_dir)
+        write_format1_lake(lake, tmp_path / "lake", v2=True)
         assert list((tmp_path / "lake").glob("partition_*/index.npz"))
         assert not list((tmp_path / "lake").glob("partition_*/arrays_v3_*"))
         loaded = load_partitioned(tmp_path / "lake")
@@ -403,3 +401,129 @@ class TestAtomicWrites:
         assert leftovers == []
         reloaded = load_partitioned(target)
         assert reloaded.n_columns == lake.n_columns
+
+
+def _hit_rows(result):
+    return [(h.column_id, h.match_count, h.joinability) for h in result.joinable]
+
+
+class TestLakeLayout:
+    """``partitioned.json`` is a lake's only manifest and names every epoch."""
+
+    def _assert_one_commit_point(self, directory):
+        manifest = json.loads((directory / "partitioned.json").read_text())
+        assert manifest["format_version"] == 2
+        assert not list(directory.glob("partition_*/manifest.json"))
+        for entry in manifest["partitions"].values():
+            shard = directory / entry["dir"]
+            assert [p.name for p in shard.iterdir()] == [entry["arrays_dir"]]
+            assert (shard / entry["arrays_dir"] / "vectors.npy").exists()
+        return manifest
+
+    def test_spilled_fit_is_a_loadable_lake(self, small_columns, small_query, tmp_path):
+        from repro.core.out_of_core import PartitionedPexeso
+        from repro.core.persistence import load_partitioned
+
+        lake = PartitionedPexeso(
+            n_pivots=3, levels=3, n_partitions=3, seed=5, spill_dir=tmp_path / "lake"
+        ).fit(small_columns)
+        manifest = self._assert_one_commit_point(tmp_path / "lake")
+        assert manifest["partition_columns"] == lake.partition_columns
+        loaded = load_partitioned(tmp_path / "lake")
+        assert loaded.dim == lake.dim == small_columns[0].shape[1]
+        assert _hit_rows(loaded.search(small_query, 0.8, 0.3)) == _hit_rows(
+            lake.search(small_query, 0.8, 0.3)
+        )
+
+    def test_saved_and_mutated_lake_keeps_one_commit_point(
+        self, small_columns, tmp_path
+    ):
+        from repro.core.out_of_core import PartitionedPexeso
+        from repro.core.persistence import load_partitioned, save_partitioned
+
+        lake = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=3, seed=5).fit(
+            small_columns
+        )
+        target = tmp_path / "lake"
+        save_partitioned(lake, target)
+        self._assert_one_commit_point(target)
+        served = load_partitioned(target)
+        gid = served.add_column(small_columns[0][:4].copy())
+        served.delete_column(3)
+        manifest = self._assert_one_commit_point(target)
+        assert manifest["deleted_column_ids"] == [3]
+        assert load_partitioned(target).has_column(gid)
+
+    def test_shard_load_racing_a_commit_opens_the_live_epoch(
+        self, small_columns, tmp_path
+    ):
+        """A reader whose entry names an epoch a commit has since swept
+        re-reads ``partitioned.json`` and opens the live epoch instead."""
+        from repro.core.out_of_core import PartitionedPexeso
+        from repro.core.persistence import load_partitioned, save_partitioned
+
+        target = tmp_path / "lake"
+        lake = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=3, seed=5)
+        save_partitioned(lake.fit(small_columns), target)
+        reader = load_partitioned(target)
+        writer = load_partitioned(target)
+        gid = writer.add_column(small_columns[0][:4].copy())
+        part = writer._ensure_column_shard()[gid][0]
+        assert reader._spilled[part] != writer._spilled[part]  # swept epoch
+        reopened = reader._load(part)
+        assert reopened.n_columns == writer._get_index(part)[0].n_columns
+
+    def test_saving_a_smaller_lake_over_a_larger_sweeps_its_partitions(
+        self, small_columns, tmp_path
+    ):
+        from repro.core.out_of_core import PartitionedPexeso
+        from repro.core.persistence import load_partitioned, save_partitioned
+
+        target = tmp_path / "lake"
+        big = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=4, seed=5)
+        save_partitioned(big.fit(small_columns), target)
+        small = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=2, seed=5)
+        save_partitioned(small.fit(small_columns[:10]), target)
+        manifest = self._assert_one_commit_point(target)
+        assert sorted(p.name for p in target.glob("partition_*")) == sorted(
+            entry["dir"] for entry in manifest["partitions"].values()
+        )
+        assert load_partitioned(target).n_columns == 10
+
+
+class TestLakeFormat1:
+    """Format-1 lakes (a manifest per shard) load as-is; a commit upgrades them."""
+
+    @pytest.mark.parametrize("v2", [False, True], ids=["v3-shards", "v2-shards"])
+    def test_loads_bit_identically_then_mutation_rewrites_as_format2(
+        self, small_columns, small_query, tmp_path, write_format1_lake, v2
+    ):
+        from repro.core.out_of_core import PartitionedPexeso
+        from repro.core.persistence import load_partitioned
+
+        lake = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=3, seed=5).fit(
+            small_columns
+        )
+        lake.delete_column(7)
+        target = write_format1_lake(lake, tmp_path / "lake", v2=v2)
+        loaded = load_partitioned(target)
+        assert loaded.dim == lake.dim
+        for tau in (0.4, 0.8):
+            assert _hit_rows(
+                loaded.search(small_query, tau, 0.3, exact_counts=True)
+            ) == _hit_rows(lake.search(small_query, tau, 0.3, exact_counts=True))
+            assert loaded.topk(small_query, tau, 5).hits == lake.topk(
+                small_query, tau, 5
+            ).hits
+
+        extra = small_columns[1][:5].copy()
+        assert loaded.add_column(extra) == lake.add_column(extra)
+        manifest = json.loads((target / "partitioned.json").read_text())
+        assert manifest["format_version"] == 2
+        assert not list(target.glob("partition_*/manifest.json"))
+        assert not list(target.glob("partition_*/index.npz"))
+        again = load_partitioned(target)
+        assert again.n_columns == lake.n_columns
+        assert _hit_rows(
+            again.search(small_query, 0.8, 0.3, exact_counts=True)
+        ) == _hit_rows(lake.search(small_query, 0.8, 0.3, exact_counts=True))

@@ -7,12 +7,20 @@ state — either pre- or post-mutation, never a torn one. This is the
 behavioural contract behind the v3 epoch-directory + atomic-manifest
 design, exercised end to end with real processes rather than mocks.
 
+The kill instant of those tests is random; :class:`TestEnumeratedCrashPoints`
+makes it exhaustive instead: a shim counts every write boundary
+:mod:`repro.core.persistence` crosses (``atomic_write_text``,
+``atomic_write_array``, the epoch sweep) and crashes just before or
+just after the n-th, for every n of add, delete, ``fit(spill_dir=)`` and
+``save_partitioned`` over an existing lake.
+
 Also covered: recovery from truncated / temp-file debris that a crashed
 writer can leave next to the manifests.
 """
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -22,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import persistence
 from repro.core.index import PexesoIndex
 from repro.core.out_of_core import PartitionedPexeso
 from repro.core.persistence import (
@@ -220,3 +229,156 @@ class TestTruncatedManifestRecovery:
         (target / "arrays_v3_00000000" / "vectors.npy").write_bytes(b"x")
         with pytest.raises(FileNotFoundError):
             load_index(target)
+
+
+# -- enumerated crash points ------------------------------------------------------
+
+#: the write boundaries, as repro.core.persistence binds them
+BOUNDARIES = ("atomic_write_text", "atomic_write_array", "_sweep_stale_epochs")
+
+LAKE_KWARGS = dict(n_pivots=3, levels=3, n_partitions=3, seed=3)
+_rng = np.random.default_rng(77)
+#: a different lake (7 columns, not 9) that fit / save write over the saved one
+NEW_COLUMNS = [_rng.normal(size=(int(_rng.integers(4, 9)), 6)) for _ in range(7)]
+ADDED = _rng.normal(size=(5, 6))
+VICTIM = 4
+QUERIES = [_rng.normal(size=(5, 6)), ADDED[:3], NEW_COLUMNS[1][:3]]
+
+OPERATIONS = {
+    "add": lambda d: load_partitioned(d).add_column(ADDED),
+    "delete": lambda d: load_partitioned(d).delete_column(VICTIM),
+    "fit": lambda d: PartitionedPexeso(spill_dir=d, **LAKE_KWARGS).fit(NEW_COLUMNS),
+    "save": lambda d: save_partitioned(
+        PartitionedPexeso(**LAKE_KWARGS).fit(NEW_COLUMNS), d
+    ),
+}
+
+
+class Crash(BaseException):
+    """A simulated kill (a BaseException, so no ``except Exception`` eats it)."""
+
+
+class BoundaryShim:
+    """Counts persistence's write boundaries; crashes around the n-th.
+
+    With ``crash_at=None`` it only counts (a dry run). Otherwise the
+    ``crash_at``-th boundary (1-based) raises :class:`Crash` just before
+    it runs, or just after it completed when ``after`` is set.
+    """
+
+    def __init__(self, monkeypatch, crash_at=None, after=False):
+        self.crash_at = crash_at
+        self.after = after
+        self.calls: list[str] = []
+        for name in BOUNDARIES:
+            real = getattr(persistence, name)
+            monkeypatch.setattr(persistence, name, self._wrap(name, real))
+
+    def _wrap(self, name, real):
+        def boundary(*args, **kwargs):
+            self.calls.append(name)
+            n = len(self.calls)
+            if n == self.crash_at and not self.after:
+                raise Crash(f"before {name} #{n}")
+            result = real(*args, **kwargs)
+            if n == self.crash_at:
+                raise Crash(f"after {name} #{n}")
+            return result
+
+        return boundary
+
+
+def _hit_rows(result):
+    return [(h.column_id, h.match_count, h.joinability) for h in result.joinable]
+
+
+def _reloaded_state(directory: Path, states: dict) -> str:
+    """Which of ``states`` (name -> {gid: vectors}) the lake reloads as.
+
+    Raises unless the reloaded lake *is* one of them: the same live ids,
+    every live column's vectors intact, and search / top-k equal to an
+    in-memory lake over exactly those columns.
+    """
+    lake = load_partitioned(directory)
+    live = sorted(c for g in lake.partition_columns for c in g if lake.has_column(c))
+    names = [name for name, state in states.items() if sorted(state) == live]
+    assert names, f"live ids {live} are neither lake's"
+    state = states[names[0]]
+    for gid in live:
+        np.testing.assert_array_equal(lake.column_vectors(gid), state[gid])
+    reference = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=1).fit(
+        [state[gid] for gid in live], column_ids=live
+    )
+    for query in QUERIES:
+        assert _hit_rows(lake.search(query, 0.8, 0.2, exact_counts=True)) == \
+            _hit_rows(reference.search(query, 0.8, 0.2, exact_counts=True))
+        assert lake.topk(query, 0.8, 4).hits == reference.topk(query, 0.8, 4).hits
+    return names[0]
+
+
+class TestEnumeratedCrashPoints:
+    @pytest.mark.parametrize("op", sorted(OPERATIONS))
+    def test_every_write_boundary_reloads_old_or_new(
+        self, op, columns, saved_lake, tmp_path
+    ):
+        old = dict(enumerate(columns))
+        states = {
+            "old": old,
+            "new": {
+                "add": {**old, len(columns): ADDED},
+                "delete": {g: c for g, c in old.items() if g != VICTIM},
+                "fit": dict(enumerate(NEW_COLUMNS)),
+                "save": dict(enumerate(NEW_COLUMNS)),
+            }[op],
+        }
+        failures: list[str] = []
+
+        def run(label: str, allowed: set, crash_at=None, after=False) -> list[str]:
+            case = tmp_path / label.replace(" ", "_").replace("#", "")
+            shutil.copytree(saved_lake, case)
+            with pytest.MonkeyPatch.context() as patch:
+                shim = BoundaryShim(patch, crash_at, after)
+                try:
+                    OPERATIONS[op](case)
+                    crashed = False
+                except Crash:
+                    crashed = True
+            if crashed != (crash_at is not None):
+                failures.append(f"{label}: crashed={crashed}")
+            try:
+                state = _reloaded_state(case, states)
+                if state not in allowed:
+                    failures.append(f"{label}: reloads as the {state} lake")
+            except Exception as exc:  # collected: report every torn point
+                failures.append(f"{label}: {type(exc).__name__}: {exc}")
+            shutil.rmtree(case)
+            return shim.calls
+
+        calls = run("complete", {"new"})
+        assert calls, "the operation crossed no write boundary"
+        for n, name in enumerate(calls, start=1):
+            for after in (False, True):
+                side = "after" if after else "before"
+                run(f"{side} #{n} {name}", {"old", "new"}, crash_at=n, after=after)
+        assert not failures, f"{op}: torn at {len(failures)} of " \
+            f"{2 * len(calls)} crash points:\n" + "\n".join(failures)
+
+    @pytest.mark.parametrize("op", ["add", "delete"])
+    def test_one_mutation_is_one_flip(self, op, saved_lake, monkeypatch):
+        from repro.core import atomic
+
+        flips = []
+        real = atomic.atomic_write_text
+
+        def counted(*args, **kwargs):
+            flips.append(args[0])
+            return real(*args, **kwargs)
+
+        # the library's binding plus the module's own, for a writer that
+        # imports it lazily
+        monkeypatch.setattr(atomic, "atomic_write_text", counted)
+        shim = BoundaryShim(monkeypatch)
+        OPERATIONS[op](saved_lake)
+        assert shim.calls.count("atomic_write_text") == 1
+        assert flips == [], "a write outside core/persistence.py"
+        assert not list(saved_lake.glob("partition_*/manifest.json"))

@@ -94,9 +94,11 @@ class TestCalmCluster:
     def test_one_traced_search_yields_one_covering_tree(
         self, tracer, lake_dir, columns
     ):
+        slow = FaultInjector(seed=1)
         with LocalCluster(
             lake_dir, n_workers=2, replication=2, mode="thread",
             worker_kwargs=WORKER_KWARGS,
+            worker_fault_injectors=[slow, None],
             # hedging off: a losing hedge finishes *after* the response
             # and its straggler spans would show up as a second tree
             coordinator_kwargs=dict(
@@ -105,6 +107,10 @@ class TestCalmCluster:
         ) as cluster:
             query = normalize_rows(np.vstack(columns))
             cluster.client.search(vectors=query, tau=0.6, joinability=0.2)
+            # a slow worker makes time inside the root span dominate the
+            # request, so the coverage bound below does not hang on
+            # millisecond-scale scheduling of the transport around it
+            slow.script("delay", path="/search", delay=0.6, first=1)
             tracer.reset()  # warmed up: measure a steady-state request
             started = time.perf_counter()
             reply = cluster.client.search(
