@@ -60,13 +60,13 @@ def pexeso_h_search(
     target_vectors = index.vectors
     metric = index.metric
 
-    query_rows = set(pairs.match_pairs) | set(pairs.candidate_pairs)
-    for q in sorted(query_rows):
+    query_rows = np.union1d(pairs.match.rows, pairs.candidate.rows)
+    for q in query_rows.tolist():
         q_vec = query_vectors[q]
         matched_cols: set[int] = set()
 
-        match_cells = pairs.match_pairs.get(q)
-        if match_cells:
+        match_cells = pairs.cells_of(q, match=True)
+        if match_cells.size:
             for col in index.inverted.columns_in_cells(match_cells):
                 if col in matched_cols:
                     continue
@@ -77,8 +77,8 @@ def pexeso_h_search(
                 if match_counts[col] >= t_count:
                     joinable.add(col)
 
-        cand_cells = pairs.candidate_pairs.get(q)
-        if not cand_cells:
+        cand_cells = pairs.cells_of(q, match=False)
+        if not cand_cells.size:
             continue
         for col, rows in index.inverted.columns_in_cells(cand_cells).items():
             if col in matched_cols:

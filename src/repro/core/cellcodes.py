@@ -67,11 +67,11 @@ def encode_cells(coords: np.ndarray, n_dims: int, bits_per_axis: int) -> np.ndar
 def decode_cells(codes: np.ndarray, n_dims: int, bits_per_axis: int) -> np.ndarray:
     """Inverse of :func:`encode_cells`: codes back to ``(n, n_dims)`` coords."""
     check_code_width(n_dims, bits_per_axis)
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes, dtype=np.int64)[:, None]
     coords = np.zeros((codes.shape[0], n_dims), dtype=np.int64)
+    axes = np.arange(n_dims, dtype=np.int64)
     for bit in range(bits_per_axis):
-        for axis in range(n_dims):
-            coords[:, axis] |= ((codes >> (bit * n_dims + axis)) & 1) << bit
+        coords |= ((codes >> (bit * n_dims + axes)) & 1) << bit
     return coords
 
 

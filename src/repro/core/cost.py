@@ -86,13 +86,13 @@ def estimate_query_cost(
     hg_q = HierarchicalGrid.build(
         query_mapped, levels=hg_rv.levels, extent=hg_rv.extent, store_members=True
     )
-    result = block(hg_q, hg_rv, query_mapped, tau)
+    candidates = block(hg_q, hg_rv, query_mapped, tau).candidate
     total = 0.0
-    for q, cells in result.candidate_pairs.items():
+    for q, n_cells in zip(candidates.rows.tolist(), candidates.lengths.tolist()):
         # The occurrence count of q in the multiset C equals its number of
         # candidate cells, and each occurrence contributes one Nmax term.
         nmax = density.nmax_sqr(query_mapped[q], tau, hg_rv.levels)
-        total += len(cells) * nmax
+        total += n_cells * nmax
     return total
 
 

@@ -308,11 +308,13 @@ class BatchSearch:
             per_stats = [group_stats]
         else:
             per_stats = [SearchStats() for _ in columns]
-            for r, cells in block_result.match_pairs.items():
-                per_stats[query_of_row[r]].matching_pairs += len(cells)
-            for r, cells in block_result.candidate_pairs.items():
-                per_stats[query_of_row[r]].candidate_pairs += len(cells)
+            n_match, n_cand = (
+                np.bincount(query_of_row[csr.rows], csr.lengths, len(columns))
+                for csr in (block_result.match, block_result.candidate)
+            )
             for local, size in enumerate(sizes):
+                per_stats[local].matching_pairs += int(n_match[local])
+                per_stats[local].candidate_pairs += int(n_cand[local])
                 per_stats[local].pivot_mapping_distances += size * index.n_pivots
 
         verdicts = verify_row_blocks(

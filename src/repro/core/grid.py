@@ -199,7 +199,7 @@ class HierarchicalGrid:
         hi = int(np.searchsorted(leaves, (int(code) + 1) << shift, side="left"))
         return leaves[lo:hi]
 
-    def _members_csr(self) -> tuple[np.ndarray, np.ndarray]:
+    def members_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Members CSR: offsets aligned with ``leaf_codes``, grouped rows."""
         if not self.store_members:
             raise RuntimeError("this grid does not store member indices")
@@ -214,7 +214,7 @@ class HierarchicalGrid:
 
     def leaf_members(self, code: int) -> np.ndarray:
         """Member row indices (ascending) of one leaf cell code."""
-        starts, order = self._members_csr()
+        starts, order = self.members_csr()
         leaves = self._level_codes[self.levels]
         i = int(np.searchsorted(leaves, int(code), side="left"))
         if i >= leaves.size or leaves[i] != code:
@@ -227,7 +227,7 @@ class HierarchicalGrid:
         Rows grouped by sorted leaf code are contiguous across a subtree's
         leaf range, so no per-leaf gathering is needed.
         """
-        starts, order = self._members_csr()
+        starts, order = self.members_csr()
         shift = self.n_dims * (self.levels - level)
         leaves = self._level_codes[self.levels]
         lo = int(np.searchsorted(leaves, int(code) << shift, side="left"))

@@ -1,12 +1,11 @@
 """Optional compiled kernels for the search hot path (Numba-accelerated).
 
-The verifier and the blocking descent are NumPy-vectorised but still pay
-Python orchestration per block and allocate boolean intermediates for
-every predicate. This module provides drop-in kernels for the inner
-predicates — the row-aligned Lemma 1/2 masks of verification, the leaf
-and cell masks of the blocking descent, and the verifier's sequential
-replay of a "firing" column — compiled with Numba when it is installed,
-with pure-NumPy fallbacks that stay the default otherwise.
+The verifier is NumPy-vectorised but still pays Python orchestration per
+row block and allocates boolean intermediates for every predicate. This
+module provides drop-in kernels for its inner predicates — the
+row-aligned Lemma 1/2 masks and the sequential replay of a "firing"
+column — compiled with Numba when it is installed, with pure-NumPy
+fallbacks that stay the default otherwise.
 
 **Bit-identity contract.** Every kernel is an elementwise float
 comparison (no floating-point reductions, whose summation order could
@@ -109,38 +108,6 @@ def _lemma2_pair_np(x_mapped: np.ndarray, q_mapped: np.ndarray, tau: float) -> n
     return ((x_mapped + q_mapped) <= tau).any(axis=1)
 
 
-def _leaf_masks_np(batch, t_lo, t_hi, tau, use56, use34):
-    if use56:
-        matched = ((batch[:, None, :] + t_hi[None, :, :]) <= tau).any(axis=2)
-    else:
-        matched = np.zeros((batch.shape[0], t_hi.shape[0]), dtype=bool)
-    if use34:
-        filtered = (
-            (t_lo[None, :, :] > batch[:, None, :] + tau)
-            | (t_hi[None, :, :] < batch[:, None, :] - tau)
-        ).any(axis=2)
-        filtered &= ~matched
-    else:
-        filtered = np.zeros_like(matched)
-    return matched, filtered
-
-
-def _cell_masks_np(r_lo, r_hi, q_lo, q_hi, tau, use56, use34):
-    n_r = r_lo.shape[0]
-    if use56:
-        matched = ((r_hi + q_hi[None, :]) <= tau).any(axis=1)
-    else:
-        matched = np.zeros(n_r, dtype=bool)
-    if use34:
-        filtered = (
-            (r_lo > q_hi[None, :] + tau) | (r_hi < q_lo[None, :] - tau)
-        ).any(axis=1)
-        filtered &= ~matched
-    else:
-        filtered = np.zeros(n_r, dtype=bool)
-    return matched, filtered
-
-
 def _replay_column_py(
     ep_cand,
     ep_match,
@@ -212,56 +179,11 @@ if HAVE_NUMBA:  # pragma: no cover - requires the optional dependency
                     break
         return out
 
-    @numba.njit(cache=True)
-    def _leaf_masks_nb(batch, t_lo, t_hi, tau, use56, use34):
-        mq, d = batch.shape
-        kt = t_hi.shape[0]
-        matched = np.zeros((mq, kt), dtype=np.bool_)
-        filtered = np.zeros((mq, kt), dtype=np.bool_)
-        for i in range(mq):
-            for j in range(kt):
-                hit = False
-                if use56:
-                    for c in range(d):
-                        if batch[i, c] + t_hi[j, c] <= tau:
-                            hit = True
-                            break
-                matched[i, j] = hit
-                if use34 and not hit:
-                    for c in range(d):
-                        if (
-                            t_lo[j, c] > batch[i, c] + tau
-                            or t_hi[j, c] < batch[i, c] - tau
-                        ):
-                            filtered[i, j] = True
-                            break
-        return matched, filtered
-
-    @numba.njit(cache=True)
-    def _cell_masks_nb(r_lo, r_hi, q_lo, q_hi, tau, use56, use34):
-        n_r, d = r_lo.shape
-        matched = np.zeros(n_r, dtype=np.bool_)
-        filtered = np.zeros(n_r, dtype=np.bool_)
-        for j in range(n_r):
-            hit = False
-            if use56:
-                for c in range(d):
-                    if r_hi[j, c] + q_hi[c] <= tau:
-                        hit = True
-                        break
-            matched[j] = hit
-            if use34 and not hit:
-                for c in range(d):
-                    if r_lo[j, c] > q_hi[c] + tau or r_hi[j, c] < q_lo[c] - tau:
-                        filtered[j] = True
-                        break
-        return matched, filtered
-
     _replay_column_nb = numba.njit(cache=True)(_replay_column_py)
 
 
 # --------------------------------------------------------------------------
-# Dispatching entry points (what the verifier and blocker call)
+# Dispatching entry points (what the verifier calls)
 # --------------------------------------------------------------------------
 
 
@@ -293,61 +215,6 @@ def lemma2_pair_mask(
             float(tau),
         )
     return _lemma2_pair_np(x_mapped, q_mapped, tau)
-
-
-def leaf_masks(
-    batch: np.ndarray,
-    t_lo: np.ndarray,
-    t_hi: np.ndarray,
-    tau: float,
-    use56: bool,
-    use34: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf-stage Lemma 5 (match) and Lemma 3 (filter) masks, batched.
-
-    ``batch`` is the ``(mq, d)`` mapped query members of one query leaf;
-    ``t_lo`` / ``t_hi`` are the ``(kt, d)`` target leaf boxes. Returns
-    ``(matched, filtered)`` boolean ``(mq, kt)`` masks with
-    ``filtered & matched == False``.
-    """
-    if _use_numba() and batch.size and t_hi.size:
-        return _leaf_masks_nb(
-            np.ascontiguousarray(batch, dtype=np.float64),
-            np.ascontiguousarray(t_lo, dtype=np.float64),
-            np.ascontiguousarray(t_hi, dtype=np.float64),
-            float(tau),
-            bool(use56),
-            bool(use34),
-        )
-    return _leaf_masks_np(batch, t_lo, t_hi, tau, use56, use34)
-
-
-def cell_masks(
-    r_lo: np.ndarray,
-    r_hi: np.ndarray,
-    q_lo: np.ndarray,
-    q_hi: np.ndarray,
-    tau: float,
-    use56: bool,
-    use34: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Descent-level Lemma 6 (match) and Lemma 4 (filter) masks.
-
-    One query cell box ``(q_lo, q_hi)`` against its ``(n_r, d)`` sibling
-    target boxes. Returns ``(matched, filtered)`` boolean ``(n_r,)``
-    masks with ``filtered & matched == False``.
-    """
-    if _use_numba() and r_lo.size:
-        return _cell_masks_nb(
-            np.ascontiguousarray(r_lo, dtype=np.float64),
-            np.ascontiguousarray(r_hi, dtype=np.float64),
-            np.ascontiguousarray(q_lo, dtype=np.float64),
-            np.ascontiguousarray(q_hi, dtype=np.float64),
-            float(tau),
-            bool(use56),
-            bool(use34),
-        )
-    return _cell_masks_np(r_lo, r_hi, q_lo, q_hi, tau, use56, use34)
 
 
 def replay_column(

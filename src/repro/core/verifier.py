@@ -116,7 +116,7 @@ def verify_row_blocks(
     ``early_accepts`` still mirror the row-at-a-time decisions).
 
     Args:
-        block_result: blocking output keyed by *global* (stacked) row.
+        block_result: blocking output over *global* (stacked) rows.
         query_vectors / query_mapped: all queries' rows stacked
             ``(R, dim)`` / ``(R, |P|)``.
         t_counts: per-query joinability threshold as absolute counts.
@@ -168,23 +168,31 @@ def verify_row_blocks(
         )
     }
 
-    rows = sorted(set(block_result.match_pairs) | set(block_result.candidate_pairs))
+    rows = np.union1d(block_result.match.rows, block_result.candidate.rows)
     n_rows_total = int(query_of_row.size)
 
     # Rows sharing a grid cell resolve identical cell lists; resolve each
     # distinct list once into flat arrays (column IDs, their target rows
     # concatenated, and per-column segment lengths) — one searchsorted
-    # range gather each over the CSR inverted index.
-    resolve_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # range gather each over the CSR inverted index. ``row_keys[kind][i]``
+    # is the cache key of ``rows[i]``'s cells of that kind (None: none).
+    resolve_cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     col_arrays: list[np.ndarray] = []
-    for pairs in (block_result.match_pairs, block_result.candidate_pairs):
-        for cells in pairs.values():
-            key = tuple(cells)
+    row_keys: list[list[Optional[bytes]]] = []
+    for csr in (block_result.match, block_result.candidate):
+        keys: list[Optional[bytes]] = [None] * rows.size
+        bounds = zip(csr.starts[:-1].tolist(), csr.starts[1:].tolist())
+        for at, (lo, hi) in zip(np.searchsorted(rows, csr.rows).tolist(), bounds):
+            cells = csr.cells[lo:hi]
+            keys[at] = key = cells.tobytes()
             if key in resolve_cache:
                 continue
             cols, flat, lens = inverted_index.columns_in_cells_arrays(cells)
             resolve_cache[key] = (cols, flat, lens)
             col_arrays.append(cols)
+        row_keys.append(keys)
+    match_keys, candidate_keys = row_keys
+    rows = rows.tolist()
 
     # Compact the touched column IDs to a dense range so the state arrays
     # are O(batch x touched columns), not O(batch x all columns ever).
@@ -229,20 +237,18 @@ def verify_row_blocks(
         seg_kind: list[bool] = []
         pair_rows_parts: list[np.ndarray] = []
         cand_lens_parts: list[np.ndarray] = []
-        match_pairs_get = block_result.match_pairs.get
-        candidate_pairs_get = block_result.candidate_pairs.get
-        for r in block_rows:
-            mcells = match_pairs_get(r)
-            if mcells:
-                mcols, _, _ = resolve(tuple(mcells))
+        for at, r in enumerate(block_rows, start):
+            mkey = match_keys[at]
+            if mkey is not None:
+                mcols, _, _ = resolve(mkey)
                 if mcols.size:
                     seg_cols.append(mcols)
                     seg_row.append(r)
                     seg_size.append(mcols.size)
                     seg_kind.append(True)
-            ccells = candidate_pairs_get(r)
-            if ccells:
-                ccols, flat, lens = resolve(tuple(ccells))
+            ckey = candidate_keys[at]
+            if ckey is not None:
+                ccols, flat, lens = resolve(ckey)
                 if ccols.size:
                     seg_cols.append(ccols)
                     seg_row.append(r)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -182,8 +183,12 @@ class QueryService:
         self.cache = ResultCache(cache_size)
         self._batcher: Optional[MicroBatcher] = None
         if window_ms is not None:
+            # a weak callback: no service <-> batcher cycle, so a dropped
+            # service (and its index) is freed at once, not at the next
+            # cyclic collection
+            execute = weakref.WeakMethod(self._execute_batch)
             self._batcher = MicroBatcher(
-                self._execute_batch,
+                lambda requests: execute()(requests),
                 window_seconds=window_ms / 1000.0,
                 max_batch=max_batch,
             )

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import random
 import shutil
 from pathlib import Path
 
@@ -12,6 +14,15 @@ import pytest
 from repro.core.metric import EuclideanMetric, normalize_rows
 from repro.core.persistence import V2_FORMAT_VERSION, _index_payload, save_index
 from repro.core.verifier import verify_row_blocks
+
+
+def pytest_collection_modifyitems(config, items):
+    """Shuffle the test order when ``REPRO_TEST_SHUFFLE_SEED`` is set, so a
+    test that leans on another's side effects fails reproducibly."""
+    seed = os.environ.get("REPRO_TEST_SHUFFLE_SEED")
+    if seed is not None:
+        random.Random(int(seed)).shuffle(items)
+        config.get_terminal_writer().line(f"test order shuffled with seed {seed}")
 
 
 def make_columns(rng: np.random.Generator, n_columns: int, dim: int,

@@ -8,7 +8,7 @@ blocking may only discard provably-nonmatching combinations.
 import numpy as np
 import pytest
 
-from repro.core.blocker import block, quick_browse, BlockResult
+from repro.core.blocker import block
 from repro.core.grid import HierarchicalGrid
 from repro.core.metric import EuclideanMetric, normalize_rows
 from repro.core.pivot import PivotSpace
@@ -37,7 +37,7 @@ def test_blocking_is_complete(tau, quick):
     pairwise = metric.pairwise(queries, data)
     for qi, row in zip(*np.nonzero(pairwise <= tau)):
         cell = leaf_of_row[int(row)]
-        reachable = cell in result.match_pairs.get(int(qi), []) or cell in result.candidate_pairs.get(int(qi), [])
+        reachable = cell in result.cells_of(int(qi), match=True) or cell in result.cells_of(int(qi), match=False)
         assert reachable, f"true match (q={qi}, row={row}) unreachable"
 
 
@@ -49,8 +49,8 @@ def test_match_pairs_are_sound(tau):
     rows_in_cell = {}
     for row, cell in leaf_of_row.items():
         rows_in_cell.setdefault(cell, []).append(row)
-    for qi, cells in result.match_pairs.items():
-        for cell in cells:
+    for qi in result.match.rows.tolist():
+        for cell in result.cells_of(qi, match=True).tolist():
             for row in rows_in_cell.get(cell, []):
                 assert metric.distance(queries[qi], data[row]) <= tau + 1e-9
 
@@ -58,16 +58,19 @@ def test_match_pairs_are_sound(tau):
 def test_no_duplicate_pairs():
     data, queries, metric, q_mapped, hg_q, hg_rv, _ = _setup(seed=2)
     result = block(hg_q, hg_rv, q_mapped, 0.8)
-    for mapping in (result.match_pairs, result.candidate_pairs):
-        for cells in mapping.values():
+    for csr in (result.match, result.candidate):
+        for lo, hi in zip(csr.starts[:-1], csr.starts[1:]):
+            cells = csr.cells[lo:hi].tolist()
             assert len(cells) == len(set(cells))
 
 
 def test_match_and_candidate_disjoint_per_query():
     data, queries, metric, q_mapped, hg_q, hg_rv, _ = _setup(seed=3)
     result = block(hg_q, hg_rv, q_mapped, 1.0)
-    for qi in result.match_pairs:
-        overlap = set(result.match_pairs[qi]) & set(result.candidate_pairs.get(qi, []))
+    for qi in result.match.rows.tolist():
+        overlap = set(result.cells_of(qi, match=True).tolist()) & set(
+            result.cells_of(qi, match=False).tolist()
+        )
         assert not overlap
 
 
@@ -104,14 +107,14 @@ def test_mismatched_levels_raise():
 class TestQuickBrowsing:
     def test_aligned_cells_become_candidates(self):
         data, queries, metric, q_mapped, hg_q, hg_rv, _ = _setup(seed=7)
-        result = BlockResult()
         stats = SearchStats()
-        aligned = quick_browse(hg_q, hg_rv, result, stats)
-        assert aligned == set(hg_q.leaf_codes.tolist()) & set(hg_rv.leaf_codes.tolist())
+        result = block(hg_q, hg_rv, q_mapped, 0.7, stats=stats)
+        aligned = set(hg_q.leaf_codes.tolist()) & set(hg_rv.leaf_codes.tolist())
+        assert aligned
         assert stats.quick_browse_cells == len(aligned)
         for code in aligned:
             for q in hg_q.leaf_members(code).tolist():
-                assert code in result.candidate_pairs[q]
+                assert code in result.cells_of(q, match=False)
 
     def test_quick_browsing_does_not_change_reachable_set(self):
         data, queries, metric, q_mapped, hg_q, hg_rv, _ = _setup(seed=8)
@@ -120,10 +123,9 @@ class TestQuickBrowsing:
 
         def reachable(result):
             out = set()
-            for qi, cells in result.match_pairs.items():
-                out.update((qi, c) for c in cells)
-            for qi, cells in result.candidate_pairs.items():
-                out.update((qi, c) for c in cells)
+            for csr in (result.match, result.candidate):
+                rows = np.repeat(csr.rows, csr.lengths).tolist()
+                out.update(zip(rows, csr.cells.tolist()))
             return out
 
         # quick browsing may convert would-be match pairs into candidates,

@@ -74,28 +74,6 @@ class TestNumpyKernels:
         want = ((x + q) <= tau).any(axis=1)
         np.testing.assert_array_equal(got, want)
 
-    def test_leaf_masks_disjoint(self, rng):
-        batch = rng.uniform(0, 2, size=(12, 4))
-        t_lo = rng.uniform(0, 2, size=(9, 4))
-        t_hi = t_lo + 0.25
-        with kernels.use_backend("numpy"):
-            matched, filtered = kernels.leaf_masks(
-                batch, t_lo, t_hi, 0.6, True, True
-            )
-        assert matched.shape == filtered.shape == (12, 9)
-        assert not (matched & filtered).any()
-
-    def test_cell_masks_ablation_flags(self, rng):
-        r_lo = rng.uniform(0, 2, size=(8, 4))
-        r_hi = r_lo + 0.5
-        q_lo = rng.uniform(0, 2, size=4)
-        q_hi = q_lo + 0.5
-        with kernels.use_backend("numpy"):
-            m_off, f_off = kernels.cell_masks(
-                r_lo, r_hi, q_lo, q_hi, 0.4, False, False
-            )
-        assert not m_off.any() and not f_off.any()
-
     def test_replay_column_counts_and_lemma7(self):
         cand = np.array([True, False, True, True, True])
         match = np.array([False, True, False, False, True])
@@ -141,26 +119,6 @@ class TestCrossBackendParity:
                 np.testing.assert_array_equal(a, b)
                 a, b = self._both(kernels.lemma2_pair_mask, x, q, tau)
                 np.testing.assert_array_equal(a, b)
-
-    def test_leaf_and_cell_masks_identical(self, rng):
-        batch = rng.uniform(0, 2, size=(25, 5))
-        t_lo = rng.uniform(0, 2, size=(17, 5))
-        t_hi = t_lo + rng.uniform(0.05, 0.5, size=(17, 5))
-        q_lo = rng.uniform(0, 2, size=5)
-        q_hi = q_lo + 0.3
-        for use56 in (True, False):
-            for use34 in (True, False):
-                a, b = self._both(
-                    kernels.leaf_masks, batch, t_lo, t_hi, 0.5, use56, use34
-                )
-                np.testing.assert_array_equal(a[0], b[0])
-                np.testing.assert_array_equal(a[1], b[1])
-                a, b = self._both(
-                    kernels.cell_masks, t_lo, t_hi, q_lo, q_hi, 0.5,
-                    use56, use34,
-                )
-                np.testing.assert_array_equal(a[0], b[0])
-                np.testing.assert_array_equal(a[1], b[1])
 
     def test_replay_identical(self, rng):
         for trial in range(20):

@@ -26,11 +26,10 @@ class TestMatchPairsOnly:
         columns, index = tight_cluster_index
         queries = columns[0][:3]
         q_mapped = index.pivot_space.map_vectors(queries)
-        pairs = BlockResult()
         # hand-build pure matching pairs covering every occupied cell
-        for q in range(3):
-            for cell in index.inverted.cells():
-                pairs.add_match(q, cell)
+        pairs = BlockResult.from_pairs(
+            match=[(q, cell) for q in range(3) for cell in index.inverted.cells()]
+        )
         stats = SearchStats()
         verdict = verify_one(
             pairs, index, queries, q_mapped,
@@ -43,10 +42,9 @@ class TestMatchPairsOnly:
         columns, index = tight_cluster_index
         queries = columns[0][:2]
         q_mapped = index.pivot_space.map_vectors(queries)
-        pairs = BlockResult()
         cell = next(iter(index.inverted.cells()))
-        pairs.add_match(0, cell)
-        pairs.add_match(0, cell)  # duplicate
+        pairs = BlockResult.from_pairs(match=[(0, cell), (0, cell)])  # duplicate
+        assert pairs.cells_of(0, match=True).tolist() == [cell, cell]
         verdict = verify_one(
             pairs, index, queries, q_mapped,
             tau=2.0, t_count=1, exact_counts=True, stats=SearchStats(),
@@ -61,7 +59,7 @@ class TestEmptyInputs:
         queries = columns[0][:2]
         q_mapped = index.pivot_space.map_vectors(queries)
         verdict = verify_one(
-            BlockResult(), index, queries, q_mapped,
+            BlockResult.from_pairs(), index, queries, q_mapped,
             tau=0.5, t_count=1, stats=SearchStats(),
         )
         assert verdict.joinable == set()
@@ -71,8 +69,7 @@ class TestEmptyInputs:
         columns, index = tight_cluster_index
         queries = columns[0][:1]
         q_mapped = index.pivot_space.map_vectors(queries)
-        pairs = BlockResult()
-        pairs.add_candidate(0, 10**9)  # unoccupied cell code
+        pairs = BlockResult.from_pairs(candidate=[(0, 10**9)])  # unoccupied cell code
         verdict = verify_one(
             pairs, index, queries, q_mapped,
             tau=0.5, t_count=1, stats=SearchStats(),
@@ -87,10 +84,13 @@ class TestExactCountsForcesFullWork:
         columns, index = tight_cluster_index
         queries = np.vstack([columns[0][:2], columns[1][:2]])
         q_mapped = index.pivot_space.map_vectors(queries)
-        pairs = BlockResult()
-        for q in range(queries.shape[0]):
-            for cell in index.inverted.cells():
-                pairs.add_candidate(q, cell)
+        pairs = BlockResult.from_pairs(
+            candidate=[
+                (q, cell)
+                for q in range(queries.shape[0])
+                for cell in index.inverted.cells()
+            ]
+        )
         verdict = verify_one(
             pairs, index, queries, q_mapped,
             tau=2.0, t_count=1,

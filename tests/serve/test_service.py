@@ -1,6 +1,8 @@
 """Tests for the resident QueryService (locking, caching, generations)."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -208,6 +210,19 @@ class TestServing:
         json.dumps(payload)
         assert payload["n_columns"] == 24
         assert payload["cache"]["misses"] == 1
+
+    def test_dropped_service_is_freed_without_cycle_collection(self, index, query):
+        """The batcher must not keep its service (and index) alive in a
+        reference cycle: a closed server's memory returns at once."""
+        service = QueryService(index, window_ms=0)
+        service.search(query, 0.6, 0.3)
+        alive = weakref.ref(service)
+        gc.disable()
+        try:
+            del service
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestPartitionedBackend:
