@@ -217,14 +217,12 @@ def write_bench_json(name: str, metrics: dict) -> Path:
     """Write one benchmark's machine-readable trajectory artifact.
 
     Emits ``benchmarks/results/BENCH_<name>.json`` holding the given
-    metrics plus environment provenance (python / numpy versions, kernel
-    backend), so CI runs accumulate a comparable time series next to the
+    metrics plus environment provenance (python / numpy versions), so CI
+    runs accumulate a comparable time series next to the
     human-readable markdown tables. Returns the path written.
     """
     import json
     import platform
-
-    from repro.core import kernels
 
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -233,7 +231,6 @@ def write_bench_json(name: str, metrics: dict) -> Path:
         "unix_time": time.time(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "kernel_backend": kernels.get_backend(),
         "metrics": metrics,
     }
     out = RESULTS_DIR / f"BENCH_{name}.json"

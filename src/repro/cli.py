@@ -9,7 +9,6 @@ the ``repro`` binary via the ``console_scripts`` entry point, or run as
     repro search INDEX_DIR QUERY_CSV [--column NAME]
                  [--tau 0.06] [--joinability 0.6] [--top-k K]
                  [--all-columns] [--workers W] [--partitions N]
-                 [--ef-search N | --recall-target R]
                  [--json] [--cluster URL]
     repro serve  INDEX_DIR [--host H] [--port P] [--window-ms W]
                  [--cache-size C] [--workers W]
@@ -165,7 +164,7 @@ def _cluster_search(args: argparse.Namespace, catalog: dict, embedder) -> int:
         else:
             payload = client.search(
                 vectors=query_vectors, tau_fraction=args.tau,
-                joinability=args.joinability, ef_search=args.ef_search,
+                joinability=args.joinability,
             )
     except (ServeError, OSError) as exc:
         print(f"cluster request failed: {exc}", file=sys.stderr)
@@ -199,26 +198,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     index_dir = Path(args.index_dir)
     catalog = json.loads((index_dir / "catalog.json").read_text())
     embedder = HashingNGramEmbedder.from_catalog(catalog)
-    if args.ef_search is not None and args.recall_target is not None:
-        print("give at most one of --ef-search / --recall-target",
-              file=sys.stderr)
-        return 1
-    if args.ef_search is not None and args.ef_search < 1:
-        print("--ef-search must be a positive integer", file=sys.stderr)
-        return 1
-    if args.topk and (args.ef_search is not None
-                      or args.recall_target is not None):
-        print("top-k search stays exact; --ef-search/--recall-target only "
-              "apply to threshold search", file=sys.stderr)
-        return 1
     if args.cluster:
         if args.all_columns:
             print("--all-columns is not supported with --cluster",
                   file=sys.stderr)
-            return 1
-        if args.recall_target is not None:
-            print("--recall-target needs the local lake's column count; "
-                  "use --ef-search with --cluster", file=sys.stderr)
             return 1
         return _cluster_search(args, catalog, embedder)
     backend = load_any(index_dir)
@@ -242,13 +225,6 @@ def cmd_search(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     searcher = LakeSearcher(backend, max_workers=args.workers)
-    ef_search = args.ef_search
-    if args.recall_target is not None:
-        from repro.core.ann import ef_from_recall_target
-
-        ef_search = ef_from_recall_target(
-            args.recall_target, searcher.n_columns
-        )
     metric = backend.metric if backend.metric is not None else EuclideanMetric()
 
     query_table = load_csv(args.query_csv)
@@ -269,9 +245,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             _embed_query_values(query_table.column(name).values, catalog, embedder)
             for name in candidates
         ]
-        batch = searcher.search_many(
-            vectors, tau, args.joinability, ef_search=ef_search
-        )
+        batch = searcher.search_many(vectors, tau, args.joinability)
         columns = catalog["columns"]
         if args.json:
             from repro.serve.schema import search_payload
@@ -320,18 +294,13 @@ def cmd_search(args: argparse.Namespace) -> int:
                              indent=2))
             return 0
     else:
-        result = searcher.search(
-            query_vectors, tau, args.joinability, ef_search=ef_search
-        )
+        result = searcher.search(query_vectors, tau, args.joinability)
         rows = _hit_rows(result)
         if args.json:
             from repro.serve.schema import search_payload
 
             print(json.dumps(
-                search_payload(
-                    result, columns=catalog["columns"], ef_search=ef_search
-                ),
-                indent=2,
+                search_payload(result, columns=catalog["columns"]), indent=2
             ))
             return 0
 
@@ -545,15 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--partitioner", choices=sorted(PARTITIONERS),
                           default="jsd",
                           help="strategy for --partitions repartitioning")
-    p_search.add_argument("--ef-search", type=int, default=None,
-                          help="opt into the approximate candidate tier at "
-                               "this beam width (candidates are still "
-                               "exactly verified; omitted = exact search)")
-    p_search.add_argument("--recall-target", type=float, default=None,
-                          help="opt into the approximate tier by target "
-                               "recall in (0, 1] instead of a beam width "
-                               "(mapped to ef_search against the lake's "
-                               "column count; 1.0 = exact)")
     p_search.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON in the serving "
                                "API's /search (or /topk) response schema")

@@ -721,7 +721,6 @@ class ClusterCoordinator:
         tau: float,
         joinability: float | int,
         deadline: Optional[Deadline] = None,
-        ef_search: Optional[int] = None,
         trace=None,
     ) -> tuple[Any, list[int]]:
         """Scatter one threshold search; returns ``(merged result, generations)``.
@@ -738,13 +737,6 @@ class ClusterCoordinator:
         call, and :class:`DeadlineExceeded` is raised (and counted) the
         moment the budget cannot be met.
 
-        ``ef_search`` opts every worker into the ANN candidate tier at
-        that beam width (``None`` = exact). The knob is scattered
-        unchanged; the gather-side merge stays exact over whatever
-        candidates the workers verified, and because graph construction
-        is deterministic, replicas of the same partition nominate the
-        same candidates — hedged reads stay bit-identical.
-
         ``trace`` parents the scatter/merge spans; per-slot child spans
         carry the hedge/failover/breaker decisions and their contexts
         travel to the workers.
@@ -757,7 +749,7 @@ class ClusterCoordinator:
         def call(client: ServeClient, parts, deadline_ms, trace=None):
             return client.search(
                 vectors=vectors, tau=tau, joinability=joinability, parts=parts,
-                ef_search=ef_search, deadline_ms=deadline_ms, trace=trace,
+                deadline_ms=deadline_ms, trace=trace,
             )
 
         scatter_started = time.perf_counter()

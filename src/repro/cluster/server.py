@@ -39,7 +39,6 @@ from repro.serve.server import (
     RouteTable,
     ServeHTTPServer,
     delete_column,
-    parse_ef_search,
     stats,
 )
 
@@ -67,18 +66,16 @@ def _search(request: JsonRequestHandler, body: dict) -> dict:
     coordinator = request.server.backend
     query, tau = request.query_and_tau(body)
     joinability = body.get("joinability", 0.6)
-    ef_search = parse_ef_search(body)
     with request.server.tracer.trace(
         "coordinator.search", parent=request.trace_context()
     ) as span:
         span.annotate(n_queries=int(query.shape[0]), tau=float(tau))
         result, generations = coordinator.search(
             query, tau, joinability, deadline=_request_deadline(request, body),
-            ef_search=ef_search, trace=span,
+            trace=span,
         )
     return search_payload(
-        result, columns=coordinator.columns, generation=generations,
-        ef_search=ef_search,
+        result, columns=coordinator.columns, generation=generations
     )
 
 

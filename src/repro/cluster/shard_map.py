@@ -1,8 +1,9 @@
 """The cluster's shard map: partition -> worker assignment with replication.
 
 The map is the coordinator's routing brain and the only piece of
-cluster metadata that must survive a restart, so it persists as
-``cluster.json`` next to the lake's ``partitioned.json`` manifest.
+cluster metadata that must survive a restart: the coordinator stores
+its :meth:`ShardMap.to_dict` inside ``cluster.json`` next to the lake's
+``partitioned.json`` manifest.
 
 Assignment is deterministic round-robin over *worker slots*: partition
 ``p`` (by rank among the lake's non-empty partitions) lives on slots
@@ -18,14 +19,10 @@ directly.)
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
-
-from repro.core.atomic import atomic_write_text
 
 #: bumped when the cluster.json layout changes
 CLUSTER_FORMAT_VERSION = 1
@@ -311,10 +308,3 @@ class ShardMap:
             # claimed worker re-proves itself through a health check.
             worker.status = "down" if saved.status != "empty" else "empty"
         return shard_map
-
-    def save(self, path: str | Path) -> None:
-        atomic_write_text(Path(path), json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ShardMap":
-        return cls.from_dict(json.loads(Path(path).read_text()))

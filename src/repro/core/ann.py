@@ -1,10 +1,11 @@
-"""Opt-in approximate candidate tier: an NSW graph over pivot-mapped columns.
+"""An NSW graph over pivot-mapped columns that nominates candidate columns.
 
-Every tier below this one is exact. At lake scale the pivot-filter +
-verify path still touches a large share of the columns per query, which
-is exactly the regime where graph-based candidate generation wins
-(HNSW-style navigable small worlds). This module adds that tier without
-giving up the repo's signature guarantee:
+Only a single index's :meth:`~repro.core.out_of_core.LakeSearcher.search`
+accepts ``ef_search``; serving, the cluster, the CLI and persistence are
+exact-only. At ``ef_search=64`` the graph measured no faster than the
+exact path on either ledger lake (README, "Measured and removed"); the
+perf ledger's ``core.ann.*`` probe keeps measuring it.
+The guarantee it keeps:
 
 **Exact given recalled candidates.** The graph only *nominates* column
 IDs; every nominated column still flows through the unchanged exact
@@ -12,7 +13,6 @@ verifier (Lemmas 1, 2, 7, early accept, exact distances). A returned hit
 is therefore always a true hit with its exact match count — the only
 approximation is *recall*: a joinable column the graph failed to
 nominate is missing from the result. Recall is measured, not assumed:
-``benchmarks/bench_ann.py`` sweeps the knob against the exact engine and
 the differential oracle's ANN lane asserts zero false positives on every
 seed.
 
@@ -43,23 +43,20 @@ Knob semantics
 ``ef_search`` is the classic HNSW dial: the beam width and the number of
 candidate columns nominated. ``ef_search >= n_columns`` degenerates to
 nominating every column, which callers treat as "no restriction" —
-results are then bit-for-bit the exact engine's. ``ef_search=None``
-anywhere in the stack means the ANN tier is off (the default).
+results are then bit-for-bit the exact engine's. ``ef_search=None`` (the
+default) means the graph is not consulted.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Optional, Sequence
 
 import numpy as np
 
-#: Beam width used when a caller opts into the ANN tier without naming
-#: one (CLI ``--ann``, service defaults). Chosen so small lakes (fewer
-#: columns than the beam) degenerate to exact search while benchmark-size
-#: lakes see a real candidate cut; bench_ann.py measures the recall this
-#: buys on every run.
+#: Reference beam width: small lakes (fewer columns than the beam)
+#: degenerate to exact search while benchmark-size lakes see a real
+#: candidate cut.
 DEFAULT_EF_SEARCH = 64
 
 #: Out-neighbours linked per node at insertion time.
@@ -108,9 +105,8 @@ class ColumnGraph:
         each linking to its ``m`` nearest predecessors by centroid
         distance (ties broken by insertion order) with reverse links
         added, so the graph is connected (every node reaches node 0) and
-        identical across processes — a requirement for the cluster's
-        replica-hedging guarantee that same query + same parts means a
-        bit-identical payload.
+        identical across processes — which is why it need not be saved:
+        a loaded index rebuilds the same graph on first use.
         """
         if index.pivot_space is None:
             raise RuntimeError("index is not built; call fit() first")
@@ -265,30 +261,6 @@ def candidate_lists(
             )
         )
     return out
-
-
-def normalized_ef_search(ef_search) -> Optional[int]:
-    """Validate a request-supplied knob: ``None`` (off) or an int >= 1."""
-    if ef_search is None:
-        return None
-    ef = int(ef_search)
-    if ef < 1:
-        raise ValueError("ef_search must be a positive integer (or omitted)")
-    return ef
-
-
-def ef_from_recall_target(recall_target: float, n_columns: int) -> int:
-    """Map a ``--recall-target`` fraction to a beam width.
-
-    A target of 1.0 nominates every column (exact bit-for-bit); lower
-    targets shrink the beam proportionally. The mapping is a monotone
-    heuristic — actual recall is *measured* against the exact engine by
-    bench_ann.py and the oracle's ANN lane, never promised by the knob.
-    """
-    target = float(recall_target)
-    if not 0.0 < target <= 1.0:
-        raise ValueError("recall target must be in (0, 1]")
-    return max(1, int(math.ceil(target * max(1, int(n_columns)))))
 
 
 def measure_recall(exact_ids, approx_ids) -> float:

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import kernels
-
 
 # --------------------------------------------------------------------------
 # Point-level predicates (Lemmas 1 and 2)
@@ -42,14 +40,13 @@ def lemma1_filter_mask(
     A target vector is pruned when any pivot coordinate lies outside
     ``[q'_i - τ, q'_i + τ]``. ``q_mapped`` is one mapped query vector, or
     a row-aligned batch of them (one query row per target row — the batch
-    engine's pair form). Dispatches to the active kernel backend
-    (:mod:`repro.core.kernels`); all backends are bit-identical.
+    engine's pair form).
     """
     x_mapped = np.atleast_2d(x_mapped)
     q_mapped = np.asarray(q_mapped)
     if q_mapped.ndim == 1:
         q_mapped = q_mapped[None, :]
-    return kernels.lemma1_pair_mask(x_mapped, q_mapped, tau)
+    return (np.abs(x_mapped - q_mapped) > tau).any(axis=1)
 
 
 def lemma2_match_mask(
@@ -65,7 +62,7 @@ def lemma2_match_mask(
     q_mapped = np.asarray(q_mapped)
     if q_mapped.ndim == 1:
         q_mapped = q_mapped[None, :]
-    return kernels.lemma2_pair_mask(x_mapped, q_mapped, tau)
+    return ((x_mapped + q_mapped) <= tau).any(axis=1)
 
 
 # --------------------------------------------------------------------------

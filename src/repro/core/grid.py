@@ -22,9 +22,9 @@ difference between the query and repository grids) live in a CSR layout:
 one row-index array grouped by sorted leaf code plus an offsets array.
 
 There is no per-cell object: the tuple-coordinate object tree of the
-original design lives on only as the test oracle
-:class:`repro.core.reference.ReferenceGrid`, which the array structure
-is checked against cell for cell.
+original design lives on only as the test oracle ``ReferenceGrid`` in
+``tests/core/reference.py``, which the array structure is checked
+against cell for cell.
 """
 
 from __future__ import annotations

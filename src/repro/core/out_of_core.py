@@ -468,7 +468,6 @@ class PartitionedPexeso:
         exact_counts: bool = False,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
-        ef_search: Optional[int] = None,
     ) -> BatchResult:
         """Answer many query columns over every shard in one pass.
 
@@ -494,10 +493,6 @@ class PartitionedPexeso:
                 the constructor's ``max_workers``.
             parts: restrict this call to a subset of the (hosted)
                 partitions; ``None`` searches them all.
-            ef_search: opt-in ANN candidate beam width (see
-                :mod:`repro.core.ann`); each shard nominates candidates
-                from its own column graph and verifies them exactly.
-                ``None`` (default) runs the exact pipeline.
 
         Returns:
             A :class:`~repro.core.engine.BatchResult` aligned with
@@ -514,10 +509,7 @@ class PartitionedPexeso:
         def run_shard(part: int) -> BatchResult:
             index, load_seconds = self._get_index(part)
             engine = BatchSearch(index, flags=flags, exact_counts=exact_counts)
-            batch = engine.search_many(
-                queries, tau, joinability,
-                allowed_columns=candidate_lists(index, queries, ef_search),
-            )
+            batch = engine.search_many(queries, tau, joinability)
             batch.stats.shard_load_seconds += load_seconds
             batch.stats.stage_seconds.add("shard_load", load_seconds)
             return batch
@@ -544,7 +536,6 @@ class PartitionedPexeso:
         exact_counts: bool = False,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
-        ef_search: Optional[int] = None,
     ) -> SearchResult:
         """Single-query convenience wrapper around :meth:`search_many`.
 
@@ -559,7 +550,6 @@ class PartitionedPexeso:
             exact_counts=exact_counts,
             max_workers=max_workers,
             parts=parts,
-            ef_search=ef_search,
         )
         result = batch.results[0]
         result.stats = batch.stats
@@ -977,10 +967,10 @@ class LakeSearcher:
     ) -> SearchResult:
         """Threshold search for one query column (global column IDs).
 
-        ``ef_search`` opts into the ANN candidate tier (see
-        :mod:`repro.core.ann`): candidates nominated by the column graph
-        still pass the exact verifier, so every hit is a true hit —
-        only recall is approximate. ``None`` (default) stays exact.
+        ``ef_search`` restricts a single-index search to the columns the
+        ANN graph nominates (see :mod:`repro.core.ann`); the nominees
+        still pass the exact verifier. ``None`` (default) is the exact
+        search, and the only form a partitioned backend accepts.
         """
         flags = flags if flags is not None else self.flags
         workers = max_workers if max_workers is not None else self.max_workers
@@ -992,10 +982,15 @@ class LakeSearcher:
                 flags=flags, exact_counts=exact_counts,
                 allowed_columns=allowed[0] if allowed is not None else None,
             )
+        if ef_search is not None:
+            raise ValueError(
+                "ef_search needs a single-index backend; a partitioned "
+                "lake is searched exactly"
+            )
         return self.backend.search(
             query_vectors, tau, joinability,
             flags=flags, exact_counts=exact_counts, max_workers=workers,
-            parts=parts, ef_search=ef_search,
+            parts=parts,
         )
 
     def search_many(
@@ -1007,13 +1002,8 @@ class LakeSearcher:
         exact_counts: bool = False,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
-        ef_search: Optional[int] = None,
     ) -> BatchResult:
-        """Batch threshold search (global column IDs).
-
-        ``ef_search`` applies the ANN candidate tier to every query in
-        the batch (``None`` = exact; see :meth:`search`).
-        """
+        """Batch threshold search (global column IDs)."""
         flags = flags if flags is not None else self.flags
         workers = max_workers if max_workers is not None else self.max_workers
         if isinstance(self.backend, PexesoIndex):
@@ -1023,14 +1013,11 @@ class LakeSearcher:
                 max_workers=workers,
                 record_batch_sizes=self.record_batch_sizes,
             )
-            return engine.search_many(
-                queries, tau, joinability,
-                allowed_columns=candidate_lists(self.backend, queries, ef_search),
-            )
+            return engine.search_many(queries, tau, joinability)
         batch = self.backend.search_many(
             queries, tau, joinability,
             flags=flags, exact_counts=exact_counts, max_workers=workers,
-            parts=parts, ef_search=ef_search,
+            parts=parts,
         )
         if self.record_batch_sizes and len(queries):
             batch.stats.coalesced_batch_sizes.append(len(queries))

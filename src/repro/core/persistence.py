@@ -27,9 +27,11 @@ writer killed at any instant leaves the old lake or the new one.
 
 Read-only layouts: single-index format 2 (one ``index.npz``) and lake
 format 1 (a ``manifest.json`` per shard) still load; the next write
-rewrites them in the current format. Single-index version 1 (a
-``structure.pkl``) is rejected; rebuild to migrate. :func:`load_any`
-dispatches on the directory layout.
+rewrites them in the current format. Epochs that also carry the ANN
+column graph (five ``ann_*.npy`` files and a manifest ``"ann"`` field)
+load with those ignored; the next save drops them. Single-index
+version 1 (a ``structure.pkl``) is rejected; rebuild to migrate.
+:func:`load_any` dispatches on the directory layout.
 """
 
 from __future__ import annotations
@@ -90,17 +92,6 @@ _V3_ARRAYS = (
     ("column_ids", np.int64),
     ("column_first_rows", np.int64),
     ("column_counts", np.int64),
-)
-
-#: optional arrays persisting the ANN column graph (repro.core.ann).
-#: Written only when the index carries a graph and declared by an "ann"
-#: manifest field, so pre-ANN epochs keep loading unchanged.
-_V3_ANN_ARRAYS = (
-    ("ann_node_columns", np.int64),
-    ("ann_centroids", np.float64),
-    ("ann_box_min", np.float64),
-    ("ann_box_max", np.float64),
-    ("ann_neighbors", np.int64),
 )
 
 
@@ -180,19 +171,7 @@ def _write_epoch(index: PexesoIndex, directory: Path) -> dict:
     arrays_dir = f"{_V3_ARRAYS_PREFIX}{max(epochs, default=-1) + 1:08d}"
     epoch_path = directory / arrays_dir
     epoch_path.mkdir()
-    layout = _V3_ARRAYS
-    graph = index.ann_graph
-    if graph is not None:
-        arrays.update(
-            ann_node_columns=graph.node_columns,
-            ann_centroids=graph.centroids,
-            ann_box_min=graph.box_min,
-            ann_box_max=graph.box_max,
-            ann_neighbors=graph.neighbors,
-        )
-        layout += _V3_ANN_ARRAYS
-        fields["ann"] = {"entry": int(graph.entry)}
-    for name, dtype in layout:
+    for name, dtype in _V3_ARRAYS:
         atomic_write_array(
             epoch_path / f"{name}.npy", arrays[name].astype(dtype, copy=False)
         )
@@ -243,10 +222,9 @@ def _load_v3_arrays(
             f"v3 index manifest names missing arrays dir {arrays_dir}"
         )
     mode = "r" if mmap else None
-    # The ANN column graph rides along only when the manifest declares it
-    # (same epoch directory, so the crash-atomicity story is unchanged).
-    layout = _V3_ARRAYS + (_V3_ANN_ARRAYS if manifest.get("ann") else ())
-    return {name: _np_load(arrays_dir / f"{name}.npy", mode) for name, _ in layout}
+    return {
+        name: _np_load(arrays_dir / f"{name}.npy", mode) for name, _ in _V3_ARRAYS
+    }
 
 
 def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
@@ -311,18 +289,6 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
     index.stats.n_columns = len(index.column_rows)
     index.stats.n_leaf_cells = inverted.n_cells
     index.stats.n_postings = inverted.n_postings
-    ann_meta = manifest.get("ann")
-    if ann_meta and "ann_node_columns" in arrays:
-        from repro.core.ann import ColumnGraph
-
-        index.ann_graph = ColumnGraph(
-            arrays["ann_node_columns"],
-            arrays["ann_centroids"],
-            arrays["ann_box_min"],
-            arrays["ann_box_max"],
-            arrays["ann_neighbors"],
-            int(ann_meta["entry"]),
-        )
     return index
 
 

@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.blocker import BlockResult
 from repro.core.filtering import lemma1_filter_mask, lemma2_match_mask
 from repro.core.inverted_index import InvertedIndex
@@ -59,6 +58,49 @@ class VerifyResult:
     mismatch_counts: dict[int, int] = field(default_factory=dict)
     joinable: set[int] = field(default_factory=set)
     exact: bool = False
+
+
+def replay_column(
+    ep_cand: np.ndarray,
+    ep_match: np.ndarray,
+    cnt: int,
+    mis: int,
+    joi: bool,
+    t_need: int,
+    miss_bound: int,
+    use_lemma7: bool,
+    early_accept: bool,
+) -> tuple[int, int, bool, bool, int, int, int]:
+    """Sequential replay of one firing column's episodes.
+
+    Pure integer bookkeeping mirroring Algorithm 2's per-episode gating;
+    returns ``(count, misses, joinable, dead, lemma7_skips,
+    early_accepts, columns_verified)``.
+    """
+    dead = False
+    lemma7_skips = 0
+    early_accepts = 0
+    columns_verified = 0
+    for is_cand, is_match in zip(ep_cand.tolist(), ep_match.tolist()):
+        if use_lemma7 and dead:
+            if is_cand:
+                lemma7_skips += 1
+            continue
+        if early_accept and joi:
+            if is_cand:
+                early_accepts += 1
+            continue
+        if is_cand:
+            columns_verified += 1
+        if is_match:
+            cnt += 1
+            if cnt >= t_need:
+                joi = True
+        else:
+            mis += 1
+            if use_lemma7 and mis > miss_bound:
+                dead = True
+    return cnt, mis, joi, dead, lemma7_skips, early_accepts, columns_verified
 
 
 def verify_row_blocks(
@@ -140,7 +182,7 @@ def verify_row_blocks(
     """
     stats = stats if stats is not None else SearchStats()
     started = time.perf_counter()
-    lemma_seconds = 0.0  # time inside the Lemma 1/2 mask kernels
+    lemma_seconds = 0.0  # time inside the Lemma 1/2 masks
     if row_block_size < 1:
         raise ValueError("row_block_size must be >= 1")
     n_queries = len(query_sizes)
@@ -387,11 +429,9 @@ def verify_row_blocks(
             for k, lo, hi in zip(fired_keys.tolist(), lows.tolist(), highs.tolist()):
                 eps = order[lo:hi]  # episode positions, original order
                 q_idx = k // C
-                # The per-episode gating (dead keys were skipped at block
-                # start, so the replay starts live) runs through the
-                # active kernel backend — pure integer bookkeeping,
-                # bit-identical on every backend.
-                cnt, mis, joi, dd, l7, ea, cv = kernels.replay_column(
+                # dead keys were skipped at block start, so the replay
+                # starts live
+                cnt, mis, joi, dd, l7, ea, cv = replay_column(
                     ~kinds[eps],
                     matched[eps],
                     int(counts[k]),
@@ -428,7 +468,7 @@ def verify_row_blocks(
 
     elapsed = time.perf_counter() - started
     stats.verification_seconds += elapsed
-    # disjoint stage split: lemma-mask kernels vs. the rest of verify,
+    # disjoint stage split: lemma masks vs. the rest of verify,
     # so per-stage timings sum to (at most) the wall clock
     stats.stage_seconds.add("lemma_filter", lemma_seconds)
     stats.stage_seconds.add("verify", max(0.0, elapsed - lemma_seconds))

@@ -209,27 +209,22 @@ class ServeClient:
         tau_fraction: Optional[float] = None,
         joinability: float | int = 0.6,
         parts: Optional[Sequence[int]] = None,
-        ef_search: Optional[int] = None,
         deadline_ms: Optional[float] = None,
         trace=None,
     ) -> dict[str, Any]:
         """Threshold search; returns the shared search payload.
 
         ``parts`` restricts a partitioned server to a partition subset
-        (the cluster coordinator's scatter routing). ``ef_search`` opts
-        into the ANN candidate tier at that beam width (omitted = exact;
-        the field is only sent when set, so old servers keep working).
-        ``deadline_ms`` sends the remaining latency budget; an expired
-        budget is answered 504 by the server before any work runs.
-        ``trace`` propagates the caller's trace context to the server.
+        (the cluster coordinator's scatter routing). ``deadline_ms``
+        sends the remaining latency budget; an expired budget is
+        answered 504 by the server before any work runs. ``trace``
+        propagates the caller's trace context to the server.
         """
         body = self._query_body(values, vectors)
         body.update(self._tau_body(tau, tau_fraction))
         body["joinability"] = joinability
         if parts is not None:
             body["parts"] = [int(p) for p in parts]
-        if ef_search is not None:
-            body["ef_search"] = int(ef_search)
         return self._request(
             "POST", "/search", body, deadline_ms=deadline_ms, trace=trace
         )

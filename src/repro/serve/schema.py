@@ -73,17 +73,14 @@ def search_payload(
     columns: Optional[Sequence[dict]] = None,
     generation: Optional[Generation] = None,
     cached: Optional[bool] = None,
-    ef_search: Optional[int] = None,
     timings: Optional[dict] = None,
 ) -> dict[str, Any]:
     """The shared ``/search`` response for one threshold-search result.
 
-    ``ef_search`` echoes the request's ANN beam-width knob when the
-    approximate candidate tier was engaged, so callers can tell an exact
-    answer from an exact-given-recalled-candidates one. ``timings``
-    attaches the per-stage wall-time breakdown (``stage -> seconds``,
-    see :class:`~repro.core.stats.StageTimings`); it defaults to the
-    result's own ``stats.stage_seconds`` and is omitted when empty.
+    ``timings`` attaches the per-stage wall-time breakdown (``stage ->
+    seconds``, see :class:`~repro.core.stats.StageTimings`); it defaults
+    to the result's own ``stats.stage_seconds`` and is omitted when
+    empty.
     """
     if timings is None:
         timings = dict(result.stats.stage_seconds)
@@ -106,8 +103,6 @@ def search_payload(
         payload["generation"] = _generation_value(generation)
     if cached is not None:
         payload["cached"] = bool(cached)
-    if ef_search is not None:
-        payload["ef_search"] = int(ef_search)
     if timings:
         payload["timings"] = {
             stage: float(seconds) for stage, seconds in timings.items()

@@ -38,7 +38,6 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.ann import normalized_ef_search
 from repro.obs.trace import TRACE_HEADER, TraceContext, Tracer
 from repro.serve.client import DEADLINE_HEADER
 from repro.serve.faults import apply_server_faults
@@ -522,16 +521,6 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         return query, tau
 
 
-def parse_ef_search(body: dict) -> Optional[int]:
-    """The optional ANN beam-width knob (``None`` = exact, the default)."""
-    ef_search = body.get("ef_search")
-    if ef_search is None:
-        return None
-    if isinstance(ef_search, bool) or not isinstance(ef_search, int):
-        raise ValueError('"ef_search" must be a positive JSON integer')
-    return normalized_ef_search(ef_search)
-
-
 def _parse_parts(body: dict) -> Optional[list[int]]:
     """The optional partition restriction of a scatter-routed request."""
     parts = body.get("parts")
@@ -599,21 +588,18 @@ OPERATOR_ROUTES: RouteTable = {
 def _search(request: JsonRequestHandler, body: dict) -> dict:
     query, tau = request.query_and_tau(body)
     joinability = body.get("joinability", 0.6)
-    ef_search = parse_ef_search(body)
     with request.server.tracer.trace(
         "serve.search", parent=request.trace_context()
     ) as span:
         span.annotate(n_queries=int(query.shape[0]), tau=float(tau))
         response = request.server.backend.search(
-            query, tau, joinability, parts=_parse_parts(body),
-            ef_search=ef_search, trace=span,
+            query, tau, joinability, parts=_parse_parts(body), trace=span,
         )
     return search_payload(
         response.result,
         columns=request.server.columns,
         generation=response.generation,
         cached=response.cached,
-        ef_search=ef_search,
     )
 
 

@@ -37,7 +37,6 @@ from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.ann import normalized_ef_search
 from repro.core.engine import validated_vectors
 from repro.core.index import PexesoIndex
 from repro.core.metric import EuclideanMetric
@@ -253,7 +252,6 @@ class QueryService:
         tau: float,
         joinability: Union[float, int],
         parts: Optional[Sequence[int]] = None,
-        ef_search: Optional[int] = None,
         trace=None,
     ) -> ServeResponse:
         """Serve one threshold search (coalesced and cached).
@@ -263,13 +261,9 @@ class QueryService:
         result only while its generation is still current.
 
         ``parts`` restricts the search to a partition subset (cluster
-        scatter routing). ``ef_search`` opts into the ANN candidate tier
-        (see :mod:`repro.core.ann`): hits are still exact, only recall
-        is approximate, and the knob joins the cache key so exact and
-        approximate answers never alias. Restricted and ANN-knobbed
-        requests dispatch directly — the micro-batcher fuses only
-        whole-lake exact requests, because one engine pass answers one
-        (partition set, quality) configuration.
+        scatter routing). Restricted requests dispatch directly — the
+        micro-batcher fuses only whole-lake requests, because one engine
+        pass answers one partition set.
 
         ``trace`` is an optional parent :class:`~repro.obs.trace.Span`
         (or :class:`~repro.obs.trace.TraceContext`): when given, the
@@ -278,7 +272,6 @@ class QueryService:
         """
         query = self._validated_query(query)
         parts = self._normalized_parts(parts)
-        ef_search = normalized_ef_search(ef_search)
         with self.tracer.span("service.search", parent=trace) as span:
             # joinability semantics depend on its Python type (int =
             # absolute count, float = fraction; 1 != 1.0 here although
@@ -287,7 +280,7 @@ class QueryService:
             key = query_cache_key(
                 "search", query, float(tau),
                 type(joinability).__name__, joinability, self.exact_counts,
-                parts, ef_search,
+                parts,
             )
             entry = self.cache.get(key, self._generation)
             if entry is not None:
@@ -297,11 +290,11 @@ class QueryService:
                     result=entry.value, generation=entry.generation, cached=True
                 )
             self._count_cache(hit=False)
-            if self._batcher is not None and parts is None and ef_search is None:
+            if self._batcher is not None and parts is None:
                 result, generation = self._batcher.submit(query, tau, joinability)
             else:
                 result, generation = self._search_direct(
-                    query, tau, joinability, parts, ef_search
+                    query, tau, joinability, parts
                 )
             self.cache.put(key, result, generation)
             span.annotate(
@@ -519,8 +512,7 @@ class QueryService:
             return dict(self._stage_histograms)
 
     def _search_direct(
-        self, query: np.ndarray, tau: float, joinability, parts=None,
-        ef_search=None,
+        self, query: np.ndarray, tau: float, joinability, parts=None
     ) -> tuple[SearchResult, int]:
         """Per-request dispatch (coalescing disabled): one-query batch."""
         with self._rw.read():
@@ -528,7 +520,6 @@ class QueryService:
             batch = self.searcher.search_many(
                 [query], [tau], [joinability],
                 flags=self.flags, exact_counts=self.exact_counts, parts=parts,
-                ef_search=ef_search,
             )
         self._merge_stats(batch.stats)
         result = batch.results[0]

@@ -68,39 +68,6 @@ class TestRoundTrips:
         ]
         assert reply["generation"] == [0, 0]
 
-    def test_ann_knob_scatters_to_workers(self, cluster, reference, columns):
-        """The ef_search knob crosses the coordinator: hits stay a subset
-        of the exact answer with bit-identical counts, and a beam
-        covering the lake reproduces the exact answer bit for bit."""
-        query = columns[3][:5]
-        want = [
-            (h.column_id, h.match_count, h.joinability)
-            for h in reference.search(query, 0.6, 0.3, exact_counts=True).joinable
-        ]
-        restricted = cluster.client.search(
-            vectors=query, tau=0.6, joinability=0.3, ef_search=2
-        )
-        got = [
-            (h["column_id"], h["match_count"], h["joinability"])
-            for h in restricted["hits"]
-        ]
-        assert set(got) <= set(want)
-        assert restricted["ef_search"] == 2
-        full = cluster.client.search(
-            vectors=query, tau=0.6, joinability=0.3, ef_search=10**6
-        )
-        assert [
-            (h["column_id"], h["match_count"], h["joinability"])
-            for h in full["hits"]
-        ] == want
-
-    def test_ann_knob_validated_at_the_front_door(self, cluster, columns):
-        with pytest.raises(ServeError) as excinfo:
-            cluster.client.search(
-                vectors=columns[0][:4], tau=0.6, joinability=0.3, ef_search=0
-            )
-        assert excinfo.value.status == 400
-
     def test_topk_parity_with_single_node(self, cluster, reference, columns):
         query = columns[0][:6]
         want = reference.topk(query, 0.7, 4)

@@ -466,6 +466,7 @@ class TestWorkerFlapping:
     def test_probe_backs_off_while_the_worker_stays_dead(
         self, lake_dir, columns
     ):
+        clock = FakeClock()
         with LocalCluster(
             lake_dir,
             n_workers=2,
@@ -477,6 +478,7 @@ class TestWorkerFlapping:
                 resilience=ResilienceConfig(
                     breaker_cooldown=0.05, breaker_max_cooldown=10.0
                 ),
+                breaker_clock=clock,
             ),
         ) as cluster:
             coordinator = cluster.coordinator
@@ -488,11 +490,11 @@ class TestWorkerFlapping:
             assert coordinator.shard_map.statuses()[0] == "down"
 
             assert coordinator.probe_half_open() == [], "cooldown gates probes"
-            time.sleep(0.06)
+            clock.advance(0.06)
             assert coordinator.probe_half_open() == [0]
             # the probe failed against a dead socket: cooldown doubled
             assert coordinator._breakers[0].current_cooldown() >= 0.1
-            time.sleep(0.06)
+            clock.advance(0.06)
             assert coordinator.probe_half_open() == [], "backoff after failure"
             assert coordinator.shard_map.statuses()[0] == "down"
 

@@ -1,5 +1,7 @@
 """Unit tests for the shard map: assignment, lifecycle, routing, persistence."""
 
+import json
+
 import pytest
 
 from repro.cluster.shard_map import ClusterUnavailable, ShardMap
@@ -125,13 +127,11 @@ class TestRouting:
 
 
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         shard_map = ShardMap([0, 1, 2], n_workers=2, replication=2)
         shard_map.register("http://a")
         shard_map.mark_ready(0, "http://a")
-        path = tmp_path / "cluster.json"
-        shard_map.save(path)
-        loaded = ShardMap.load(path)
+        loaded = ShardMap.from_dict(json.loads(json.dumps(shard_map.to_dict())))
         assert loaded.owners == shard_map.owners
         assert loaded.workers[0].url == "http://a"
         # restored liveness is never trusted: claimed workers come back

@@ -6,7 +6,7 @@ This is the recursive formulation of the blocking descent: one call per
 ``{query row: [leaf codes]}`` dicts. :func:`repro.core.blocker.block`
 must produce the same (row, cell) pairs of each kind and the same
 counters; ``test_blocker_equivalence.py`` checks that, the same way
-:class:`repro.core.reference.ReferenceGrid` pins the array grid.
+``reference.ReferenceGrid`` (beside this file) pins the array grid.
 """
 
 from __future__ import annotations

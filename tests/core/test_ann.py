@@ -1,4 +1,4 @@
-"""Unit tests for the opt-in ANN candidate tier (:mod:`repro.core.ann`).
+"""Unit tests for the ANN candidate graph (:mod:`repro.core.ann`).
 
 The tier's contract has three legs, each pinned here:
 
@@ -10,8 +10,8 @@ The tier's contract has three legs, each pinned here:
 * **mutations fall back to exact** — add/delete drops the graph, ANN
   requests run exact until an explicit rebuild.
 
-Plus the v3 persistence round-trip (the graph mmap-loads with the index)
-and determinism of graph construction (a cluster replica requirement).
+Plus persistence (the graph is never saved; a loaded index rebuilds the
+identical graph lazily) and determinism of graph construction.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from repro.core.ann import (
     DEFAULT_EF_SEARCH,
     ColumnGraph,
     candidate_lists,
-    ef_from_recall_target,
     measure_recall,
-    normalized_ef_search,
 )
+from repro.core.engine import BatchSearch
 from repro.core.index import PexesoIndex
 from repro.core.metric import normalize_rows
 from repro.core.out_of_core import LakeSearcher, PartitionedPexeso
@@ -207,27 +206,20 @@ class TestSearchIntegration:
         columns, index = lake
         searcher = LakeSearcher(index)
         queries = [make_query(columns, t, seed=t) for t in (3, 14, 25)]
-        batch = searcher.search_many(queries, 0.3, 0.5, ef_search=6)
+        batch = BatchSearch(index).search_many(
+            queries, 0.3, 0.5, allowed_columns=candidate_lists(index, queries, 6)
+        )
         for query, got in zip(queries, batch.results):
             single = searcher.search(query, 0.3, 0.5, ef_search=6)
             assert hit_rows(got) == hit_rows(single)
 
-    def test_partitioned_backend_zero_false_positives(self, lake):
+    def test_partitioned_backend_rejects_the_knob(self, lake):
         columns, _ = lake
-        part = PartitionedPexeso(
-            n_pivots=2, levels=3, n_partitions=3, max_workers=2
-        ).fit(columns)
+        part = PartitionedPexeso(n_pivots=2, levels=3, n_partitions=3).fit(columns)
         searcher = LakeSearcher(part)
         query = make_query(columns, 19)
-        exact = {
-            (h.column_id, h.match_count, h.joinability)
-            for h in searcher.search(query, 0.3, 0.5).joinable
-        }
-        for ef in (2, 6):
-            got = searcher.search(query, 0.3, 0.5, ef_search=ef)
-            assert set(hit_rows(got)) <= exact
-        full = searcher.search(query, 0.3, 0.5, ef_search=10**6)
-        assert set(hit_rows(full)) == exact
+        with pytest.raises(ValueError, match="single-index"):
+            searcher.search(query, 0.3, 0.5, ef_search=6)
 
     def test_ann_restriction_shrinks_verification(self, lake):
         columns, index = lake
@@ -284,18 +276,22 @@ class TestMutationInvalidation:
 
 class TestPersistence:
     def test_v3_roundtrip_under_mmap(self, lake, tmp_path):
+        """The graph is not saved; the mmap-loaded index rebuilds the
+        identical one on first use."""
         columns, _ = lake
         index = PexesoIndex.build(columns, n_pivots=2, levels=3)
         graph = index.build_ann_graph()
         save_index(index, tmp_path / "idx")
+        assert not list((tmp_path / "idx").rglob("ann_*"))
         loaded = load_index(tmp_path / "idx", mmap=True)
-        assert loaded.ann_graph is not None
-        np.testing.assert_array_equal(loaded.ann_graph.node_columns, graph.node_columns)
-        np.testing.assert_array_equal(loaded.ann_graph.neighbors, graph.neighbors)
-        np.testing.assert_array_equal(loaded.ann_graph.centroids, graph.centroids)
-        np.testing.assert_array_equal(loaded.ann_graph.box_min, graph.box_min)
-        np.testing.assert_array_equal(loaded.ann_graph.box_max, graph.box_max)
-        assert loaded.ann_graph.entry == graph.entry
+        assert loaded.ann_graph is None
+        rebuilt = loaded.ensure_ann_graph()
+        np.testing.assert_array_equal(rebuilt.node_columns, graph.node_columns)
+        np.testing.assert_array_equal(rebuilt.neighbors, graph.neighbors)
+        np.testing.assert_array_equal(rebuilt.centroids, graph.centroids)
+        np.testing.assert_array_equal(rebuilt.box_min, graph.box_min)
+        np.testing.assert_array_equal(rebuilt.box_max, graph.box_max)
+        assert rebuilt.entry == graph.entry
 
         query = make_query(columns, 7)
         want = LakeSearcher(index).search(query, 0.3, 0.5, ef_search=6)
@@ -325,22 +321,6 @@ class TestPersistence:
 
 
 class TestKnobHelpers:
-    def test_normalized_ef_search(self):
-        assert normalized_ef_search(None) is None
-        assert normalized_ef_search(1) == 1
-        assert normalized_ef_search("64") == 64
-        for bad in (0, -3):
-            with pytest.raises(ValueError):
-                normalized_ef_search(bad)
-
-    def test_ef_from_recall_target(self):
-        assert ef_from_recall_target(1.0, 500) == 500
-        assert ef_from_recall_target(0.5, 100) == 50
-        assert ef_from_recall_target(0.01, 10) == 1
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                ef_from_recall_target(bad, 100)
-
     def test_measure_recall(self):
         assert measure_recall([], []) == 1.0
         assert measure_recall([1, 2], [1, 2, 3]) == 1.0

@@ -4,7 +4,7 @@ The grid has no per-cell objects; structure is asserted through the
 array API (``level_codes`` / ``level_coords``, ``children_codes``,
 ``leaf_members``, ``subtree_leaf_codes``, ``subtree_member_rows``) and
 checked cell for cell against the object-tree oracle
-:class:`repro.core.reference.ReferenceGrid`.
+``reference.ReferenceGrid``.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.cellcodes import decode_cells, encode_cells
 from repro.core.grid import HierarchicalGrid
-from repro.core.reference import ReferenceGrid
+from reference import ReferenceGrid
 
 
 @pytest.fixture()

@@ -343,6 +343,61 @@ class TestV2Compat:
         )
 
 
+class TestAnnEpochCompat:
+    """Epochs saved while the index persisted its ANN column graph (five
+    ``ann_*.npy`` arrays plus a manifest ``"ann"`` field) still load; the
+    graph arrays are ignored and the next save drops them."""
+
+    @staticmethod
+    def write_epoch_with_graph(index, target):
+        from repro.core.ann import ColumnGraph
+
+        save_index(index, target)
+        manifest_path = target / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        graph = ColumnGraph.build(index)
+        epoch = target / manifest["arrays_dir"]
+        for name, array, dtype in (
+            ("ann_node_columns", graph.node_columns, np.int64),
+            ("ann_centroids", graph.centroids, np.float64),
+            ("ann_box_min", graph.box_min, np.float64),
+            ("ann_box_max", graph.box_max, np.float64),
+            ("ann_neighbors", graph.neighbors, np.int64),
+        ):
+            np.save(epoch / f"{name}.npy", array.astype(dtype))
+        manifest["ann"] = {"entry": graph.entry}
+        manifest_path.write_text(json.dumps(manifest))
+        return target
+
+    @staticmethod
+    def hits(index, query):
+        return [
+            (h.column_id, h.match_count, h.joinability)
+            for h in pexeso_search(index, query, 0.6, 0.3, exact_counts=True).joinable
+        ]
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_loads_without_the_graph_and_answers_like_a_fresh_build(
+        self, built, small_columns, small_query, tmp_path, mmap
+    ):
+        target = self.write_epoch_with_graph(built, tmp_path / "idx")
+        assert len(list(target.rglob("ann_*.npy"))) == 5
+        loaded = load_index(target, mmap=mmap)
+        assert loaded.ann_graph is None
+        fresh = PexesoIndex.build(small_columns, n_pivots=3, levels=3)
+        assert self.hits(loaded, small_query) == self.hits(fresh, small_query)
+
+    def test_next_save_writes_no_graph(self, built, small_query, tmp_path):
+        target = self.write_epoch_with_graph(built, tmp_path / "idx")
+        loaded = load_index(target, mmap=True)
+        save_index(loaded, target)
+        assert not list(target.rglob("ann_*"))
+        assert "ann" not in json.loads((target / "manifest.json").read_text())
+        assert self.hits(load_index(target), small_query) == self.hits(
+            built, small_query
+        )
+
+
 class TestAtomicWrites:
     """Crash-safety of manifests and array epochs."""
 

@@ -1,6 +1,6 @@
 """The array-native index core must equal the preserved seed builder.
 
-:mod:`repro.core.reference` keeps the original row-by-row grid insert and
+``tests/core/reference.py`` keeps the original row-by-row grid insert and
 ``insort``-based postings build. These tests check, on randomised lakes,
 that the CSR inverted index and code-array grid hold exactly the same
 structure: same populated cells, same postings per cell (column order and
@@ -13,7 +13,7 @@ import pytest
 from repro.core.cellcodes import encode_cells
 from repro.core.grid import HierarchicalGrid
 from repro.core.inverted_index import InvertedIndex
-from repro.core.reference import build_reference_structures
+from reference import build_reference_structures
 
 
 def random_mapped_columns(seed, n_columns=25, n_dims=3, extent=2.0):

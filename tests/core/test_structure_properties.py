@@ -9,7 +9,7 @@ from repro.core.cellcodes import decode_cells
 from repro.core.grid import HierarchicalGrid
 from repro.core.inverted_index import InvertedIndex
 from repro.core.partition import HistogramSpace, jensen_shannon_divergence
-from repro.core.reference import ReferenceGrid
+from reference import ReferenceGrid
 
 
 @st.composite

@@ -399,8 +399,8 @@ def test_ann_lane_matches_oracle(seed):
     * **default knob recall** — at ``DEFAULT_EF_SEARCH`` the measured
       recall against the exact engine is >= 0.9 on every seed;
     * **knob -> max degenerates to exact** — ``ef_search`` at the
-      column count returns the exact answer bit for bit, on both the
-      single-index and the partitioned backend.
+      column count returns the exact answer bit for bit (a single index
+      is the only backend that accepts the knob).
     """
     from repro.core.ann import DEFAULT_EF_SEARCH, measure_recall
     from repro.core.out_of_core import LakeSearcher
@@ -436,43 +436,18 @@ def test_ann_lane_matches_oracle(seed):
         f"default-knob recall dropped below 0.9 (seed {seed}): {recalls}"
     )
 
-    # -- partitioned backend: the same contract through the shard engine ----
-    lake = PartitionedPexeso(
-        metric=metric, n_pivots=2, levels=3, n_partitions=n_partitions,
-        max_workers=2,
-    ).fit(columns)
-    psearcher = LakeSearcher(lake)
-    exact_batch = psearcher.search_many(queries, tau, joinability)
-    ann_batch = psearcher.search_many(queries, tau, joinability, ef_search=2)
-    full_batch = psearcher.search_many(
-        queries, tau, joinability, ef_search=len(columns)
-    )
-    for want, got_ann, got_full in zip(
-        exact_batch.results, ann_batch.results, full_batch.results
-    ):
-        assert set(hit_rows(got_ann)) <= set(hit_rows(want)), (
-            f"partitioned ANN false positive (seed {seed})"
-        )
-        assert hit_rows(got_full) == hit_rows(want), (
-            f"partitioned ef=n_columns != exact (seed {seed})"
-        )
-
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_persistence_formats_and_backends_agree(seed, tmp_path, write_v2):
-    """The storage/kernel lane: every on-disk format and kernel backend
-    replays the same seeds bit-identically.
+    """The storage lane: every on-disk format (v2 archive, v3 eager, v3
+    mmap) replays the same seeds bit-identically.
 
         in-memory == v2 roundtrip == v3 eager == v3 mmap
-                  == (numba kernels, when installed)
 
-    The v3 path serves searches straight off read-only mmaps, and the
-    kernel backends share no predicate code with each other — so a
-    torn serialization, an mmap aliasing bug or a compiled predicate
-    diverging in the last ulp all show up as a seed-reproducible
-    mismatch here.
+    The v3 path serves searches straight off read-only mmaps, so a torn
+    serialization or an mmap aliasing bug shows up as a
+    seed-reproducible mismatch here.
     """
-    from repro.core import kernels
     from repro.core.persistence import load_index, save_index
 
     columns, queries, metric, tau, joinability, n_partitions = make_scenario(seed)
@@ -494,15 +469,3 @@ def test_persistence_formats_and_backends_agree(seed, tmp_path, write_v2):
             for q in queries
         ]
         assert got == want, f"{lane} != in-memory (seed {seed})"
-
-    if kernels.HAVE_NUMBA:
-        with kernels.use_backend("numba"):
-            got = [
-                hit_rows(
-                    pexeso_search(
-                        lanes["v3-mmap"], q, tau, joinability, exact_counts=True
-                    )
-                )
-                for q in queries
-            ]
-        assert got == want, f"numba kernels != numpy (seed {seed})"

@@ -85,6 +85,21 @@ def test_search_answers(server, columns):
     assert {"tau", "t_count", "query_size", "hits", "generation"} <= set(reply)
 
 
+def test_retired_ef_search_field_is_ignored(server, columns):
+    """Search is exact-only: a body still carrying ``"ef_search"`` gets
+    the exact answer and no echo, whatever the value, because unknown
+    keys are ignored."""
+    status, _, exact = call(server, "POST", "/search", search_body(columns))
+    assert status == 200 and exact["hits"]
+    for value in (2, 0, "sixty-four"):
+        status, _, reply = call(
+            server, "POST", "/search", search_body(columns, ef_search=value)
+        )
+        assert status == 200, value
+        assert reply["hits"] == exact["hits"]
+        assert "ef_search" not in reply
+
+
 @pytest.mark.parametrize("method", ["GET", "POST", "DELETE"])
 def test_unknown_path_is_404(server, method):
     status, _, reply = call(server, method, "/no/such/route", {} if method == "POST" else None)

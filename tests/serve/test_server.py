@@ -57,41 +57,6 @@ class TestRoundTrips:
             assert isinstance(hit["match_count"], int)
             assert 0.0 <= hit["joinability"] <= 1.0
 
-    def test_search_ef_knob_round_trip(self, served, columns):
-        """``ef_search`` crosses the wire, restricts candidates without
-        inventing hits, and is echoed in the payload."""
-        service, client = served
-        query = columns[3][:6]
-        exact = client.search(vectors=query, tau=0.6, joinability=0.3)
-        assert "ef_search" not in exact
-        restricted = client.search(
-            vectors=query, tau=0.6, joinability=0.3, ef_search=2
-        )
-        assert restricted["ef_search"] == 2
-        rows = lambda reply: {  # noqa: E731
-            (h["column_id"], h["match_count"]) for h in reply["hits"]
-        }
-        assert rows(restricted) <= rows(exact)
-        full = client.search(
-            vectors=query, tau=0.6, joinability=0.3, ef_search=10**6
-        )
-        assert [
-            (h["column_id"], h["match_count"]) for h in full["hits"]
-        ] == [(h["column_id"], h["match_count"]) for h in exact["hits"]]
-
-    def test_search_ef_knob_validated(self, served, columns):
-        # raw bodies: the client's int() coercion must not mask the
-        # server-side validation of non-integer / non-positive knobs
-        _, client = served
-        for bad in (0, -1, "sixty-four", 1.5, True):
-            with pytest.raises(ServeError) as excinfo:
-                client._request(
-                    "POST", "/search",
-                    body={"vectors": columns[0][:4].tolist(), "tau": 0.6,
-                          "joinability": 0.3, "ef_search": bad},
-                )
-            assert excinfo.value.status == 400
-
     def test_search_cached_on_second_call(self, served, columns):
         _, client = served
         first = client.search(vectors=columns[2][:5], tau=0.6, joinability=0.3)

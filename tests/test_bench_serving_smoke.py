@@ -9,6 +9,7 @@ serving job (`python benchmarks/bench_serving.py`), where timings are
 meaningful.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -81,3 +82,19 @@ def test_sampled_out_tracing_overhead_under_five_percent(bench_module):
     assert out["overhead_pct"] < 5.0, (
         f"sampled-out tracing cost {out['overhead_pct']:.2f}% at smoke size"
     )
+
+
+def test_bench_json_artifact_schema(bench_module, tmp_path, monkeypatch):
+    """``write_bench_json`` — the artifact writer the serving, cluster and
+    tail-latency benchmarks share."""
+    import common
+
+    monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+    path = common.write_bench_json("smoke_check", {"speedup": 2.0, "ok": True})
+    assert path == tmp_path / "BENCH_smoke_check.json"
+    payload = json.loads(path.read_text())
+    assert payload["schema_version"] == 1
+    assert payload["bench"] == "smoke_check"
+    assert payload["metrics"] == {"speedup": 2.0, "ok": True}
+    for key in ("unix_time", "python", "numpy"):
+        assert key in payload
