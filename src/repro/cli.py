@@ -384,7 +384,6 @@ def cmd_cluster_coordinator(args: argparse.Namespace) -> int:
             quiet=not args.verbose,
             n_workers=args.workers,
             replication=args.replication,
-            wave_width=args.wave_width,
             max_concurrent=args.max_concurrent,
         )
     except FileNotFoundError as exc:
@@ -572,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of worker slots in the shard map")
     p_coord.add_argument("--replication", type=int, default=1,
                          help="replicas per partition (clamped to --workers)")
-    p_coord.add_argument("--wave-width", type=int, default=4,
-                         help="worker groups per top-k wave (theta-shared)")
     p_coord.add_argument("--max-concurrent", type=int, default=None,
                          help="admission-control capacity for search/top-k "
                               "(shed with 429 beyond it; default unlimited)")

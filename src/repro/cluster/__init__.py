@@ -9,13 +9,12 @@ core guarantee — results bit-identical to a single-node
 * :class:`~repro.cluster.shard_map.ShardMap` — partition -> worker-slot
   assignment with N-way replication, persisted as ``cluster.json``
   next to the lake's ``partitioned.json``;
-* :class:`~repro.cluster.coordinator.ClusterCoordinator` —
-  scatter-gathers ``/search`` / ``/topk`` across workers (each
-  partition answered exactly once), merges exactly through
-  :func:`~repro.core.engine.merge_shard_batches`, runs wave-parallel
-  top-k with a shared strict ``theta`` floor, routes live maintenance
-  to every replica of the least-loaded partition, and fails queries
-  over to replicas when workers die;
+* :class:`~repro.cluster.coordinator.ClusterCoordinator` — runs
+  :class:`~repro.core.out_of_core.PartitionedPexeso` (exact merge,
+  strict-``theta`` top-k waves, placement, IDs) over remote shard
+  groups (:class:`~repro.cluster.groups.RemoteGroups`), keeping
+  membership, failover, hedging, breakers, deadlines and
+  ``cluster.json`` itself;
 * :func:`~repro.cluster.worker.start_worker` — a serving node over a
   shard-subset lake (:func:`~repro.core.persistence.load_partitioned`
   with ``parts=``), joined through the coordinator's registration

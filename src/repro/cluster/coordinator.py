@@ -1,27 +1,23 @@
-"""The cluster coordinator: scatter-gather search with exact merging.
+"""The cluster coordinator: membership, resilience and metadata for remote shards.
 
 :class:`ClusterCoordinator` owns the shard map over one saved
 partitioned lake and speaks to its workers through
-:class:`~repro.serve.client.ServeClient`:
+:class:`~repro.serve.client.ServeClient`. The scatter-gather is the
+saved lake's own: the coordinator runs a metadata-only
+:class:`~repro.core.out_of_core.PartitionedPexeso` over
+:class:`~repro.cluster.groups.RemoteGroups`, whose unit is one routed
+worker slot answering a set of partitions:
 
-* **search** — one scatter per request: every partition is routed to
-  exactly one live owner (primary, else first live replica), each
-  worker answers a partition-restricted ``/search``, and the per-worker
-  results merge through :func:`~repro.core.engine.merge_shard_batches`
-  — the same exact merge single-node sharded search uses, so cluster
-  results are bit-identical to a local
-  :class:`~repro.core.out_of_core.LakeSearcher` over the union of the
-  shards.
-* **top-k** — worker groups run in waves; each wave prunes against the
-  running global k-th-best count (a *strict* ``theta`` floor threaded
-  into every worker's :func:`~repro.core.topk.pexeso_topk`), so ID
-  tie-breaks survive and the merged ranking equals single-node top-k.
-* **maintenance** — ``add_column`` picks the least-loaded partition
-  cluster-wide, allocates the global column ID centrally, and writes
-  through to *every* live replica of that partition; ``delete_column``
-  tombstones on every live replica. A worker that missed writes while
-  down is replayed from the coordinator's mutation log before it is
-  promoted back to ``up``.
+* **search** — every partition is routed to exactly one live owner
+  (primary, else first live replica), so the lake's exact merge is
+  bit-identical to a local :class:`~repro.core.out_of_core.LakeSearcher`.
+* **top-k** — worker groups run in waves, each pruning against the
+  running global k-th-best count as a *strict* ``theta`` floor, so ID
+  tie-breaks survive and the ranking equals single-node top-k.
+* **maintenance** — the lake places the column and allocates its ID;
+  the write goes through to *every* live replica. A worker that missed
+  writes while down is replayed from the coordinator's mutation log
+  before it is promoted back to ``up``.
 * **failover** — a worker that fails a scatter call (or a health check)
   is demoted and its partitions are re-routed to live replicas, within
   the same request.
@@ -40,20 +36,20 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.atomic import atomic_write_text
-from repro.core.engine import BatchResult, merge_shard_batches, validated_vectors
+from repro.core.engine import validated_vectors
 from repro.core.persistence import load_partitioned
-from repro.core.stats import SearchStats
 from repro.core.thresholds import resolve_tau
 from repro.core.topk import TopKResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Tracer, default_tracer
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.schema import label_column, search_result_from_payload
+from repro.serve.schema import label_column
+from repro.cluster.groups import RemoteGroups
 from repro.cluster.resilience import (
     BREAKER_CLOSED,
     CircuitBreaker,
@@ -68,13 +64,9 @@ from repro.cluster.shard_map import (
     ShardMap,
 )
 
-#: how many worker groups one top-k wave queries in parallel (the
-#: cluster analogue of the shard engine's DEFAULT_SHARD_WORKERS)
-DEFAULT_WAVE_WIDTH = 4
-
 
 class ClusterCoordinator:
-    """Routing, merging and metadata authority for one cluster.
+    """Membership, resilience and metadata authority for one cluster.
 
     Args:
         lake_dir: a directory produced by
@@ -85,7 +77,6 @@ class ClusterCoordinator:
             hits and enables ``"values"`` queries at the coordinator).
         n_workers: number of worker slots in the plan.
         replication: replicas per partition (clamped to ``n_workers``).
-        wave_width: worker groups per top-k wave.
         retries: transport retry budget per worker call (see
             :class:`~repro.serve.client.ServeClient`); exhausting it
             demotes the worker and triggers failover.
@@ -109,7 +100,6 @@ class ClusterCoordinator:
         lake_dir: str | Path,
         n_workers: int,
         replication: int = 1,
-        wave_width: int = DEFAULT_WAVE_WIDTH,
         retries: int = 1,
         timeout: float = 60.0,
         resilience: Optional[ResilienceConfig] = None,
@@ -118,30 +108,17 @@ class ClusterCoordinator:
         breaker_clock=time.monotonic,
     ):
         self.lake_dir = Path(lake_dir)
-        # lazy: one JSON read, no shard is opened
-        lake = load_partitioned(self.lake_dir)
-        self.metric = lake.metric
+        #: the saved lake's metadata — lazy, one JSON read, no shard is
+        #: opened; the shards themselves live on the workers
+        self.lake = load_partitioned(self.lake_dir)
+        self.metric = self.lake.metric
         #: the embedding dimensionality, for tau_fraction resolution
-        self.dim = lake.dim
+        self.dim = self.lake.dim
         #: ``resolve_tau(tau, tau_fraction, dim)`` over the lake's metric
         self.resolve_tau = partial(resolve_tau, metric=self.metric)
-        self.wave_width = max(1, int(wave_width))
         self.retries = int(retries)
         self.timeout = float(timeout)
-
-        parts = [p for p, globals_ in enumerate(lake.partition_columns) if globals_]
-        #: live global column id -> partition
-        self._column_partition: dict[int, int] = {}
-        self._deleted_ids: set[int] = set()
-        for part, globals_ in enumerate(lake.partition_columns):
-            for cid in globals_:
-                if lake.has_column(cid):
-                    self._column_partition[cid] = part
-                elif cid >= 0:
-                    self._deleted_ids.add(cid)
-        next_gid = max(
-            (c for g in lake.partition_columns for c in g), default=-1
-        ) + 1
+        parts = [p for p, columns in enumerate(self.lake.partition_columns) if columns]
 
         self.columns: Optional[list[dict]] = None
         catalog_path = self.lake_dir / "catalog.json"
@@ -150,30 +127,16 @@ class ClusterCoordinator:
             self.catalog = json.loads(catalog_path.read_text())
             self.columns = self.catalog.get("columns")
 
-        # cluster.json: the shard map plus the mutation metadata the
-        # coordinator owns (ids are allocated here, never on workers)
+        # cluster.json: the shard map plus the lake's column bookkeeping
+        # since it was saved (ids are allocated here, never on workers)
         self._cluster_path = self.lake_dir / CLUSTER_MANIFEST
-        self._next_column_id = next_gid
         saved_map = None
         if self._cluster_path.exists():
             restored = json.loads(self._cluster_path.read_text())
-            # ID allocation and tombstones are restored *unconditionally*
-            # — they outlive any change of worker count or replication
-            # (the "IDs never reused" guarantee must survive a resize)
-            self._next_column_id = max(
-                next_gid, int(restored.get("next_column_id", next_gid))
-            )
-            self._deleted_ids |= {
-                int(c) for c in restored.get("deleted_column_ids", [])
-            }
-            # adds routed before the restart are not in the on-disk
-            # partitioned.json; the saved column map keeps their routing
-            # (and the least-loaded placement counts) right
-            for gid, part in restored.get("column_partition", {}).items():
-                if int(gid) not in self._deleted_ids:
-                    self._column_partition[int(gid)] = int(part)
-            for cid in self._deleted_ids:
-                self._column_partition.pop(cid, None)
+            # restored *unconditionally*: IDs, tombstones and routing
+            # outlive any change of worker count or replication (the
+            # "IDs never reused" guarantee must survive a resize)
+            self.lake.adopt_column_state(restored)
             saved_map = ShardMap.from_dict(restored["shard_map"])
             if not (
                 saved_map.n_workers == int(n_workers)
@@ -192,8 +155,9 @@ class ClusterCoordinator:
         #: last known per-worker service generation, indexed by slot
         self._generations = [0] * self.shard_map.n_workers
         #: mutation log for replaying missed writes to returning workers:
-        #: ("add", part, gid, vectors as lists) | ("delete", part, gid)
-        self._mutation_log: list[tuple] = []
+        #: (partition, apply) pairs, ``apply(client)`` re-sending one
+        #: idempotent write-through (see RemoteGroups)
+        self._mutation_log: list[tuple[int, Callable]] = []
         #: log position each slot has confirmed (applied or registered at)
         self._slot_log_pos = [0] * self.shard_map.n_workers
         self._mutation_lock = threading.Lock()
@@ -234,19 +198,15 @@ class ClusterCoordinator:
 
     @property
     def n_columns(self) -> int:
-        return len(self._column_partition)
-
-    @property
-    def n_workers(self) -> int:
-        return self.shard_map.n_workers
+        return self.lake.n_columns
 
     def has_column(self, column_id: int) -> bool:
         """Whether a global column ID is live cluster-wide."""
-        return int(column_id) in self._column_partition
+        return self.lake.has_column(int(column_id))
 
     def column_partition(self, column_id: int) -> Optional[int]:
         """The partition holding a live column (``None`` when not live)."""
-        return self._column_partition.get(int(column_id))
+        return self.lake.column_partition(column_id)
 
     def generation_vector(self) -> list[int]:
         """Last known per-worker generations, indexed by worker slot."""
@@ -328,23 +288,10 @@ class ClusterCoordinator:
         with self._mutation_lock:
             pending = self._mutation_log[self._slot_log_pos[slot]:]
             target = len(self._mutation_log)
-        for entry in pending:
-            if entry[1] not in parts:
-                continue
-            if entry[0] == "add":
-                _, part, gid, vectors = entry
-                client.add_column(
-                    vectors=np.asarray(vectors, dtype=np.float64),
-                    partition=part, column_id=gid,
-                )
-            else:
-                _, part, gid = entry
-                try:
-                    client.delete_column(gid)
-                except ServeError as exc:
-                    if exc.status != 404:  # already absent is fine
-                        raise
-            replayed += 1
+        for part, apply in pending:
+            if part in parts:
+                apply(client)
+                replayed += 1
         with self._mutation_lock:
             self._slot_log_pos[slot] = max(self._slot_log_pos[slot], target)
         return replayed
@@ -602,11 +549,13 @@ class ClusterCoordinator:
         call,
         deadline: Optional[Deadline] = None,
         trace=NULL_SPAN,
-    ) -> tuple[int, Any]:
+    ) -> Optional[tuple[int, Any]]:
         """One (possibly hedged) group call with failover bookkeeping.
 
         Returns ``(answering slot, payload)`` — the answering slot may
-        be the hedge replica, and the generation stamp must name *it*.
+        be the hedge replica, and the generation stamp must name *it* —
+        or ``None`` when the worker failed at the transport level, for
+        the caller to re-route the group's partitions.
         """
         worker = self.shard_map.worker(slot)
         # a worker answering its *entire* assignment needs no partition
@@ -623,14 +572,12 @@ class ClusterCoordinator:
                 answered, payload = self._hedged_call(
                     slot, parts, send_parts, call, deadline, trace=span
                 )
-            except (DeadlineExceeded, ServeError):
-                raise
-            except (OSError, ClusterUnavailable) as exc:
+            except (OSError, ClusterUnavailable):
                 # _timed_call already recorded the breaker failure/demotion
                 with self._stats_lock:
                     self._slot_failovers[slot] += 1
                 span.annotate(failover=True)
-                raise _WorkerDown(slot, parts) from exc
+                return None
             span.annotate(answered_by=answered)
         generation = payload.get("generation")
         if isinstance(generation, int):
@@ -662,21 +609,20 @@ class ClusterCoordinator:
             if deadline is not None:
                 deadline.check("scatter wave")
             groups = sorted(plan.items())
+
+            def run(group: tuple[int, list[int]]):
+                return self._call_group(*group, call, deadline, trace=trace)
+
             if len(groups) == 1:
-                outcomes = [self._try_group(groups[0], call, deadline, trace)]
+                outcomes = [run(groups[0])]
             else:
                 with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                    outcomes = list(
-                        pool.map(
-                            lambda g: self._try_group(g, call, deadline, trace),
-                            groups,
-                        )
-                    )
+                    outcomes = list(pool.map(run, groups))
             failed_parts: list[int] = []
-            for outcome in outcomes:
-                if isinstance(outcome, _WorkerDown):
-                    failed_parts.extend(outcome.parts)
-                    excluded.add(outcome.slot)
+            for (slot, group_parts), outcome in zip(groups, outcomes):
+                if outcome is None:  # the worker died mid-call
+                    failed_parts.extend(group_parts)
+                    excluded.add(slot)
                 else:
                     payloads.append(outcome)
             if not failed_parts:
@@ -688,32 +634,21 @@ class ClusterCoordinator:
             plan = self.shard_map.route(failed_parts, exclude=excluded)
         raise ClusterUnavailable("scatter retries exhausted")  # pragma: no cover
 
-    def _try_group(
-        self,
-        group: tuple[int, list[int]],
-        call,
-        deadline: Optional[Deadline] = None,
-        trace=NULL_SPAN,
-    ):
-        slot, parts = group
-        try:
-            return self._call_group(slot, parts, call, deadline, trace=trace)
-        except _WorkerDown as exc:
-            return exc
-
     # -- serving -------------------------------------------------------------------
-
-    def _effective_deadline(
-        self, deadline: Optional[Deadline]
-    ) -> Optional[Deadline]:
-        if deadline is not None:
-            return deadline
-        default_ms = self.resilience.default_deadline_ms
-        return Deadline.from_ms(default_ms) if default_ms is not None else None
 
     def _count_deadline_violation(self) -> None:
         with self._stats_lock:
             self._deadline_violations += 1
+
+    def _read(self, deadline: Optional[Deadline], trace) -> RemoteGroups:
+        """Count one read request; its shard seam, under the request's
+        deadline or else the configured default."""
+        with self._stats_lock:
+            self._requests_served += 1
+        default_ms = self.resilience.default_deadline_ms
+        if deadline is None and default_ms is not None:
+            deadline = Deadline.from_ms(default_ms)
+        return RemoteGroups(self, deadline, trace)
 
     def search(
         self,
@@ -725,79 +660,30 @@ class ClusterCoordinator:
     ) -> tuple[Any, list[int]]:
         """Scatter one threshold search; returns ``(merged result, generations)``.
 
-        The merged :class:`~repro.core.search.SearchResult` is
+        The lake's search over :class:`~repro.cluster.groups.RemoteGroups`
+        answers each partition exactly once, so the exact merge is
         bit-identical to a single-node
-        :class:`~repro.core.out_of_core.LakeSearcher` over the same lake
-        (each partition is answered exactly once; worker hits carry
-        global column IDs; the merge re-sorts by ID exactly as the
-        sharded engine does).
-
-        ``deadline`` is this request's remaining latency budget; the
-        remaining time is re-measured and propagated to every worker
-        call, and :class:`DeadlineExceeded` is raised (and counted) the
-        moment the budget cannot be met.
-
-        ``trace`` parents the scatter/merge spans; per-slot child spans
-        carry the hedge/failover/breaker decisions and their contexts
-        travel to the workers.
+        :class:`~repro.core.out_of_core.LakeSearcher`. ``deadline`` is
+        the request's remaining budget, propagated to every worker call;
+        :class:`DeadlineExceeded` is raised (and counted) the moment it
+        cannot be met. ``trace`` parents the scatter/merge spans, whose
+        per-slot children record hedges, failovers and breaker states.
         """
-        with self._stats_lock:
-            self._requests_served += 1
-        vectors = self._validated_vectors(vectors).tolist()
-        deadline = self._effective_deadline(deadline)
-
-        def call(client: ServeClient, parts, deadline_ms, trace=None):
-            return client.search(
-                vectors=vectors, tau=tau, joinability=joinability, parts=parts,
-                deadline_ms=deadline_ms, trace=trace,
-            )
-
-        scatter_started = time.perf_counter()
-        try:
-            with self.tracer.span("coordinator.scatter", parent=trace) as span:
-                outcomes = self._scatter(None, call, deadline, trace=span)
-                span.annotate(n_groups=len(outcomes))
-        except DeadlineExceeded:
-            self._count_deadline_violation()
-            raise
-        scatter_seconds = time.perf_counter() - scatter_started
-        # the response names the generations its answers actually
-        # executed at — taken from the payloads themselves, so a
-        # concurrent mutation finishing after the gather cannot inflate
-        # the vector past the state that produced these hits
-        generations = self._stamp(outcomes)
-        merge_started = time.perf_counter()
-        batches = [
-            BatchResult(
-                results=[search_result_from_payload(payload)],
-                stats=SearchStats(),
-                wall_seconds=0.0,
-            )
-            for _slot, payload in outcomes
-        ]
-        # hits already carry global IDs: an unbounded identity map keeps
-        # the exact-merge code path shared (sizing it from _next_column_id
-        # would race with a concurrent add whose write-through landed
-        # before the counter moved)
-        identity = _IdentityMap()
-        with self.tracer.span("coordinator.merge", parent=trace):
-            merged = merge_shard_batches(batches, [identity] * len(batches))
-        result = merged.results[0]
-        # the response's timings are coordinator wall time only: worker
-        # stages ran in parallel and their sum would exceed this
-        # request's duration (each worker's own breakdown is in its span)
-        result.stats.stage_seconds.add("scatter", scatter_seconds)
-        result.stats.stage_seconds.add(
-            "merge", time.perf_counter() - merge_started
+        groups = self._read(deadline, trace)
+        result = self.lake.search(
+            self._validated_vectors(vectors), tau, joinability, shards=groups
         )
-        return result, generations
+        return result, self._stamp(groups.answered)
 
     def _stamp(self, outcomes: Sequence[tuple[int, Any]]) -> list[int]:
         """A generation vector anchored to the given worker payloads.
 
-        Slots that answered this request report the generation from
-        their own reply; uninvolved slots fall back to the last known
-        value (they contributed no hits, so any value is consistent).
+        The response names the generations its answers actually executed
+        at — taken from the payloads themselves, so a concurrent mutation
+        finishing after the gather cannot inflate the vector past the
+        state that produced these hits. Uninvolved slots fall back to
+        the last known value (they contributed no hits, so any value is
+        consistent).
         """
         generations = self.generation_vector()
         for slot, payload in outcomes:
@@ -816,70 +702,19 @@ class ClusterCoordinator:
     ) -> tuple[TopKResult, list[int]]:
         """Wave-parallel exact top-k across the cluster.
 
-        Routed worker groups run in waves of ``wave_width``; each wave
-        receives the running global k-th-best count as its ``theta``
-        floor. The floor is strict, so the merged ranking — count
-        descending, column ID ascending — equals single-node top-k.
-        ``deadline`` bounds the whole request: the remaining budget is
-        re-checked before every wave and propagated into each worker
-        call, so a late wave fails fast instead of running anyway.
+        The lake's top-k over :class:`~repro.cluster.groups.RemoteGroups`:
+        each wave of routed worker groups prunes against the running
+        global k-th-best count as a strict ``theta`` floor, so the
+        ranking equals single-node top-k. ``deadline`` bounds the whole
+        request: the remaining budget is re-checked before every wave and
+        propagated into each worker call, so a late wave fails fast
+        instead of running anyway.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
-        with self._stats_lock:
-            self._requests_served += 1
-        vectors = self._validated_vectors(vectors).tolist()
-        deadline = self._effective_deadline(deadline)
-        plan = self.shard_map.route(None)
-        groups = sorted(plan.items())
-        best: list[tuple[int, int, float]] = []
-        theta = 0
-        tau_out = float(tau)
-        stamped: list[tuple[int, Any]] = []
-        scatter_started = time.perf_counter()
-        for at in range(0, len(groups), self.wave_width):
-            wave = dict(groups[at : at + self.wave_width])
-            floor = theta
-
-            def call(client: ServeClient, parts, deadline_ms, trace=None,
-                     _floor=floor):
-                return client.topk(
-                    vectors=vectors, tau=tau, k=k, parts=parts, theta=_floor,
-                    deadline_ms=deadline_ms, trace=trace,
-                )
-
-            try:
-                with self.tracer.span(
-                    "coordinator.scatter", parent=trace
-                ) as span:
-                    span.annotate(wave=at // self.wave_width, theta=floor)
-                    outcomes = self._scatter(
-                        [p for parts in wave.values() for p in parts],
-                        call, deadline, trace=span,
-                    )
-            except DeadlineExceeded:
-                self._count_deadline_violation()
-                raise
-            stamped.extend(outcomes)
-            for _slot, payload in outcomes:
-                tau_out = float(payload["tau"])
-                best.extend(
-                    (int(h["column_id"]), int(h["match_count"]),
-                     float(h["joinability"]))
-                    for h in payload["hits"]
-                )
-            best.sort(key=lambda row: (-row[1], row[0]))
-            del best[k:]
-            if len(best) == k:
-                theta = max(theta, best[-1][1])
-        result = TopKResult(
-            hits=best, stats=SearchStats(), tau=tau_out,
-            k=min(k, self.n_columns),
-        )
-        result.stats.stage_seconds.add(
-            "scatter", time.perf_counter() - scatter_started
-        )
-        return result, self._stamp(stamped)
+        groups = self._read(deadline, trace)
+        result = self.lake.topk(self._validated_vectors(vectors), tau, k, shards=groups)
+        return result, self._stamp(groups.answered)
 
     # -- routed live maintenance ---------------------------------------------------
 
@@ -891,12 +726,11 @@ class ClusterCoordinator:
     ) -> tuple[int, list[int]]:
         """Add one column cluster-wide; returns ``(column id, generations)``.
 
-        Placement is least-loaded across the whole cluster (the
-        partition with the fewest live columns, ties to the lowest id);
-        the coordinator allocates the global ID and writes the identical
-        ``(partition, id, vectors)`` through to **every** live replica
-        of that partition. Replicas that are down are brought level by
-        the mutation-log replay before they rejoin.
+        The lake places it in the least-loaded partition and allocates
+        its global ID; :class:`~repro.cluster.groups.RemoteGroups` writes
+        the identical ``(partition, id, vectors)`` through to **every**
+        live replica of that partition. Replicas that are down are
+        brought level by the mutation-log replay before they rejoin.
 
         Raises:
             ClusterUnavailable: when no replica of the chosen partition
@@ -905,34 +739,12 @@ class ClusterCoordinator:
         """
         vectors = self._validated_vectors(vectors)
         with self._mutation_lock:
-            loads: dict[int, int] = {p: 0 for p in self.shard_map.parts}
-            for part in self._column_partition.values():
-                loads[part] += 1
-            part = min(self.shard_map.parts, key=lambda p: (loads[p], p))
-            gid = self._next_column_id
-            applied = self._write_through(
-                part,
-                lambda client: client.add_column(
-                    vectors=vectors, partition=part, column_id=gid
-                ),
-            )
-            if not applied:
-                raise ClusterUnavailable(
-                    f"no live replica of partition {part} accepted the add"
-                )
-            self._next_column_id = gid + 1
-            self._column_partition[gid] = part
-            # The log retains full vectors so any worker (re)joining from
-            # the fit-time saved lake can be brought level; it is never
-            # compacted, because a future registrant always replays from
-            # position zero. A very long-lived coordinator bounds this by
-            # re-saving the lake and restarting the cluster.
-            self._mutation_log.append(("add", part, gid, vectors.tolist()))
-            generations = self._ack_generations(applied)
+            groups = RemoteGroups(self)
+            gid = self.lake.add_column(vectors, shards=groups)
             if self.columns is not None:
                 label_column(self.columns, gid, table, column)
         self._save()
-        return gid, generations
+        return gid, groups.generations
 
     def delete_column(self, column_id: int) -> list[int]:
         """Tombstone one column on every live replica; returns generations.
@@ -941,95 +753,30 @@ class ClusterCoordinator:
             KeyError: when the ID is unknown or already deleted.
             ClusterUnavailable: when no replica accepted the delete.
         """
-        gid = int(column_id)
         with self._mutation_lock:
-            part = self._column_partition.get(gid)
-            if part is None:
-                raise KeyError(f"unknown column id {gid}")
-
-            def deleter(client: ServeClient):
-                try:
-                    return client.delete_column(gid)
-                except ServeError as exc:
-                    if exc.status == 404:  # replica already tombstoned
-                        return {"deleted": gid}
-                    raise
-
-            applied = self._write_through(part, deleter)
-            if not applied:
-                raise ClusterUnavailable(
-                    f"no live replica of partition {part} accepted the delete"
-                )
-            del self._column_partition[gid]
-            self._deleted_ids.add(gid)
-            self._mutation_log.append(("delete", part, gid))
-            generations = self._ack_generations(applied)
+            groups = RemoteGroups(self)
+            self.lake.delete_column(int(column_id), shards=groups)
         self._save()
-        return generations
+        return groups.generations
 
-    def _write_through(self, part: int, call) -> list[tuple[int, Optional[int]]]:
-        """Apply one mutation to every live owner of ``part``.
-
-        Owners that fail at the transport level are demoted (the replay
-        log squares them up later); returns ``(slot, acked generation)``
-        for the owners that applied it.
-        """
-        live = [
-            slot for slot in self.shard_map.owners[part]
-            if self.shard_map.worker(slot).status == "up"
-        ]
-
-        def attempt(slot: int):
-            try:
-                return slot, call(self._client(slot))
-            except ServeError:
-                # The worker answered but rejected the write. The request
-                # itself was validated at the coordinator, so a rejection
-                # means *this replica's* state diverged (or it failed
-                # internally) — demote it rather than abort: an abort
-                # after another replica applied would leave a phantom
-                # column the coordinator never recorded. The recovery
-                # replay retries the mutation; a replica that keeps
-                # rejecting it stays down for an operator to inspect.
-                return slot, None
-            except (OSError, ClusterUnavailable):
-                return slot, None
-
-        # Replicas are written in parallel (the mutation lock is held
-        # around the whole fan-out, so ordering is unchanged): summed
-        # sequential round trips would let one black-holed replica stall
-        # every mutation and worker promotion behind the lock for the
-        # full timeout × replication budget.
-        if len(live) <= 1:
-            outcomes = [attempt(slot) for slot in live]
-        else:
-            with ThreadPoolExecutor(max_workers=len(live)) as pool:
-                outcomes = list(pool.map(attempt, live))
-
-        applied: list[tuple[int, Optional[int]]] = []
-        for slot, reply in outcomes:
-            if reply is None:
-                self._demote(slot, force=True)
-                continue
-            generation = reply.get("generation")
-            if isinstance(generation, int):
-                self._generations[slot] = generation
-                applied.append((slot, generation))
-            else:
-                applied.append((slot, None))
-        return applied
-
-    def _ack_generations(
-        self, applied: Sequence[tuple[int, Optional[int]]]
+    def _log_mutation(
+        self, entry: tuple[int, Callable], applied: Sequence[tuple[int, Optional[int]]]
     ) -> list[int]:
-        """Confirm a just-logged mutation for its ack'ing slots and build
-        the response's generation vector from their acks (the vector
-        must name the states the write actually landed in)."""
+        """Log one written-through mutation (under the mutation lock) for
+        the slots that applied it; returns the generations it landed in.
+
+        Logged writes keep their full vectors so any worker (re)joining
+        from the fit-time saved lake can be brought level; the log is
+        never compacted, because a future registrant always replays from
+        position zero. A very long-lived coordinator bounds this by
+        re-saving the lake and restarting the cluster.
+        """
+        self._mutation_log.append(entry)
         generations = self.generation_vector()
         for slot, generation in applied:
             self._slot_log_pos[slot] = len(self._mutation_log)
             if generation is not None:
-                generations[slot] = generation
+                self._generations[slot] = generations[slot] = generation
         return generations
 
     # -- telemetry and persistence -------------------------------------------------
@@ -1061,7 +808,7 @@ class ClusterCoordinator:
             "workers": [w.to_dict() for w in self.shard_map.workers],
             "serviceable": self.shard_map.is_serviceable(),
             "n_columns": self.n_columns,
-            "next_column_id": self._next_column_id,
+            "next_column_id": self.lake.next_column_id,
             "generation": self.generation_vector(),
             "requests_served": requests,
             "failovers": failovers,
@@ -1146,15 +893,6 @@ class ClusterCoordinator:
         """Prometheus exposition of :meth:`metrics_registry` alone."""
         return self.metrics_registry().render()
 
-    def wait_serviceable(self, timeout: float = 30.0, poll: float = 0.05) -> bool:
-        """Block until every partition has a live worker (or timeout)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.shard_map.is_serviceable():
-                return True
-            time.sleep(poll)
-        return self.shard_map.is_serviceable()
-
     def _save(self) -> None:
         """Persist the shard map + mutation metadata as ``cluster.json``.
 
@@ -1163,30 +901,10 @@ class ClusterCoordinator:
         reload from a freshly saved lake. ID allocation and tombstones
         do survive, so routing and ID uniqueness are never compromised.
         """
-        state = {
-            "shard_map": self.shard_map.to_dict(),
-            "next_column_id": self._next_column_id,
-            "deleted_column_ids": sorted(self._deleted_ids),
-            "column_partition": {
-                str(gid): part for gid, part in self._column_partition.items()
-            },
-        }
         with self._save_lock:
+            # the snapshot is taken under the mutation lock so it never
+            # reads the lake's column maps halfway through a mutation
+            with self._mutation_lock:
+                state = {"shard_map": self.shard_map.to_dict()}
+                state.update(self.lake.column_state())
             atomic_write_text(self._cluster_path, json.dumps(state, indent=2))
-
-
-class _IdentityMap:
-    """``map[column_id] == column_id`` for any ID (worker hits are
-    already global, so the shard merge needs no translation)."""
-
-    def __getitem__(self, column_id: int) -> int:
-        return column_id
-
-
-class _WorkerDown(Exception):
-    """Internal scatter signal: this group's worker died mid-call."""
-
-    def __init__(self, slot: int, parts: list[int]):
-        super().__init__(f"worker {slot} down")
-        self.slot = slot
-        self.parts = parts

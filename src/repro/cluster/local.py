@@ -55,8 +55,7 @@ class LocalCluster:
             ``max_batch``, ``cache_size``, ``exact_counts``,
             ``max_workers``) onto ``cluster-worker`` CLI flags.
         coordinator_kwargs: extra :class:`ClusterCoordinator` arguments
-            (``wave_width``, ``retries``, ``timeout``, ``resilience``,
-            ``fault_injector``).
+            (``retries``, ``timeout``, ``resilience``, ``fault_injector``).
         worker_fault_injectors: per-worker
             :class:`~repro.serve.faults.FaultInjector` s, indexed by
             spawn order (``None`` entries skip a worker). Thread mode

@@ -194,10 +194,6 @@ class ShardMap:
         with self._lock:
             return [w.status for w in self.workers]
 
-    def up_slots(self) -> list[int]:
-        with self._lock:
-            return [w.slot for w in self.workers if w.status == "up"]
-
     def is_serviceable(self) -> bool:
         """Whether every partition has at least one live owner."""
         with self._lock:

@@ -16,12 +16,14 @@ The sharded layer is the fast path, not a fallback:
   many shards in one pass — every shard runs the batch engine
   (:class:`~repro.core.engine.BatchSearch`: one shared pivot mapping,
   one HG_Q build, one blocking descent per τ group); shards run one
-  after another by default (:data:`DEFAULT_SHARD_WORKERS` is 1: with a
-  pure-Python blocker holding the GIL, threads measured 2x *slower*)
-  and fan out over a thread pool when ``max_workers`` asks for it;
+  after another by default (:data:`DEFAULT_SHARD_WORKERS` is 1: on the
+  ledger's spilled short lake, 2 and 4 shard threads cost 1.20x and
+  1.73x the wall time of one) and fan out over a thread pool when
+  ``max_workers`` asks for it;
 * in spill mode, loads stay one-partition-per-worker: a thread-safe LRU
-  (:class:`ShardLRU`) keeps at most ``lru_shards`` indexes resident, so
-  memory stays bounded while repeated queries skip the disk;
+  (:class:`~repro.core.shards.ShardLRU`) keeps at most ``lru_shards``
+  indexes resident, so memory stays bounded while repeated queries skip
+  the disk;
 * :meth:`PartitionedPexeso.topk` runs the Lemma-7-bounded top-k across
   partitions with a *shared* running k-th-best ``theta``: shards are
   processed in waves of ``max_workers``, and each wave prunes against
@@ -29,7 +31,10 @@ The sharded layer is the fast path, not a fallback:
   provably identical to single-index
   :func:`~repro.core.topk.pexeso_topk` over the union of the shards
   (the theta floor abandons only columns strictly below the global
-  k-th best, so count ties — broken by column ID — survive).
+  k-th best, so count ties — broken by column ID — survive);
+* this scatter-gather, placement and ID bookkeeping are written once and
+  reach shards through a seam (:class:`~repro.core.shards.LocalShards`,
+  or a cluster's :class:`~repro.cluster.groups.RemoteGroups`).
 
 :class:`LakeSearcher` wraps either a single index or a partitioned lake
 behind one dispatch surface (``search`` / ``search_many`` / ``topk``),
@@ -41,10 +46,9 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,14 +59,15 @@ from repro.core.metric import Metric
 from repro.core.persistence import commit_lake, load_shard
 from repro.core.partition import PARTITIONERS, partition_labels
 from repro.core.search import AblationFlags, SearchResult, pexeso_search
+from repro.core.shards import LocalShards, ShardLRU
 from repro.core.stats import SearchStats
 from repro.core.topk import TopKResult, pexeso_topk
 
 #: default shard fan-out width when ``max_workers`` is not given. One,
-#: because the ledger measures ``core.out_of_core.fanout_penalty`` at
-#: 2.1-2.2 (4 threads *slower* than 1): the blocker is pure Python and
-#: holds the GIL, so shard threads only add contention. Revisit once the
-#: blocker releases it; callers with I/O-bound shards pass ``max_workers``.
+#: because more threads measured slower: on the ledger's spilled short
+#: lake (2-core machine, 5 runs) 2 and 4 shard threads cost 1.20x and
+#: 1.73x the wall time of one. Callers with I/O-bound shards pass
+#: ``max_workers``.
 DEFAULT_SHARD_WORKERS = 1
 
 #: spill-mode resident-shard bound when neither ``lru_shards`` nor
@@ -70,104 +75,6 @@ DEFAULT_SHARD_WORKERS = 1
 #: kept resident, so running shards on one thread does not also mean
 #: re-opening every shard (~2.7 ms each in the ledger) on every query
 DEFAULT_LRU_SHARDS = 4
-
-
-class ShardLRU:
-    """Thread-safe LRU cache of loaded shard indexes (out-of-core mode).
-
-    Bounds spill-mode memory to ``capacity`` resident shards — one per
-    worker by default, so a W-wide fan-out never holds more than W
-    partitions in memory — while letting repeated searches reuse loads.
-
-    Args:
-        loader: ``partition id -> PexesoIndex`` disk loader.
-        capacity: maximum number of resident shards (>= 1).
-    """
-
-    def __init__(self, loader: Callable[[int], PexesoIndex], capacity: int):
-        if capacity < 1:
-            raise ValueError("LRU capacity must be at least 1")
-        self._loader = loader
-        self.capacity = int(capacity)
-        self._cache: OrderedDict[int, PexesoIndex] = OrderedDict()
-        self._lock = threading.Lock()
-        #: per-part version counter, bumped by put()/invalidate(); a
-        #: get() that loaded from disk installs its result only if the
-        #: token it captured is still current, so a slow disk load can
-        #: never clobber a fresher index a concurrent put() installed.
-        self._tokens: dict[int, int] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, part: int) -> PexesoIndex:
-        """Fetch one shard, loading (and possibly evicting) as needed."""
-        while True:
-            with self._lock:
-                index = self._cache.get(part)
-                if index is not None:
-                    self._cache.move_to_end(part)
-                    self.hits += 1
-                    return index
-                token = self._tokens.get(part, 0)
-            # Load outside the lock so concurrent workers load distinct
-            # shards in parallel; a rare duplicate load of the same shard
-            # is benign.
-            index = self._loader(part)
-            with self._lock:
-                self.misses += 1
-                if self._tokens.get(part, 0) != token:
-                    # The entry changed mid-load (a mutation put() a
-                    # fresher index, or invalidate() dropped it because
-                    # the on-disk copy moved on). Our load may predate
-                    # that, so it must not be installed; serve the cached
-                    # fresh copy if there is one, else re-load.
-                    current = self._cache.get(part)
-                    if current is not None:
-                        self._cache.move_to_end(part)
-                        return current
-                    continue
-                self._cache[part] = index
-                self._cache.move_to_end(part)
-                while len(self._cache) > self.capacity:
-                    self._cache.popitem(last=False)
-            return index
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._cache)
-
-    def resident(self) -> list[PexesoIndex]:
-        """Snapshot of the currently resident shard indexes."""
-        with self._lock:
-            return list(self._cache.values())
-
-    def put(self, part: int, index: PexesoIndex) -> None:
-        """Install (or replace) one shard's resident index.
-
-        Live maintenance mutates a loaded shard and re-spills it; the
-        fresh object replaces any stale cached copy so later reads never
-        see the pre-mutation index. Bumps the part's version token so an
-        in-flight disk load started before this put can never overwrite
-        it.
-        """
-        with self._lock:
-            self._tokens[part] = self._tokens.get(part, 0) + 1
-            self._cache[part] = index
-            self._cache.move_to_end(part)
-            while len(self._cache) > self.capacity:
-                self._cache.popitem(last=False)
-
-    def invalidate(self, part: int) -> None:
-        """Drop one shard from the cache (no-op when absent)."""
-        with self._lock:
-            self._tokens[part] = self._tokens.get(part, 0) + 1
-            self._cache.pop(part, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            for part in self._cache:
-                self._tokens[part] = self._tokens.get(part, 0) + 1
-            self._cache.clear()
 
 
 class PartitionedPexeso:
@@ -185,8 +92,7 @@ class PartitionedPexeso:
         max_workers: default shard fan-out width for ``search_many`` /
             ``topk`` (overridable per call); ``None`` picks
             :data:`DEFAULT_SHARD_WORKERS` — 1, shards run one after
-            another, because threads measured slower while the blocker
-            holds the GIL.
+            another, because more threads measured slower.
         lru_shards: spill-mode resident-shard bound; defaults to the
             resolved worker count (one partition per worker), or to
             :data:`DEFAULT_LRU_SHARDS` when ``max_workers`` was not
@@ -423,30 +329,23 @@ class PartitionedPexeso:
         self.hosted_parts = hosted
         self._column_shard = None
 
-    def _shards(
-        self, parts: Optional[Sequence[int]] = None
-    ) -> list[tuple[int, list[int]]]:
-        """Non-empty (hosted) partitions as ``(partition id, global ids)``.
+    def _shards(self, parts: Optional[Sequence[int]] = None) -> list[int]:
+        """The non-empty (hosted) partitions' ids.
 
         ``parts`` further restricts one call to a subset of the hosted
         partitions — the cluster coordinator uses this to ask a worker
         for exactly the partitions routed to it, so replicated shards
         are answered exactly once across the cluster.
         """
-        shards = [
-            (part, globals_)
-            for part, globals_ in enumerate(self.partition_columns)
-            if globals_
-        ]
+        shards = [part for part, columns in enumerate(self.partition_columns) if columns]
         if self.hosted_parts is not None:
-            shards = [s for s in shards if s[0] in self.hosted_parts]
+            shards = [part for part in shards if part in self.hosted_parts]
         if parts is not None:
             want = {int(p) for p in parts}
-            known = {s[0] for s in shards}
-            unknown = sorted(want - known)
+            unknown = sorted(want - set(shards))
             if unknown:
                 raise KeyError(f"partitions not hosted here: {unknown}")
-            shards = [s for s in shards if s[0] in want]
+            shards = [part for part in shards if part in want]
             if not shards:
                 raise ValueError("parts selects no partitions")
         return shards
@@ -468,6 +367,7 @@ class PartitionedPexeso:
         exact_counts: bool = False,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
+        shards=None,
     ) -> BatchResult:
         """Answer many query columns over every shard in one pass.
 
@@ -493,6 +393,10 @@ class PartitionedPexeso:
                 the constructor's ``max_workers``.
             parts: restrict this call to a subset of the (hosted)
                 partitions; ``None`` searches them all.
+            shards: the shard seam answering the partitions; ``None``
+                is this lake's own indexes (a
+                :class:`~repro.core.shards.LocalShards` over ``flags``,
+                ``exact_counts`` and ``max_workers``).
 
         Returns:
             A :class:`~repro.core.engine.BatchResult` aligned with
@@ -502,25 +406,12 @@ class PartitionedPexeso:
         started = time.perf_counter()
         if len(queries) == 0:
             return BatchResult(results=[], stats=SearchStats(), wall_seconds=0.0)
-        shards = self._shards(parts)
-        workers = self._resolve_workers(max_workers, len(shards))
-        self._ensure_lru(workers)
-
-        def run_shard(part: int) -> BatchResult:
-            index, load_seconds = self._get_index(part)
-            engine = BatchSearch(index, flags=flags, exact_counts=exact_counts)
-            batch = engine.search_many(queries, tau, joinability)
-            batch.stats.shard_load_seconds += load_seconds
-            batch.stats.stage_seconds.add("shard_load", load_seconds)
-            return batch
-
-        if workers == 1 or len(shards) == 1:
-            batches = [run_shard(part) for part, _ in shards]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                batches = list(pool.map(run_shard, [part for part, _ in shards]))
+        if shards is None:
+            shards = LocalShards(self, flags, exact_counts, max_workers)
+        pieces = shards.search(self._shards(parts), queries, tau, joinability)
         merge_started = time.perf_counter()
-        merged = merge_shard_batches(batches, [globals_ for _, globals_ in shards])
+        with shards.merging():
+            merged = merge_shard_batches(*zip(*pieces))
         merged.stats.stage_seconds.add(
             "merge", time.perf_counter() - merge_started
         )
@@ -536,6 +427,7 @@ class PartitionedPexeso:
         exact_counts: bool = False,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
+        shards=None,
     ) -> SearchResult:
         """Single-query convenience wrapper around :meth:`search_many`.
 
@@ -550,6 +442,7 @@ class PartitionedPexeso:
             exact_counts=exact_counts,
             max_workers=max_workers,
             parts=parts,
+            shards=shards,
         )
         result = batch.results[0]
         result.stats = batch.stats
@@ -563,14 +456,15 @@ class PartitionedPexeso:
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
         theta: int = 0,
+        shards=None,
     ) -> TopKResult:
         """Exact top-k columns by joinability across all shards.
 
-        Shards are processed in waves of ``max_workers``; every wave
-        passes the running global k-th-best count into each shard's
-        :func:`~repro.core.topk.pexeso_topk` as the ``theta`` floor, so
-        later shards abandon columns that provably cannot enter the
-        global top-k. Because the floor is strict (ties survive) and
+        Shards are processed in waves (of ``max_workers`` in process);
+        every wave passes the running global k-th-best count into each
+        shard's :func:`~repro.core.topk.pexeso_topk` as the ``theta``
+        floor, so later shards abandon columns that provably cannot
+        enter the global top-k. Because the floor is strict (ties survive) and
         each shard's local tie-break order equals the global one
         restricted to that shard, the merged result is identical to
         single-index top-k over the union of the shards.
@@ -584,6 +478,7 @@ class PartitionedPexeso:
                 other workers' earlier waves. ``0`` disables the seed
                 floor; the floor stays strict, so ID tie-breaks are
                 preserved.
+            shards: the shard seam (see :meth:`search_many`).
         """
         self._require_fitted()
         if k < 1:
@@ -593,33 +488,17 @@ class PartitionedPexeso:
         query = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
         if query.shape[0] == 0:
             raise ValueError("query column is empty")
-        shards = self._shards(parts)
-        workers = self._resolve_workers(max_workers, len(shards))
-        self._ensure_lru(workers)
+        if shards is None:
+            shards = LocalShards(self, max_workers=max_workers)
 
         merged_stats = SearchStats()
         best: list[tuple[int, int, float]] = []  # (global id, count, joinability)
         theta = int(theta)
-
-        def run_shard(item: tuple[int, list[int]]):
-            part, globals_ = item
-            index, load_seconds = self._get_index(part)
-            local = pexeso_topk(index, query, tau, k, theta=theta)
-            local.stats.shard_load_seconds += load_seconds
-            local.stats.stage_seconds.add("shard_load", load_seconds)
-            return local, globals_
-
-        for at in range(0, len(shards), workers):
-            wave = shards[at : at + workers]
-            if len(wave) == 1 or workers == 1:
-                outputs = [run_shard(item) for item in wave]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outputs = list(pool.map(run_shard, wave))
-            for local, globals_ in outputs:
+        for wave in shards.waves(self._shards(parts)):
+            for local, column_map in shards.topk(wave, query, tau, k, theta):
                 merged_stats.merge(local.stats)
                 best.extend(
-                    (int(globals_[cid]), count, jn) for cid, count, jn in local.hits
+                    (int(column_map[cid]), count, jn) for cid, count, jn in local.hits
                 )
             # Global order: count desc, column ID asc; only the k best
             # can ever matter, and the k-th best count is the theta floor
@@ -656,52 +535,48 @@ class PartitionedPexeso:
             }
         return self._column_shard
 
-    def _ensure_next_gid(self) -> None:
+    @property
+    def next_column_id(self) -> int:
+        """The global ID the next allocating :meth:`add_column` hands out
+        (IDs are never reused, so this only grows)."""
         if self._next_gid is None:
             self._next_gid = (
-                max(
-                    (cid for g in self.partition_columns for cid in g if cid >= 0),
-                    default=-1,
-                )
-                + 1
+                max((cid for g in self.partition_columns for cid in g), default=-1) + 1
             )
+        return self._next_gid
 
-    def _next_global_id(self) -> int:
-        self._ensure_next_gid()
-        gid = self._next_gid
-        self._next_gid += 1
-        return gid
-
-    def _after_mutation(self, part: int, index: PexesoIndex) -> None:
-        """Commit a mutated spilled shard and replace its LRU slot.
-
-        One :func:`~repro.core.persistence.commit_lake`: the shard's
-        fresh epoch and the lake's column maps become live together. A
-        resident shard (an in-memory lake, or a cluster worker's hosted
-        slice) writes nothing.
-        """
-        if part in self._spilled:
-            commit_lake(self, self.spill_dir, [(part, index)])
-            if self._lru is not None:
-                self._lru.put(part, index)
+    def _record_add(self, part: int, gid: int, local: Optional[int]) -> None:
+        """Book a column placed in ``part`` under shard-local ID ``local``
+        (``None``: a remote shard's, which the lake never uses)."""
+        cols = self.partition_columns[part]
+        while local is not None and len(cols) < local:  # keep positional alignment
+            cols.append(-1)
+        cols.append(gid)
+        self.labels = np.append(self.labels, part)
+        if self._column_shard is not None:
+            self._column_shard[gid] = (part, len(cols) - 1)
+        self._next_gid = max(self.next_column_id, gid + 1)
 
     def add_column(
         self,
         vectors: np.ndarray,
         part: Optional[int] = None,
         column_id: Optional[int] = None,
+        shards=None,
     ) -> int:
         """Append one column to the lake and return its global column ID.
 
         The column joins the least-loaded non-empty partition (empty
-        partitions never got an index at fit time), whose
+        partitions never got an index at fit time; ties go to the lowest
+        partition), whose
         :meth:`~repro.core.index.PexesoIndex.add_column` does the §III-E
         incremental insert. A spilled shard is loaded, mutated, committed
         and its LRU slot replaced, so later searches see the new
         column no matter which path fetches the shard. Callers running
         concurrent searches must serialize mutations against them (the
         serving layer's :class:`~repro.serve.service.QueryService` does
-        this with a reader-writer lock).
+        this with a reader-writer lock). A mutation the shard seam
+        rejects records nothing and burns no ID.
 
         Args:
             part: place the column in this (hosted, non-empty) partition
@@ -711,28 +586,28 @@ class PartitionedPexeso:
             column_id: use this global ID instead of allocating the next
                 one — again for the coordinator, which allocates IDs
                 cluster-wide so replicas agree. Must be unused.
+            shards: the shard seam that applies the insert (see
+                :meth:`search_many`); ``None`` is this lake's own indexes.
 
         Raises:
             KeyError: when ``part`` is not a hosted non-empty partition.
             ValueError: when ``column_id`` is already in use.
         """
         self._require_fitted()
-        shards = self._shards()
-        if not shards:
+        hosted = self._shards()
+        if not hosted:
             raise RuntimeError("lake has no non-empty partition to extend")
         if part is None:
-            live: dict[int, int] = {p: 0 for p, _ in shards}
-            for gid, (p, _) in self._ensure_column_shard().items():
-                live[p] = live.get(p, 0) + 1
-            part = min(shards, key=lambda s: (live.get(s[0], 0), s[0]))[0]
+            live = Counter(p for p, _ in self._ensure_column_shard().values())
+            part = min(hosted, key=lambda p: (live[p], p))
         else:
             part = int(part)
-            if part not in {p for p, _ in shards}:
+            if part not in hosted:
                 raise KeyError(f"partition {part} is not hosted by this lake")
         # Resolve the global ID *before* mutating the shard index so a
         # rejected explicit ID leaves the lake untouched.
         if column_id is None:
-            gid = self._next_global_id()
+            gid = self.next_column_id
         else:
             gid = int(column_id)
             if gid < 0:
@@ -754,27 +629,20 @@ class PartitionedPexeso:
                 gid in g for g in self.partition_columns
             ):
                 raise ValueError(f"column id {gid} is already in use")
-            self._ensure_next_gid()
-            self._next_gid = max(self._next_gid, gid + 1)
 
-        index = self._get_index(part)[0]
-        local = index.add_column(vectors)
-        cols = self.partition_columns[part]
-        while len(cols) < local:  # keep positional local-id alignment
-            cols.append(-1)
-        cols.append(gid)
-        self.labels = np.append(self.labels, part)
-        if self._column_shard is not None:
-            self._column_shard[gid] = (part, local)
-        self._after_mutation(part, index)
+        if shards is None:
+            shards = LocalShards(self)
+        self._record_add(part, gid, shards.add(part, gid, vectors))
+        shards.commit(part)
         return gid
 
-    def delete_column(self, column_id: int) -> None:
+    def delete_column(self, column_id: int, shards=None) -> None:
         """Remove one column (by global ID) from its shard's postings.
 
         The global ID keeps its tombstoned slot in ``partition_columns``
         so every other column's local->global mapping is untouched; IDs
-        are never reused.
+        are never reused. ``shards`` is the seam that applies the delete
+        (see :meth:`add_column`).
 
         Raises:
             KeyError: when ``column_id`` is unknown or already deleted.
@@ -784,11 +652,12 @@ class PartitionedPexeso:
         if column_id not in mapping:
             raise KeyError(f"unknown column id {column_id}")
         part, local = mapping[column_id]
-        index = self._get_index(part)[0]
-        index.delete_column(local)
+        if shards is None:
+            shards = LocalShards(self)
+        shards.delete(part, local, column_id)
         self._deleted_ids.add(int(column_id))
         del mapping[column_id]
-        self._after_mutation(part, index)
+        shards.commit(part)
 
     def has_column(self, column_id: int) -> bool:
         """Whether a global column ID is live (indexed and not deleted)."""
@@ -796,13 +665,38 @@ class PartitionedPexeso:
             return False
         return column_id in self._ensure_column_shard()
 
+    def column_partition(self, column_id: int) -> Optional[int]:
+        """The partition holding a live column (``None`` when not live)."""
+        return self._ensure_column_shard().get(int(column_id), (None,))[0]
+
+    def column_state(self) -> dict:
+        """The next global ID, the tombstones and each live column's
+        partition, JSON-safe: a cluster coordinator, which mutates remote
+        shards and never the saved lake, keeps them in ``cluster.json``."""
+        return {
+            "next_column_id": self.next_column_id,
+            "deleted_column_ids": sorted(self._deleted_ids),
+            "column_partition": {
+                str(gid): part for gid, (part, _) in self._ensure_column_shard().items()
+            },
+        }
+
+    def adopt_column_state(self, state: dict) -> None:
+        """Merge a :meth:`column_state` recorded after this lake was
+        saved: its tombstones, ID counter and added columns."""
+        self._deleted_ids |= {int(c) for c in state.get("deleted_column_ids", [])}
+        self._column_shard = None
+        live = self._ensure_column_shard()
+        for gid, part in state.get("column_partition", {}).items():
+            if int(gid) not in live and int(gid) not in self._deleted_ids:
+                self._record_add(int(part), int(gid), None)
+        self._next_gid = max(self.next_column_id, int(state.get("next_column_id", 0)))
+
     @property
     def n_columns(self) -> int:
         if self.labels is None:
             return 0
-        if self.hosted_parts is not None:
-            return len(self._ensure_column_shard())
-        return int(self.labels.size) - len(self._deleted_ids)
+        return len(self._ensure_column_shard())
 
     def lru_info(self) -> dict[str, int]:
         """Shard residency telemetry for the serving layer's ``/metrics``."""

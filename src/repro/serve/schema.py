@@ -147,7 +147,7 @@ def topk_payload(
 def search_result_from_payload(payload: dict) -> SearchResult:
     """The inverse of :func:`search_payload` (stats are not round-tripped).
 
-    The cluster coordinator rebuilds each worker's
+    The cluster's remote shard seam rebuilds each worker's
     :class:`~repro.core.search.SearchResult` from its JSON reply so the
     exact shard merge (:func:`~repro.core.engine.merge_shard_batches`)
     runs on the same objects single-node search produces. JSON float

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import LocalCluster
+from repro.cluster.resilience import ResilienceConfig
 from repro.core.metric import normalize_rows
 from repro.core.out_of_core import LakeSearcher, PartitionedPexeso
 from repro.core.persistence import load_partitioned, save_partitioned
@@ -130,30 +131,97 @@ class TestRoutedMaintenance:
         assert second["column_id"] == first["column_id"] + 1
 
 
+class TestLocalClusterEquivalence:
+    def test_same_mutations_same_ids_partitions_and_answers(
+        self, columns, tmp_path
+    ):
+        """In-process lake and cluster run one scatter-gather: the same
+        adds and deletes allocate the same IDs to the same partitions,
+        and searches and top-k answer identically afterwards."""
+        lake = PartitionedPexeso(n_pivots=2, levels=3, n_partitions=3).fit(columns)
+        lake_dir = tmp_path / "lake"
+        save_partitioned(lake, lake_dir)
+        rng = np.random.default_rng(21)
+        new_columns = [normalize_rows(rng.normal(size=(6, 6))) for _ in range(3)]
+
+        def partition_of(gid):
+            return next(
+                part for part, globals_ in enumerate(lake.partition_columns)
+                if gid in globals_
+            )
+
+        with LocalCluster(
+            lake_dir, n_workers=2, replication=2, mode="thread",
+            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+        ) as cluster:
+            placed = []
+            for step, vectors in enumerate(new_columns):
+                gid = lake.add_column(vectors)
+                added = cluster.client.add_column(vectors=vectors)
+                placed.append((gid, partition_of(gid)))
+                assert added["column_id"] == gid
+                assert cluster.coordinator.column_partition(gid) == partition_of(gid)
+                if step == 0:
+                    lake.delete_column(2)
+                    cluster.client.delete_column(2)
+            lake.delete_column(placed[0][0])
+            cluster.client.delete_column(placed[0][0])
+            assert not cluster.coordinator.has_column(placed[0][0])
+            assert cluster.client.cluster()["n_columns"] == lake.n_columns
+
+            local = LakeSearcher(lake)
+            query = np.vstack([columns[3][:4], new_columns[1][:3]])
+            for tau in (0.4, 0.7):
+                want = local.search(query, tau, 0.2, exact_counts=True)
+                reply = cluster.client.search(vectors=query, tau=tau, joinability=0.2)
+                assert [
+                    (h["column_id"], h["match_count"], h["joinability"])
+                    for h in reply["hits"]
+                ] == [(h.column_id, h.match_count, h.joinability) for h in want.joinable]
+                want_tk = local.topk(query, tau, 4)
+                tk = cluster.client.topk(vectors=query, tau=tau, k=4)
+                assert [
+                    (h["column_id"], h["match_count"], h["joinability"])
+                    for h in tk["hits"]
+                ] == want_tk.hits
+
+
 class TestFailover:
-    def test_search_survives_worker_crash(self, cluster, reference, columns):
-        query = columns[3][:5]
-        want = [
-            (h.column_id, h.match_count, h.joinability)
-            for h in reference.search(query, 0.6, 0.3, exact_counts=True).joinable
-        ]
-        cluster.kill_worker(0)
-        # the dead worker is discovered mid-request and failed over
-        reply = cluster.client.search(vectors=query, tau=0.6, joinability=0.3)
-        assert [
-            (h["column_id"], h["match_count"], h["joinability"])
-            for h in reply["hits"]
-        ] == want
-        state = cluster.client.cluster()
-        assert state["workers"][0]["status"] == "down"
-        assert state["serviceable"] is True  # replicas cover every partition
-        assert state["failovers"] >= 1
-        # top-k too
-        tk = cluster.client.topk(vectors=query, tau=0.7, k=3)
-        want_tk = reference.topk(query, 0.7, 3)
-        assert [
-            (h["column_id"], h["match_count"]) for h in tk["hits"]
-        ] == [(c, n) for c, n, _ in want_tk.hits]
+    def test_search_survives_worker_crash(self, lake_dir, reference, columns):
+        # Hedging off: a hedge to the replica fired before the killed
+        # primary's connection error arrives would answer first, and no
+        # failover would be counted. Hedged reads are covered in
+        # test_resilience.py.
+        with LocalCluster(
+            lake_dir,
+            n_workers=2,
+            replication=2,
+            mode="thread",
+            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            coordinator_kwargs=dict(resilience=ResilienceConfig(hedge=False)),
+        ) as cluster:
+            query = columns[3][:5]
+            want = [
+                (h.column_id, h.match_count, h.joinability)
+                for h in reference.search(query, 0.6, 0.3, exact_counts=True).joinable
+            ]
+            cluster.kill_worker(0)
+            # the dead worker is discovered mid-request and failed over
+            reply = cluster.client.search(vectors=query, tau=0.6, joinability=0.3)
+            assert [
+                (h["column_id"], h["match_count"], h["joinability"])
+                for h in reply["hits"]
+            ] == want
+            state = cluster.client.cluster()
+            assert state["workers"][0]["status"] == "down"
+            assert state["serviceable"] is True  # replicas cover every partition
+            assert state["failovers"] >= 1
+            # top-k too
+            tk = cluster.client.topk(vectors=query, tau=0.7, k=3)
+            want_tk = reference.topk(query, 0.7, 3)
+            assert [
+                (h["column_id"], h["match_count"]) for h in tk["hits"]
+            ] == [(c, n) for c, n, _ in want_tk.hits]
 
     def test_mutations_survive_worker_crash(self, cluster):
         rng = np.random.default_rng(5)
@@ -244,7 +312,7 @@ class TestCoordinatorRestart:
             cluster.client.delete_column(0)
         # "restart" with a different topology: 3 slots instead of 2
         coordinator = ClusterCoordinator(lake_dir, n_workers=3, replication=2)
-        assert coordinator._next_column_id == added["column_id"] + 1
+        assert coordinator.lake.next_column_id == added["column_id"] + 1
         assert not coordinator.has_column(0)  # tombstone survived
         assert coordinator.has_column(added["column_id"])  # routing survived
         assert coordinator.shard_map.n_workers == 3  # topology replanned

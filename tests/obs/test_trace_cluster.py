@@ -160,6 +160,54 @@ class TestCalmCluster:
         assert "slow_queries" in debug
 
 
+class TestWireShape:
+    """One call per routed worker per wave, every partition answered once.
+
+    A 4-partition lake on 2 unreplicated workers: each worker owns two
+    partitions, so a search is exactly two worker calls whose partition
+    groups tile the lake, and a top-k is the same two calls in one wave.
+    """
+
+    @pytest.fixture()
+    def cluster(self, lake_dir):
+        with LocalCluster(
+            lake_dir, n_workers=2, replication=1, mode="thread",
+            worker_kwargs=WORKER_KWARGS,
+        ) as running:
+            yield running
+
+    def test_lake_has_four_nonempty_partitions(self, lake_dir):
+        lake = load_partitioned(lake_dir)
+        assert [bool(g) for g in lake.partition_columns] == [True] * 4
+
+    def test_search_calls_each_worker_once_covering_every_partition(
+        self, tracer, cluster, columns
+    ):
+        tracer.reset()
+        cluster.client.search(vectors=columns[3][:5], tau=0.6, joinability=0.3)
+        (tree,) = tracer.traces()
+        assert len(_find_all(tree, "worker.call")) == 2
+        slots = _find_all(tree, "scatter.slot")
+        assert sorted(node["annotations"]["slot"] for node in slots) == [0, 1]
+        parts = [p for node in slots for p in node["annotations"]["parts"]]
+        assert sorted(parts) == [0, 1, 2, 3]
+
+    def test_topk_calls_each_worker_once_in_one_wave(
+        self, tracer, cluster, columns
+    ):
+        tracer.reset()
+        cluster.client.topk(vectors=columns[3][:5], tau=0.7, k=3)
+        (tree,) = tracer.traces()
+        assert len(_find_all(tree, "coordinator.scatter")) == 1
+        assert len(_find_all(tree, "worker.call")) == 2
+        parts = [
+            p
+            for node in _find_all(tree, "scatter.slot")
+            for p in node["annotations"]["parts"]
+        ]
+        assert sorted(parts) == [0, 1, 2, 3]
+
+
 def _find_all(tree, name):
     found = []
 
