@@ -1,13 +1,14 @@
 """Ablations for design choices beyond the paper's Fig. 9.
 
-DESIGN.md calls out three implementation-level decisions that the paper
-motivates but does not ablate; this bench quantifies each:
+Implementation-level decisions that the paper motivates but does not
+ablate:
 
 * **quick browsing** (§III-C) — processing identically-aligned leaf cells
   before Algorithm 1;
-* **early accept** — skipping a column once it reaches T;
-* **Lemma 7** — abandoning a column once it can no longer reach T;
 * **PCA pivots vs farthest-first traversal** — the third pivot selector.
+
+Early accept and Lemma 7 were ablated here too, at ~1x of full search;
+they went with Algorithm 2's verifier, and every count is now exact.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ T = 0.6
 CONFIGS = {
     "full": AblationFlags(),
     "no quick browsing": AblationFlags(quick_browsing=False),
-    "no early accept": AblationFlags(early_accept=False),
-    "no Lemma 7": AblationFlags(lemma7=False),
-    "no early accept + no Lemma 7": AblationFlags(early_accept=False, lemma7=False),
 }
 
 
@@ -62,12 +60,8 @@ def test_design_choice_ablation(swdc_dataset, benchmark):
             table.add(name, seconds, distances, verified)
         return out
 
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    benchmark.pedantic(run, rounds=1, iterations=1)
     table.print_and_save("ablation_design_choices.md")
-
-    # Early termination must not increase verification work.
-    assert out["full"][1] <= out["no early accept + no Lemma 7"][1]
-    assert out["full"][2] <= out["no early accept + no Lemma 7"][2]
 
 
 def test_pivot_selector_comparison(swdc_dataset, benchmark):

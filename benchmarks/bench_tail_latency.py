@@ -188,7 +188,7 @@ def run_tail_comparison(
     expected = [
         [
             (h.column_id, h.match_count, h.joinability)
-            for h in reference.search(q, tau, joinability, exact_counts=True).joinable
+            for h in reference.search(q, tau, joinability).joinable
         ]
         for q in queries
     ]
@@ -209,7 +209,7 @@ def run_tail_comparison(
         )
         with LocalCluster(
             saved, n_workers=2, replication=2, mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             worker_fault_injectors=[injector, None],
             coordinator_kwargs=dict(
                 # hedge fires at <= 0.3s: far above the normal worker
@@ -264,16 +264,14 @@ def run_overload(
     tau = distance_threshold(TAU_FRACTION, index.metric, dataset.dim)
     want = [
         (h.column_id, h.match_count, h.joinability)
-        for h in pexeso_search(index, query, tau, T, exact_counts=True).joinable
+        for h in pexeso_search(index, query, tau, T).joinable
     ]
 
     # every request is artificially slowed so the burst actually piles
     # up on the admission gate instead of draining instantly
     injector = FaultInjector(seed=11)
     injector.script("delay", path="/search", delay=work_delay)
-    service = QueryService(
-        index, window_ms=None, cache_size=0, exact_counts=True
-    )
+    service = QueryService(index, window_ms=None, cache_size=0)
     server = make_server(
         service, port=0, max_concurrent=capacity, fault_injector=injector
     )

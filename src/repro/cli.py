@@ -424,7 +424,6 @@ def cmd_cluster_worker(args: argparse.Namespace) -> int:
             window_ms=window_ms,
             max_batch=args.max_batch,
             cache_size=args.cache_size,
-            exact_counts=args.exact_counts,
             max_workers=args.workers,
         )
     except (FileNotFoundError, OSError, ServeError, KeyError, ValueError) as exc:
@@ -599,9 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "coalescing")
     p_worker.add_argument("--max-batch", type=int, default=64)
     p_worker.add_argument("--cache-size", type=int, default=256)
-    p_worker.add_argument("--exact-counts", action="store_true",
-                          help="serve exact match counts (disable early "
-                               "termination)")
     p_worker.add_argument("--workers", type=int, default=None,
                           help="shard fan-out width inside this worker")
     add_tracing_flags(p_worker)

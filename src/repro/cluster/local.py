@@ -52,8 +52,8 @@ class LocalCluster:
         worker_kwargs: per-worker :class:`~repro.serve.service.QueryService`
             configuration — thread mode passes it through directly;
             process mode maps the supported keys (``window_ms``,
-            ``max_batch``, ``cache_size``, ``exact_counts``,
-            ``max_workers``) onto ``cluster-worker`` CLI flags.
+            ``max_batch``, ``cache_size``, ``max_workers``) onto
+            ``cluster-worker`` CLI flags.
         coordinator_kwargs: extra :class:`ClusterCoordinator` arguments
             (``retries``, ``timeout``, ``resilience``, ``fault_injector``).
         worker_fault_injectors: per-worker
@@ -171,10 +171,7 @@ class LocalCluster:
             "max_workers": "--workers",
         }
         for key, value in self.worker_kwargs.items():
-            if key == "exact_counts":
-                if value:
-                    cmd.append("--exact-counts")
-            elif key in flag_names:
+            if key in flag_names:
                 if value is not None:
                     cmd.extend([flag_names[key], str(value)])
             else:

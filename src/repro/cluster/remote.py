@@ -66,18 +66,17 @@ class RemoteLakeSearcher:
         tau: float,
         joinability: float | int,
         flags=None,
-        exact_counts: bool = False,
         max_workers: Optional[int] = None,
     ) -> SearchResult:
         """Threshold search via the coordinator (global column IDs).
 
-        ``flags`` / ``exact_counts`` / ``max_workers`` are server-side
-        configuration on a cluster; non-default values are rejected
-        rather than silently ignored.
+        ``flags`` / ``max_workers`` are server-side configuration on a
+        cluster; ablation flags are rejected rather than silently
+        ignored.
         """
-        if flags is not None or exact_counts:
+        if flags is not None:
             raise ValueError(
-                "ablation flags / exact_counts are configured on the cluster "
+                "ablation flags are configured on the cluster "
                 "workers, not per remote request"
             )
         payload = self.client.search(
@@ -93,7 +92,6 @@ class RemoteLakeSearcher:
         tau: Union[float, Sequence[float]],
         joinability,
         flags=None,
-        exact_counts: bool = False,
         max_workers: Optional[int] = None,
     ) -> BatchResult:
         """Batch search as one request per query (no batch endpoint yet).
@@ -109,7 +107,7 @@ class RemoteLakeSearcher:
             else list(joinability)
         )
         results = [
-            self.search(q, t, j, flags=flags, exact_counts=exact_counts)
+            self.search(q, t, j, flags=flags)
             for q, t, j in zip(queries, taus, joins)
         ]
         return BatchResult(results=results, stats=SearchStats(), wall_seconds=0.0)

@@ -66,7 +66,7 @@ def start_worker(
         max_concurrent: admission capacity for this worker's server.
         service_kwargs: :class:`~repro.serve.service.QueryService`
             configuration (``window_ms``, ``cache_size``,
-            ``exact_counts``, ``max_workers`` ...).
+            ``max_workers`` ...).
     """
     client = ClusterClient(coordinator_url, timeout=timeout, retries=retries)
     assignment = client.register_worker()

@@ -9,7 +9,7 @@ The guarantee it keeps:
 
 **Exact given recalled candidates.** The graph only *nominates* column
 IDs; every nominated column still flows through the unchanged exact
-verifier (Lemmas 1, 2, 7, early accept, exact distances). A returned hit
+verifier (one GEMM over the candidate rows, exact counts). A returned hit
 is therefore always a true hit with its exact match count — the only
 approximation is *recall*: a joinable column the graph failed to
 nominate is missing from the result. Recall is measured, not assumed:

@@ -14,23 +14,19 @@ batches. :class:`BatchSearch` shares the pipeline setup across a batch:
   rows yields, for each row, exactly the match/candidate cell pairs its
   own per-query descent would — while descending the repository grid
   once instead of once per query;
-* verification runs over NumPy row-blocks spanning the whole batch
-  (:func:`~repro.core.verifier.verify_row_blocks`) with per-(query,
-  column) state arrays;
+* verification decides each query's candidate rows with one chunked
+  GEMM (:func:`~repro.core.verifier.verify_row_blocks`);
 * batches mixing several τ values are split into per-τ groups that run
   concurrently on a thread pool.
 
 **Exactness guarantee.** ``search_many(queries, tau, joinability).results[i]``
 is identical to the exhaustive scan
 (:func:`~repro.baselines.exact_naive.naive_search`: same joinable column
-IDs; the same match counts with ``exact_counts``, otherwise the lower
-bound ``T <= count <= truth`` early termination stops at) and independent
-of batch composition: a batch of N equals N batches of one — under any
-metric, thresholds and :class:`~repro.core.search.AblationFlags`
-configuration. Only work/time counters depend on the batch: shared
-blocking work is counted once, and a column firing an early-termination
-rule mid row-block may have a few more distances computed (see
-:func:`~repro.core.verifier.verify_row_blocks`). Enforced by
+IDs, same exact match counts) and independent of batch composition: a
+batch of N equals N batches of one — under any metric, thresholds and
+:class:`~repro.core.search.AblationFlags` configuration. Only work/time
+counters depend on the batch: shared blocking work is counted once.
+Enforced by
 ``tests/core/test_engine.py``, the randomised property suite
 ``tests/integration/test_batch_exactness.py`` and the differential oracle.
 """
@@ -50,7 +46,7 @@ from repro.core.index import PexesoIndex
 from repro.core.search import AblationFlags, JoinableColumn, SearchResult
 from repro.core.stats import SearchStats
 from repro.core.thresholds import joinability_count
-from repro.core.verifier import DEFAULT_ROW_BLOCK_SIZE, verify_row_blocks
+from repro.core.verifier import verify_row_blocks
 
 
 def validated_vectors(
@@ -120,15 +116,12 @@ class BatchSearch:
     Args:
         index: a built index (shared, read-only across the batch).
         flags: ablation switches applied to every query in the batch.
-        exact_counts: disable early termination so all match counts are
-            exact.
         max_workers: thread-pool width for independent work units. A
             value > 1 additionally splits each per-τ group into about
             ``max_workers`` subgroups so even a single-τ batch runs
             concurrently (trading a little shared-blocking reuse for
             parallelism); ``None`` keeps whole τ groups as the units and
             pools only across them; ``1`` forces serial execution.
-        row_block_size: query rows per vectorised verification block.
         record_batch_sizes: when set, every :meth:`search_many` call
             appends the number of queries it fused to the batch stats'
             ``coalesced_batch_sizes`` — the serving layer's micro-batcher
@@ -139,20 +132,14 @@ class BatchSearch:
         self,
         index: PexesoIndex,
         flags: Optional[AblationFlags] = None,
-        exact_counts: bool = False,
         max_workers: Optional[int] = None,
-        row_block_size: int = DEFAULT_ROW_BLOCK_SIZE,
         record_batch_sizes: bool = False,
     ):
         if index.pivot_space is None or index.grid is None:
             raise RuntimeError("index is not built; call fit() first")
-        if row_block_size < 1:
-            raise ValueError("row_block_size must be >= 1")
         self.index = index
         self.flags = flags if flags is not None else AblationFlags()
-        self.exact_counts = exact_counts
         self.max_workers = max_workers
-        self.row_block_size = row_block_size
         self.record_batch_sizes = record_batch_sizes
 
     # -- public API ---------------------------------------------------------------
@@ -331,12 +318,6 @@ class BatchSearch:
             query_of_row,
             stats=group_stats,
             per_query_stats=per_stats if len(columns) > 1 else None,
-            use_lemma1=flags.lemma1,
-            use_lemma2=flags.lemma2,
-            use_lemma7=flags.lemma7,
-            early_accept=flags.early_accept,
-            exact_counts=self.exact_counts,
-            row_block_size=self.row_block_size,
             allowed_columns=(
                 [allowed_columns[i] for i in indices]
                 if allowed_columns is not None
@@ -352,7 +333,7 @@ class BatchSearch:
                     column_id=col,
                     match_count=verdict.match_counts.get(col, 0),
                     joinability=verdict.match_counts.get(col, 0) / n_q,
-                    exact_count=verdict.exact,
+                    exact_count=True,
                 )
                 for col in sorted(verdict.joinable)
                 if col in index.column_rows  # deleted columns never surface
@@ -437,16 +418,8 @@ def batch_search(
     tau: Union[float, Sequence[float]],
     joinability: Union[float, int, Sequence[Union[float, int]]],
     flags: Optional[AblationFlags] = None,
-    exact_counts: bool = False,
     max_workers: Optional[int] = None,
-    row_block_size: int = DEFAULT_ROW_BLOCK_SIZE,
 ) -> BatchResult:
     """One-shot convenience wrapper around :class:`BatchSearch`."""
-    engine = BatchSearch(
-        index,
-        flags=flags,
-        exact_counts=exact_counts,
-        max_workers=max_workers,
-        row_block_size=row_block_size,
-    )
+    engine = BatchSearch(index, flags=flags, max_workers=max_workers)
     return engine.search_many(queries, tau, joinability)

@@ -19,50 +19,16 @@ Cell-level forms (Lemmas 3–6) reduce to interval arithmetic on cell boxes:
   because the minimum RQR over the query cell has extent
   ``τ - max_q d(q, p_i) = τ - c_q.hi[i]``.
 
+Lemmas 1 and 2 are Lemmas 3 and 5 on a zero-width cell (``lo = hi = x'``);
+verification decides candidates by exact distances instead (measured at
+~1x against the point filters), so they have no function of their own.
 Functions are vectorised over batches of query vectors where it matters
-for performance (the leaf level of Algorithm 1 and verification).
+for performance (the leaf level of Algorithm 1).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-# --------------------------------------------------------------------------
-# Point-level predicates (Lemmas 1 and 2)
-# --------------------------------------------------------------------------
-
-def lemma1_filter_mask(
-    x_mapped: np.ndarray, q_mapped: np.ndarray, tau: float
-) -> np.ndarray:
-    """Boolean mask over rows of ``x_mapped`` that Lemma 1 *prunes*.
-
-    A target vector is pruned when any pivot coordinate lies outside
-    ``[q'_i - τ, q'_i + τ]``. ``q_mapped`` is one mapped query vector, or
-    a row-aligned batch of them (one query row per target row — the batch
-    engine's pair form).
-    """
-    x_mapped = np.atleast_2d(x_mapped)
-    q_mapped = np.asarray(q_mapped)
-    if q_mapped.ndim == 1:
-        q_mapped = q_mapped[None, :]
-    return (np.abs(x_mapped - q_mapped) > tau).any(axis=1)
-
-
-def lemma2_match_mask(
-    x_mapped: np.ndarray, q_mapped: np.ndarray, tau: float
-) -> np.ndarray:
-    """Boolean mask over rows of ``x_mapped`` that Lemma 2 *accepts*.
-
-    A target vector surely matches when some pivot i satisfies
-    ``d(x, p_i) + d(q, p_i) <= τ``. ``q_mapped`` is one mapped query
-    vector or a row-aligned batch (see :func:`lemma1_filter_mask`).
-    """
-    x_mapped = np.atleast_2d(x_mapped)
-    q_mapped = np.asarray(q_mapped)
-    if q_mapped.ndim == 1:
-        q_mapped = q_mapped[None, :]
-    return ((x_mapped + q_mapped) <= tau).any(axis=1)
 
 
 # --------------------------------------------------------------------------

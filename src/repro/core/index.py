@@ -20,6 +20,11 @@ from repro.core.metric import EuclideanMetric, Metric
 from repro.core.pivot import PivotSpace, build_pivot_space
 from repro.core.stats import IndexStats
 
+#: dead rows a delete may leave behind, as a share of the live rows; past
+#: it the vector stores are compacted, so they never exceed 9/8 of the
+#: live rows after a delete
+COMPACT_DEAD_SHARE = 1 / 8
+
 
 class PexesoIndex:
     """Index over a repository of vector columns.
@@ -220,14 +225,25 @@ class PexesoIndex:
     def delete_column(self, column_id: int) -> None:
         """Remove a column from the inverted index (§III-E lazy deletion).
 
-        Vector storage is retained (tombstoned): the postings are the only
-        path from a search to a column, so removing them removes the
-        column from every future result.
+        The postings are the only path from a search to a column, so
+        removing them removes the column from every future result. Its
+        vector rows stay behind as dead rows until they exceed
+        :data:`COMPACT_DEAD_SHARE` of the live rows; then the stores are
+        compacted (:meth:`live_arrays`) and the postings renumbered.
         """
         if column_id not in self.column_rows:
             raise KeyError(f"unknown column id {column_id}")
         self.inverted.delete_column(column_id)
         del self.column_rows[column_id]
+        n_live = sum(rows.size for rows in self.column_rows.values())
+        if self._n_rows - n_live > COMPACT_DEAD_SHARE * n_live:
+            vectors, mapped, self.inverted._rows, self.column_rows = (
+                self.live_arrays()
+            )
+            self._vector_blocks, self._vectors = [vectors], vectors
+            self._mapped_blocks, self._mapped = [mapped], mapped
+            self._n_rows = self.grid.n_vectors = n_live
+            self.stats.n_vectors = n_live
         self._drop_ann_graph()
         self.stats.n_columns = len(self.column_rows)
         self.stats.n_leaf_cells = self.inverted.n_cells
@@ -293,6 +309,31 @@ class PexesoIndex:
             )
             self._mapped_blocks = [self._mapped]
         return self._mapped
+
+    def live_arrays(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+        """The stores without deleted columns' rows.
+
+        Returns ``(vectors, mapped, posting rows, column_rows)``: live rows
+        keep their order, so every column stays one contiguous range, and
+        the inverted index's row array is renumbered to match. Without
+        dead rows these are the index's own arrays.
+        """
+        firsts = sorted((int(rows[0]), cid) for cid, rows in self.column_rows.items())
+        keep = [self.column_rows[cid] for _, cid in firsts]
+        if sum(rows.size for rows in keep) == self._n_rows:
+            return self.vectors, self.mapped, self.inverted._rows, self.column_rows
+        keep = np.concatenate(keep) if keep else np.zeros(0, dtype=np.intp)
+        renumber = np.full(self._n_rows, -1, dtype=np.intp)
+        renumber[keep] = np.arange(keep.size, dtype=np.intp)
+        column_rows = {cid: renumber[self.column_rows[cid]] for _, cid in firsts}
+        return (
+            self.vectors[keep],
+            self.mapped[keep],
+            renumber[self.inverted._rows],
+            column_rows,
+        )
 
     @property
     def n_columns(self) -> int:

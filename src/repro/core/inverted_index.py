@@ -3,7 +3,7 @@
 Keys are the linearized leaf cell codes of ``HG_RV``
 (:mod:`repro.core.cellcodes`); each key maps to a postings list of
 columns having at least one vector in that cell, in increasing column-ID
-order (the DaaT traversal of Algorithm 2 relies on that order). Each
+order (the DaaT order of the paper's Algorithm 2). Each
 posting also carries the global row indices of that column's vectors
 inside the cell, so verification can fetch exactly the vectors it needs.
 
@@ -261,18 +261,9 @@ class InvertedIndex:
         codes = np.asarray(
             cells if isinstance(cells, np.ndarray) else list(cells), dtype=np.int64
         )
-        if codes.size == 0 or self._codes.size == 0:
+        _, occ = self._entries_of(codes)
+        if occ.size == 0:
             return _EMPTY_I64, _EMPTY_IP, _EMPTY_IP
-        lo = np.searchsorted(self._codes, codes, side="left")
-        hi = np.searchsorted(self._codes, codes, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            return _EMPTY_I64, _EMPTY_IP, _EMPTY_IP
-        # entry index of every (input cell, posting) occurrence, cell order
-        offsets = np.cumsum(counts) - counts
-        occ = np.arange(total, dtype=np.intp) - np.repeat(offsets, counts)
-        occ += np.repeat(lo, counts)
         order = np.argsort(self._cols[occ], kind="stable")
         occ = occ[order]
         # ragged gather of each occurrence's rows, in (column, cell) order
@@ -286,6 +277,25 @@ class InvertedIndex:
         uniq_cols, first = np.unique(cols_sorted, return_index=True)
         col_lens = np.add.reduceat(entry_lens, first).astype(np.intp)
         return uniq_cols, rows, col_lens
+
+    def _entries_of(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posting-entry count of every code, and the entries themselves
+        (one ``searchsorted`` range per code, concatenated in input order)."""
+        lo = np.searchsorted(self._codes, codes, side="left")
+        counts = np.searchsorted(self._codes, codes, side="right") - lo
+        offsets = np.cumsum(counts) - counts
+        occ = np.arange(int(counts.sum()), dtype=np.intp) - np.repeat(offsets, counts)
+        occ += np.repeat(lo, counts)
+        return counts, occ
+
+    def cell_postings(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(position, column)`` of every posting of every cell in ``cells``.
+
+        ``position`` indexes ``cells``; unknown cells contribute nothing.
+        """
+        codes = np.asarray(cells, dtype=np.int64)
+        counts, occ = self._entries_of(codes)
+        return np.repeat(np.arange(codes.size, dtype=np.intp), counts), self._cols[occ]
 
     def columns_in_cells(
         self, cells: Iterable[CellCode] | np.ndarray

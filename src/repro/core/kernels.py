@@ -1,8 +1,8 @@
 """Kernel provenance for benchmark artifacts.
 
-The search hot path is pure NumPy: the Lemma 1/2 masks live in
-:mod:`repro.core.filtering` and the per-column replay in
-:mod:`repro.core.verifier`. :func:`get_backend` names that
+The search hot path is pure NumPy: the blocker's array descent
+(:mod:`repro.core.blocker`) and the verifier's GEMM
+(:mod:`repro.core.verifier`). :func:`get_backend` names that
 implementation so recorded results say what produced them.
 """
 

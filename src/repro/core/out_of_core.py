@@ -364,7 +364,6 @@ class PartitionedPexeso:
         tau: Union[float, Sequence[float]],
         joinability: Union[float, int, Sequence[Union[float, int]]],
         flags: Optional[AblationFlags] = None,
-        exact_counts: bool = False,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
         shards=None,
@@ -388,15 +387,14 @@ class PartitionedPexeso:
             tau: scalar or per-query distance thresholds.
             joinability: scalar or per-query T (fraction or count).
             flags: ablation switches applied to every query.
-            exact_counts: disable early termination.
             max_workers: shard fan-out width for this call; defaults to
                 the constructor's ``max_workers``.
             parts: restrict this call to a subset of the (hosted)
                 partitions; ``None`` searches them all.
             shards: the shard seam answering the partitions; ``None``
                 is this lake's own indexes (a
-                :class:`~repro.core.shards.LocalShards` over ``flags``,
-                ``exact_counts`` and ``max_workers``).
+                :class:`~repro.core.shards.LocalShards` over ``flags``
+                and ``max_workers``).
 
         Returns:
             A :class:`~repro.core.engine.BatchResult` aligned with
@@ -407,7 +405,7 @@ class PartitionedPexeso:
         if len(queries) == 0:
             return BatchResult(results=[], stats=SearchStats(), wall_seconds=0.0)
         if shards is None:
-            shards = LocalShards(self, flags, exact_counts, max_workers)
+            shards = LocalShards(self, flags, max_workers)
         pieces = shards.search(self._shards(parts), queries, tau, joinability)
         merge_started = time.perf_counter()
         with shards.merging():
@@ -424,7 +422,6 @@ class PartitionedPexeso:
         tau: float,
         joinability: float | int,
         flags: Optional[AblationFlags] = None,
-        exact_counts: bool = False,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
         shards=None,
@@ -439,7 +436,6 @@ class PartitionedPexeso:
             tau,
             joinability,
             flags=flags,
-            exact_counts=exact_counts,
             max_workers=max_workers,
             parts=parts,
             shards=shards,
@@ -854,7 +850,6 @@ class LakeSearcher:
         tau: float,
         joinability: float | int,
         flags: Optional[AblationFlags] = None,
-        exact_counts: bool = False,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
         ef_search: Optional[int] = None,
@@ -873,7 +868,7 @@ class LakeSearcher:
             allowed = candidate_lists(self.backend, [query_vectors], ef_search)
             return pexeso_search(
                 self.backend, query_vectors, tau, joinability,
-                flags=flags, exact_counts=exact_counts,
+                flags=flags,
                 allowed_columns=allowed[0] if allowed is not None else None,
             )
         if ef_search is not None:
@@ -883,8 +878,7 @@ class LakeSearcher:
             )
         return self.backend.search(
             query_vectors, tau, joinability,
-            flags=flags, exact_counts=exact_counts, max_workers=workers,
-            parts=parts,
+            flags=flags, max_workers=workers, parts=parts,
         )
 
     def search_many(
@@ -893,7 +887,6 @@ class LakeSearcher:
         tau: Union[float, Sequence[float]],
         joinability: Union[float, int, Sequence[Union[float, int]]],
         flags: Optional[AblationFlags] = None,
-        exact_counts: bool = False,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
     ) -> BatchResult:
@@ -903,15 +896,13 @@ class LakeSearcher:
         if isinstance(self.backend, PexesoIndex):
             self._reject_parts(parts)
             engine = BatchSearch(
-                self.backend, flags=flags, exact_counts=exact_counts,
-                max_workers=workers,
+                self.backend, flags=flags, max_workers=workers,
                 record_batch_sizes=self.record_batch_sizes,
             )
             return engine.search_many(queries, tau, joinability)
         batch = self.backend.search_many(
             queries, tau, joinability,
-            flags=flags, exact_counts=exact_counts, max_workers=workers,
-            parts=parts,
+            flags=flags, max_workers=workers, parts=parts,
         )
         if self.record_batch_sizes and len(queries):
             batch.stats.coalesced_batch_sizes.append(len(queries))

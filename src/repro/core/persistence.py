@@ -96,28 +96,27 @@ _V3_ARRAYS = (
 
 
 def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
-    """The arrays + manifest fields of one saved index."""
+    """The arrays + manifest fields of one saved index (live rows only)."""
     inverted = index.inverted
-    column_ids = np.fromiter(
-        index.column_rows, dtype=np.int64, count=len(index.column_rows)
-    )
+    vectors, mapped, inv_rows, column_rows = index.live_arrays()
+    column_ids = np.fromiter(column_rows, dtype=np.int64, count=len(column_rows))
     column_first_rows = np.asarray(
-        [int(index.column_rows[cid][0]) for cid in column_ids.tolist()],
+        [int(column_rows[cid][0]) for cid in column_ids.tolist()],
         dtype=np.int64,
     )
     column_counts = np.asarray(
-        [int(index.column_rows[cid].size) for cid in column_ids.tolist()],
+        [int(column_rows[cid].size) for cid in column_ids.tolist()],
         dtype=np.int64,
     )
     arrays = {
-        "vectors": index.vectors,
-        "mapped": index.mapped,
+        "vectors": vectors,
+        "mapped": mapped,
         "pivots": index.pivot_space.pivots,
         "grid_leaf_codes": index.grid.leaf_codes,
         "inv_codes": inverted._codes,
         "inv_cols": inverted._cols,
         "inv_starts": inverted._starts.astype(np.int64),
-        "inv_rows": inverted._rows.astype(np.int64),
+        "inv_rows": inv_rows.astype(np.int64),
         "column_ids": column_ids,
         "column_first_rows": column_first_rows,
         "column_counts": column_counts,
@@ -130,7 +129,7 @@ def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
         "seed": index.seed,
         "next_column_id": index._next_column_id,
         "n_columns": index.n_columns,
-        "n_vectors": index.n_vectors,
+        "n_vectors": int(vectors.shape[0]),
         "dim": index.dim,
     }
     return arrays, manifest

@@ -4,7 +4,8 @@ The result types and the :class:`AblationFlags` switches (the paper's
 Fig. 9 ablation: each lemma group can be disabled without affecting
 exactness — only performance) live here. The pipeline itself — map the
 query column into the pivot space, build ``HG_Q``, quick-browse aligned
-leaf cells, run Algorithm 1 (blocking) and Algorithm 2 (verification) —
+leaf cells, run Algorithm 1 (blocking) and verification (one GEMM over
+the candidate rows, :mod:`repro.core.verifier`) —
 is :class:`~repro.core.engine.BatchSearch`; :func:`pexeso_search` is a
 batch of one.
 """
@@ -25,28 +26,24 @@ class AblationFlags:
     """Feature switches for the Fig. 9 ablation study.
 
     All default to on (full PEXESO). Disabling a lemma never changes the
-    result set — only how much work is needed to compute it.
+    result set — only how much work is needed to compute it. Only the
+    blocking lemmas remain switchable: verification is one exact GEMM
+    without Lemmas 1/2, Lemma 7 or early accept (measured at ~1x).
     """
 
-    lemma1: bool = True  #: point-level pivot filtering in verification
-    lemma2: bool = True  #: point-level pivot matching in verification
     lemma34: bool = True  #: vector-cell and cell-cell filtering in blocking
     lemma56: bool = True  #: vector-cell and cell-cell matching in blocking
-    lemma7: bool = True  #: mismatch-bound early termination
     quick_browsing: bool = True
-    early_accept: bool = True
 
     @classmethod
     def none(cls) -> "AblationFlags":
         """Everything off — degenerates to a near-exhaustive scan."""
-        return cls(False, False, False, False, False, False, False)
+        return cls(False, False, False)
 
 
-#: named ablation configurations matching Fig. 9's series
+#: named ablation configurations matching Fig. 9's blocking-lemma series
 ABLATIONS = {
     "ALL": AblationFlags(),
-    "No-Lem1": AblationFlags(lemma1=False),
-    "No-Lem2": AblationFlags(lemma2=False),
     "No-Lem3&4": AblationFlags(lemma34=False),
     "No-Lem5&6": AblationFlags(lemma56=False),
 }
@@ -56,8 +53,9 @@ ABLATIONS = {
 class JoinableColumn:
     """One search hit.
 
-    ``match_count`` is the joinability numerator; under early termination
-    it is a lower bound that is guaranteed to be >= the threshold count.
+    ``match_count`` is the joinability numerator. PEXESO's counts are
+    always exact (``exact_count`` is true); baselines that stop a column
+    early report a lower bound and say so with ``exact_count=False``.
     """
 
     column_id: int
@@ -93,7 +91,6 @@ def pexeso_search(
     tau: float,
     joinability: float | int,
     flags: Optional[AblationFlags] = None,
-    exact_counts: bool = False,
     stats: Optional[SearchStats] = None,
     allowed_columns: Optional[Iterable[int]] = None,
 ) -> SearchResult:
@@ -109,8 +106,6 @@ def pexeso_search(
         joinability: T as a fraction of |Q| in ``(0, 1]`` or an absolute
             match count.
         flags: ablation switches; defaults to full PEXESO.
-        exact_counts: disable early termination so reported match counts
-            are exact (slower; used by tests and the effectiveness study).
         stats: optional counter object to accumulate into (it becomes the
             result's ``stats``).
         allowed_columns: optional ANN candidate restriction (see
@@ -124,7 +119,7 @@ def pexeso_search(
     # engine imports this module's result types, so the import is deferred
     from repro.core.engine import BatchSearch
 
-    engine = BatchSearch(index, flags=flags, exact_counts=exact_counts)
+    engine = BatchSearch(index, flags=flags)
     batch = engine.search_many(
         [query_vectors],
         [tau],

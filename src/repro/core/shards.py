@@ -140,12 +140,10 @@ class LocalShards:
         self,
         lake: "PartitionedPexeso",
         flags: Optional[AblationFlags] = None,
-        exact_counts: bool = False,
         max_workers: Optional[int] = None,
     ):
         self.lake = lake
         self.flags = flags
-        self.exact_counts = exact_counts
         self.max_workers = max_workers
         self._mutated: Optional[PexesoIndex] = None
 
@@ -174,9 +172,9 @@ class LocalShards:
 
     def search(self, parts, queries, tau, joinability) -> list[tuple]:
         def answer(index: PexesoIndex):
-            return BatchSearch(
-                index, flags=self.flags, exact_counts=self.exact_counts
-            ).search_many(queries, tau, joinability)
+            return BatchSearch(index, flags=self.flags).search_many(
+                queries, tau, joinability
+            )
 
         return self._run(answer, parts, self._workers(parts))
 

@@ -23,9 +23,8 @@ class StageTimings(dict):
 
     Canonical stage names, chosen disjoint so a sequential request's
     stages sum to at most its wall time: ``pivot_map`` (query pivot
-    mapping + HG_Q build), ``blocking`` (grid descent), ``lemma_filter``
-    (Lemma 1/2 mask evaluation inside verification), ``verify``
-    (verification minus the lemma masks), ``merge`` (cross-shard /
+    mapping + HG_Q build), ``blocking`` (grid descent), ``verify``
+    (verification), ``merge`` (cross-shard /
     cross-worker result merge), ``shard_load`` (spilled-partition
     loads), ``queue_wait`` (micro-batcher latency before dispatch),
     ``scatter`` (coordinator-side worker fan-out). Parallel fan-outs
@@ -62,8 +61,12 @@ class SearchStats:
     """Counters collected during one joinable-column search.
 
     Attributes:
-        distance_computations: exact metric distance evaluations performed
-            during verification (the quantity plotted in Fig. 6a).
+        distance_computations: (query vector, lake vector) pairs decided
+            during verification — one GEMM (or ``pairwise``) entry each
+            (the quantity plotted in Fig. 6a).
+        exact_rechecks: Euclidean pairs whose Gram-form distance fell in
+            the rounding band around τ and were re-decided through
+            ``Metric.distances_to``.
         pivot_mapping_distances: distances computed to map the query column
             into the pivot space (|Q| x |P|); reported separately because the
             paper's cost analysis only counts verification distances.
@@ -71,10 +74,10 @@ class SearchStats:
             produced by blocking.
         matching_pairs: number of (query vector, leaf cell) pairs proven to
             match by Lemma 5/6 during blocking.
-        lemma1_filtered: vectors pruned by point-level pivot filtering
-            (Lemma 1) inside verification.
-        lemma2_matched: vectors accepted by point-level pivot matching
-            (Lemma 2) inside verification without distance computation.
+        lemma1_filtered / lemma2_matched / lemma7_skips / early_accepts:
+            always 0. Verification no longer runs Lemmas 1/2, Lemma 7 or
+            early accept; the perf ledger still reads the fields until its
+            next re-baseline.
         lemma3_filtered: (query vector, leaf cell) pairs pruned by
             vector-cell filtering (Lemma 3).
         lemma4_filtered: cell-cell pairs pruned during the grid descent
@@ -83,15 +86,12 @@ class SearchStats:
             vector-cell matching (Lemma 5).
         lemma6_matched: cell-cell pairs matched during the grid descent
             (Lemma 6).
-        lemma7_skips: columns skipped by the mismatch bound (Lemma 7).
-        early_accepts: columns confirmed joinable before all their
-            candidates were verified.
         cells_visited: grid cell pairs examined by Algorithm 1.
         quick_browse_cells: leaf cells handled by quick browsing.
-        columns_verified: distinct (query vector, column) verification
-            episodes.
+        columns_verified: distinct (query, column) pairs whose candidate
+            rows verification scanned.
         blocking_seconds: wall-clock time spent in Algorithm 1.
-        verification_seconds: wall-clock time spent in Algorithm 2.
+        verification_seconds: wall-clock time spent in verification.
         shard_load_seconds: wall-clock time spent loading spilled
             partitions from disk (the paper's protocol includes this in
             the reported out-of-core search time).
@@ -114,6 +114,7 @@ class SearchStats:
     """
 
     distance_computations: int = 0
+    exact_rechecks: int = 0
     pivot_mapping_distances: int = 0
     candidate_pairs: int = 0
     matching_pairs: int = 0

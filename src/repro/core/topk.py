@@ -6,10 +6,9 @@ find the k columns with the highest joinability ``jn(Q, S)``, breaking
 ties by column ID.
 
 Strategy: a top-k search is a threshold search whose ``T`` is the floor a
-column must reach, with early accept off so counts stay exact — one
-:func:`~repro.core.search.pexeso_search` call (Lemma 7 abandons every
-column that can no longer reach the floor), then sort and cut at k. The
-result provably equals sorting all exact joinabilities.
+column must reach — one :func:`~repro.core.search.pexeso_search` call,
+whose counts are exact, then sort and cut at k. The result provably
+equals sorting all exact joinabilities.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.index import PexesoIndex
-from repro.core.search import AblationFlags, pexeso_search
+from repro.core.search import pexeso_search
 from repro.core.stats import SearchStats
 
 
@@ -54,11 +53,11 @@ def pexeso_topk(
         tau: distance threshold.
         k: number of columns to return (clamped to the repository size).
         theta: external lower bound on the k-th best match count. Columns
-            whose possible match count is *strictly* below it are
-            abandoned unverified (ties survive, so ID tie-breaking across
-            shards stays exact). The partitioned search threads the
-            running global k-th best through here so later shards prune
-            against earlier shards' results; ``0`` disables the floor.
+            whose match count is *strictly* below it are dropped (ties
+            survive, so ID tie-breaking across shards stays exact). The
+            partitioned search threads the running global k-th best
+            through here so later shards drop against earlier shards'
+            results; ``0`` disables the floor.
 
     Returns:
         Hits sorted by decreasing joinability, ties by ascending column ID.
@@ -80,7 +79,6 @@ def pexeso_topk(
         query_vectors,
         tau,
         min(floor, n_q),
-        flags=AblationFlags(early_accept=False),
         stats=stats,
     )
     ranked = sorted(

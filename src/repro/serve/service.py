@@ -141,9 +141,6 @@ class QueryService:
             benchmark compares against).
         max_batch: cap on requests per fused dispatch.
         cache_size: LRU capacity of the result cache; ``0`` disables.
-        exact_counts: serve exact match counts (disables the early-
-            termination lower bound; needed when clients compare counts
-            against an exhaustive oracle).
         flags: ablation switches applied to every served search.
         max_workers: worker-pool width passed through to the searcher.
         tracer: the :class:`~repro.obs.trace.Tracer` service spans are
@@ -156,7 +153,6 @@ class QueryService:
         window_ms: Optional[float] = 2.0,
         max_batch: int = 64,
         cache_size: int = 256,
-        exact_counts: bool = False,
         flags: Optional[AblationFlags] = None,
         max_workers: Optional[int] = None,
         tracer: Optional[Tracer] = None,
@@ -175,7 +171,6 @@ class QueryService:
             metric = EuclideanMetric()
         #: ``resolve_tau(tau, tau_fraction, dim)`` over the lake's metric
         self.resolve_tau = partial(resolve_tau, metric=metric)
-        self.exact_counts = exact_counts
         self.flags = flags
         self._rw = RWLock()
         self._generation = 0
@@ -279,8 +274,7 @@ class QueryService:
             # alongside the value.
             key = query_cache_key(
                 "search", query, float(tau),
-                type(joinability).__name__, joinability, self.exact_counts,
-                parts,
+                type(joinability).__name__, joinability, parts,
             )
             entry = self.cache.get(key, self._generation)
             if entry is not None:
@@ -519,7 +513,7 @@ class QueryService:
             generation = self._generation
             batch = self.searcher.search_many(
                 [query], [tau], [joinability],
-                flags=self.flags, exact_counts=self.exact_counts, parts=parts,
+                flags=self.flags, parts=parts,
             )
         self._merge_stats(batch.stats)
         result = batch.results[0]
@@ -543,7 +537,7 @@ class QueryService:
                 generation = self._generation
                 batch = self.searcher.search_many(
                     queries, taus, joins,
-                    flags=self.flags, exact_counts=self.exact_counts,
+                    flags=self.flags,
                 )
         except Exception:
             # One malformed request (e.g. a dim mismatch on a partitioned

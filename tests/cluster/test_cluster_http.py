@@ -35,7 +35,7 @@ def cluster(lake_dir):
         n_workers=2,
         replication=2,
         mode="thread",
-        worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+        worker_kwargs=dict(window_ms=None, cache_size=0),
     ) as running:
         yield running
 
@@ -58,7 +58,7 @@ class TestRoundTrips:
 
     def test_search_parity_with_single_node(self, cluster, reference, columns):
         query = columns[3][:5]
-        want = reference.search(query, 0.6, 0.3, exact_counts=True)
+        want = reference.search(query, 0.6, 0.3)
         reply = cluster.client.search(vectors=query, tau=0.6, joinability=0.3)
         got = [
             (h["column_id"], h["match_count"], h["joinability"])
@@ -152,7 +152,7 @@ class TestLocalClusterEquivalence:
 
         with LocalCluster(
             lake_dir, n_workers=2, replication=2, mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
         ) as cluster:
             placed = []
             for step, vectors in enumerate(new_columns):
@@ -172,7 +172,7 @@ class TestLocalClusterEquivalence:
             local = LakeSearcher(lake)
             query = np.vstack([columns[3][:4], new_columns[1][:3]])
             for tau in (0.4, 0.7):
-                want = local.search(query, tau, 0.2, exact_counts=True)
+                want = local.search(query, tau, 0.2)
                 reply = cluster.client.search(vectors=query, tau=tau, joinability=0.2)
                 assert [
                     (h["column_id"], h["match_count"], h["joinability"])
@@ -197,13 +197,13 @@ class TestFailover:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             coordinator_kwargs=dict(resilience=ResilienceConfig(hedge=False)),
         ) as cluster:
             query = columns[3][:5]
             want = [
                 (h.column_id, h.match_count, h.joinability)
-                for h in reference.search(query, 0.6, 0.3, exact_counts=True).joinable
+                for h in reference.search(query, 0.6, 0.3).joinable
             ]
             cluster.kill_worker(0)
             # the dead worker is discovered mid-request and failed over
@@ -380,11 +380,11 @@ class TestRemoteDiscovery:
 
         with LocalCluster(
             lake_dir, n_workers=2, replication=1, mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
         ) as cluster:
             remote = RemoteLakeSearcher(cluster.url)
             query = columns[2][:5]
-            want = reference.search(query, 0.6, 0.3, exact_counts=True)
+            want = reference.search(query, 0.6, 0.3)
             got = remote.search(query, 0.6, 0.3)
             assert [(h.column_id, h.match_count, h.joinability)
                     for h in got.joinable] == \

@@ -202,7 +202,7 @@ class TestHedgedReads:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             worker_fault_injectors=[slow, None],
             coordinator_kwargs=dict(
                 resilience=ResilienceConfig(
@@ -211,7 +211,7 @@ class TestHedgedReads:
             ),
         ) as cluster:
             query = columns[3][:5]
-            want = reference.search(query, 0.6, 0.3, exact_counts=True)
+            want = reference.search(query, 0.6, 0.3)
             started = time.monotonic()
             reply = cluster.client.search(
                 vectors=query, tau=0.6, joinability=0.3
@@ -237,14 +237,14 @@ class TestHedgedReads:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             worker_fault_injectors=[slow, None],
             coordinator_kwargs=dict(
                 resilience=ResilienceConfig(hedge=False),
             ),
         ) as cluster:
             query = columns[3][:5]
-            want = reference.search(query, 0.6, 0.3, exact_counts=True)
+            want = reference.search(query, 0.6, 0.3)
             reply = cluster.client.search(
                 vectors=query, tau=0.6, joinability=0.3
             )
@@ -261,7 +261,7 @@ class TestDeadlinePropagation:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
         ) as cluster:
             with pytest.raises(ServeError) as err:
                 cluster.client.search(
@@ -280,7 +280,7 @@ class TestDeadlinePropagation:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
         ) as cluster:
             coordinator = cluster.coordinator
             dead = Deadline.from_ms(0.0)
@@ -305,7 +305,7 @@ class TestDeadlinePropagation:
             n_workers=2,
             replication=1,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             worker_fault_injectors=[slow, None],
             coordinator_kwargs=dict(retries=0),
         ) as cluster:
@@ -316,7 +316,7 @@ class TestDeadlinePropagation:
             assert coordinator._deadline_violations == 1
             assert coordinator.shard_map.statuses() == ["up", "up"]
             assert [b.state for b in coordinator._breakers] == [BREAKER_CLOSED] * 2
-            want = reference.search(query, 0.6, 0.3, exact_counts=True)
+            want = reference.search(query, 0.6, 0.3)
             reply = cluster.client.search(vectors=query, tau=0.6, joinability=0.3)
             assert parity(reply["hits"], want)
 
@@ -328,10 +328,10 @@ class TestDeadlinePropagation:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
         ) as cluster:
             query = columns[5][:5]
-            want = reference.search(query, 0.6, 0.3, exact_counts=True)
+            want = reference.search(query, 0.6, 0.3)
             reply = cluster.client.search(
                 vectors=query, tau=0.6, joinability=0.3, deadline_ms=30_000.0,
             )
@@ -344,7 +344,7 @@ class TestDeadlinePropagation:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             coordinator_kwargs=dict(
                 resilience=ResilienceConfig(default_deadline_ms=0.0),
             ),
@@ -367,7 +367,7 @@ class TestWorkerFlapping:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             coordinator_kwargs=dict(
                 fault_injector=coord_faults,
                 retries=0,
@@ -386,7 +386,7 @@ class TestWorkerFlapping:
                     "drop", target=worker0_url, times=1
                 )
                 query = columns[cycle][:4]
-                want = reference.search(query, 0.6, 0.3, exact_counts=True)
+                want = reference.search(query, 0.6, 0.3)
                 reply = cluster.client.search(
                     vectors=query, tau=0.6, joinability=0.3
                 )
@@ -443,7 +443,7 @@ class TestWorkerFlapping:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             coordinator_kwargs=dict(
                 resilience=ResilienceConfig(breaker_cooldown=1.0),
                 breaker_clock=clock,
@@ -472,7 +472,7 @@ class TestWorkerFlapping:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             coordinator_kwargs=dict(
                 retries=0,
                 resilience=ResilienceConfig(
@@ -506,7 +506,7 @@ class TestClusterAdmission:
             n_workers=2,
             replication=2,
             mode="thread",
-            worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+            worker_kwargs=dict(window_ms=None, cache_size=0),
             server_kwargs=dict(max_concurrent=1),
         ) as cluster:
             server = cluster.coordinator_server

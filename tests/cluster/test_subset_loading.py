@@ -68,12 +68,12 @@ class TestRestrictedSearch:
         w0 = load_partitioned(saved_lake, parts=[0, 1])
         w1 = load_partitioned(saved_lake, parts=[2, 3])
         query = columns[3][:5]
-        want = full.search(query, 0.6, 0.3, exact_counts=True)
+        want = full.search(query, 0.6, 0.3)
         got = sorted(
             [
                 (h.column_id, h.match_count, h.joinability)
                 for lake in (w0, w1)
-                for h in lake.search(query, 0.6, 0.3, exact_counts=True).joinable
+                for h in lake.search(query, 0.6, 0.3).joinable
             ]
         )
         assert got == [
@@ -83,7 +83,7 @@ class TestRestrictedSearch:
     def test_parts_argument_filters_within_host(self, saved_lake, columns):
         full = load_partitioned(saved_lake)
         query = columns[5][:5]
-        only2 = full.search(query, 0.6, 0.3, exact_counts=True, parts=[2])
+        only2 = full.search(query, 0.6, 0.3, parts=[2])
         part2_ids = {c for c in full.partition_columns[2] if c >= 0}
         assert all(h.column_id in part2_ids for h in only2.joinable)
 
@@ -117,7 +117,7 @@ class TestRestrictedMaintenance:
         gid = lake.add_column(newcol, part=3, column_id=50)
         assert gid == 50
         assert lake.partition_columns[3][-1] == 50
-        found = lake.search(newcol[:3], 1e-6, 1.0, exact_counts=True, parts=[3])
+        found = lake.search(newcol[:3], 1e-6, 1.0, parts=[3])
         assert 50 in [h.column_id for h in found.joinable]
         # auto-allocation continues past the explicit id
         assert lake.add_column(newcol) == 51

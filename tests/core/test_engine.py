@@ -4,16 +4,17 @@ equal the exhaustive scan.
 The contract under test (see :mod:`repro.core.engine`): for every query
 in a batch, ``BatchSearch`` returns exactly what N independent
 ``pexeso_search`` calls (batches of one) would — same joinable column
-IDs, same match counts (including the early-termination lower bounds),
-same joinability values — across metrics, thresholds, ablation
-configurations, row-block sizes and thread-pool widths; and every result
-obeys the oracle rule against ``naive_search``.
+IDs, same (exact) match counts, same joinability values — across
+metrics, thresholds, ablation configurations, verifier chunk sizes and
+thread-pool widths; and every result obeys the oracle rule against
+``naive_search``.
 """
 
 import numpy as np
 import pytest
 
 from repro.baselines.exact_naive import naive_search
+from repro.core import verifier
 from repro.core.engine import BatchResult, BatchSearch, batch_search
 from repro.core.index import PexesoIndex
 from repro.core.metric import ChebyshevMetric, EuclideanMetric, ManhattanMetric, normalize_rows
@@ -51,17 +52,14 @@ def assert_batch_equals_singles(index, queries, tau, joinability, **engine_kwarg
     """Per-query equality of hits, counts and thresholds between one batch
     and batches of one, plus the oracle rule on every batch result."""
     flags = engine_kwargs.pop("flags", None)
-    exact_counts = engine_kwargs.pop("exact_counts", False)
-    batch = BatchSearch(
-        index, flags=flags, exact_counts=exact_counts, **engine_kwargs
-    ).search_many(queries, tau, joinability)
+    batch = BatchSearch(index, flags=flags, **engine_kwargs).search_many(
+        queries, tau, joinability
+    )
     assert len(batch) == len(queries)
     taus = tau if not np.isscalar(tau) else [tau] * len(queries)
     joins = joinability if not np.isscalar(joinability) else [joinability] * len(queries)
     for query, t, j, got in zip(queries, taus, joins, batch.results):
-        want = pexeso_search(
-            index, query, t, j, flags=flags, exact_counts=exact_counts
-        )
+        want = pexeso_search(index, query, t, j, flags=flags)
         assert got.column_ids == want.column_ids
         assert {h.column_id: h.match_count for h in got.joinable} == {
             h.column_id: h.match_count for h in want.joinable
@@ -119,9 +117,8 @@ class TestBatchEqualsSingles:
         assert_batch_equals_singles(metric_index, queries, 0.6, 0.4)
 
     def test_exact_counts_mode(self, index, queries):
-        batch = assert_batch_equals_singles(
-            index, queries, 0.8, 0.2, exact_counts=True
-        )
+        # exact counts are the only mode: every hit says so
+        batch = assert_batch_equals_singles(index, queries, 0.8, 0.2)
         for result in batch.results:
             assert all(h.exact_count for h in result.joinable)
 
@@ -129,10 +126,12 @@ class TestBatchEqualsSingles:
         assert_batch_equals_singles(index, queries, 0.6, 1)
 
     @pytest.mark.parametrize("row_block_size", [1, 3, 8, 64, 1000])
-    def test_row_block_sizes(self, index, queries, row_block_size):
-        assert_batch_equals_singles(
-            index, queries, 0.55, 0.35, row_block_size=row_block_size
-        )
+    def test_row_block_sizes(self, index, queries, row_block_size, monkeypatch):
+        """The verifier decides the candidate rows in chunks of about
+        ``CHUNK_ELEMENTS / |Q|`` rows (a chunk may split a column's rows);
+        results must not depend on the chunk size."""
+        monkeypatch.setattr(verifier, "CHUNK_ELEMENTS", row_block_size)
+        assert_batch_equals_singles(index, queries, 0.55, 0.35)
 
     def test_per_query_taus_and_joinabilities(self, index, queries):
         rng = np.random.default_rng(5)
@@ -209,8 +208,9 @@ class TestBatchApi:
             BatchSearch(index).search_many(queries, [0.5, 0.6], 0.5)
 
     def test_bad_row_block_size_rejected(self, index):
-        with pytest.raises(ValueError, match="row_block_size"):
-            BatchSearch(index, row_block_size=0)
+        # the option went with Algorithm 2's row blocks
+        with pytest.raises(TypeError, match="row_block_size"):
+            BatchSearch(index, row_block_size=8)
 
 
 class TestBatchStats:
@@ -273,12 +273,12 @@ class TestMergeShardBatches:
         full = PexesoIndex.build(small_columns, n_pivots=3, levels=3)
         queries = [small_query, small_columns[3]]
         batches = [
-            BatchSearch(left, exact_counts=True).search_many(queries, 0.8, 0.3),
-            BatchSearch(right, exact_counts=True).search_many(queries, 0.8, 0.3),
+            BatchSearch(left).search_many(queries, 0.8, 0.3),
+            BatchSearch(right).search_many(queries, 0.8, 0.3),
         ]
         maps = [list(range(half)), list(range(half, len(small_columns)))]
         merged = merge_shard_batches(batches, maps)
-        want = BatchSearch(full, exact_counts=True).search_many(queries, 0.8, 0.3)
+        want = BatchSearch(full).search_many(queries, 0.8, 0.3)
         for got_r, want_r in zip(merged.results, want.results):
             assert [(h.column_id, h.match_count) for h in got_r.joinable] == [
                 (h.column_id, h.match_count) for h in want_r.joinable

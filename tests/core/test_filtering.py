@@ -3,7 +3,9 @@
 The soundness properties are the heart of PEXESO's exactness:
 * filters (Lemmas 1, 3, 4) must never prune a true match;
 * matchers (Lemmas 2, 5, 6) must never accept a false match.
-Both are checked against brute-force distances on random data.
+Both are checked against brute-force distances on random data. Lemmas 1
+and 2 are Lemmas 3 and 5 on a zero-width cell (``lo = hi = q'``, the
+mapped vectors playing the query rows), which is how they are evaluated.
 """
 
 import numpy as np
@@ -12,8 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.filtering import (
-    lemma1_filter_mask,
-    lemma2_match_mask,
     lemma3_filter_vectors_vs_cell,
     lemma4_filter_cell_vs_cell,
     lemma5_match_vectors_vs_cell,
@@ -23,6 +23,16 @@ from repro.core.filtering import (
 )
 from repro.core.metric import EuclideanMetric, normalize_rows
 from repro.core.pivot import PivotSpace
+
+
+def lemma1_filter_mask(x_mapped, q_mapped, tau):
+    """Lemma 1 as Lemma 3 against the zero-width cell ``[q', q']``."""
+    return lemma3_filter_vectors_vs_cell(x_mapped, q_mapped, q_mapped, tau)
+
+
+def lemma2_match_mask(x_mapped, q_mapped, tau):
+    """Lemma 2 as Lemma 5 against the zero-width cell ``[q', q']``."""
+    return lemma5_match_vectors_vs_cell(x_mapped, q_mapped, tau)
 
 
 def _setup(seed: int, n: int = 60, dim: int = 6, n_pivots: int = 3):

@@ -78,8 +78,8 @@ class TestMaintenanceAfterReload:
         loaded.delete_column(0)
 
         for tau in (0.2, 0.6, 1.1):
-            kept_result = pexeso_search(kept, small_query, tau, 0.3, exact_counts=True)
-            loaded_result = pexeso_search(loaded, small_query, tau, 0.3, exact_counts=True)
+            kept_result = pexeso_search(kept, small_query, tau, 0.3)
+            loaded_result = pexeso_search(loaded, small_query, tau, 0.3)
             assert kept_result.column_ids == loaded_result.column_ids
             assert [h.match_count for h in kept_result.joinable] == [
                 h.match_count for h in loaded_result.joinable
@@ -271,8 +271,8 @@ class TestV3Format:
         loaded.delete_column(0)
         kept.delete_column(0)
         for tau in (0.2, 0.6):
-            a = pexeso_search(loaded, small_query, tau, 0.3, exact_counts=True)
-            b = pexeso_search(kept, small_query, tau, 0.3, exact_counts=True)
+            a = pexeso_search(loaded, small_query, tau, 0.3)
+            b = pexeso_search(kept, small_query, tau, 0.3)
             assert a.column_ids == b.column_ids
             assert [h.match_count for h in a.joinable] == [
                 h.match_count for h in b.joinable
@@ -373,7 +373,7 @@ class TestAnnEpochCompat:
     def hits(index, query):
         return [
             (h.column_id, h.match_count, h.joinability)
-            for h in pexeso_search(index, query, 0.6, 0.3, exact_counts=True).joinable
+            for h in pexeso_search(index, query, 0.6, 0.3).joinable
         ]
 
     @pytest.mark.parametrize("mmap", [True, False])
@@ -565,8 +565,8 @@ class TestLakeFormat1:
         assert loaded.dim == lake.dim
         for tau in (0.4, 0.8):
             assert _hit_rows(
-                loaded.search(small_query, tau, 0.3, exact_counts=True)
-            ) == _hit_rows(lake.search(small_query, tau, 0.3, exact_counts=True))
+                loaded.search(small_query, tau, 0.3)
+            ) == _hit_rows(lake.search(small_query, tau, 0.3))
             assert loaded.topk(small_query, tau, 5).hits == lake.topk(
                 small_query, tau, 5
             ).hits
@@ -580,5 +580,5 @@ class TestLakeFormat1:
         again = load_partitioned(target)
         assert again.n_columns == lake.n_columns
         assert _hit_rows(
-            again.search(small_query, 0.8, 0.3, exact_counts=True)
-        ) == _hit_rows(lake.search(small_query, 0.8, 0.3, exact_counts=True))
+            again.search(small_query, 0.8, 0.3)
+        ) == _hit_rows(lake.search(small_query, 0.8, 0.3))

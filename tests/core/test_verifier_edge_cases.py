@@ -47,7 +47,7 @@ class TestMatchPairsOnly:
         assert pairs.cells_of(0, match=True).tolist() == [cell, cell]
         verdict = verify_one(
             pairs, index, queries, q_mapped,
-            tau=2.0, t_count=1, exact_counts=True, stats=SearchStats(),
+            tau=2.0, t_count=1, stats=SearchStats(),
         )
         for col, count in verdict.match_counts.items():
             assert count <= 1
@@ -81,6 +81,9 @@ class TestExactCountsForcesFullWork:
     def test_exact_counts_disables_lemma7_and_early_accept(
         self, verify_one, tight_cluster_index
     ):
+        """Counts are always exact: a column that reaches T at its first
+        query row still counts every later one (no early accept), and
+        nothing is abandoned (no Lemma 7)."""
         columns, index = tight_cluster_index
         queries = np.vstack([columns[0][:2], columns[1][:2]])
         q_mapped = index.pivot_space.map_vectors(queries)
@@ -93,11 +96,8 @@ class TestExactCountsForcesFullWork:
         )
         verdict = verify_one(
             pairs, index, queries, q_mapped,
-            tau=2.0, t_count=1,
-            exact_counts=True, early_accept=True, use_lemma7=True,
-            stats=SearchStats(),
+            tau=2.0, t_count=1, stats=SearchStats(),
         )
-        assert verdict.exact
         # with tau=2 everything matches: counts must be the full |Q|
         for col in range(4):
             assert verdict.match_counts[col] == queries.shape[0]

@@ -8,12 +8,15 @@ confusable siblings, clustered embeddings — plus raw random instances,
 with randomised index shapes, thresholds and batch compositions.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.exact_naive import naive_search
+from repro.core import verifier
 from repro.core.engine import BatchSearch
 from repro.core.index import PexesoIndex
 from repro.core.metric import normalize_rows
@@ -72,9 +75,7 @@ def test_batch_equals_naive_on_generated_lakes(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_exact_counts_equal_naive_counts(seed):
     vector_columns, index, queries, tau, joinability = _lake_setup(seed + 100)
-    batch = BatchSearch(index, exact_counts=True).search_many(
-        queries, tau, joinability
-    )
+    batch = BatchSearch(index).search_many(queries, tau, joinability)
     for query, got in zip(queries, batch.results):
         want = naive_search(vector_columns, query, tau, joinability)
         assert {h.column_id: h.match_count for h in got.joinable} == {
@@ -107,7 +108,7 @@ def raw_instances(draw):
     joinability = draw(st.floats(0.05, 1.0))
     n_pivots = draw(st.integers(1, min(5, dim)))
     levels = draw(st.integers(1, 4))
-    row_block = draw(st.integers(1, 40))
+    chunk_elements = draw(st.integers(1, 40))
     rng = np.random.default_rng(seed)
     columns = [
         normalize_rows(rng.normal(size=(int(rng.integers(1, 12)), dim)))
@@ -117,17 +118,17 @@ def raw_instances(draw):
         normalize_rows(rng.normal(size=(int(rng.integers(1, 9)), dim)))
         for _ in range(n_queries)
     ]
-    return columns, queries, tau, joinability, n_pivots, levels, row_block
+    return columns, queries, tau, joinability, n_pivots, levels, chunk_elements
 
 
 @settings(max_examples=25, deadline=None)
 @given(instance=raw_instances())
 def test_batch_equals_naive_on_random_instances(instance):
-    columns, queries, tau, joinability, n_pivots, levels, row_block = instance
+    columns, queries, tau, joinability, n_pivots, levels, chunk_elements = instance
     index = PexesoIndex.build(columns, n_pivots=n_pivots, levels=levels)
-    batch = BatchSearch(index, row_block_size=row_block).search_many(
-        queries, tau, joinability
-    )
+    # tiny verifier chunks split columns' candidate rows across chunks
+    with mock.patch.object(verifier, "CHUNK_ELEMENTS", chunk_elements):
+        batch = BatchSearch(index).search_many(queries, tau, joinability)
     for query, got in zip(queries, batch.results):
         want = naive_search(columns, query, tau, joinability)
         assert_oracle_rule(got, want)

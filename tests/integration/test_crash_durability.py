@@ -310,8 +310,8 @@ def _reloaded_state(directory: Path, states: dict) -> str:
         [state[gid] for gid in live], column_ids=live
     )
     for query in QUERIES:
-        assert _hit_rows(lake.search(query, 0.8, 0.2, exact_counts=True)) == \
-            _hit_rows(reference.search(query, 0.8, 0.2, exact_counts=True))
+        assert _hit_rows(lake.search(query, 0.8, 0.2)) == \
+            _hit_rows(reference.search(query, 0.8, 0.2))
         assert lake.topk(query, 0.8, 4).hits == reference.topk(query, 0.8, 4).hits
     return names[0]
 

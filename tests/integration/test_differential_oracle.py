@@ -93,21 +93,11 @@ def test_all_implementations_agree(seed, tmp_path):
     naive = [
         naive_search(columns, q, tau, joinability, metric=metric) for q in queries
     ]
-    scalar = [
-        pexeso_search(index, q, tau, joinability, exact_counts=True) for q in queries
-    ]
-    batch = BatchSearch(index, exact_counts=True).search_many(
-        queries, tau, joinability
-    )
+    scalar = [pexeso_search(index, q, tau, joinability) for q in queries]
+    batch = BatchSearch(index).search_many(queries, tau, joinability)
     for want, got_scalar, got_batch in zip(naive, scalar, batch.results):
         assert hit_rows(got_scalar) == hit_rows(want), f"scalar != naive (seed {seed})"
         assert hit_rows(got_batch) == hit_rows(want), f"batch != naive (seed {seed})"
-
-    # Default mode (early termination allowed): the *sets* of joinable
-    # columns still agree across every implementation.
-    default_ids = [pexeso_search(index, q, tau, joinability).column_ids for q in queries]
-    for want, got in zip(naive, default_ids):
-        assert got == want.column_ids
 
     # -- partitioned: every partitioner, in-memory and spilled --------------------
     for partitioner in sorted(PARTITIONERS):
@@ -121,9 +111,7 @@ def test_all_implementations_agree(seed, tmp_path):
                 spill_dir=spill,
                 max_workers=2,
             ).fit(columns)
-            sharded = lake.search_many(
-                queries, tau, joinability, exact_counts=True
-            )
+            sharded = lake.search_many(queries, tau, joinability)
             for want, got in zip(naive, sharded.results):
                 assert hit_rows(got) == hit_rows(want), (
                     f"partitioned ({partitioner}, spill={spill is not None}) "
@@ -201,7 +189,7 @@ def test_cluster_matches_oracle(seed, tmp_path):
     # lake stays fully serviceable with either worker dead
     with LocalCluster(
         lake_dir, n_workers=2, replication=2, mode="thread",
-        worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+        worker_kwargs=dict(window_ms=None, cache_size=0),
     ) as cluster:
         client = cluster.client
         live_ids = set(range(len(columns)))
@@ -324,7 +312,7 @@ def test_chaos_cluster_matches_oracle(seed, tmp_path):
 
     with LocalCluster(
         lake_dir, n_workers=2, replication=2, mode="thread",
-        worker_kwargs=dict(exact_counts=True, window_ms=None, cache_size=0),
+        worker_kwargs=dict(window_ms=None, cache_size=0),
         worker_fault_injectors=[worker_faults, None],
         coordinator_kwargs=dict(
             retries=1,
@@ -453,7 +441,7 @@ def test_persistence_formats_and_backends_agree(seed, tmp_path, write_v2):
     columns, queries, metric, tau, joinability, n_partitions = make_scenario(seed)
     index = PexesoIndex.build(columns, metric=metric, n_pivots=2, levels=3)
     want = [
-        hit_rows(pexeso_search(index, q, tau, joinability, exact_counts=True))
+        hit_rows(pexeso_search(index, q, tau, joinability))
         for q in queries
     ]
 
@@ -465,7 +453,7 @@ def test_persistence_formats_and_backends_agree(seed, tmp_path, write_v2):
 
     for lane, loaded in lanes.items():
         got = [
-            hit_rows(pexeso_search(loaded, q, tau, joinability, exact_counts=True))
+            hit_rows(pexeso_search(loaded, q, tau, joinability))
             for q in queries
         ]
         assert got == want, f"{lane} != in-memory (seed {seed})"

@@ -164,7 +164,7 @@ class TestServeEndpoint:
     def served(self, columns):
         index = PexesoIndex.build(columns, n_pivots=3, levels=3)
         service = QueryService(
-            index, window_ms=0, cache_size=8, exact_counts=True
+            index, window_ms=0, cache_size=8
         )
         server = make_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -207,7 +207,7 @@ class TestClusterEndpoints:
             replication=2,
             mode="thread",
             worker_kwargs=dict(
-                exact_counts=True, window_ms=None, cache_size=0
+                window_ms=None, cache_size=0
             ),
         ) as running:
             yield running

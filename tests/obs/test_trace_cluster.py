@@ -21,7 +21,7 @@ from repro.core.persistence import load_partitioned, save_partitioned
 from repro.obs.trace import Tracer, set_default_tracer
 from repro.serve.faults import FaultInjector
 
-WORKER_KWARGS = dict(exact_counts=True, window_ms=None, cache_size=0)
+WORKER_KWARGS = dict(window_ms=None, cache_size=0)
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +255,7 @@ class TestChaosLane:
             coordinator_kwargs.update(retries=0, fault_injector=drop)
 
         query = columns[seed % len(columns)][:5]
-        want = reference.search(query, 0.6, 0.3, exact_counts=True)
+        want = reference.search(query, 0.6, 0.3)
         want_rows = [
             (h.column_id, h.match_count, h.joinability) for h in want.joinable
         ]

@@ -26,7 +26,7 @@ def columns():
 def served(columns):
     """A running server + client over a fresh single-index service."""
     index = PexesoIndex.build(columns, n_pivots=3, levels=3)
-    service = QueryService(index, window_ms=0, cache_size=32, exact_counts=True)
+    service = QueryService(index, window_ms=0, cache_size=32)
     server = make_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -168,7 +168,7 @@ class TestPartitionedLayout:
         lake = PartitionedPexeso(
             n_pivots=3, levels=3, n_partitions=3, spill_dir=tmp_path / "lake"
         ).fit(columns)
-        service = QueryService(lake, window_ms=0, exact_counts=True)
+        service = QueryService(lake, window_ms=0)
         server = make_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -179,7 +179,7 @@ class TestPartitionedLayout:
             single = PexesoIndex.build(columns, n_pivots=3, levels=3)
             from repro.core.search import pexeso_search
 
-            want = pexeso_search(single, probe, 0.6, 0.3, exact_counts=True)
+            want = pexeso_search(single, probe, 0.6, 0.3)
             assert [h["column_id"] for h in reply["hits"]] == want.column_ids
             assert client.stats()["partitioned"] is True
 

@@ -36,7 +36,7 @@ def index(columns):
 
 @pytest.fixture
 def service(index):
-    return QueryService(index, window_ms=0, cache_size=32, exact_counts=True)
+    return QueryService(index, window_ms=0, cache_size=32)
 
 
 class TestRWLock:
@@ -96,7 +96,7 @@ class TestRWLock:
 class TestServing:
     def test_search_matches_sequential_oracle(self, service, index, columns, query):
         response = service.search(query, 0.6, 0.3)
-        want = pexeso_search(index, query, 0.6, 0.3, exact_counts=True)
+        want = pexeso_search(index, query, 0.6, 0.3)
         got = [(h.column_id, h.match_count) for h in response.result.joinable]
         expect = [(h.column_id, h.match_count) for h in want.joinable]
         assert got == expect
@@ -153,8 +153,7 @@ class TestServing:
         assert again.cached is True
 
     def test_coalesced_concurrent_requests_share_one_dispatch(self, index, columns):
-        service = QueryService(index, window_ms=20.0, cache_size=0,
-                               exact_counts=True)
+        service = QueryService(index, window_ms=20.0, cache_size=0)
         gate = threading.Barrier(10)
         responses = [None] * 10
 
@@ -171,8 +170,7 @@ class TestServing:
         assert sum(stats.coalesced_batch_sizes) == 10
         assert max(stats.coalesced_batch_sizes) > 1
         for i, response in enumerate(responses):
-            want = pexeso_search(index, columns[i][:6], 0.6, 0.3,
-                                 exact_counts=True)
+            want = pexeso_search(index, columns[i][:6], 0.6, 0.3)
             got = [(h.column_id, h.match_count) for h in response.result.joinable]
             assert got == [(h.column_id, h.match_count) for h in want.joinable]
 
@@ -230,16 +228,16 @@ class TestPartitionedBackend:
         lake = PartitionedPexeso(
             n_pivots=3, levels=3, n_partitions=3, spill_dir=tmp_path
         ).fit(columns)
-        service = QueryService(lake, window_ms=0, exact_counts=True)
+        service = QueryService(lake, window_ms=0)
         single = PexesoIndex.build(columns, n_pivots=3, levels=3)
         response = service.search(query, 0.6, 0.3)
-        want = pexeso_search(single, query, 0.6, 0.3, exact_counts=True)
+        want = pexeso_search(single, query, 0.6, 0.3)
         assert response.result.column_ids == want.column_ids
         assert service.searcher.is_partitioned
 
     def test_partitioned_live_maintenance(self, columns, query):
         lake = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=3).fit(columns)
-        service = QueryService(lake, window_ms=0, exact_counts=True)
+        service = QueryService(lake, window_ms=0)
         before = service.n_columns
         column_id, generation = service.add_column(query)
         assert generation == 1

@@ -54,7 +54,7 @@ def test_mixed_traffic_matches_generation_oracle(window_ms):
     initial = _make_columns(100, N_INITIAL)
     index = PexesoIndex.build(initial, n_pivots=3, levels=3)
     service = QueryService(
-        index, window_ms=window_ms, cache_size=64, exact_counts=True
+        index, window_ms=window_ms, cache_size=64
     )
 
     queries = _make_columns(200, 6, rows=(6, 10))
@@ -172,7 +172,6 @@ def test_cache_is_never_stale_under_churn():
         PexesoIndex.build(initial, n_pivots=3, levels=3),
         window_ms=0,
         cache_size=16,
-        exact_counts=True,
     )
     query = initial[2][:6]
     seen = []

@@ -368,10 +368,11 @@ class TestClusterCli:
         assert args.workers == 2
         args = build_parser().parse_args([
             "cluster-worker", "some_dir", "--coordinator",
-            "http://127.0.0.1:1", "--exact-counts",
+            "http://127.0.0.1:1",
         ])
         assert args.command == "cluster-worker"
-        assert args.exact_counts is True
+        # counts are always exact: the retired flag is gone
+        assert "exact_counts" not in vars(args)
 
     def test_coordinator_requires_partitioned_dir(self, lake_dir, tmp_path,
                                                   capsys):
