@@ -3,7 +3,9 @@
 Paper result (OPEN/SWDC at default thresholds): PEXESO performs by far
 the fewest exact distance computations, PEXESO-H fewer than CTREE/EPT;
 PEXESO's index is the largest but within ~2x of CTREE/EPT — a modest
-space price for the speedup.
+space price for the speedup. This index stores no pivot-mapped copy of
+the vectors (only pivots, grid leaf codes and postings), so here it is
+smaller than both.
 """
 
 from __future__ import annotations
@@ -82,5 +84,6 @@ def test_fig6_distance_computation_and_index_size(
     assert distances["PEXESO"] < distances["CTREE"]
     naive_bound = sum(q.shape[0] for q in dataset.queries) * dataset.n_vectors
     assert distances["PEXESO-H"] < 0.5 * naive_bound
-    # Fig. 6b: PEXESO's index is bigger but within an order of magnitude.
-    assert sizes["PEXESO"] < 20 * max(sizes["CTREE"], sizes["EPT"])
+    # Fig. 6b: without a stored pivot-mapped table PEXESO's index is
+    # the smallest of the three.
+    assert sizes["PEXESO"] < min(sizes["CTREE"], sizes["EPT"])

@@ -310,7 +310,7 @@ class BatchSearch:
             stacked,
             mapped,
             index.vectors,
-            index.mapped,
+            None,
             index.metric,
             tau,
             t_counts,

@@ -1,7 +1,7 @@
 """The PEXESO index: pivots + hierarchical grid + inverted index (§III).
 
 :class:`PexesoIndex` owns the repository side of the framework: the pivot
-space, the mapped vector store, ``HG_RV`` and the inverted index. It
+space, the vector store, ``HG_RV`` and the inverted index. It
 supports the incremental maintenance of §III-E (column append and delete);
 out-of-core partitions spill it to disk through the array-native
 :mod:`~repro.core.persistence` format.
@@ -73,9 +73,7 @@ class PexesoIndex:
         self.grid: Optional[HierarchicalGrid] = None
         self.inverted: InvertedIndex = InvertedIndex()
         self._vector_blocks: list[np.ndarray] = []
-        self._mapped_blocks: list[np.ndarray] = []
         self._vectors: Optional[np.ndarray] = None
-        self._mapped: Optional[np.ndarray] = None
         self.column_rows: dict[int, np.ndarray] = {}
         self._next_column_id = 0
         self._n_rows = 0
@@ -164,9 +162,7 @@ class PexesoIndex:
         self.stats.inverted_index_seconds += time.perf_counter() - t0
 
         self._vector_blocks = [all_vectors]
-        self._mapped_blocks = [mapped]
         self._vectors = all_vectors
-        self._mapped = mapped
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.column_rows = {
             cid: np.arange(bounds[cid], bounds[cid + 1], dtype=np.intp)
@@ -208,9 +204,7 @@ class PexesoIndex:
         self.stats.inverted_index_seconds += time.perf_counter() - t0
 
         self._vector_blocks.append(vectors)
-        self._mapped_blocks.append(mapped)
         self._vectors = None
-        self._mapped = None
         self._drop_ann_graph()
         self.column_rows[column_id] = np.arange(
             first_row, first_row + vectors.shape[0], dtype=np.intp
@@ -237,11 +231,8 @@ class PexesoIndex:
         del self.column_rows[column_id]
         n_live = sum(rows.size for rows in self.column_rows.values())
         if self._n_rows - n_live > COMPACT_DEAD_SHARE * n_live:
-            vectors, mapped, self.inverted._rows, self.column_rows = (
-                self.live_arrays()
-            )
+            vectors, self.inverted._rows, self.column_rows = self.live_arrays()
             self._vector_blocks, self._vectors = [vectors], vectors
-            self._mapped_blocks, self._mapped = [mapped], mapped
             self._n_rows = self.grid.n_vectors = n_live
             self.stats.n_vectors = n_live
         self._drop_ann_graph()
@@ -298,24 +289,21 @@ class PexesoIndex:
 
     @property
     def mapped(self) -> np.ndarray:
-        """Global ``(N, |P|)`` pivot-mapped store."""
-        if self._mapped is None:
-            if not self._mapped_blocks:
-                raise RuntimeError("index holds no vectors")
-            self._mapped = (
-                self._mapped_blocks[0]
-                if len(self._mapped_blocks) == 1
-                else np.concatenate(self._mapped_blocks, axis=0)
-            )
-            self._mapped_blocks = [self._mapped]
-        return self._mapped
+        """The ``(N, |P|)`` pivot-space image of the vector store.
+
+        Computed on every access and never stored: no search or write
+        reads it, so the index does not pay 8·|P| bytes per vector for
+        it. Callers needing it more than once keep their own copy.
+        """
+        vectors = self.vectors  # raises on an empty index
+        return self.pivot_space.map_vectors(vectors)
 
     def live_arrays(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
         """The stores without deleted columns' rows.
 
-        Returns ``(vectors, mapped, posting rows, column_rows)``: live rows
+        Returns ``(vectors, posting rows, column_rows)``: live rows
         keep their order, so every column stays one contiguous range, and
         the inverted index's row array is renumbered to match. Without
         dead rows these are the index's own arrays.
@@ -323,14 +311,13 @@ class PexesoIndex:
         firsts = sorted((int(rows[0]), cid) for cid, rows in self.column_rows.items())
         keep = [self.column_rows[cid] for _, cid in firsts]
         if sum(rows.size for rows in keep) == self._n_rows:
-            return self.vectors, self.mapped, self.inverted._rows, self.column_rows
+            return self.vectors, self.inverted._rows, self.column_rows
         keep = np.concatenate(keep) if keep else np.zeros(0, dtype=np.intp)
         renumber = np.full(self._n_rows, -1, dtype=np.intp)
         renumber[keep] = np.arange(keep.size, dtype=np.intp)
         column_rows = {cid: renumber[self.column_rows[cid]] for _, cid in firsts}
         return (
             self.vectors[keep],
-            self.mapped[keep],
             renumber[self.inverted._rows],
             column_rows,
         )
@@ -356,14 +343,13 @@ class PexesoIndex:
     # -- reporting ---------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Approximate index memory footprint (pivot table + grid + postings).
+        """Approximate index memory footprint (pivots + grid + postings).
 
         Excludes the raw vector store, matching the paper's remark that
-        "most memory consumption is the table repository storage".
+        "most memory consumption is the table repository storage". No
+        pivot-mapped table is stored (see :attr:`mapped`).
         """
-        total = self.mapped.nbytes if self._n_rows else 0
-        if self.pivot_space is not None:
-            total += self.pivot_space.pivots.nbytes
+        total = self.pivot_space.pivots.nbytes if self.pivot_space is not None else 0
         if self.grid is not None:
             total += self.grid.memory_bytes()
         total += self.inverted.memory_bytes()

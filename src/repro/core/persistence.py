@@ -29,7 +29,10 @@ Read-only layouts: single-index format 2 (one ``index.npz``) and lake
 format 1 (a ``manifest.json`` per shard) still load; the next write
 rewrites them in the current format. Epochs that also carry the ANN
 column graph (five ``ann_*.npy`` files and a manifest ``"ann"`` field)
-load with those ignored; the next save drops them. Single-index
+or the pivot-mapped row table (``mapped.npy``) load with those ignored;
+the next write of that epoch's index drops them. Epochs stopped
+carrying ``mapped.npy`` without a format bump, so a build from before
+that change cannot read an epoch written after it. Single-index
 version 1 (a ``structure.pkl``) is rejected; rebuild to migrate.
 :func:`load_any` dispatches on the directory layout.
 """
@@ -82,7 +85,6 @@ _V3_ARRAYS_PREFIX = "arrays_v3_"
 #: dtype they are saved (and therefore mmapped) as
 _V3_ARRAYS = (
     ("vectors", np.float64),
-    ("mapped", np.float64),
     ("pivots", np.float64),
     ("grid_leaf_codes", np.int64),
     ("inv_codes", np.int64),
@@ -98,7 +100,7 @@ _V3_ARRAYS = (
 def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
     """The arrays + manifest fields of one saved index (live rows only)."""
     inverted = index.inverted
-    vectors, mapped, inv_rows, column_rows = index.live_arrays()
+    vectors, inv_rows, column_rows = index.live_arrays()
     column_ids = np.fromiter(column_rows, dtype=np.int64, count=len(column_rows))
     column_first_rows = np.asarray(
         [int(column_rows[cid][0]) for cid in column_ids.tolist()],
@@ -110,7 +112,6 @@ def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
     )
     arrays = {
         "vectors": vectors,
-        "mapped": mapped,
         "pivots": index.pivot_space.pivots,
         "grid_leaf_codes": index.grid.leaf_codes,
         "inv_codes": inverted._codes,
@@ -264,7 +265,7 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
     # _starts is the one array maintenance mutates in place
     # (InvertedIndex.add_vector); materialise it so a read-only mmap can
     # never be written through. It is O(postings) offsets — tiny next to
-    # the vector stores that stay mapped.
+    # the vector store that stays mapped.
     inverted._starts = np.array(arrays["inv_starts"], dtype=np.intp)
     inverted._rows = arrays["inv_rows"].astype(np.intp, copy=False)
     index.inverted = inverted
@@ -279,11 +280,8 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
     index._next_column_id = int(manifest["next_column_id"])
     index._n_rows = n_rows
     vectors = arrays["vectors"]
-    mapped = arrays["mapped"]
     index._vector_blocks = [vectors]
-    index._mapped_blocks = [mapped]
     index._vectors = vectors
-    index._mapped = mapped
     index.stats.n_vectors = index._n_rows
     index.stats.n_columns = len(index.column_rows)
     index.stats.n_leaf_cells = inverted.n_cells

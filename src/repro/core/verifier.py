@@ -96,7 +96,7 @@ def verify_row_blocks(
     query_vectors: np.ndarray,
     query_mapped: np.ndarray,
     target_vectors: np.ndarray,
-    target_mapped: np.ndarray,
+    target_mapped: Optional[np.ndarray],
     metric: Metric,
     tau: float,
     t_counts: Sequence[int],

@@ -43,7 +43,7 @@ def verify_one():
         n = queries.shape[0]
         return verify_row_blocks(
             pairs, index.inverted, queries, q_mapped,
-            index.vectors, index.mapped, index.metric,
+            index.vectors, None, index.metric,
             tau, [t_count], [n], np.zeros(n, dtype=np.intp), **kwargs,
         )[0]
 
@@ -67,6 +67,7 @@ def write_v2():
         np.savez_compressed(
             directory / "index.npz",
             extent=np.float64(index.pivot_space.extent),
+            mapped=index.mapped,  # v2 also stored the pivot-mapped rows
             **arrays,
         )
         manifest = {"format_version": V2_FORMAT_VERSION, **manifest}

@@ -40,9 +40,10 @@ def _measured_eq1(index, query, tau):
     mapped = index.pivot_space.map_vectors(query)
     hg_q = HierarchicalGrid.build(mapped, index.levels, index.pivot_space.extent)
     candidates = block(hg_q, index.grid, mapped, tau).candidate
+    lake_mapped = index.mapped  # computed per access, so once here
     total = 0
     for q, n_cells in zip(candidates.rows.tolist(), candidates.lengths.tolist()):
-        inside = (np.abs(index.mapped - mapped[q]) <= tau).all(axis=1)
+        inside = (np.abs(lake_mapped - mapped[q]) <= tau).all(axis=1)
         total += n_cells * int(inside.sum())
     return total
 

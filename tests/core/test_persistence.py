@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.baselines.exact_naive import naive_search
 from repro.core.index import PexesoIndex
 from repro.core.metric import ManhattanMetric, normalize_rows
 from repro.core.persistence import FORMAT_VERSION, load_index, save_index
@@ -247,7 +248,7 @@ class TestV3Format:
         save_index(built, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx", mmap=True)
         assert isinstance(loaded.vectors, np.memmap)
-        assert isinstance(loaded.mapped, np.memmap)
+        assert isinstance(loaded.inverted._rows, np.memmap)
         # the one in-place-mutated array must be materialised
         assert not isinstance(loaded.inverted._starts, np.memmap)
 
@@ -396,6 +397,70 @@ class TestAnnEpochCompat:
         assert self.hits(load_index(target), small_query) == self.hits(
             built, small_query
         )
+
+
+class TestMappedEpochCompat:
+    """Epochs saved while the index stored its pivot-mapped row table
+    (``mapped.npy``) still load; the file is ignored, answers stay
+    exact, and the next write of that index drops it."""
+
+    TAU = 0.8
+
+    @staticmethod
+    def hits(result):
+        return sorted((h.column_id, h.match_count) for h in result.joinable)
+
+    def naive_hits(self, columns, query):
+        return self.hits(naive_search(columns, query, self.TAU, 0.3))
+
+    def test_single_index_epoch(self, built, small_columns, small_query, tmp_path):
+        target = tmp_path / "idx"
+        save_index(built, target)
+        epoch = target / json.loads((target / "manifest.json").read_text())["arrays_dir"]
+        np.save(epoch / "mapped.npy", built.mapped)
+        want = self.naive_hits(small_columns, small_query)
+        assert want
+        for mmap in (True, False):
+            loaded = load_index(target, mmap=mmap)
+            assert self.hits(pexeso_search(loaded, small_query, self.TAU, 0.3)) == want
+
+        loaded = load_index(target)
+        save_index(loaded, target)
+        assert not list(target.rglob("mapped.npy"))
+        assert self.hits(pexeso_search(load_index(target), small_query, self.TAU, 0.3)) == want
+
+    def test_spilled_lake_epochs_mix_with_new_ones(
+        self, small_columns, small_query, tmp_path
+    ):
+        from repro.core.out_of_core import PartitionedPexeso
+        from repro.core.persistence import load_partitioned, save_partitioned
+
+        target = tmp_path / "lake"
+        lake = PartitionedPexeso(
+            n_pivots=3, levels=3, n_partitions=3, seed=5, spill_dir=target
+        ).fit(small_columns)
+        shards = json.loads((target / "partitioned.json").read_text())["partitions"]
+        for part, entry in shards.items():
+            epoch = target / entry["dir"] / entry["arrays_dir"]
+            np.save(epoch / "mapped.npy", lake._get_index(int(part))[0].mapped)
+        want = self.naive_hits(small_columns, small_query)
+        for mmap in (True, False):
+            loaded = load_partitioned(target, mmap=mmap)
+            assert self.hits(loaded.search(small_query, self.TAU, 0.3)) == want
+
+        # one add rewrites one shard: old and new epochs side by side
+        loaded = load_partitioned(target)
+        extra = small_query[:6].copy()
+        assert loaded.add_column(extra) == len(small_columns)
+        assert len(list(target.rglob("mapped.npy"))) == len(shards) - 1
+        want = self.naive_hits(small_columns + [extra], small_query)
+        assert self.hits(loaded.search(small_query, self.TAU, 0.3)) == want
+        assert self.hits(load_partitioned(target).search(small_query, self.TAU, 0.3)) == want
+
+        save_partitioned(loaded, tmp_path / "next")
+        assert not list((tmp_path / "next").rglob("mapped.npy"))
+        resaved = load_partitioned(tmp_path / "next")
+        assert self.hits(resaved.search(small_query, self.TAU, 0.3)) == want
 
 
 class TestAtomicWrites:
