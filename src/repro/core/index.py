@@ -21,9 +21,15 @@ from repro.core.pivot import PivotSpace, build_pivot_space
 from repro.core.stats import IndexStats
 
 #: dead rows a delete may leave behind, as a share of the live rows; past
-#: it the vector stores are compacted, so they never exceed 9/8 of the
-#: live rows after a delete
+#: it the vector store is compacted in place, so it never holds more than
+#: 9/8 of the live rows after a delete. It is also the store's headroom:
+#: ``fit`` and every growth allocate room for 9/8 of the rows they hold
 COMPACT_DEAD_SHARE = 1 / 8
+
+
+def _capacity(n_rows: int) -> int:
+    """Rows allocated for a store holding ``n_rows``: 9/8 of them."""
+    return n_rows + int(n_rows * COMPACT_DEAD_SHARE)
 
 
 class PexesoIndex:
@@ -72,8 +78,10 @@ class PexesoIndex:
         self.pivot_space: Optional[PivotSpace] = None
         self.grid: Optional[HierarchicalGrid] = None
         self.inverted: InvertedIndex = InvertedIndex()
-        self._vector_blocks: list[np.ndarray] = []
-        self._vectors: Optional[np.ndarray] = None
+        # rows [0, _n_rows) of `_store` are the vector store; the rest is
+        # headroom that adds write into. A read-only store (a mmapped
+        # epoch) is copied on its first write, never written through.
+        self._store: Optional[np.ndarray] = None
         self.column_rows: dict[int, np.ndarray] = {}
         self._next_column_id = 0
         self._n_rows = 0
@@ -126,7 +134,9 @@ class PexesoIndex:
                 raise ValueError("all columns must share one dimensionality")
             if arr.shape[0] == 0:
                 raise ValueError("cannot index an empty column")
-        all_vectors = np.concatenate(arrays, axis=0)
+        n_rows = sum(arr.shape[0] for arr in arrays)
+        store = np.empty((_capacity(n_rows), dim), dtype=np.float64)
+        all_vectors = np.concatenate(arrays, axis=0, out=store[:n_rows])
         if not np.isfinite(all_vectors).all():
             raise ValueError("column contains NaN or infinite values")
 
@@ -161,8 +171,7 @@ class PexesoIndex:
         self.inverted.build_bulk(cell_of_row, column_of_row)
         self.stats.inverted_index_seconds += time.perf_counter() - t0
 
-        self._vector_blocks = [all_vectors]
-        self._vectors = all_vectors
+        self._store = store
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.column_rows = {
             cid: np.arange(bounds[cid], bounds[cid + 1], dtype=np.intp)
@@ -187,6 +196,9 @@ class PexesoIndex:
             raise ValueError("cannot index an empty column")
         if not np.isfinite(vectors).all():
             raise ValueError("column contains NaN or infinite values")
+        if np.may_share_memory(vectors, self._store):
+            vectors = vectors.copy()  # a compaction may move the rows it views
+        self._reserve(vectors.shape[0])
 
         t0 = time.perf_counter()
         mapped = self.pivot_space.map_vectors(vectors)
@@ -203,8 +215,7 @@ class PexesoIndex:
         self.inverted.add_column(column_id, cells, first_row)
         self.stats.inverted_index_seconds += time.perf_counter() - t0
 
-        self._vector_blocks.append(vectors)
-        self._vectors = None
+        self._store[first_row : first_row + vectors.shape[0]] = vectors
         self._drop_ann_graph()
         self.column_rows[column_id] = np.arange(
             first_row, first_row + vectors.shape[0], dtype=np.intp
@@ -222,19 +233,16 @@ class PexesoIndex:
         The postings are the only path from a search to a column, so
         removing them removes the column from every future result. Its
         vector rows stay behind as dead rows until they exceed
-        :data:`COMPACT_DEAD_SHARE` of the live rows; then the stores are
-        compacted (:meth:`live_arrays`) and the postings renumbered.
+        :data:`COMPACT_DEAD_SHARE` of the live rows; then the store is
+        compacted in place (:meth:`_compact`) and the postings renumbered.
         """
         if column_id not in self.column_rows:
             raise KeyError(f"unknown column id {column_id}")
         self.inverted.delete_column(column_id)
         del self.column_rows[column_id]
-        n_live = sum(rows.size for rows in self.column_rows.values())
+        n_live = self._n_live()
         if self._n_rows - n_live > COMPACT_DEAD_SHARE * n_live:
-            vectors, self.inverted._rows, self.column_rows = self.live_arrays()
-            self._vector_blocks, self._vectors = [vectors], vectors
-            self._n_rows = self.grid.n_vectors = n_live
-            self.stats.n_vectors = n_live
+            self._compact()
         self._drop_ann_graph()
         self.stats.n_columns = len(self.column_rows)
         self.stats.n_leaf_cells = self.inverted.n_cells
@@ -275,17 +283,68 @@ class PexesoIndex:
 
     @property
     def vectors(self) -> np.ndarray:
-        """Global ``(N, dim)`` vector store (lazily concatenated)."""
-        if self._vectors is None:
-            if not self._vector_blocks:
-                raise RuntimeError("index holds no vectors")
-            self._vectors = (
-                self._vector_blocks[0]
-                if len(self._vector_blocks) == 1
-                else np.concatenate(self._vector_blocks, axis=0)
-            )
-            self._vector_blocks = [self._vectors]
-        return self._vectors
+        """Global ``(N, dim)`` vector store, dead rows included.
+
+        A view of the store, not a copy: it is valid until the next
+        :meth:`add_column` or :meth:`delete_column`, which may write rows
+        in place (an add fills headroom, a compaction moves live rows
+        down) or move the store to a bigger allocation.
+        """
+        if self._store is None:
+            raise RuntimeError("index holds no vectors")
+        return self._store[: self._n_rows]
+
+    def _n_live(self) -> int:
+        return sum(rows.size for rows in self.column_rows.values())
+
+    def _reserve(self, n_new: int) -> None:
+        """Make the store writable with room for ``n_new`` more rows.
+
+        An add that does not fit first compacts away dead rows, in
+        place; the store moves to a 9/8-sized allocation only if the add
+        still does not fit, or on the first write to a read-only store.
+        """
+        def fits() -> bool:
+            store = self._store
+            return store.flags.writeable and self._n_rows + n_new <= store.shape[0]
+
+        if fits():
+            return
+        if self._n_live() < self._n_rows:
+            self._compact()
+            if fits():
+                return
+        store = np.empty((_capacity(self._n_rows + n_new), self.dim), dtype=np.float64)
+        store[: self._n_rows] = self._store[: self._n_rows]
+        self._store = store
+
+    def _compact(self) -> None:
+        """Drop deleted columns' rows from the store, in place.
+
+        Live columns keep their order and stay contiguous, so each slides
+        down to the end of the one before it (a forward slice move), and
+        the posting rows are renumbered to match. A read-only store is
+        compacted into a fresh 9/8-sized allocation instead.
+        """
+        n_live = self._n_live()
+        source = self._store
+        if not source.flags.writeable:
+            self._store = np.empty((_capacity(n_live), self.dim), dtype=np.float64)
+        renumber = np.full(self._n_rows, -1, dtype=np.intp)
+        at = 0
+        for first, cid in sorted(
+            (int(rows[0]), cid) for cid, rows in self.column_rows.items()
+        ):
+            size = self.column_rows[cid].size
+            if first != at or self._store is not source:
+                self._store[at : at + size] = source[first : first + size]
+            rows = np.arange(at, at + size, dtype=np.intp)
+            renumber[first : first + size] = rows
+            self.column_rows[cid] = rows
+            at += size
+        self.inverted._rows = renumber[self.inverted._rows]
+        self._n_rows = self.grid.n_vectors = n_live
+        self.stats.n_vectors = n_live
 
     @property
     def mapped(self) -> np.ndarray:
@@ -301,7 +360,7 @@ class PexesoIndex:
     def live_arrays(
         self,
     ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-        """The stores without deleted columns' rows.
+        """The stores without deleted columns' rows, for a save.
 
         Returns ``(vectors, posting rows, column_rows)``: live rows
         keep their order, so every column stays one contiguous range, and

@@ -279,9 +279,8 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
     }
     index._next_column_id = int(manifest["next_column_id"])
     index._n_rows = n_rows
-    vectors = arrays["vectors"]
-    index._vector_blocks = [vectors]
-    index._vectors = vectors
+    # a mmapped epoch's store is read-only: the first write copies it
+    index._store = arrays["vectors"]
     index.stats.n_vectors = index._n_rows
     index.stats.n_columns = len(index.column_rows)
     index.stats.n_leaf_cells = inverted.n_cells
@@ -348,10 +347,12 @@ def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
             them eagerly into RAM. v2 directories always load eagerly
             (the npz must be decompressed).
 
-    Mutating a mmap-loaded index is safe: every maintenance path
-    (§III-E append/delete) builds *new* arrays rather than writing in
-    place, and the one in-place structure (the inverted index's CSR
-    offsets) is materialised at load time.
+    Mutating a mmap-loaded index is safe: the vector store is written in
+    place only once the index owns it — the first append or compaction
+    copies a read-only mmapped store — the other maintenance paths
+    (§III-E append/delete) build *new* arrays, and the one in-place
+    structure (the inverted index's CSR offsets) is materialised at load
+    time. The epoch's files are never written through.
 
     Raises:
         FileNotFoundError: when the directory lacks the expected files.

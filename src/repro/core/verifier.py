@@ -34,7 +34,8 @@ from repro.core.inverted_index import InvertedIndex
 from repro.core.metric import EuclideanMetric, Metric
 from repro.core.stats import SearchStats
 
-#: target size, in float64 elements, of one chunk's (rows x union) temporaries
+#: target size, in float64 elements, of one chunk's gathered lake rows plus
+#: its (rows x union) temporaries
 CHUNK_ELEMENTS = 1 << 18
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -50,6 +51,17 @@ class VerifyResult:
 
     match_counts: dict[int, int] = field(default_factory=dict)
     joinable: set[int] = field(default_factory=set)
+
+
+def chunk_rows(n_q: int, dim: int, euclidean: bool) -> int:
+    """Union rows one chunk decides: about :data:`CHUNK_ELEMENTS` float64s
+    of temporaries, never fewer than one row.
+
+    A chunk gathers ``(rows x dim)`` lake vectors; the Gram form's
+    temporaries are ``(n_q x rows)``, ``Metric.pairwise``'s
+    ``(n_q x rows x dim)``.
+    """
+    return max(1, CHUNK_ELEMENTS // (n_q * (1 if euclidean else dim) + dim))
 
 
 def _rows_of(csr: PairCSR, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,9 +158,7 @@ def verify_row_blocks(
     for q_idx in range(n_queries):
         lo, hi = int(bounds[q_idx]), int(bounds[q_idx + 1])
         queries, n_q = query_vectors[lo:hi], hi - lo
-        # the Gram form's temporaries are (rows x chunk), pairwise's
-        # (rows x chunk x dim)
-        chunk = max(1, CHUNK_ELEMENTS // (n_q * (1 if euclidean else queries.shape[1])))
+        chunk = chunk_rows(n_q, queries.shape[1], euclidean)
         cand_cells = np.unique(_rows_of(block_result.candidate, lo, hi)[1])
         cand_cols, union, lens = inverted_index.columns_in_cells_arrays(cand_cells)
         match_rows, match_cells = _rows_of(block_result.match, lo, hi)

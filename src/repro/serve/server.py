@@ -385,6 +385,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 retry_after=server.admission.retry_after,
             )
             return
+        status = 200
         try:
             body = self._read_body()
             if route is None:
@@ -393,18 +394,21 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 raise RequestError(504, "deadline expired")
             reply = route.call(self, body, *map(int, raw_ids))  # bad id -> 400
             if isinstance(reply, str):
-                self._send(reply, "text/plain; charset=utf-8")
+                text, content_type = reply, "text/plain; charset=utf-8"
             else:
-                self._send(json.dumps(reply), "application/json")
+                text, content_type = json.dumps(reply), "application/json"
         except Exception as exc:
             status = getattr(exc, "http_status", None)
             if status is None:
                 bad_input = isinstance(exc, (ValueError, KeyError, TypeError))
                 status = 400 if bad_input else 500
-            self._send_error_json(str(exc), status)
+            text, content_type = json.dumps({"error": str(exc)}), "application/json"
         finally:
             if admitted:
                 server.admission.release()
+        # the slot is free before the reply goes out: a client that sends
+        # its next request as soon as it reads this reply is admitted
+        self._send(text, content_type, status)
 
     # -- plumbing ------------------------------------------------------------------
 

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core import verifier
 from repro.core.blocker import BlockResult
 from repro.core.index import PexesoIndex
-from repro.core.metric import EuclideanMetric, normalize_rows
+from repro.core.metric import (
+    ChebyshevMetric,
+    EuclideanMetric,
+    ManhattanMetric,
+    normalize_rows,
+)
 from repro.core.stats import SearchStats
 
 
@@ -101,3 +107,66 @@ class TestExactCountsForcesFullWork:
         # with tau=2 everything matches: counts must be the full |Q|
         for col in range(4):
             assert verdict.match_counts[col] == queries.shape[0]
+
+
+class TestChunkBounds:
+    @pytest.mark.parametrize("euclidean", [True, False])
+    @pytest.mark.parametrize(
+        "n_q,dim",
+        [(1, 1), (12, 64), (1, verifier.CHUNK_ELEMENTS),
+         (verifier.CHUNK_ELEMENTS, 1), (3, 2 * verifier.CHUNK_ELEMENTS)],
+    )
+    def test_chunk_never_empty_and_bounded(self, n_q, dim, euclidean):
+        """A chunk's gathered rows plus its temporaries stay within
+        ``CHUNK_ELEMENTS`` whenever one row fits; otherwise it is one row."""
+        rows = verifier.chunk_rows(n_q, dim, euclidean)
+        per_row = n_q * (1 if euclidean else dim) + dim
+        assert rows >= 1
+        if per_row <= verifier.CHUNK_ELEMENTS:
+            assert rows * per_row <= verifier.CHUNK_ELEMENTS
+        else:
+            assert rows == 1
+
+    @pytest.mark.parametrize("metric", [EuclideanMetric(), ManhattanMetric(), ChebyshevMetric()])
+    @pytest.mark.parametrize("chunk_elements", [1, 9, 60])
+    def test_hits_match_scan_when_dim_exceeds_chunk(
+        self, verify_one, metric, chunk_elements, monkeypatch
+    ):
+        """With ``dim > CHUNK_ELEMENTS // n_q`` every metric still decides
+        each union row in non-empty chunks, and the counts equal a scan."""
+        dim, n_q = 24, 4
+        assert dim > chunk_elements // n_q
+        rng = np.random.default_rng(3)
+        columns = [
+            normalize_rows(rng.normal(size=(int(rng.integers(3, 9)), dim)))
+            for _ in range(6)
+        ]
+        queries = np.vstack([columns[0][:2], normalize_rows(rng.normal(size=(2, dim)))])
+        index = PexesoIndex.build(columns, metric=metric, n_pivots=2, levels=2)
+        tau = 0.6 * metric.max_distance(dim)
+        seen = []
+        chunk_hits = verifier._chunk_hits
+
+        def recording(queries, x, metric, tau):
+            seen.append(x.shape[0])
+            return chunk_hits(queries, x, metric, tau)
+
+        monkeypatch.setattr(verifier, "CHUNK_ELEMENTS", chunk_elements)
+        monkeypatch.setattr(verifier, "_chunk_hits", recording)
+        pairs = BlockResult.from_pairs(
+            candidate=[(q, cell) for q in range(n_q) for cell in index.inverted.cells()]
+        )
+        verdict = verify_one(
+            pairs, index, queries, index.pivot_space.map_vectors(queries),
+            tau=tau, t_count=1, stats=SearchStats(),
+        )
+        limit = verifier.chunk_rows(n_q, dim, isinstance(metric, EuclideanMetric))
+        assert seen and all(1 <= rows <= limit for rows in seen)
+        assert sum(seen) == index.n_vectors
+        truth = {
+            cid: int((metric.pairwise(queries, column) <= tau).any(axis=1).sum())
+            for cid, column in enumerate(columns)
+        }
+        assert truth[0] >= 2  # the first two query rows are column 0's
+        assert verdict.match_counts == {c: n for c, n in truth.items() if n}
+        assert verdict.joinable == set(verdict.match_counts)

@@ -100,6 +100,16 @@ def test_retired_ef_search_field_is_ignored(server, columns):
         assert "ef_search" not in reply
 
 
+def test_back_to_back_requests_are_admitted(server, columns):
+    """At capacity 1, a client that sends its next request as soon as it
+    reads a reply is never shed: the slot is released before the reply
+    is written."""
+    statuses = [
+        call(server, "POST", "/search", search_body(columns))[0] for _ in range(50)
+    ]
+    assert statuses == [200] * 50
+
+
 @pytest.mark.parametrize("method", ["GET", "POST", "DELETE"])
 def test_unknown_path_is_404(server, method):
     status, _, reply = call(server, method, "/no/such/route", {} if method == "POST" else None)
