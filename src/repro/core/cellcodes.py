@@ -23,6 +23,8 @@ margin; :func:`check_code_width` guards the limit explicitly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 #: one sign bit and one slack bit below the int64 limit
@@ -57,11 +59,45 @@ def encode_cells(coords: np.ndarray, n_dims: int, bits_per_axis: int) -> np.ndar
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != n_dims:
         raise ValueError(f"coords must be (n, {n_dims}), got {coords.shape}")
+    chunk = min(8, bits_per_axis)
+    spread = _spread_table(n_dims, chunk)
     codes = np.zeros(coords.shape[0], dtype=np.int64)
-    for bit in range(bits_per_axis):
-        for axis in range(n_dims):
-            codes |= ((coords[:, axis] >> bit) & 1) << (bit * n_dims + axis)
+    for axis in range(n_dims):
+        for low in range(0, bits_per_axis, chunk):
+            part = coords[:, axis] >> low if low else coords[:, axis]
+            if chunk < bits_per_axis:
+                part = part & (spread.size - 1)
+            codes |= spread[part] << (low * n_dims + axis)
     return codes
+
+
+@functools.lru_cache(maxsize=None)
+def _spread_table(n_dims: int, chunk: int) -> np.ndarray:
+    """``table[v]`` moves bit ``b`` of a ``chunk``-bit value ``v`` to bit
+    ``b * n_dims``. ``chunk`` is at most 8, so the table has at most 256
+    entries even when one axis holds all 62 code bits."""
+    values = np.arange(1 << chunk, dtype=np.int64)
+    table = np.zeros(values.size, dtype=np.int64)
+    for bit in range(chunk):
+        table |= ((values >> bit) & 1) << (bit * n_dims)
+    table.flags.writeable = False
+    return table
+
+
+def stable_code_order(codes: np.ndarray, code_bits: int) -> np.ndarray:
+    """``np.argsort(codes, kind="stable")`` for codes of ``code_bits`` bits.
+
+    Where code and row fit one int64, the distinct keys ``code << row_bits
+    | row`` are sorted instead: same order, several times faster.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    row_bits = max(1, codes.size.bit_length())
+    if code_bits + row_bits > 63:
+        return np.argsort(codes, kind="stable")
+    keys = codes << row_bits
+    keys |= np.arange(codes.size, dtype=np.int64)
+    keys.sort()
+    return keys & ((1 << row_bits) - 1)
 
 
 def decode_cells(codes: np.ndarray, n_dims: int, bits_per_axis: int) -> np.ndarray:

@@ -9,9 +9,9 @@ The grid is **array-native**: a cell is a bit-interleaved int64 *cell
 code* (:mod:`repro.core.cellcodes`) and each level is one sorted code
 array. Because a parent code is a bit-prefix of its children's codes,
 
-* every level is derived from the leaf codes with vectorised shifts —
-  inserting ``n`` rows is one ``floor``/``clip``/encode pass plus one
-  ``np.unique`` per level, with no per-row Python;
+* every level is derived from the sorted leaf codes with vectorised
+  shifts — inserting ``n`` rows is one ``floor``/``clip``/encode pass,
+  one sort and a shift-and-dedupe per level, with no per-row Python;
 * the children of a cell, the leaves of a subtree, and the member rows
   of a subtree are all *contiguous ranges* of the sorted arrays, found
   with ``np.searchsorted`` — the blocker descends the grid without ever
@@ -123,12 +123,7 @@ class HierarchicalGrid:
         leaf codes persists the whole grid.
         """
         grid = cls(n_dims, levels, extent, store_members=False)
-        leaf_codes = np.unique(np.asarray(leaf_codes, dtype=np.int64))
-        for level in range(1, levels + 1):
-            shift = n_dims * (levels - level)
-            codes = leaf_codes >> shift if shift else leaf_codes
-            grid._level_codes[level] = np.unique(codes) if shift else codes
-        grid.n_vectors = int(n_vectors)
+        grid.add_leaves(np.sort(np.asarray(leaf_codes, dtype=np.int64)), n_vectors)
         return grid
 
     def leaf_coords_for(self, mapped: np.ndarray) -> np.ndarray:
@@ -157,17 +152,30 @@ class HierarchicalGrid:
                 f"mapped dim {mapped.shape[1]} != grid dim {self.n_dims}"
             )
         codes = self.leaf_codes_for(mapped)
-        new_leaves = np.unique(codes)
-        for level in range(self.levels, 0, -1):
-            self._level_codes[level] = _merge_sorted_unique(
-                self._level_codes[level], new_leaves
-            )
-            new_leaves = np.unique(new_leaves >> self.n_dims)
         if self.store_members:
             self._row_codes = np.concatenate([self._row_codes, codes])
             self._members_cache = None
-        self.n_vectors += mapped.shape[0]
+        self.add_leaves(np.sort(codes), mapped.shape[0])
         return codes
+
+    def add_leaves(self, sorted_codes: np.ndarray, n_rows: int) -> None:
+        """Add the cells of ``n_rows`` rows, given their sorted leaf codes.
+
+        ``sorted_codes`` may repeat a code. Shifting keeps codes sorted,
+        so each level's distinct codes are one neighbour comparison away
+        from the level below, and are merged into what the level holds.
+        """
+        codes = sorted_codes
+        for level in range(self.levels, 0, -1):
+            fresh = np.empty(codes.size, dtype=bool)
+            fresh[:1] = True
+            np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
+            codes = codes[fresh]
+            self._level_codes[level] = _merge_sorted_unique(
+                self._level_codes[level], codes
+            )
+            codes = codes >> self.n_dims
+        self.n_vectors += int(n_rows)
 
     # -- array-side structure ----------------------------------------------------
 
@@ -179,25 +187,6 @@ class HierarchicalGrid:
     def leaf_codes(self) -> np.ndarray:
         """Sorted populated leaf cell codes."""
         return self._level_codes[self.levels]
-
-    def children_codes(self, level: int, code: int) -> np.ndarray:
-        """Sorted child codes (level+1) of the level-``level`` cell ``code``.
-
-        Children of a cell are a contiguous range of the next level's
-        sorted array because the parent code is a bit-prefix.
-        """
-        nxt = self._level_codes[level + 1]
-        lo = int(np.searchsorted(nxt, int(code) << self.n_dims, side="left"))
-        hi = int(np.searchsorted(nxt, (int(code) + 1) << self.n_dims, side="left"))
-        return nxt[lo:hi]
-
-    def subtree_leaf_codes(self, level: int, code: int) -> np.ndarray:
-        """Sorted leaf codes below the level-``level`` cell ``code``."""
-        shift = self.n_dims * (self.levels - level)
-        leaves = self._level_codes[self.levels]
-        lo = int(np.searchsorted(leaves, int(code) << shift, side="left"))
-        hi = int(np.searchsorted(leaves, (int(code) + 1) << shift, side="left"))
-        return leaves[lo:hi]
 
     def members_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Members CSR: offsets aligned with ``leaf_codes``, grouped rows."""
@@ -211,28 +200,6 @@ class HierarchicalGrid:
             starts[-1] = order.size
             self._members_cache = (starts, order)
         return self._members_cache
-
-    def leaf_members(self, code: int) -> np.ndarray:
-        """Member row indices (ascending) of one leaf cell code."""
-        starts, order = self.members_csr()
-        leaves = self._level_codes[self.levels]
-        i = int(np.searchsorted(leaves, int(code), side="left"))
-        if i >= leaves.size or leaves[i] != code:
-            return np.empty(0, dtype=np.intp)
-        return order[starts[i] : starts[i + 1]]
-
-    def subtree_member_rows(self, level: int, code: int) -> np.ndarray:
-        """Member rows of every leaf below a cell — one CSR slice.
-
-        Rows grouped by sorted leaf code are contiguous across a subtree's
-        leaf range, so no per-leaf gathering is needed.
-        """
-        starts, order = self.members_csr()
-        shift = self.n_dims * (self.levels - level)
-        leaves = self._level_codes[self.levels]
-        lo = int(np.searchsorted(leaves, int(code) << shift, side="left"))
-        hi = int(np.searchsorted(leaves, (int(code) + 1) << shift, side="left"))
-        return order[starts[lo] : starts[hi]]
 
     # -- geometry ----------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.cellcodes import stable_code_order
 from repro.core.grid import HierarchicalGrid
 from repro.core.inverted_index import InvertedIndex
 from repro.core.metric import EuclideanMetric, Metric
@@ -25,6 +26,9 @@ from repro.core.stats import IndexStats
 #: 9/8 of the live rows after a delete. It is also the store's headroom:
 #: ``fit`` and every growth allocate room for 9/8 of the rows they hold
 COMPACT_DEAD_SHARE = 1 / 8
+
+#: rows ``fit`` maps and encodes at a time: no temporary spans the lake
+FIT_BLOCK_ROWS = 4096
 
 
 def _capacity(n_rows: int) -> int:
@@ -118,10 +122,11 @@ class PexesoIndex:
     def fit(self, columns: Sequence[np.ndarray]) -> "PexesoIndex":
         """Select pivots from the full repository and index every column.
 
-        The index core is built in bulk: one vectorised pivot-mapping
-        pass over the concatenated lake, one grid insert (leaf cell codes
-        plus shift-derived ancestor levels) and one lexsort building the
-        CSR inverted index — a handful of NumPy passes instead of
+        The index core is built in bulk: one blocked pass over the
+        concatenated lake maps each block to the pivot space and encodes
+        its leaf cells, then one stable sort of the codes gives both
+        the grid (shift-derived ancestor levels of the sorted leaves) and
+        the CSR inverted index — a handful of NumPy passes instead of
         per-column, per-row Python. The resulting structure is identical
         to appending the columns one at a time with :meth:`add_column`.
         """
@@ -156,19 +161,27 @@ class PexesoIndex:
             self.pivot_space.extent,
             store_members=False,
         )
+        # one pass over the lake in blocks: map a block to the pivot
+        # space, encode its leaf cells, keep only the codes
+        codes = np.empty(n_rows, dtype=np.int64)
+        for lo in range(0, n_rows, FIT_BLOCK_ROWS):
+            t0 = time.perf_counter()
+            mapped = self.pivot_space.map_vectors(all_vectors[lo : lo + FIT_BLOCK_ROWS])
+            t1 = time.perf_counter()
+            codes[lo : lo + mapped.shape[0]] = self.grid.leaf_codes_for(mapped)
+            self.stats.pivot_mapping_seconds += t1 - t0
+            self.stats.grid_build_seconds += time.perf_counter() - t1
 
+        # one stable sort of the codes serves the grid and the postings
         t0 = time.perf_counter()
-        mapped = self.pivot_space.map_vectors(all_vectors)
-        self.stats.pivot_mapping_seconds += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        cell_of_row = self.grid.insert(mapped)
+        order = stable_code_order(codes, self.grid.n_dims * self.levels)
+        self.grid.add_leaves(codes[order], n_rows)
         self.stats.grid_build_seconds += time.perf_counter() - t0
 
         sizes = np.asarray([arr.shape[0] for arr in arrays], dtype=np.intp)
         column_of_row = np.repeat(np.arange(len(arrays), dtype=np.int64), sizes)
         t0 = time.perf_counter()
-        self.inverted.build_bulk(cell_of_row, column_of_row)
+        self.inverted.build_bulk(codes, column_of_row, order)
         self.stats.inverted_index_seconds += time.perf_counter() - t0
 
         self._store = store

@@ -16,9 +16,9 @@ The layout is CSR over flat arrays instead of dict-of-lists:
   concatenated, with CSR offsets per entry.
 
 ``build_bulk`` constructs the whole index from the per-row (code, column)
-pairs of a lake in one ``np.lexsort`` pass; :meth:`add_column` is a
-sorted-merge append and :meth:`delete_column` a boolean-mask compaction,
-preserving the §III-E maintenance semantics. Lookups
+pairs of a lake and the stable code order its caller sorted once;
+:meth:`add_column` is a sorted-merge append and :meth:`delete_column` a
+boolean-mask compaction, preserving the §III-E maintenance semantics. Lookups
 (:meth:`columns_in_cells` and the array-returning
 :meth:`columns_in_cells_arrays`) are vectorised range gathers.
 """
@@ -67,32 +67,29 @@ class InvertedIndex:
     # -- construction ------------------------------------------------------------
 
     def build_bulk(
-        self,
-        cell_of_row: np.ndarray,
-        column_of_row: np.ndarray,
-        rows: np.ndarray | None = None,
+        self, cell_of_row: np.ndarray, column_of_row: np.ndarray, order: np.ndarray
     ) -> None:
-        """Build the whole index from per-row arrays in one lexsort pass.
+        """Build the whole index from per-row arrays and their code order.
 
         Args:
             cell_of_row: leaf cell code of every repository vector.
-            column_of_row: column ID of every repository vector.
-            rows: global row index of every vector (defaults to
-                ``arange``, the layout :meth:`~repro.core.index.PexesoIndex.fit`
-                produces).
+            column_of_row: column ID of every vector; columns hold
+                consecutive rows in ID order, the layout
+                :meth:`~repro.core.index.PexesoIndex.fit` produces.
+            order: ``np.argsort(cell_of_row, kind="stable")``. With the
+                layout above it is also the (code, column, row) order of
+                the postings, so no further sort is needed.
         """
         codes = np.asarray(cell_of_row, dtype=np.int64)
         cols = np.asarray(column_of_row, dtype=np.int64)
-        if rows is None:
-            rows = np.arange(codes.size, dtype=np.intp)
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-        if not (codes.size == cols.size == rows.size):
-            raise ValueError("cell, column and row arrays must align")
+        order = np.asarray(order, dtype=np.intp)
+        if not (codes.size == cols.size == order.size):
+            raise ValueError("cell, column and order arrays must align")
         if codes.size == 0:
             self.__init__()
             return
-        order = np.lexsort((rows, cols, codes))
+        if (cols[1:] < cols[:-1]).any():
+            raise ValueError("columns must hold consecutive rows in ID order")
         sorted_codes = codes[order]
         sorted_cols = cols[order]
         boundary = np.empty(sorted_codes.size, dtype=bool)
@@ -106,7 +103,7 @@ class InvertedIndex:
         self._codes = sorted_codes[firsts]
         self._cols = sorted_cols[firsts]
         self._starts = np.concatenate([firsts, [sorted_codes.size]]).astype(np.intp)
-        self._rows = rows[order]
+        self._rows = order
 
     def add_vector(self, cell: CellCode, column_id: int, row: int) -> None:
         """Register a single vector (global row index) of ``column_id``."""

@@ -65,9 +65,10 @@ class HistogramSpace:
         q, _ = np.linalg.qr(raw)
         self.projection = q[:, :n_dims]
         self.bins_per_dim = int(bins_per_dim)
-        projected = sample_vectors @ self.projection
-        lo = projected.min(axis=0)
-        hi = projected.max(axis=0)
+        #: the sample's projection, from which its range is taken
+        self.sample_projected = sample_vectors @ self.projection
+        lo = self.sample_projected.min(axis=0)
+        hi = self.sample_projected.max(axis=0)
         pad = np.maximum(1e-6, 0.01 * (hi - lo))
         self.lo = lo - pad
         self.hi = hi + pad
@@ -76,20 +77,27 @@ class HistogramSpace:
     def n_bins(self) -> int:
         return self.bins_per_dim ** self.projection.shape[1]
 
-    def histogram(self, vectors: np.ndarray) -> np.ndarray:
-        """Normalised occupancy histogram of a column's vectors."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        projected = vectors @ self.projection
+    def histograms(self, projected: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+        """Normalised histograms of consecutive columns of ``sizes`` rows.
+
+        ``projected`` holds the columns' projected rows back to back; one
+        ``np.bincount`` keyed by (column, bin) counts them all.
+        """
         span = self.hi - self.lo
         coords = np.floor(
             (projected - self.lo) / span * self.bins_per_dim
         ).astype(np.int64)
         np.clip(coords, 0, self.bins_per_dim - 1, out=coords)
-        flat = np.zeros(self.n_bins)
-        multipliers = self.bins_per_dim ** np.arange(self.projection.shape[1])
-        keys = coords @ multipliers
-        np.add.at(flat, keys, 1.0)
-        return flat / flat.sum()
+        keys = coords @ (self.bins_per_dim ** np.arange(self.projection.shape[1]))
+        keys += np.repeat(np.arange(len(sizes), dtype=np.int64) * self.n_bins, sizes)
+        counts = np.bincount(keys, minlength=len(sizes) * self.n_bins)
+        counts = counts.reshape(len(sizes), self.n_bins)
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    def histogram(self, vectors: np.ndarray) -> np.ndarray:
+        """Normalised occupancy histogram of a column's vectors."""
+        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        return self.histograms(vectors @ self.projection, [vectors.shape[0]])[0]
 
 
 def column_histogram(
@@ -121,10 +129,13 @@ def jsd_kmeans_partition(
     rng = rng or np.random.default_rng(0)
     if not columns:
         raise ValueError("cannot partition zero columns")
+    columns = [np.atleast_2d(np.asarray(c, dtype=np.float64)) for c in columns]
     if space is None:
-        sample = np.concatenate([np.atleast_2d(c) for c in columns], axis=0)
-        space = HistogramSpace(sample)
-    histograms = np.vstack([space.histogram(c) for c in columns])
+        space = HistogramSpace(np.concatenate(columns, axis=0))
+        projected = space.sample_projected
+    else:
+        projected = np.concatenate(columns, axis=0) @ space.projection
+    histograms = space.histograms(projected, [c.shape[0] for c in columns])
 
     def jsd_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         p = points + _SMOOTH

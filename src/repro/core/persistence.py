@@ -221,9 +221,11 @@ def _load_v3_arrays(
         raise FileNotFoundError(
             f"v3 index manifest names missing arrays dir {arrays_dir}"
         )
-    mode = "r" if mmap else None
+    # only the two O(N) arrays are worth a mapping; small ones read faster
+    big = ("vectors", "inv_rows") if mmap else ()
     return {
-        name: _np_load(arrays_dir / f"{name}.npy", mode) for name, _ in _V3_ARRAYS
+        name: _np_load(arrays_dir / f"{name}.npy", "r" if name in big else None)
+        for name, _ in _V3_ARRAYS
     }
 
 
@@ -262,11 +264,8 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
     inverted = InvertedIndex()
     inverted._codes = arrays["inv_codes"].astype(np.int64, copy=False)
     inverted._cols = arrays["inv_cols"].astype(np.int64, copy=False)
-    # _starts is the one array maintenance mutates in place
-    # (InvertedIndex.add_vector); materialise it so a read-only mmap can
-    # never be written through. It is O(postings) offsets — tiny next to
-    # the vector store that stays mapped.
-    inverted._starts = np.array(arrays["inv_starts"], dtype=np.intp)
+    # read eagerly, so writable: InvertedIndex.add_vector mutates it in place
+    inverted._starts = arrays["inv_starts"].astype(np.intp, copy=False)
     inverted._rows = arrays["inv_rows"].astype(np.intp, copy=False)
     index.inverted = inverted
     index.column_rows = {

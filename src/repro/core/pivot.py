@@ -82,8 +82,13 @@ def select_pivots_pca(
         sample = vectors[rng.choice(n, size=sample_size, replace=False)]
     centred = sample - sample.mean(axis=0, keepdims=True)
     # SVD of the (sampled) data gives principal directions without forming
-    # the covariance matrix.
-    _, _, vt = np.linalg.svd(centred, full_matrices=False)
+    # the covariance matrix. A tall sample is first reduced to its R
+    # factor, the QR-first path LAPACK's gesdd takes inside, without the
+    # (rows, dim) U factor nobody reads; the directions are the same.
+    if centred.shape[0] >= 2 * centred.shape[1]:
+        vt = np.linalg.svd(np.linalg.qr(centred, mode="r"))[2]
+    else:
+        _, _, vt = np.linalg.svd(centred, full_matrices=False)
 
     candidates: list[np.ndarray] = []
     for component in vt:

@@ -11,6 +11,13 @@ cell and row for row, and ``tests/core/test_grid.py`` /
 ``test_structure_properties.py`` check the code-array grid against the
 object tree (children, members and per-level cell sets).
 
+It also keeps the seed's bit-by-bit cell encoder (checked against the
+spread-table :func:`repro.core.cellcodes.encode_cells`), the seed's
+one-column-at-a-time JSD histogram (checked against the batched
+:meth:`repro.core.partition.HistogramSpace.histograms`) and the range
+lookups over an array grid that only tests read: children, subtree
+leaves, and leaf or subtree members.
+
 It is **not** wired into any search path.
 """
 
@@ -182,3 +189,68 @@ def build_reference_structures(
         inverted.add_column(column_id, cells, first_row)
         first_row += np.atleast_2d(mapped).shape[0]
     return grid, inverted
+
+
+def reference_encode_cells(coords: np.ndarray, n_dims: int, bits_per_axis: int) -> np.ndarray:
+    """The seed encoder: one shift/or pass per (bit, axis)."""
+    coords = np.asarray(coords, dtype=np.int64)
+    codes = np.zeros(coords.shape[0], dtype=np.int64)
+    for bit in range(bits_per_axis):
+        for axis in range(n_dims):
+            codes |= ((coords[:, axis] >> bit) & 1) << (bit * n_dims + axis)
+    return codes
+
+
+def reference_histogram(space, projected: np.ndarray) -> np.ndarray:
+    """The seed's histogram of one column's projected rows (``np.add.at``)."""
+    span = space.hi - space.lo
+    coords = np.floor((projected - space.lo) / span * space.bins_per_dim).astype(np.int64)
+    np.clip(coords, 0, space.bins_per_dim - 1, out=coords)
+    flat = np.zeros(space.n_bins)
+    multipliers = space.bins_per_dim ** np.arange(space.projection.shape[1])
+    np.add.at(flat, coords @ multipliers, 1.0)
+    return flat / flat.sum()
+
+
+def children_codes(grid, level: int, code: int) -> np.ndarray:
+    """Sorted child codes (level+1) of the level-``level`` cell ``code``.
+
+    Children of a cell are a contiguous range of the next level's sorted
+    array because the parent code is a bit-prefix.
+    """
+    nxt = grid.level_codes(level + 1)
+    lo = int(np.searchsorted(nxt, int(code) << grid.n_dims, side="left"))
+    hi = int(np.searchsorted(nxt, (int(code) + 1) << grid.n_dims, side="left"))
+    return nxt[lo:hi]
+
+
+def _subtree_leaf_span(grid, level: int, code: int) -> tuple[int, int]:
+    """``[lo, hi)`` positions in ``grid.leaf_codes`` of the leaves below a cell."""
+    shift = grid.n_dims * (grid.levels - level)
+    leaves = grid.leaf_codes
+    lo = int(np.searchsorted(leaves, int(code) << shift, side="left"))
+    hi = int(np.searchsorted(leaves, (int(code) + 1) << shift, side="left"))
+    return lo, hi
+
+
+def subtree_leaf_codes(grid, level: int, code: int) -> np.ndarray:
+    """Sorted leaf codes below the level-``level`` cell ``code``."""
+    lo, hi = _subtree_leaf_span(grid, level, code)
+    return grid.leaf_codes[lo:hi]
+
+
+def leaf_members(grid, code: int) -> np.ndarray:
+    """Member row indices (ascending) of one leaf cell code."""
+    starts, order = grid.members_csr()
+    leaves = grid.leaf_codes
+    i = int(np.searchsorted(leaves, int(code), side="left"))
+    if i >= leaves.size or leaves[i] != code:
+        return np.empty(0, dtype=np.intp)
+    return order[starts[i] : starts[i + 1]]
+
+
+def subtree_member_rows(grid, level: int, code: int) -> np.ndarray:
+    """Member rows of every leaf below a cell: one slice of the members CSR."""
+    starts, order = grid.members_csr()
+    lo, hi = _subtree_leaf_span(grid, level, code)
+    return order[starts[lo] : starts[hi]]

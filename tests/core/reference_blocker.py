@@ -19,6 +19,12 @@ import numpy as np
 from repro.core.cellcodes import decode_cells
 from repro.core.grid import CellCode, HierarchicalGrid
 from repro.core.stats import SearchStats
+from reference import (
+    children_codes,
+    leaf_members,
+    subtree_leaf_codes,
+    subtree_member_rows,
+)
 
 
 @dataclass
@@ -117,7 +123,7 @@ class _Blocker:
         if cached is not None:
             return cached
         child_level = level + 1
-        codes = grid.children_codes(level, code)
+        codes = children_codes(grid, level, code)
         size = grid.cell_size(child_level)
         coords = decode_cells(codes, grid.n_dims, child_level).astype(np.float64)
         lo = coords * size
@@ -171,7 +177,7 @@ class _Blocker:
     ) -> None:
         """Leaf stage: Lemmas 5 and 3 per (query vector, target leaf)
         (Alg. 1 l.3–9), batched over both axes."""
-        members = self.hg_q.leaf_members(q_code)
+        members = leaf_members(self.hg_q, q_code)
         batch = self.q_mapped[members]  # (mq, d)
         tau = self.tau
 
@@ -204,8 +210,8 @@ class _Blocker:
     def _emit_subtree_matches(self, level: int, q_code: int, r_code: int) -> None:
         """Lemma 6 fired: every query vector under ``q_code`` matches every
         target leaf cell under ``r_code`` (Alg. 1 l.11–12)."""
-        members = self.hg_q.subtree_member_rows(level, q_code)
-        leaves = self.hg_rv.subtree_leaf_codes(level, r_code).tolist()
+        members = subtree_member_rows(self.hg_q, level, q_code)
+        leaves = subtree_leaf_codes(self.hg_rv, level, r_code).tolist()
         for q in members.tolist():
             self.result.add_matches(q, leaves)
 
@@ -223,7 +229,7 @@ def quick_browse(
     aligned_codes = np.intersect1d(hg_q.leaf_codes, hg_rv.leaf_codes)
     stats.quick_browse_cells += int(aligned_codes.size)
     for code in aligned_codes.tolist():
-        for q in hg_q.leaf_members(code).tolist():
+        for q in leaf_members(hg_q, code).tolist():
             result.add_candidate(q, code)
     return set(aligned_codes.tolist())
 

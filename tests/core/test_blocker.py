@@ -13,6 +13,7 @@ from repro.core.grid import HierarchicalGrid
 from repro.core.metric import EuclideanMetric, normalize_rows
 from repro.core.pivot import PivotSpace
 from repro.core.stats import SearchStats
+from reference import leaf_members
 
 
 def _setup(seed=0, n_data=80, n_query=12, dim=6, n_pivots=3, levels=3):
@@ -113,7 +114,7 @@ class TestQuickBrowsing:
         assert aligned
         assert stats.quick_browse_cells == len(aligned)
         for code in aligned:
-            for q in hg_q.leaf_members(code).tolist():
+            for q in leaf_members(hg_q, code).tolist():
                 assert code in result.cells_of(q, match=False)
 
     def test_quick_browsing_does_not_change_reachable_set(self):

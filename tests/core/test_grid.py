@@ -1,7 +1,8 @@
 """Tests for the sparse hierarchical grid.
 
 The grid has no per-cell objects; structure is asserted through the
-array API (``level_codes`` / ``level_coords``, ``children_codes``,
+array API (``level_codes`` / ``level_coords``, ``members_csr``), the
+range lookups over it in ``reference`` (``children_codes``,
 ``leaf_members``, ``subtree_leaf_codes``, ``subtree_member_rows``) and
 checked cell for cell against the object-tree oracle
 ``reference.ReferenceGrid``.
@@ -12,7 +13,13 @@ import pytest
 
 from repro.core.cellcodes import decode_cells, encode_cells
 from repro.core.grid import HierarchicalGrid
-from reference import ReferenceGrid
+from reference import (
+    ReferenceGrid,
+    children_codes,
+    leaf_members,
+    subtree_leaf_codes,
+    subtree_member_rows,
+)
 
 
 @pytest.fixture()
@@ -45,7 +52,7 @@ class TestConstruction:
         ref = reference_grid(mapped, levels=3)
         members = []
         for code, coords in level_cells(grid, 3):
-            rows = grid.leaf_members(code).tolist()
+            rows = leaf_members(grid, code).tolist()
             assert rows == ref.leaf_cells[coords].members
             members.extend(rows)
         assert sorted(members) == list(range(100))
@@ -61,7 +68,7 @@ class TestConstruction:
 
     def test_root_children_cover_level1(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        np.testing.assert_array_equal(grid.children_codes(0, 0), grid.level_codes(1))
+        np.testing.assert_array_equal(children_codes(grid, 0, 0), grid.level_codes(1))
 
     def test_parent_child_nesting(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
@@ -69,7 +76,7 @@ class TestConstruction:
         for level in range(1, 3):
             seen = []
             for code, coords in level_cells(grid, level):
-                children = grid.children_codes(level, code)
+                children = children_codes(grid, level, code)
                 child_coords = {
                     tuple(c) for c in decode_cells(children, 3, level + 1).tolist()
                 }
@@ -87,7 +94,7 @@ class TestConstruction:
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
         for code, coords in level_cells(grid, 3):
             lo, hi = cell_box(grid, 3, coords)
-            for m in grid.leaf_members(code):
+            for m in leaf_members(grid, code):
                 # boundary values may be clipped into the last cell
                 assert (mapped[m] >= lo - 1e-9).all()
                 assert (mapped[m] <= hi + 1e-9).all() or np.isclose(
@@ -101,9 +108,9 @@ class TestConstruction:
     def test_store_members_false(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=2, extent=2.0, store_members=False)
         with pytest.raises(RuntimeError):
-            grid.leaf_members(int(grid.leaf_codes[0]))
+            leaf_members(grid, int(grid.leaf_codes[0]))
         with pytest.raises(RuntimeError):
-            grid.subtree_member_rows(0, 0)
+            subtree_member_rows(grid, 0, 0)
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_invalid_levels(self, bad):
@@ -152,21 +159,21 @@ class TestGeometry:
 class TestTraversal:
     def test_subtree_leaves_of_root_is_all(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        np.testing.assert_array_equal(grid.subtree_leaf_codes(0, 0), grid.leaf_codes)
+        np.testing.assert_array_equal(subtree_leaf_codes(grid, 0, 0), grid.leaf_codes)
         assert {coords for _, coords in level_cells(grid, 3)} == set(
             reference_grid(mapped, levels=3).leaf_cells
         )
 
     def test_subtree_members_of_root_is_all(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
-        assert sorted(grid.subtree_member_rows(0, 0).tolist()) == list(range(100))
+        assert sorted(subtree_member_rows(grid, 0, 0).tolist()) == list(range(100))
 
     def test_subtree_of_leaf_is_itself(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=3, extent=2.0)
         leaf = int(grid.leaf_codes[0])
-        assert grid.subtree_leaf_codes(3, leaf).tolist() == [leaf]
+        assert subtree_leaf_codes(grid, 3, leaf).tolist() == [leaf]
         np.testing.assert_array_equal(
-            grid.subtree_member_rows(3, leaf), grid.leaf_members(leaf)
+            subtree_member_rows(grid, 3, leaf), leaf_members(grid, leaf)
         )
 
     def test_n_cells(self, mapped):
@@ -188,13 +195,13 @@ class TestIncrementalInsert:
         grid.insert(np.array([[0.1, 0.1]]))
         grid.insert(np.array([[0.1, 0.1]]))
         origin = int(encode_cells(np.array([[0, 0]]), n_dims=2, bits_per_axis=2)[0])
-        assert grid.leaf_members(origin).tolist() == [0, 1]
+        assert leaf_members(grid, origin).tolist() == [0, 1]
 
     def test_insert_creates_ancestors_once(self):
         grid = HierarchicalGrid(2, 3, extent=2.0)
         grid.insert(np.array([[0.1, 0.1], [0.11, 0.11]]))
         assert grid.level_codes(1).size == 1
-        assert grid.children_codes(0, 0).size == 1
+        assert children_codes(grid, 0, 0).size == 1
 
     def test_memory_bytes_positive(self, mapped):
         grid = HierarchicalGrid.build(mapped, levels=2, extent=2.0)

@@ -1,6 +1,7 @@
 """Tests for PexesoIndex construction and maintenance (§III-E)."""
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -70,6 +71,21 @@ class TestBuild:
         assert index.stats.n_columns == 20
         assert index.stats.n_leaf_cells == index.inverted.n_cells
         assert index.stats.total_seconds >= 0.0
+
+    def test_stage_timers_fit_inside_fit(self, columns):
+        index = PexesoIndex(n_pivots=3, levels=2)
+        started = time.perf_counter()
+        index.fit(columns)
+        wall = time.perf_counter() - started
+        stats = index.stats
+        stages = [
+            stats.pivot_selection_seconds,
+            stats.pivot_mapping_seconds,
+            stats.grid_build_seconds,
+            stats.inverted_index_seconds,
+        ]
+        assert all(seconds > 0.0 for seconds in stages)
+        assert sum(stages) <= wall
 
     def test_memory_bytes_positive(self, columns):
         assert PexesoIndex.build(columns).memory_bytes() > 0

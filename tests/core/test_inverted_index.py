@@ -58,7 +58,7 @@ class TestBuildBulk:
         cells = rng.integers(0, 30, size=60)
         cols = np.sort(rng.integers(0, 6, size=60))
         bulk = InvertedIndex()
-        bulk.build_bulk(cells, cols)
+        bulk.build_bulk(cells, cols, np.argsort(cells, kind="stable"))
         incremental = InvertedIndex()
         for col in np.unique(cols):
             mask = cols == col
@@ -72,9 +72,16 @@ class TestBuildBulk:
 
     def test_empty_build(self):
         index = InvertedIndex()
-        index.build_bulk(np.empty(0), np.empty(0))
+        index.build_bulk(np.empty(0), np.empty(0), np.empty(0))
         assert index.n_postings == 0
         assert index.n_cells == 0
+
+    def test_columns_out_of_row_order_are_refused(self):
+        cells = np.array([3, 1, 2])
+        with pytest.raises(ValueError):
+            InvertedIndex().build_bulk(
+                cells, np.array([0, 2, 1]), np.argsort(cells, kind="stable")
+            )
 
 
 class TestDeleteColumn:

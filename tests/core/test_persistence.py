@@ -249,8 +249,18 @@ class TestV3Format:
         loaded = load_index(tmp_path / "idx", mmap=True)
         assert isinstance(loaded.vectors, np.memmap)
         assert isinstance(loaded.inverted._rows, np.memmap)
-        # the one in-place-mutated array must be materialised
-        assert not isinstance(loaded.inverted._starts, np.memmap)
+        # only the two O(N) arrays are mapped: the small ones are read
+        # eagerly, as plain writable arrays
+        small = [
+            loaded.pivot_space.pivots,
+            loaded.grid.leaf_codes,
+            loaded.inverted._codes,
+            loaded.inverted._cols,
+            loaded.inverted._starts,
+        ]
+        for array in small:
+            assert type(array) is np.ndarray
+            assert array.flags.writeable
 
     def test_eager_load_matches_mmap(self, built, small_query, tmp_path):
         save_index(built, tmp_path / "idx")

@@ -40,7 +40,10 @@ def test_csr_postings_equal_reference(seed, levels):
         codes_all.append(codes)
         cols_all.append(np.full(codes.size, column_id, dtype=np.int64))
         first_row += mapped.shape[0]
-    inverted.build_bulk(np.concatenate(codes_all), np.concatenate(cols_all))
+    codes_all = np.concatenate(codes_all)
+    inverted.build_bulk(
+        codes_all, np.concatenate(cols_all), np.argsort(codes_all, kind="stable")
+    )
 
     assert inverted.n_postings == ref_inverted.n_postings
     assert inverted.n_cells == ref_inverted.n_cells
@@ -68,7 +71,11 @@ def test_bulk_build_equals_incremental_appends(seed, levels=3):
     sizes = [np.atleast_2d(c).shape[0] for c in mapped_columns]
     codes = bulk_grid.insert(stacked)
     bulk = InvertedIndex()
-    bulk.build_bulk(codes, np.repeat(np.arange(len(sizes), dtype=np.int64), sizes))
+    bulk.build_bulk(
+        codes,
+        np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+        np.argsort(codes, kind="stable"),
+    )
 
     inc_grid = HierarchicalGrid(n_dims, levels, extent, store_members=False)
     inc = InvertedIndex()

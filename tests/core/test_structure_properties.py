@@ -9,7 +9,7 @@ from repro.core.cellcodes import decode_cells
 from repro.core.grid import HierarchicalGrid
 from repro.core.inverted_index import InvertedIndex
 from repro.core.partition import HistogramSpace, jensen_shannon_divergence
-from reference import ReferenceGrid
+from reference import ReferenceGrid, children_codes, leaf_members, subtree_leaf_codes
 
 
 @st.composite
@@ -38,7 +38,7 @@ class TestGridProperties:
         for code, coords in zip(
             grid.leaf_codes.tolist(), grid.level_coords(levels).tolist()
         ):
-            rows = grid.leaf_members(code).tolist()
+            rows = leaf_members(grid, code).tolist()
             assert rows == ref.leaf_cells[tuple(coords)].members
             members.extend(rows)
         assert sorted(members) == list(range(points.shape[0]))
@@ -52,10 +52,10 @@ class TestGridProperties:
             frontier = [
                 child
                 for code in frontier
-                for child in grid.children_codes(level, code).tolist()
+                for child in children_codes(grid, level, code).tolist()
             ]
         assert frontier == grid.leaf_codes.tolist()
-        np.testing.assert_array_equal(grid.subtree_leaf_codes(0, 0), grid.leaf_codes)
+        np.testing.assert_array_equal(subtree_leaf_codes(grid, 0, 0), grid.leaf_codes)
 
     @settings(max_examples=40, deadline=None)
     @given(points=mapped_points(), levels=st.integers(1, 5))
@@ -66,7 +66,7 @@ class TestGridProperties:
                 grid.level_codes(level).tolist(), grid.level_coords(level).tolist()
             ):
                 lo, hi = _box(grid, level, coords)
-                children = grid.children_codes(level, code)
+                children = children_codes(grid, level, code)
                 assert children.size >= 1
                 for child in decode_cells(children, grid.n_dims, level + 1).tolist():
                     c_lo, c_hi = _box(grid, level + 1, child)
@@ -89,7 +89,7 @@ class TestGridProperties:
             )
         for code in batch.leaf_codes.tolist():
             np.testing.assert_array_equal(
-                batch.leaf_members(code), incremental.leaf_members(code)
+                leaf_members(batch, code), leaf_members(incremental, code)
             )
 
 
