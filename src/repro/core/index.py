@@ -1,8 +1,14 @@
 """The PEXESO index: pivots + hierarchical grid + inverted index (§III).
 
 :class:`PexesoIndex` owns the repository side of the framework: the pivot
-space, the vector store, ``HG_RV`` and the inverted index. It
-supports the incremental maintenance of §III-E (column append and delete);
+space, the vector store, ``HG_RV`` and the inverted index, a leaf → row
+CSR over ``HG_RV``'s own leaf-level array whose column directory is the
+index's only record of which rows hold which column
+(:attr:`PexesoIndex.column_rows` is a view of it). Row ids are int32, so
+one index holds at most :data:`~repro.core.inverted_index.MAX_ROWS`
+rows; larger lakes are sharded by
+:class:`~repro.core.out_of_core.PartitionedPexeso`. It supports the
+incremental maintenance of §III-E (column append and delete);
 out-of-core partitions spill it to disk through the array-native
 :mod:`~repro.core.persistence` format.
 """
@@ -16,7 +22,7 @@ import numpy as np
 
 from repro.core.cellcodes import stable_code_order
 from repro.core.grid import HierarchicalGrid
-from repro.core.inverted_index import InvertedIndex
+from repro.core.inverted_index import ColumnRows, InvertedIndex, check_row_count
 from repro.core.metric import EuclideanMetric, Metric
 from repro.core.pivot import PivotSpace, build_pivot_space
 from repro.core.stats import IndexStats
@@ -86,7 +92,6 @@ class PexesoIndex:
         # headroom that adds write into. A read-only store (a mmapped
         # epoch) is copied on its first write, never written through.
         self._store: Optional[np.ndarray] = None
-        self.column_rows: dict[int, np.ndarray] = {}
         self._next_column_id = 0
         self._n_rows = 0
         # Opt-in ANN candidate tier (repro.core.ann): a column graph, or
@@ -126,9 +131,14 @@ class PexesoIndex:
         concatenated lake maps each block to the pivot space and encodes
         its leaf cells, then one stable sort of the codes gives both
         the grid (shift-derived ancestor levels of the sorted leaves) and
-        the CSR inverted index — a handful of NumPy passes instead of
-        per-column, per-row Python. The resulting structure is identical
-        to appending the columns one at a time with :meth:`add_column`.
+        the inverted index's rows in leaf order — a handful of NumPy
+        passes instead of per-column, per-row Python. The resulting
+        structure is identical to appending the columns one at a time
+        with :meth:`add_column`.
+
+        Raises:
+            ValueError: on empty, ragged or non-finite columns, or a lake
+                past :data:`~repro.core.inverted_index.MAX_ROWS` rows.
         """
         if not columns:
             raise ValueError("cannot build an index over zero columns")
@@ -140,6 +150,7 @@ class PexesoIndex:
             if arr.shape[0] == 0:
                 raise ValueError("cannot index an empty column")
         n_rows = sum(arr.shape[0] for arr in arrays)
+        check_row_count(n_rows)
         store = np.empty((_capacity(n_rows), dim), dtype=np.float64)
         all_vectors = np.concatenate(arrays, axis=0, out=store[:n_rows])
         if not np.isfinite(all_vectors).all():
@@ -181,17 +192,12 @@ class PexesoIndex:
         sizes = np.asarray([arr.shape[0] for arr in arrays], dtype=np.intp)
         column_of_row = np.repeat(np.arange(len(arrays), dtype=np.int64), sizes)
         t0 = time.perf_counter()
-        self.inverted.build_bulk(codes, column_of_row, order)
+        self.inverted.build_bulk(codes, column_of_row, order, self.grid.leaf_codes)
         self.stats.inverted_index_seconds += time.perf_counter() - t0
 
         self._store = store
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        self.column_rows = {
-            cid: np.arange(bounds[cid], bounds[cid + 1], dtype=np.intp)
-            for cid in range(len(arrays))
-        }
         self._next_column_id = len(arrays)
-        self._n_rows = int(bounds[-1])
+        self._n_rows = n_rows
         self.ann_graph = None
         self._ann_invalidated = False
         self.stats.n_vectors = self._n_rows
@@ -201,12 +207,19 @@ class PexesoIndex:
         return self
 
     def add_column(self, vectors: np.ndarray) -> int:
-        """Append a column (§III-E) and return its assigned column ID."""
+        """Append a column (§III-E) and return its assigned column ID.
+
+        Raises:
+            ValueError: on an empty or non-finite column, or when the
+                store would pass :data:`~repro.core.inverted_index.MAX_ROWS`
+                rows (dead rows included).
+        """
         if self.pivot_space is None or self.grid is None:
             raise RuntimeError("index is empty: call fit() before add_column()")
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if vectors.shape[0] == 0:
             raise ValueError("cannot index an empty column")
+        check_row_count(self._n_rows + vectors.shape[0])
         if not np.isfinite(vectors).all():
             raise ValueError("column contains NaN or infinite values")
         if np.may_share_memory(vectors, self._store):
@@ -225,41 +238,37 @@ class PexesoIndex:
         self._next_column_id += 1
         first_row = self._n_rows
         t0 = time.perf_counter()
-        self.inverted.add_column(column_id, cells, first_row)
+        added = self.inverted.add_column(column_id, cells, first_row, self.grid.leaf_codes)
         self.stats.inverted_index_seconds += time.perf_counter() - t0
 
         self._store[first_row : first_row + vectors.shape[0]] = vectors
         self._drop_ann_graph()
-        self.column_rows[column_id] = np.arange(
-            first_row, first_row + vectors.shape[0], dtype=np.intp
-        )
         self._n_rows += vectors.shape[0]
         self.stats.n_vectors = self._n_rows
         self.stats.n_columns = len(self.column_rows)
         self.stats.n_leaf_cells = self.inverted.n_cells
-        self.stats.n_postings = self.inverted.n_postings
+        self.stats.n_postings += added
         return column_id
 
     def delete_column(self, column_id: int) -> None:
         """Remove a column from the inverted index (§III-E lazy deletion).
 
-        The postings are the only path from a search to a column, so
-        removing them removes the column from every future result. Its
-        vector rows stay behind as dead rows until they exceed
+        The inverted index's rows are the only path from a search to a
+        column, so removing them removes the column from every future
+        result. Its vector rows stay behind as dead rows until they exceed
         :data:`COMPACT_DEAD_SHARE` of the live rows; then the store is
-        compacted in place (:meth:`_compact`) and the postings renumbered.
+        compacted in place (:meth:`_compact`) and the index's rows
+        renumbered.
         """
         if column_id not in self.column_rows:
             raise KeyError(f"unknown column id {column_id}")
-        self.inverted.delete_column(column_id)
-        del self.column_rows[column_id]
+        self.stats.n_postings -= self.inverted.delete_column(column_id)
         n_live = self._n_live()
         if self._n_rows - n_live > COMPACT_DEAD_SHARE * n_live:
             self._compact()
         self._drop_ann_graph()
         self.stats.n_columns = len(self.column_rows)
         self.stats.n_leaf_cells = self.inverted.n_cells
-        self.stats.n_postings = self.inverted.n_postings
 
     # -- approximate candidate tier ----------------------------------------------
 
@@ -307,8 +316,14 @@ class PexesoIndex:
             raise RuntimeError("index holds no vectors")
         return self._store[: self._n_rows]
 
+    @property
+    def column_rows(self) -> ColumnRows:
+        """Read-only ``{column_id: global row indices}`` view of the
+        inverted index's column directory (one ``arange`` per access)."""
+        return ColumnRows(self.inverted)
+
     def _n_live(self) -> int:
-        return sum(rows.size for rows in self.column_rows.values())
+        return int(self.inverted.column_sizes.sum())
 
     def _reserve(self, n_new: int) -> None:
         """Make the store writable with room for ``n_new`` more rows.
@@ -343,19 +358,14 @@ class PexesoIndex:
         source = self._store
         if not source.flags.writeable:
             self._store = np.empty((_capacity(n_live), self.dim), dtype=np.float64)
-        renumber = np.full(self._n_rows, -1, dtype=np.intp)
-        at = 0
-        for first, cid in sorted(
-            (int(rows[0]), cid) for cid, rows in self.column_rows.items()
+        inverted = self.inverted
+        olds = inverted.column_firsts.tolist()
+        inverted.rows, inverted.column_firsts = inverted.packed()
+        for old, new, size in zip(
+            olds, inverted.column_firsts.tolist(), inverted.column_sizes.tolist()
         ):
-            size = self.column_rows[cid].size
-            if first != at or self._store is not source:
-                self._store[at : at + size] = source[first : first + size]
-            rows = np.arange(at, at + size, dtype=np.intp)
-            renumber[first : first + size] = rows
-            self.column_rows[cid] = rows
-            at += size
-        self.inverted._rows = renumber[self.inverted._rows]
+            if old != new or self._store is not source:
+                self._store[new : new + size] = source[old : old + size]
         self._n_rows = self.grid.n_vectors = n_live
         self.stats.n_vectors = n_live
 
@@ -370,33 +380,27 @@ class PexesoIndex:
         vectors = self.vectors  # raises on an empty index
         return self.pivot_space.map_vectors(vectors)
 
-    def live_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    def live_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stores without deleted columns' rows, for a save.
 
-        Returns ``(vectors, posting rows, column_rows)``: live rows
-        keep their order, so every column stays one contiguous range, and
-        the inverted index's row array is renumbered to match. Without
-        dead rows these are the index's own arrays.
+        Returns ``(vectors, rows, column_firsts)``: live rows keep their
+        order, so every column stays one contiguous range, and the
+        inverted index's rows and directory are renumbered to match
+        (:meth:`~repro.core.inverted_index.InvertedIndex.packed`). Without dead rows these are the
+        index's own arrays (``vectors`` a view).
         """
-        firsts = sorted((int(rows[0]), cid) for cid, rows in self.column_rows.items())
-        keep = [self.column_rows[cid] for _, cid in firsts]
-        if sum(rows.size for rows in keep) == self._n_rows:
-            return self.vectors, self.inverted._rows, self.column_rows
-        keep = np.concatenate(keep) if keep else np.zeros(0, dtype=np.intp)
-        renumber = np.full(self._n_rows, -1, dtype=np.intp)
-        renumber[keep] = np.arange(keep.size, dtype=np.intp)
-        column_rows = {cid: renumber[self.column_rows[cid]] for _, cid in firsts}
-        return (
-            self.vectors[keep],
-            renumber[self.inverted._rows],
-            column_rows,
-        )
+        inverted = self.inverted
+        rows, firsts = inverted.packed()
+        shift = inverted.column_firsts - firsts
+        n_live = self._n_live()
+        if not shift.any():
+            return self.vectors[:n_live], rows, firsts
+        keep = np.arange(n_live) + np.repeat(shift, inverted.column_sizes)
+        return self.vectors[keep], rows, firsts
 
     @property
     def n_columns(self) -> int:
-        return len(self.column_rows)
+        return int(self.inverted.column_ids.size)
 
     @property
     def n_vectors(self) -> int:
@@ -415,7 +419,9 @@ class PexesoIndex:
     # -- reporting ---------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Approximate index memory footprint (pivots + grid + postings).
+        """Index memory footprint (pivots + grid + inverted index): the
+        ``.nbytes`` of every array they hold, the leaf array the grid and
+        the inverted index share counted once.
 
         Excludes the raw vector store, matching the paper's remark that
         "most memory consumption is the table repository storage". No

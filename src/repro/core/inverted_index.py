@@ -1,38 +1,58 @@
-"""Inverted index from grid leaf cells to column postings (paper §III-C).
+"""Inverted index from grid leaf cells to lake rows (paper §III-C).
 
-Keys are the linearized leaf cell codes of ``HG_RV``
-(:mod:`repro.core.cellcodes`); each key maps to a postings list of
-columns having at least one vector in that cell, in increasing column-ID
-order (the DaaT order of the paper's Algorithm 2). Each
-posting also carries the global row indices of that column's vectors
-inside the cell, so verification can fetch exactly the vectors it needs.
+A leaf cell's postings are the columns with a vector in it, in column-ID
+order (the DaaT order of Algorithm 2), each with its rows in the cell.
+Columns occupy contiguous row ranges in ID order (``fit`` lays them out
+so, :meth:`add_column` appends past the last one, compaction keeps the
+order), so a cell's rows in ascending order *are* its postings in
+(column, row) order, and the index is one leaf → row CSR:
 
-The layout is CSR over flat arrays instead of dict-of-lists:
+* ``leaves`` / ``leaf_starts`` — ``HG_RV``'s sorted leaf codes (the
+  grid's own array, shared) and the row offsets aligned with them; a
+  leaf whose columns were all deleted keeps an empty range;
+* ``rows`` — every indexed row, grouped by leaf, ascending within one;
+* ``column_ids`` / ``column_firsts`` / ``column_sizes`` — the column
+  directory, in first-row (= ID) order: one ``searchsorted`` resolves
+  rows to columns.
 
-* ``_codes`` / ``_cols`` — one entry per (cell, column) posting, lexsorted
-  by ``(cell code, column id)``; a cell's postings are a contiguous range
-  found by ``np.searchsorted``, already in DaaT order;
-* ``_rows`` / ``_starts`` — the global row indices of every posting,
-  concatenated, with CSR offsets per entry.
-
-``build_bulk`` constructs the whole index from the per-row (code, column)
-pairs of a lake and the stable code order its caller sorted once;
-:meth:`add_column` is a sorted-merge append and :meth:`delete_column` a
-boolean-mask compaction, preserving the §III-E maintenance semantics. Lookups
-(:meth:`columns_in_cells` and the array-returning
-:meth:`columns_in_cells_arrays`) are vectorised range gathers.
+Every array counting or naming rows is int32 (at most :data:`MAX_ROWS`
+rows). Postings are derived on lookup: the cells' row slices, sorted,
+are grouped by column. :meth:`add_column` is one ``np.insert`` at the
+ends of the leaf ranges, :meth:`delete_column` one mask over the rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 CellCode = int
 
+#: rows one index can hold: row ids are int32. Larger lakes are split
+#: into shards by :class:`~repro.core.out_of_core.PartitionedPexeso`
+MAX_ROWS = int(np.iinfo(np.int32).max)
+
+#: dtype of every array counting or naming rows
+ROW = np.int32
+
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_IP = np.empty(0, dtype=np.intp)
+_EMPTY_ROWS = np.empty(0, dtype=ROW)
+
+
+def check_row_count(n_rows: int) -> None:
+    """Refuse an index of more than :data:`MAX_ROWS` rows."""
+    if n_rows > MAX_ROWS:
+        raise ValueError(
+            f"{n_rows} rows exceed one index's int32 row ids ({MAX_ROWS}); "
+            "shard the lake with repro.core.out_of_core.PartitionedPexeso"
+        )
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal (non-negative) values starts."""
+    return np.flatnonzero(np.diff(values, prepend=-1))
 
 
 class Posting:
@@ -52,22 +72,26 @@ class Posting:
 
 
 class InvertedIndex:
-    """Leaf cell code -> postings, stored as lexsorted CSR arrays."""
+    """Leaf cell code -> rows, stored as one leaf → row CSR."""
 
     def __init__(self) -> None:
-        #: per posting entry: cell code, lexsorted by (code, column)
-        self._codes = _EMPTY_I64
-        #: per posting entry: column id
-        self._cols = _EMPTY_I64
-        #: CSR offsets of each entry's rows inside ``_rows``
-        self._starts = np.zeros(1, dtype=np.intp)
-        #: global row indices, concatenated per entry
-        self._rows = _EMPTY_IP
-
-    # -- construction ------------------------------------------------------------
+        #: sorted leaf codes the offsets are aligned with
+        self.leaves = _EMPTY_I64
+        #: CSR offsets of each leaf's rows inside ``rows``
+        self.leaf_starts = np.zeros(1, dtype=ROW)
+        #: global row indices, grouped by leaf, ascending within one
+        self.rows = _EMPTY_ROWS
+        #: the column directory, ordered by first row
+        self.column_ids = _EMPTY_I64
+        self.column_firsts = _EMPTY_ROWS
+        self.column_sizes = _EMPTY_ROWS
 
     def build_bulk(
-        self, cell_of_row: np.ndarray, column_of_row: np.ndarray, order: np.ndarray
+        self,
+        cell_of_row: np.ndarray,
+        column_of_row: np.ndarray,
+        order: np.ndarray,
+        leaves: np.ndarray,
     ) -> None:
         """Build the whole index from per-row arrays and their code order.
 
@@ -77,8 +101,9 @@ class InvertedIndex:
                 consecutive rows in ID order, the layout
                 :meth:`~repro.core.index.PexesoIndex.fit` produces.
             order: ``np.argsort(cell_of_row, kind="stable")``. With the
-                layout above it is also the (code, column, row) order of
-                the postings, so no further sort is needed.
+                layout above it is also the (leaf, row) order of ``rows``.
+            leaves: the grid's leaf level (sorted, a superset of
+                ``cell_of_row``), which the index then shares.
         """
         codes = np.asarray(cell_of_row, dtype=np.int64)
         cols = np.asarray(column_of_row, dtype=np.int64)
@@ -90,160 +115,142 @@ class InvertedIndex:
             return
         if (cols[1:] < cols[:-1]).any():
             raise ValueError("columns must hold consecutive rows in ID order")
-        sorted_codes = codes[order]
-        sorted_cols = cols[order]
-        boundary = np.empty(sorted_codes.size, dtype=bool)
-        boundary[0] = True
-        np.logical_or(
-            sorted_codes[1:] != sorted_codes[:-1],
-            sorted_cols[1:] != sorted_cols[:-1],
-            out=boundary[1:],
-        )
-        firsts = np.nonzero(boundary)[0]
-        self._codes = sorted_codes[firsts]
-        self._cols = sorted_cols[firsts]
-        self._starts = np.concatenate([firsts, [sorted_codes.size]]).astype(np.intp)
-        self._rows = order
-
-    def add_vector(self, cell: CellCode, column_id: int, row: int) -> None:
-        """Register a single vector (global row index) of ``column_id``."""
-        pos = self._entry_position(int(cell), int(column_id))
-        if (
-            pos < self._codes.size
-            and self._codes[pos] == cell
-            and self._cols[pos] == column_id
-        ):
-            self._rows = np.insert(self._rows, self._starts[pos + 1], row)
-            self._starts[pos + 1 :] += 1
-        else:
-            self._insert_entries(
-                np.asarray([cell], dtype=np.int64),
-                np.asarray([column_id], dtype=np.int64),
-                np.asarray([row], dtype=np.intp),
-                np.asarray([1], dtype=np.intp),
-            )
+        self.leaves = leaves
+        self.leaf_starts = np.append(
+            np.searchsorted(codes[order], leaves), codes.size
+        ).astype(ROW)
+        self.rows = order.astype(ROW)
+        firsts = _run_starts(cols)
+        self.column_ids = cols[firsts]
+        self.column_firsts = firsts.astype(ROW)
+        self.column_sizes = np.diff(np.append(firsts, cols.size)).astype(ROW)
 
     def add_column(
-        self, column_id: int, cells: Sequence[CellCode] | np.ndarray, first_row: int
-    ) -> None:
-        """Register a whole column whose vectors occupy ``cells`` in order.
+        self,
+        column_id: int,
+        cells: Sequence[CellCode] | np.ndarray,
+        first_row: int,
+        leaves: np.ndarray,
+    ) -> int:
+        """Register a whole column whose vectors occupy ``cells`` in order;
+        returns how many postings (leaves it occupies) it adds.
 
         ``cells[i]`` is the leaf cell code of the column's i-th vector;
-        global row indices are ``first_row + i``. This is the sorted-merge
-        append path of §III-E: the column's new entries are grouped with
-        one stable argsort and spliced into the CSR arrays at their
-        ``searchsorted`` positions.
+        global row indices are ``first_row + i``. The column must come
+        after every indexed one, in ID and in rows, so its rows go at the
+        end of each leaf's range: one ``np.insert`` (§III-E append).
+        ``leaves`` is the grid's leaf level after the column's cells were
+        inserted: a sorted superset of the current leaves and of ``cells``.
         """
         codes = np.asarray(cells, dtype=np.int64)
         if codes.ndim != 1:
             raise ValueError("cells must be a flat sequence of cell codes")
         n = codes.size
         if n == 0:
-            return
-        rows = np.arange(first_row, first_row + n, dtype=np.intp)
+            return 0
+        if self.column_ids.size and (
+            column_id <= self.column_ids[-1]
+            or first_row < self.column_firsts[-1] + self.column_sizes[-1]
+        ):
+            raise ValueError("columns must be added in ID order, after the indexed rows")
         order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        sorted_rows = rows[order]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=boundary[1:])
-        firsts = np.nonzero(boundary)[0]
-        lens = np.diff(np.concatenate([firsts, [n]])).astype(np.intp)
-        new_codes = sorted_codes[firsts]
-        new_cols = np.full(new_codes.size, column_id, dtype=np.int64)
-        self._insert_entries(new_codes, new_cols, sorted_rows, lens)
-
-    def _entry_position(self, code: int, column_id: int) -> int:
-        """Lexicographic (code, column) insertion position into the entries."""
-        lo = int(np.searchsorted(self._codes, code, side="left"))
-        hi = int(np.searchsorted(self._codes, code, side="right"))
-        return lo + int(np.searchsorted(self._cols[lo:hi], column_id, side="left"))
-
-    def _insert_entries(
-        self,
-        new_codes: np.ndarray,
-        new_cols: np.ndarray,
-        new_rows: np.ndarray,
-        new_lens: np.ndarray,
-    ) -> None:
-        """Splice (code, column)-sorted new entries into the CSR arrays."""
-        if self._codes.size == 0:
-            self._codes = new_codes.copy()
-            self._cols = new_cols.copy()
-            self._rows = new_rows.astype(np.intp, copy=True)
-            self._starts = np.concatenate(
-                [[0], np.cumsum(new_lens)]
-            ).astype(np.intp)
-            return
-        positions = np.fromiter(
-            (
-                self._entry_position(int(code), int(col))
-                for code, col in zip(new_codes.tolist(), new_cols.tolist())
-            ),
-            dtype=np.intp,
-            count=new_codes.size,
+        # realign the offsets with `leaves`: a new leaf starts out empty
+        starts = np.append(
+            self.leaf_starts[np.searchsorted(self.leaves, leaves)], self.rows.size
         )
-        old_lens = np.diff(self._starts)
-        self._codes = np.insert(self._codes, positions, new_codes)
-        self._cols = np.insert(self._cols, positions, new_cols)
-        self._rows = np.insert(
-            self._rows, np.repeat(self._starts[positions], new_lens), new_rows
-        )
-        lens = np.insert(old_lens, positions, new_lens)
-        self._starts = np.concatenate([[0], np.cumsum(lens)]).astype(np.intp)
+        leaf_of = np.searchsorted(leaves, codes[order])
+        self.rows = np.insert(self.rows, starts[leaf_of + 1], (first_row + order).astype(ROW))
+        added = np.bincount(leaf_of, minlength=leaves.size)
+        starts[1:] += np.cumsum(added)
+        self.leaves, self.leaf_starts = leaves, starts.astype(ROW)
+        self.column_ids = np.append(self.column_ids, np.int64(column_id))
+        self.column_firsts = np.append(self.column_firsts, ROW(first_row))
+        self.column_sizes = np.append(self.column_sizes, ROW(n))
+        return int(np.count_nonzero(added))
 
     def delete_column(self, column_id: int) -> int:
         """Remove every posting of ``column_id``; returns how many were removed.
 
-        One boolean mask over the entry arrays; cells left empty vanish
-        with their entries, so blocking stops producing candidates for
-        them.
+        One mask over the rows; the leaves the column occupied keep
+        their (possibly now empty) ranges, and an empty one produces no
+        candidates.
         """
-        kill = self._cols == column_id
-        removed = int(np.count_nonzero(kill))
-        if not removed:
+        try:
+            at = self._position(column_id)
+        except KeyError:
             return 0
-        keep = ~kill
-        lens = np.diff(self._starts)
-        self._rows = self._rows[np.repeat(keep, lens)]
-        self._codes = self._codes[keep]
-        self._cols = self._cols[keep]
-        self._starts = np.concatenate([[0], np.cumsum(lens[keep])]).astype(np.intp)
-        return removed
+        first = self.column_firsts[at]
+        kill = (self.rows >= first) & (self.rows < first + self.column_sizes[at])
+        dead = np.flatnonzero(kill)
+        self.rows = self.rows[~kill]
+        leaf_of = np.searchsorted(self.leaf_starts, dead, side="right") - 1
+        self.leaf_starts = (
+            self.leaf_starts - np.searchsorted(dead, self.leaf_starts)
+        ).astype(ROW)
+        self.column_ids = np.delete(self.column_ids, at)
+        self.column_firsts = np.delete(self.column_firsts, at)
+        self.column_sizes = np.delete(self.column_sizes, at)
+        return int(_run_starts(leaf_of).size)
 
-    # -- lookup ------------------------------------------------------------------
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, column_firsts)`` with every column slid down to the end
+        of the one before it, the renumbering a compaction applies; the
+        index's own arrays when no column moves."""
+        firsts = (np.cumsum(self.column_sizes) - self.column_sizes).astype(ROW)
+        shift = self.column_firsts - firsts
+        if not shift.any():
+            return self.rows, self.column_firsts
+        return self.rows - shift[self._columns_of(self.rows)], firsts
+
+    def _position(self, column_id: int) -> int:
+        """Directory position of ``column_id`` (KeyError when absent)."""
+        at = int(np.searchsorted(self.column_ids, column_id))
+        if at == self.column_ids.size or self.column_ids[at] != column_id:
+            raise KeyError(column_id)
+        return at
+
+    def _columns_of(self, rows: np.ndarray) -> np.ndarray:
+        """Directory position of each (live) row's column."""
+        return np.searchsorted(self.column_firsts, rows, side="right") - 1
+
+    def _gather(self, cells: Iterable[CellCode] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell row counts, and the positions in ``rows`` of every
+        cell's slice, concatenated in input order (unknown cells: none)."""
+        codes = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells), np.int64)
+        if self.leaves.size == 0:
+            return np.zeros(codes.size, dtype=np.intp), np.empty(0, dtype=np.intp)
+        at = np.minimum(np.searchsorted(self.leaves, codes), self.leaves.size - 1)
+        lo = self.leaf_starts[at]
+        counts = np.where(self.leaves[at] == codes, self.leaf_starts[at + 1] - lo, 0)
+        offsets = np.cumsum(counts) - counts
+        positions = np.arange(int(counts.sum()), dtype=np.intp)
+        positions -= np.repeat(offsets - lo, counts)
+        return counts, positions
 
     @property
     def n_postings(self) -> int:
-        """Total number of (cell, column) posting entries."""
-        return int(self._codes.size)
-
-    def _cell_range(self, cell: CellCode) -> tuple[int, int]:
-        lo = int(np.searchsorted(self._codes, int(cell), side="left"))
-        hi = int(np.searchsorted(self._codes, int(cell), side="right"))
-        return lo, hi
+        """Number of (leaf cell, column) postings: one vectorised pass."""
+        # each row's column by a prefix sum over the rows (not a search per row)
+        span = np.zeros(int(self.rows.max(initial=-1)) + 1, dtype=ROW)
+        span[self.column_firsts] = 1
+        cols = np.cumsum(span, dtype=ROW)[self.rows]
+        leaf = np.repeat(np.arange(self.leaves.size), np.diff(self.leaf_starts))
+        return int(np.count_nonzero(np.diff(leaf, prepend=-1) | np.diff(cols, prepend=-1)))
 
     def postings(self, cell: CellCode) -> list[Posting]:
         """Postings list of a cell (empty list when the cell is unknown)."""
-        lo, hi = self._cell_range(cell)
-        return [
-            Posting(int(self._cols[e]), self._rows[self._starts[e] : self._starts[e + 1]].tolist())
-            for e in range(lo, hi)
-        ]
+        return [Posting(c, rows) for c, rows in self.columns_in_cells([cell]).items()]
 
     def __contains__(self, cell: CellCode) -> bool:
-        lo, hi = self._cell_range(cell)
-        return lo < hi
+        return bool(self._gather([cell])[0][0])
 
     def cells(self) -> Iterator[CellCode]:
         """Iterate all indexed leaf cell codes (ascending)."""
-        return iter(np.unique(self._codes).tolist())
+        return iter(self.leaves[np.diff(self.leaf_starts) > 0].tolist())
 
     @property
     def n_cells(self) -> int:
-        if self._codes.size == 0:
-            return 0
-        return int(np.count_nonzero(np.diff(self._codes)) + 1)
+        return int(np.count_nonzero(np.diff(self.leaf_starts)))
 
     def columns_in_cells_arrays(
         self, cells: Iterable[CellCode] | np.ndarray
@@ -251,48 +258,27 @@ class InvertedIndex:
         """Vectorised postings merge over several cells.
 
         Returns ``(columns, rows, lens)``: ascending column IDs, their
-        member row indices concatenated (per column, cells contribute in
-        input order), and the per-column row counts. This is the DaaT
-        merge of Algorithm 2 as three ``searchsorted`` range gathers.
+        member row indices concatenated (ascending), and the per-column
+        row counts. This is the DaaT merge of Algorithm 2: a gather of
+        the cells' row slices, one sort, one search of the column starts.
         """
-        codes = np.asarray(
-            cells if isinstance(cells, np.ndarray) else list(cells), dtype=np.int64
-        )
-        _, occ = self._entries_of(codes)
-        if occ.size == 0:
-            return _EMPTY_I64, _EMPTY_IP, _EMPTY_IP
-        order = np.argsort(self._cols[occ], kind="stable")
-        occ = occ[order]
-        # ragged gather of each occurrence's rows, in (column, cell) order
-        entry_lens = (self._starts[occ + 1] - self._starts[occ]).astype(np.intp)
-        n_rows = int(entry_lens.sum())
-        out_offsets = np.cumsum(entry_lens) - entry_lens
-        idx = np.arange(n_rows, dtype=np.intp) - np.repeat(out_offsets, entry_lens)
-        idx += np.repeat(self._starts[occ], entry_lens)
-        rows = self._rows[idx]
-        cols_sorted = self._cols[occ]
-        uniq_cols, first = np.unique(cols_sorted, return_index=True)
-        col_lens = np.add.reduceat(entry_lens, first).astype(np.intp)
-        return uniq_cols, rows, col_lens
-
-    def _entries_of(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posting-entry count of every code, and the entries themselves
-        (one ``searchsorted`` range per code, concatenated in input order)."""
-        lo = np.searchsorted(self._codes, codes, side="left")
-        counts = np.searchsorted(self._codes, codes, side="right") - lo
-        offsets = np.cumsum(counts) - counts
-        occ = np.arange(int(counts.sum()), dtype=np.intp) - np.repeat(offsets, counts)
-        occ += np.repeat(lo, counts)
-        return counts, occ
+        rows = np.sort(self.rows[self._gather(cells)[1]])
+        # column c's rows are those in [first(c), first(c + 1)): live rows
+        # lie in their column's range, deleted ones are gone
+        lens = np.diff(np.append(np.searchsorted(rows, self.column_firsts), rows.size))
+        present = np.flatnonzero(lens)
+        return self.column_ids[present], rows, lens[present]
 
     def cell_postings(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(position, column)`` of every posting of every cell in ``cells``.
 
         ``position`` indexes ``cells``; unknown cells contribute nothing.
         """
-        codes = np.asarray(cells, dtype=np.int64)
-        counts, occ = self._entries_of(codes)
-        return np.repeat(np.arange(codes.size, dtype=np.intp), counts), self._cols[occ]
+        counts, positions = self._gather(cells)
+        which = np.repeat(np.arange(counts.size, dtype=np.intp), counts)
+        cols = self._columns_of(self.rows[positions])
+        new = np.flatnonzero(np.diff(which, prepend=-1) | np.diff(cols, prepend=-1))
+        return which[new], self.column_ids[cols[new]]
 
     def columns_in_cells(
         self, cells: Iterable[CellCode] | np.ndarray
@@ -305,19 +291,31 @@ class InvertedIndex:
         to the paper's priority queue over postings cursors).
         """
         cols, rows, lens = self.columns_in_cells_arrays(cells)
-        merged: dict[int, list[int]] = {}
-        offset = 0
-        rows_list = rows.tolist()
-        for col, length in zip(cols.tolist(), lens.tolist()):
-            merged[col] = rows_list[offset : offset + length]
-            offset += length
-        return merged
+        split = np.split(rows, np.cumsum(lens)[:-1])
+        return {col: part.tolist() for col, part in zip(cols.tolist(), split)}
 
     def memory_bytes(self) -> int:
-        """Memory footprint of the CSR arrays (for Fig. 6b)."""
-        return (
-            self._codes.nbytes
-            + self._cols.nbytes
-            + self._starts.nbytes
-            + self._rows.nbytes
-        )
+        """Memory footprint for Fig. 6b: every array but ``leaves``, which
+        is the grid's leaf level and counted with the grid."""
+        held = (self.leaf_starts, self.rows, self.column_ids, self.column_firsts, self.column_sizes)
+        return sum(array.nbytes for array in held)
+
+
+class ColumnRows(Mapping):
+    """Read-only ``{column_id: global row indices}`` view of an inverted
+    index's column directory; the row ``arange`` is built on access."""
+
+    def __init__(self, inverted: InvertedIndex):
+        self._inverted = inverted
+
+    def __getitem__(self, column_id: int) -> np.ndarray:
+        inverted = self._inverted
+        at = inverted._position(column_id)
+        first = int(inverted.column_firsts[at])
+        return np.arange(first, first + int(inverted.column_sizes[at]), dtype=np.intp)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._inverted.column_ids.tolist())
+
+    def __len__(self) -> int:
+        return int(self._inverted.column_ids.size)

@@ -9,7 +9,7 @@ loads open with ``mmap_mode="r"``: no copying, no decompression and
 almost no resident memory until pages are touched. Two layouts:
 
 * a **single index** (:func:`save_index` / :func:`load_index`, format
-  3): epoch directories plus a ``manifest.json`` naming the live one;
+  4): epoch directories plus a ``manifest.json`` naming the live one;
 * a **partitioned lake** (:func:`save_partitioned` /
   :func:`load_partitioned`, lake format 2): ``partition_<p>/`` holds
   *only* epoch directories, and one ``partitioned.json`` names every
@@ -25,9 +25,15 @@ commit point is that flip of ``partitioned.json``, made by
 ``delete_column`` and :func:`save_partitioned` all go through it — so a
 writer killed at any instant leaves the old lake or the new one.
 
-Read-only layouts: single-index format 2 (one ``index.npz``) and lake
-format 1 (a ``manifest.json`` per shard) still load; the next write
-rewrites them in the current format. Epochs that also carry the ANN
+An epoch holds the vector store, the pivots, the grid's leaf codes, the
+inverted index's leaf → row CSR (``inv_leaf_starts`` and ``inv_rows``,
+both int32) and its column directory. Read-only layouts: format-3
+epochs (int64 ``inv_codes`` / ``inv_cols`` / ``inv_starts`` /
+``inv_rows`` posting entries, converted once on load; told apart by the
+missing ``inv_leaf_starts.npy``, so lake shards of either format mix),
+single-index format 2 (one ``index.npz``) and lake format 1 (a
+``manifest.json`` per shard) still load; the next write rewrites them
+in the current format. Epochs that also carry the ANN
 column graph (five ``ann_*.npy`` files and a manifest ``"ann"`` field)
 or the pivot-mapped row table (``mapped.npy``) load with those ignored;
 the next write of that epoch's index drops them. Epochs stopped
@@ -53,16 +59,20 @@ from repro.core.atomic import (
 )
 from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
-from repro.core.inverted_index import InvertedIndex
+from repro.core.inverted_index import ROW, InvertedIndex
 
 #: the format every save writes; bumped when the on-disk layout changes
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+
+#: the epoch layout before the leaf → row CSR (int64 posting entries),
+#: still loadable (never written)
+V3_FORMAT_VERSION = 3
 
 #: the pre-mmap single-archive layout, still loadable (never written)
 V2_FORMAT_VERSION = 2
 
 #: formats :func:`load_index` accepts
-SUPPORTED_FORMATS = (V2_FORMAT_VERSION, FORMAT_VERSION)
+SUPPORTED_FORMATS = (V2_FORMAT_VERSION, V3_FORMAT_VERSION, FORMAT_VERSION)
 
 #: the lake layout every commit writes: ``partitioned.json`` names every
 #: shard's live epoch
@@ -78,49 +88,42 @@ _MANIFEST = "manifest.json"
 
 _PARTITIONED_MANIFEST = "partitioned.json"
 
-#: v3 epoch-directory prefix (a manifest names the live one)
+#: epoch-directory prefix (a manifest names the live one); formats 3
+#: and 4 share it
 _V3_ARRAYS_PREFIX = "arrays_v3_"
 
 #: the arrays an epoch directory persists, one ``.npy`` each, with the
 #: dtype they are saved (and therefore mmapped) as
-_V3_ARRAYS = (
+_EPOCH_ARRAYS = (
     ("vectors", np.float64),
     ("pivots", np.float64),
     ("grid_leaf_codes", np.int64),
-    ("inv_codes", np.int64),
-    ("inv_cols", np.int64),
-    ("inv_starts", np.int64),
-    ("inv_rows", np.int64),
+    ("inv_leaf_starts", np.int32),
+    ("inv_rows", np.int32),
     ("column_ids", np.int64),
     ("column_first_rows", np.int64),
     ("column_counts", np.int64),
 )
 
+#: what a format-2/3 index holds instead of ``inv_leaf_starts``: the
+#: cell code and row offset of one (cell, column) posting entry per range
+#: of an int64 ``inv_rows`` (its ``inv_cols`` are not needed to convert)
+_V3_INVERTED = ("inv_codes", "inv_starts")
+
 
 def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
     """The arrays + manifest fields of one saved index (live rows only)."""
     inverted = index.inverted
-    vectors, inv_rows, column_rows = index.live_arrays()
-    column_ids = np.fromiter(column_rows, dtype=np.int64, count=len(column_rows))
-    column_first_rows = np.asarray(
-        [int(column_rows[cid][0]) for cid in column_ids.tolist()],
-        dtype=np.int64,
-    )
-    column_counts = np.asarray(
-        [int(column_rows[cid].size) for cid in column_ids.tolist()],
-        dtype=np.int64,
-    )
+    vectors, rows, column_firsts = index.live_arrays()
     arrays = {
         "vectors": vectors,
         "pivots": index.pivot_space.pivots,
         "grid_leaf_codes": index.grid.leaf_codes,
-        "inv_codes": inverted._codes,
-        "inv_cols": inverted._cols,
-        "inv_starts": inverted._starts.astype(np.int64),
-        "inv_rows": inv_rows.astype(np.int64),
-        "column_ids": column_ids,
-        "column_first_rows": column_first_rows,
-        "column_counts": column_counts,
+        "inv_leaf_starts": inverted.leaf_starts,
+        "inv_rows": rows,
+        "column_ids": inverted.column_ids,
+        "column_first_rows": column_firsts,
+        "column_counts": inverted.column_sizes,
     }
     manifest = {
         "metric": index.metric.name,
@@ -171,7 +174,7 @@ def _write_epoch(index: PexesoIndex, directory: Path) -> dict:
     arrays_dir = f"{_V3_ARRAYS_PREFIX}{max(epochs, default=-1) + 1:08d}"
     epoch_path = directory / arrays_dir
     epoch_path.mkdir()
-    for name, dtype in _V3_ARRAYS:
+    for name, dtype in _EPOCH_ARRAYS:
         atomic_write_array(
             epoch_path / f"{name}.npy", arrays[name].astype(dtype, copy=False)
         )
@@ -213,20 +216,45 @@ def _np_load(path: Path, mmap_mode: Optional[str]) -> np.ndarray:
     raise AssertionError("unreachable")
 
 
-def _load_v3_arrays(
+def _load_epoch_arrays(
     directory: Path, manifest: dict, mmap: bool
 ) -> dict[str, np.ndarray]:
     arrays_dir = directory / str(manifest.get("arrays_dir", ""))
     if not arrays_dir.is_dir():
         raise FileNotFoundError(
-            f"v3 index manifest names missing arrays dir {arrays_dir}"
+            f"index manifest names missing arrays dir {arrays_dir}"
         )
+    names = [name for name, _ in _EPOCH_ARRAYS]
+    if not (arrays_dir / "inv_leaf_starts.npy").exists():  # a format-3 epoch
+        names = [name for name in names if name != "inv_leaf_starts"]
+        names += _V3_INVERTED
     # only the two O(N) arrays are worth a mapping; small ones read faster
     big = ("vectors", "inv_rows") if mmap else ()
     return {
         name: _np_load(arrays_dir / f"{name}.npy", "r" if name in big else None)
-        for name, _ in _V3_ARRAYS
+        for name in names
     }
+
+
+def _read_inverted(arrays: dict[str, np.ndarray], leaves: np.ndarray) -> InvertedIndex:
+    """The inverted index of a loaded epoch, aligned with the grid's
+    ``leaves``; a format-2/3 one is converted to the leaf → row CSR."""
+    inverted = InvertedIndex()
+    inverted.leaves = leaves
+    if "inv_leaf_starts" in arrays:
+        inverted.leaf_starts = arrays["inv_leaf_starts"].astype(ROW, copy=False)
+    else:
+        # entries are (cell, column)-sorted and rows ascend within one, so
+        # the concatenated rows are already in (leaf, row) order
+        starts = arrays["inv_starts"]
+        inverted.leaf_starts = np.append(
+            starts[np.searchsorted(arrays["inv_codes"], leaves)], starts[-1]
+        ).astype(ROW)
+    inverted.rows = arrays["inv_rows"].astype(ROW, copy=False)
+    inverted.column_ids = arrays["column_ids"].astype(np.int64, copy=False)
+    inverted.column_firsts = arrays["column_first_rows"].astype(ROW, copy=False)
+    inverted.column_sizes = arrays["column_counts"].astype(ROW, copy=False)
+    return inverted
 
 
 def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
@@ -242,7 +270,7 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
         arrays = dict(np.load(directory / _ARCHIVE))
         extent = float(arrays.pop("extent"))
     else:
-        arrays = _load_v3_arrays(directory, manifest, mmap)
+        arrays = _load_epoch_arrays(directory, manifest, mmap)
         extent = float(manifest["extent"])
 
     index = PexesoIndex(
@@ -261,27 +289,13 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
         extent=extent,
         n_vectors=n_rows,
     )
-    inverted = InvertedIndex()
-    inverted._codes = arrays["inv_codes"].astype(np.int64, copy=False)
-    inverted._cols = arrays["inv_cols"].astype(np.int64, copy=False)
-    # read eagerly, so writable: InvertedIndex.add_vector mutates it in place
-    inverted._starts = arrays["inv_starts"].astype(np.intp, copy=False)
-    inverted._rows = arrays["inv_rows"].astype(np.intp, copy=False)
-    index.inverted = inverted
-    index.column_rows = {
-        int(cid): np.arange(int(first), int(first) + int(count), dtype=np.intp)
-        for cid, first, count in zip(
-            arrays["column_ids"].tolist(),
-            arrays["column_first_rows"].tolist(),
-            arrays["column_counts"].tolist(),
-        )
-    }
+    index.inverted = inverted = _read_inverted(arrays, index.grid.leaf_codes)
     index._next_column_id = int(manifest["next_column_id"])
     index._n_rows = n_rows
     # a mmapped epoch's store is read-only: the first write copies it
     index._store = arrays["vectors"]
     index.stats.n_vectors = index._n_rows
-    index.stats.n_columns = len(index.column_rows)
+    index.stats.n_columns = index.n_columns
     index.stats.n_leaf_cells = inverted.n_cells
     index.stats.n_postings = inverted.n_postings
     return index
@@ -309,7 +323,7 @@ def _open_consistent(
 
 
 def save_index(index: PexesoIndex, directory: str | Path) -> Path:
-    """Persist a built index (format v3); returns the directory written.
+    """Persist a built index (format 4); returns the directory written.
 
     The write is crash-atomic: array data lands in an epoch the current
     manifest does not name, and the manifest swap is one
@@ -341,17 +355,18 @@ def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
     """Load an index saved by :func:`save_index`.
 
     Args:
-        mmap: open a v3 directory's arrays with ``mmap_mode="r"``
-            (zero-copy; pages fault in on first touch). ``False`` reads
-            them eagerly into RAM. v2 directories always load eagerly
-            (the npz must be decompressed).
+        mmap: open an epoch's two O(N) arrays, ``vectors`` and
+            ``inv_rows``, with ``mmap_mode="r"`` (zero-copy; pages fault
+            in on first touch). ``False`` reads them eagerly into RAM.
+            v2 directories always load eagerly (the npz must be
+            decompressed), and a format-3 epoch's int64 rows are
+            converted to int32 on load.
 
     Mutating a mmap-loaded index is safe: the vector store is written in
     place only once the index owns it — the first append or compaction
-    copies a read-only mmapped store — the other maintenance paths
-    (§III-E append/delete) build *new* arrays, and the one in-place
-    structure (the inverted index's CSR offsets) is materialised at load
-    time. The epoch's files are never written through.
+    copies a read-only mmapped store — and the inverted index's
+    maintenance paths (§III-E append/delete, compaction) build *new*
+    arrays. The epoch's files are never written through.
 
     Raises:
         FileNotFoundError: when the directory lacks the expected files.
@@ -547,7 +562,7 @@ def load_any(
     loads a :class:`~repro.core.out_of_core.PartitionedPexeso`, a plain
     ``manifest.json`` loads a single :class:`PexesoIndex`. ``parts``
     (a shard-subset restriction) requires the partitioned layout.
-    ``mmap`` controls zero-copy opening of v3 layouts.
+    ``mmap`` controls zero-copy opening of epoch layouts.
 
     Raises:
         FileNotFoundError: when neither manifest is present.

@@ -4,9 +4,10 @@ Blocking (Algorithm 1) leaves, per query row, *match* leaf cells proven
 within τ (Lemmas 5/6) and *candidate* leaf cells. :func:`verify_row_blocks`
 decides each query column of a batch in four steps:
 
-1. gather the union of lake rows in the query's candidate cells — one
-   ``columns_in_cells_arrays`` call over the distinct cells (deleted
-   columns have no postings, so their rows never appear);
+1. gather the union of lake rows in the query's candidate cells —
+   ``columns_in_cells_arrays`` concatenates the distinct cells' slices of
+   the leaf → row CSR and sorts them, which groups them by column
+   (deleted columns have no rows there, so they never appear);
 2. decide every (query row, union row) pair in chunks of the union:
    Euclidean by the Gram form ``|q|² + |x|² - 2 Q Xᵀ`` (one GEMM, row
    norms per gathered chunk), other metrics by ``Metric.pairwise``;

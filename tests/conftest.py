@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from repro.core.metric import EuclideanMetric, normalize_rows
-from repro.core.persistence import V2_FORMAT_VERSION, _index_payload, save_index
+from repro.core.persistence import (
+    V2_FORMAT_VERSION,
+    V3_FORMAT_VERSION,
+    _index_payload,
+    save_index,
+)
 from repro.core.verifier import verify_row_blocks
 
 
@@ -50,6 +55,69 @@ def verify_one():
     return run
 
 
+def legacy_inverted(arrays: dict) -> dict:
+    """A format-4 payload's inverted index as a format-2/3 writer saved
+    it: int64 (cell, column) posting entries (``inv_codes`` /
+    ``inv_cols``, lexsorted), their CSR offsets ``inv_starts`` and the
+    int64 rows ``inv_rows``, in place of ``inv_leaf_starts``."""
+    arrays = dict(arrays)
+    rows = np.asarray(arrays.pop("inv_rows"), dtype=np.int64)
+    starts = np.asarray(arrays.pop("inv_leaf_starts"), dtype=np.int64)
+    codes = np.repeat(np.asarray(arrays["grid_leaf_codes"]), np.diff(starts))
+    firsts = np.asarray(arrays["column_first_rows"])
+    cols = np.asarray(arrays["column_ids"])[np.searchsorted(firsts, rows, side="right") - 1]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (codes[1:] != codes[:-1]) | (cols[1:] != cols[:-1])
+    entries = np.flatnonzero(new)
+    arrays.update(
+        inv_codes=codes[entries].astype(np.int64),
+        inv_cols=cols[entries].astype(np.int64),
+        inv_starts=np.append(entries, rows.size).astype(np.int64),
+        inv_rows=rows,
+    )
+    for name in ("column_ids", "column_first_rows", "column_counts"):
+        if name in arrays:  # int64, as those writers saved them
+            arrays[name] = np.asarray(arrays[name], dtype=np.int64)
+    return arrays
+
+
+def rewrite_epoch_as_v3(epoch: Path) -> None:
+    """Turn a format-4 epoch directory into the format-3 layout in place."""
+    names = ("grid_leaf_codes", "inv_leaf_starts", "inv_rows", "column_ids", "column_first_rows")
+    arrays = legacy_inverted({name: np.load(epoch / f"{name}.npy") for name in names})
+    (epoch / "inv_leaf_starts.npy").unlink()
+    for name in ("inv_codes", "inv_cols", "inv_starts", "inv_rows"):
+        np.save(epoch / f"{name}.npy", arrays[name])
+
+
+@pytest.fixture(scope="session")
+def epoch_to_v3():
+    """:func:`rewrite_epoch_as_v3`, for tests that age a lake's shards."""
+    return rewrite_epoch_as_v3
+
+
+@pytest.fixture(scope="session")
+def write_v3():
+    """Write ``index`` as a format-3 directory: a manifest naming one
+    epoch whose inverted index is int64 posting entries.
+
+    The library only *reads* format 3 any more; this is the layout its
+    retired writer produced, kept here so the read path stays tested.
+    """
+
+    def write(index, directory) -> Path:
+        directory = Path(directory)
+        shutil.rmtree(directory, ignore_errors=True)
+        save_index(index, directory)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        rewrite_epoch_as_v3(directory / manifest["arrays_dir"])
+        manifest["format_version"] = V3_FORMAT_VERSION
+        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        return directory
+
+    return write
+
+
 @pytest.fixture(scope="session")
 def write_v2():
     """Write ``index`` as a format-v2 directory (one compressed
@@ -64,6 +132,7 @@ def write_v2():
         shutil.rmtree(directory, ignore_errors=True)
         directory.mkdir(parents=True)
         arrays, manifest = _index_payload(index)
+        arrays = legacy_inverted(arrays)
         np.savez_compressed(
             directory / "index.npz",
             extent=np.float64(index.pivot_space.extent),

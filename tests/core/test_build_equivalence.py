@@ -203,13 +203,16 @@ class TestFitEqualsAppends:
         inverted = InvertedIndex()
         first_row = 0
         for column_id, column in enumerate(columns):
-            inverted.add_column(column_id, grid.insert(space.map_vectors(column)), first_row)
+            cells = grid.insert(space.map_vectors(column))
+            inverted.add_column(column_id, cells, first_row, grid.leaf_codes)
             first_row += column.shape[0]
 
         assert fitted.grid.n_vectors == grid.n_vectors
         for level in range(fitted.levels + 1):
             np.testing.assert_array_equal(fitted.grid.level_codes(level), grid.level_codes(level))
-        for name in ("_codes", "_cols", "_starts", "_rows"):
+        for name in (
+            "leaves", "leaf_starts", "rows", "column_ids", "column_firsts", "column_sizes"
+        ):
             np.testing.assert_array_equal(
                 getattr(fitted.inverted, name), getattr(inverted, name)
             )

@@ -233,30 +233,35 @@ class TestPartitionedPersistence:
 
 
 class TestV3Format:
-    """The mmap-able raw-.npy layout (format version 3)."""
+    """The mmap-able raw-.npy epoch layout (format 3, and 4 since the
+    inverted index became one leaf -> row CSR)."""
 
     def test_v3_layout_on_disk(self, built, tmp_path):
         save_index(built, tmp_path / "idx")
         manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-        assert manifest["format_version"] == FORMAT_VERSION == 3
+        assert manifest["format_version"] == FORMAT_VERSION == 4
         arrays_dir = tmp_path / "idx" / manifest["arrays_dir"]
         assert (arrays_dir / "vectors.npy").exists()
-        assert (arrays_dir / "inv_starts.npy").exists()
+        assert (arrays_dir / "inv_leaf_starts.npy").exists()
+        assert np.load(arrays_dir / "inv_rows.npy").dtype == np.int32
+        for legacy in ("inv_codes", "inv_cols", "inv_starts"):
+            assert not (arrays_dir / f"{legacy}.npy").exists()
         assert not (tmp_path / "idx" / "index.npz").exists()
 
     def test_mmap_load_is_zero_copy(self, built, tmp_path):
         save_index(built, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx", mmap=True)
         assert isinstance(loaded.vectors, np.memmap)
-        assert isinstance(loaded.inverted._rows, np.memmap)
+        assert isinstance(loaded.inverted.rows, np.memmap)
         # only the two O(N) arrays are mapped: the small ones are read
         # eagerly, as plain writable arrays
         small = [
             loaded.pivot_space.pivots,
             loaded.grid.leaf_codes,
-            loaded.inverted._codes,
-            loaded.inverted._cols,
-            loaded.inverted._starts,
+            loaded.inverted.leaf_starts,
+            loaded.inverted.column_ids,
+            loaded.inverted.column_firsts,
+            loaded.inverted.column_sizes,
         ]
         for array in small:
             assert type(array) is np.ndarray
@@ -304,7 +309,8 @@ class TestV3Format:
 
 
 class TestV2Compat:
-    """v2 (single .npz) directories stay loadable; only v3 is written."""
+    """v2 (single .npz) directories stay loadable; only the current format
+    is written."""
 
     def test_v2_save_and_load(self, built, small_query, tmp_path, write_v2):
         from repro.core.persistence import V2_FORMAT_VERSION

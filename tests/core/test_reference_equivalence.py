@@ -42,7 +42,10 @@ def test_csr_postings_equal_reference(seed, levels):
         first_row += mapped.shape[0]
     codes_all = np.concatenate(codes_all)
     inverted.build_bulk(
-        codes_all, np.concatenate(cols_all), np.argsort(codes_all, kind="stable")
+        codes_all,
+        np.concatenate(cols_all),
+        np.argsort(codes_all, kind="stable"),
+        grid.leaf_codes,
     )
 
     assert inverted.n_postings == ref_inverted.n_postings
@@ -75,6 +78,7 @@ def test_bulk_build_equals_incremental_appends(seed, levels=3):
         codes,
         np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
         np.argsort(codes, kind="stable"),
+        bulk_grid.leaf_codes,
     )
 
     inc_grid = HierarchicalGrid(n_dims, levels, extent, store_members=False)
@@ -82,17 +86,17 @@ def test_bulk_build_equals_incremental_appends(seed, levels=3):
     first_row = 0
     for column_id, mapped in enumerate(mapped_columns):
         cells = inc_grid.insert(mapped)
-        inc.add_column(column_id, cells, first_row)
+        inc.add_column(column_id, cells, first_row, inc_grid.leaf_codes)
         first_row += np.atleast_2d(mapped).shape[0]
 
     for level in range(1, levels + 1):
         np.testing.assert_array_equal(
             bulk_grid.level_codes(level), inc_grid.level_codes(level)
         )
-    np.testing.assert_array_equal(bulk._codes, inc._codes)
-    np.testing.assert_array_equal(bulk._cols, inc._cols)
-    np.testing.assert_array_equal(bulk._starts, inc._starts)
-    np.testing.assert_array_equal(bulk._rows, inc._rows)
+    for name in (
+        "leaves", "leaf_starts", "rows", "column_ids", "column_firsts", "column_sizes"
+    ):
+        np.testing.assert_array_equal(getattr(bulk, name), getattr(inc, name))
 
 
 def test_delete_column_equals_reference_delete():
@@ -105,7 +109,7 @@ def test_delete_column_equals_reference_delete():
     first_row = 0
     for column_id, mapped in enumerate(mapped_columns):
         cells = grid.insert(mapped)
-        inverted.add_column(column_id, cells, first_row)
+        inverted.add_column(column_id, cells, first_row, grid.leaf_codes)
         first_row += mapped.shape[0]
 
     for victim in (3, 7):

@@ -93,6 +93,11 @@ class TestGridProperties:
             )
 
 
+def add(index, column_id, cells, first_row):
+    """``add_column`` with the leaf level a grid would hold after it."""
+    index.add_column(column_id, cells, first_row, np.union1d(index.leaves, cells))
+
+
 class TestInvertedIndexProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_columns=st.integers(1, 15))
@@ -104,7 +109,7 @@ class TestInvertedIndexProperties:
         for col in range(n_columns):
             n_vec = int(rng.integers(1, 10))
             cells = [int(rng.integers(0, 16)) for _ in range(n_vec)]
-            index.add_column(col, cells, first_row=row)
+            add(index, col, cells, first_row=row)
             for offset, cell in enumerate(cells):
                 truth.setdefault(cell, {}).setdefault(col, []).append(row + offset)
             row += n_vec
@@ -118,13 +123,13 @@ class TestInvertedIndexProperties:
     def test_delete_inverse_of_add(self, seed):
         rng = np.random.default_rng(seed)
         index = InvertedIndex()
-        index.add_column(0, [0, 5], first_row=0)
+        add(index, 0, [0, 5], first_row=0)
         snapshot = {
             cell: [(p.column_id, list(p.rows)) for p in index.postings(cell)]
             for cell in list(index.cells())
         }
         cells = [int(rng.integers(0, 9)) for _ in range(int(rng.integers(1, 8)))]
-        index.add_column(1, cells, first_row=100)
+        add(index, 1, cells, first_row=100)
         index.delete_column(1)
         restored = {
             cell: [(p.column_id, list(p.rows)) for p in index.postings(cell)]
