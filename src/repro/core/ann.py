@@ -122,8 +122,7 @@ class ColumnGraph:
         centroids = np.empty((n, vectors.shape[1]), dtype=np.float64)
         box_min = np.empty((n, n_pivots), dtype=np.float64)
         box_max = np.empty((n, n_pivots), dtype=np.float64)
-        for i, col in enumerate(column_ids):
-            rows = index.column_rows[int(col)]
+        for i, rows in enumerate(index.column_rows.values()):  # in ID order
             centroids[i] = np.asarray(vectors[rows], dtype=np.float64).mean(axis=0)
             box_min[i] = mapped[rows].min(axis=0)
             box_max[i] = mapped[rows].max(axis=0)

@@ -1,10 +1,13 @@
 """The PEXESO index: pivots + hierarchical grid + inverted index (§III).
 
 :class:`PexesoIndex` owns the repository side of the framework: the pivot
-space, the vector store, ``HG_RV`` and the inverted index, a leaf → row
-CSR over ``HG_RV``'s own leaf-level array whose column directory is the
-index's only record of which rows hold which column
-(:attr:`PexesoIndex.column_rows` is a view of it). Row ids are int32, so
+space, the vector store, ``HG_RV`` and the inverted index. The store is
+kept in leaf order (the sorted part) plus a tail of columns added since
+the last fit or compaction, so a leaf's rows are one slice of it and
+the inverted index only run-length encodes which column each row
+belongs to; its column directory is the index's only record of which
+rows hold which column (:attr:`PexesoIndex.column_rows` is a view of
+it). Row ids are int32, so
 one index holds at most :data:`~repro.core.inverted_index.MAX_ROWS`
 rows; larger lakes are sharded by
 :class:`~repro.core.out_of_core.PartitionedPexeso`. It supports the
@@ -22,7 +25,7 @@ import numpy as np
 
 from repro.core.cellcodes import stable_code_order
 from repro.core.grid import HierarchicalGrid
-from repro.core.inverted_index import ColumnRows, InvertedIndex, check_row_count
+from repro.core.inverted_index import ROW, ColumnRows, InvertedIndex, check_row_count
 from repro.core.metric import EuclideanMetric, Metric
 from repro.core.pivot import PivotSpace, build_pivot_space
 from repro.core.stats import IndexStats
@@ -36,10 +39,68 @@ COMPACT_DEAD_SHARE = 1 / 8
 #: rows ``fit`` maps and encodes at a time: no temporary spans the lake
 FIT_BLOCK_ROWS = 4096
 
+#: rows ``fit`` scatters into leaf order at a time (see :func:`_scatter`)
+SCATTER_BLOCK_ROWS = 512
+
 
 def _capacity(n_rows: int) -> int:
     """Rows allocated for a store holding ``n_rows``: 9/8 of them."""
     return n_rows + int(n_rows * COMPACT_DEAD_SHARE)
+
+
+def _scatter(
+    arrays: Sequence[np.ndarray], sizes: np.ndarray, order: np.ndarray, store: np.ndarray
+) -> None:
+    """Write the stacked ``arrays`` (of ``sizes`` rows) into ``store`` so
+    that store row ``j`` holds stacked row ``order[j]``, reading the
+    columns themselves: one
+    of at least :data:`SCATTER_BLOCK_ROWS` rows is scattered straight
+    from its array, shorter neighbours are stacked into blocks of about
+    that many rows first, so no lake-sized copy is made."""
+    n_rows = order.size
+    dest = np.empty(n_rows, dtype=np.intp)
+    dest[order] = np.arange(n_rows)
+    ends = np.cumsum(sizes)
+    # a block ends with the column that reaches the next multiple
+    cuts = np.searchsorted(ends, np.arange(SCATTER_BLOCK_ROWS, n_rows, SCATTER_BLOCK_ROWS))
+    # stacked blocks reuse one buffer: a stacked column is shorter than a block
+    buffer = np.empty((min(2 * SCATTER_BLOCK_ROWS, n_rows), store.shape[1]))
+    lo = first = 0
+    for last in np.unique(np.append(cuts, len(arrays) - 1)).tolist():
+        hi = int(ends[last])
+        if first == last:
+            block = arrays[first]
+        else:
+            block = np.concatenate(arrays[first : last + 1], out=buffer[: hi - lo])
+        store[dest[lo:hi]] = block
+        lo, first = hi, last + 1
+
+
+def _move_rows(
+    source: np.ndarray,
+    target: np.ndarray,
+    blocks: np.ndarray,
+    tail_from: np.ndarray,
+    tail_to: np.ndarray,
+) -> None:
+    """Apply a compaction's moves from ``source`` to ``target``, which
+    may be the same array: the tail rows are copied out first, and row
+    blocks moving down go in ascending order, blocks moving up in
+    descending order, each in steps of at most ``FIT_BLOCK_ROWS`` rows,
+    so no row is overwritten before it has moved and no temporary spans
+    the store."""
+    tail = source[tail_from]
+    moves = blocks.tolist()
+    down = [move for move in moves if move[1] <= move[0]]
+    up = [move for move in reversed(moves) if move[1] > move[0]]
+    for src, dst, n in down + up:
+        if src == dst and source is target:
+            continue
+        steps = range(0, n, FIT_BLOCK_ROWS)
+        for k in steps if dst <= src else reversed(steps):
+            m = min(FIT_BLOCK_ROWS, n - k)
+            target[dst + k : dst + k + m] = source[src + k : src + k + m]
+    target[tail_to] = tail
 
 
 class PexesoIndex:
@@ -127,14 +188,15 @@ class PexesoIndex:
     def fit(self, columns: Sequence[np.ndarray]) -> "PexesoIndex":
         """Select pivots from the full repository and index every column.
 
-        The index core is built in bulk: one blocked pass over the
-        concatenated lake maps each block to the pivot space and encodes
-        its leaf cells, then one stable sort of the codes gives both
-        the grid (shift-derived ancestor levels of the sorted leaves) and
-        the inverted index's rows in leaf order — a handful of NumPy
-        passes instead of per-column, per-row Python. The resulting
-        structure is identical to appending the columns one at a time
-        with :meth:`add_column`.
+        The index core is built in bulk. The lake is concatenated into
+        the store's allocation, pivots are selected from it, and one
+        blocked pass maps each block to the pivot space (checking it is
+        finite on the way) and encodes its leaf cells. One stable sort of the codes
+        then gives the grid (shift-derived ancestor levels of the sorted
+        leaves) and the store's leaf order, which a scatter writes
+        straight from the input columns over the concatenation. The
+        result is identical to appending the columns one at a time with
+        :meth:`add_column` and compacting.
 
         Raises:
             ValueError: on empty, ragged or non-finite columns, or a lake
@@ -142,68 +204,77 @@ class PexesoIndex:
         """
         if not columns:
             raise ValueError("cannot build an index over zero columns")
-        arrays = [np.atleast_2d(np.asarray(c, dtype=np.float64)) for c in columns]
-        dim = arrays[0].shape[1]
-        for arr in arrays:
-            if arr.shape[1] != dim:
-                raise ValueError("all columns must share one dimensionality")
-            if arr.shape[0] == 0:
-                raise ValueError("cannot index an empty column")
-        n_rows = sum(arr.shape[0] for arr in arrays)
+        arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+        arrays = [arr if arr.ndim == 2 else np.atleast_2d(arr) for arr in arrays]
+        shapes = np.asarray([arr.shape for arr in arrays], dtype=np.intp)
+        dim = int(shapes[0, 1])
+        if (shapes[:, 1] != dim).any():
+            raise ValueError("all columns must share one dimensionality")
+        sizes = shapes[:, 0]
+        if not sizes.all():
+            raise ValueError("cannot index an empty column")
+        n_rows = int(sizes.sum())
         check_row_count(n_rows)
         store = np.empty((_capacity(n_rows), dim), dtype=np.float64)
-        all_vectors = np.concatenate(arrays, axis=0, out=store[:n_rows])
-        if not np.isfinite(all_vectors).all():
-            raise ValueError("column contains NaN or infinite values")
+        lake = np.concatenate(arrays, axis=0, out=store[:n_rows])
 
         t0 = time.perf_counter()
-        self.pivot_space = build_pivot_space(
-            all_vectors,
-            self.n_pivots,
-            self.metric,
-            method=self.pivot_method,
-            rng=np.random.default_rng(self.seed),
-        )
+        try:
+            pivot_space = build_pivot_space(
+                lake,
+                self.n_pivots,
+                self.metric,
+                method=self.pivot_method,
+                rng=np.random.default_rng(self.seed),
+            )
+        except np.linalg.LinAlgError:
+            if not np.isfinite(lake).all():  # the usual error for a non-finite lake
+                raise ValueError("column contains NaN or infinite values") from None
+            raise
         self.stats.pivot_selection_seconds += time.perf_counter() - t0
 
-        self.grid = HierarchicalGrid(
-            self.pivot_space.n_pivots,
-            self.levels,
-            self.pivot_space.extent,
-            store_members=False,
+        grid = HierarchicalGrid(
+            pivot_space.n_pivots, self.levels, pivot_space.extent, store_members=False
         )
-        # one pass over the lake in blocks: map a block to the pivot
-        # space, encode its leaf cells, keep only the codes
+        # one pass over the lake in blocks: map a block to the pivot space
+        # (which checks it is finite), encode its leaf cells, keep the codes
         codes = np.empty(n_rows, dtype=np.int64)
         for lo in range(0, n_rows, FIT_BLOCK_ROWS):
             t0 = time.perf_counter()
-            mapped = self.pivot_space.map_vectors(all_vectors[lo : lo + FIT_BLOCK_ROWS])
+            mapped = pivot_space.map_vectors(lake[lo : lo + FIT_BLOCK_ROWS], check_finite=True)
             t1 = time.perf_counter()
-            codes[lo : lo + mapped.shape[0]] = self.grid.leaf_codes_for(mapped)
+            codes[lo : lo + mapped.shape[0]] = grid.leaf_codes_for(mapped)
             self.stats.pivot_mapping_seconds += t1 - t0
             self.stats.grid_build_seconds += time.perf_counter() - t1
 
-        # one stable sort of the codes serves the grid and the postings
+        # one stable sort of the codes serves the grid and the store order
         t0 = time.perf_counter()
-        order = stable_code_order(codes, self.grid.n_dims * self.levels)
-        self.grid.add_leaves(codes[order], n_rows)
+        order = stable_code_order(codes, grid.n_dims * self.levels)
+        sorted_codes = codes[order]
+        del codes
+        grid.add_leaves(sorted_codes, n_rows)
         self.stats.grid_build_seconds += time.perf_counter() - t0
 
-        sizes = np.asarray([arr.shape[0] for arr in arrays], dtype=np.intp)
-        column_of_row = np.repeat(np.arange(len(arrays), dtype=np.int64), sizes)
         t0 = time.perf_counter()
-        self.inverted.build_bulk(codes, column_of_row, order, self.grid.leaf_codes)
+        inverted = InvertedIndex()
+        inverted.column_ids = np.arange(len(arrays), dtype=np.int64)
+        inverted.column_sizes = sizes.astype(ROW)
+        positions = np.repeat(np.arange(len(arrays), dtype=ROW), sizes)[order]
+        inverted.build_sorted(sorted_codes, positions, grid.leaf_codes)
+        del sorted_codes, positions
+        _scatter(arrays, sizes, order, store)
         self.stats.inverted_index_seconds += time.perf_counter() - t0
 
+        self.pivot_space, self.grid, self.inverted = pivot_space, grid, inverted
         self._store = store
         self._next_column_id = len(arrays)
         self._n_rows = n_rows
         self.ann_graph = None
         self._ann_invalidated = False
         self.stats.n_vectors = self._n_rows
-        self.stats.n_columns = len(self.column_rows)
-        self.stats.n_leaf_cells = self.inverted.n_cells
-        self.stats.n_postings = self.inverted.n_postings
+        self.stats.n_columns = len(arrays)
+        self.stats.n_leaf_cells = grid.leaf_codes.size  # every leaf holds a row
+        self.stats.n_postings = inverted.post_cols.size
         return self
 
     def add_column(self, vectors: np.ndarray) -> int:
@@ -220,15 +291,12 @@ class PexesoIndex:
         if vectors.shape[0] == 0:
             raise ValueError("cannot index an empty column")
         check_row_count(self._n_rows + vectors.shape[0])
-        if not np.isfinite(vectors).all():
-            raise ValueError("column contains NaN or infinite values")
+        t0 = time.perf_counter()
+        mapped = self.pivot_space.map_vectors(vectors, check_finite=True)
+        self.stats.pivot_mapping_seconds += time.perf_counter() - t0
         if np.may_share_memory(vectors, self._store):
             vectors = vectors.copy()  # a compaction may move the rows it views
         self._reserve(vectors.shape[0])
-
-        t0 = time.perf_counter()
-        mapped = self.pivot_space.map_vectors(vectors)
-        self.stats.pivot_mapping_seconds += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         cells = self.grid.insert(mapped)
@@ -253,12 +321,11 @@ class PexesoIndex:
     def delete_column(self, column_id: int) -> None:
         """Remove a column from the inverted index (§III-E lazy deletion).
 
-        The inverted index's rows are the only path from a search to a
-        column, so removing them removes the column from every future
-        result. Its vector rows stay behind as dead rows until they exceed
-        :data:`COMPACT_DEAD_SHARE` of the live rows; then the store is
-        compacted in place (:meth:`_compact`) and the index's rows
-        renumbered.
+        The inverted index's postings are the only path from a search to
+        a column, so marking them dead removes the column from every
+        future result. Its vector rows stay behind as dead rows until they
+        exceed :data:`COMPACT_DEAD_SHARE` of the live rows; then the store
+        is compacted in place (:meth:`_compact`).
         """
         if column_id not in self.column_rows:
             raise KeyError(f"unknown column id {column_id}")
@@ -318,8 +385,10 @@ class PexesoIndex:
 
     @property
     def column_rows(self) -> ColumnRows:
-        """Read-only ``{column_id: global row indices}`` view of the
-        inverted index's column directory (one ``arange`` per access)."""
+        """Read-only ``{column_id: store rows}`` view of the inverted
+        index's column directory. A column's rows come back ascending,
+        which is leaf order, so ``vectors[column_rows[c]]`` holds column
+        ``c``'s vectors grouped by leaf (in input order within a leaf)."""
         return ColumnRows(self.inverted)
 
     def _n_live(self) -> int:
@@ -328,44 +397,36 @@ class PexesoIndex:
     def _reserve(self, n_new: int) -> None:
         """Make the store writable with room for ``n_new`` more rows.
 
-        An add that does not fit first compacts away dead rows, in
-        place; the store moves to a 9/8-sized allocation only if the add
-        still does not fit, or on the first write to a read-only store.
+        An add that does not fit compacts the store (:meth:`_compact`):
+        in place when dropping the dead rows makes room, else into a
+        9/8-sized allocation, as on the first write to a read-only store.
         """
-        def fits() -> bool:
-            store = self._store
-            return store.flags.writeable and self._n_rows + n_new <= store.shape[0]
-
-        if fits():
+        store = self._store
+        if store.flags.writeable and self._n_rows + n_new <= store.shape[0]:
             return
-        if self._n_live() < self._n_rows:
+        n_live = self._n_live()
+        if store.flags.writeable and n_live + n_new <= store.shape[0]:
             self._compact()
-            if fits():
-                return
-        store = np.empty((_capacity(self._n_rows + n_new), self.dim), dtype=np.float64)
-        store[: self._n_rows] = self._store[: self._n_rows]
-        self._store = store
+        else:
+            grown = np.empty((_capacity(n_live + n_new), self.dim), dtype=np.float64)
+            self._compact(grown)
 
-    def _compact(self) -> None:
-        """Drop deleted columns' rows from the store, in place.
+    def _compact(self, target: Optional[np.ndarray] = None) -> None:
+        """Drop dead rows and merge the tail into the sorted part.
 
-        Live columns keep their order and stay contiguous, so each slides
-        down to the end of the one before it (a forward slice move), and
-        the posting rows are renumbered to match. A read-only store is
+        Each leaf's live rows close up and its tail rows are appended to
+        its range (:meth:`~repro.core.inverted_index.InvertedIndex.compaction`),
+        in place unless ``target`` is given; a read-only store is
         compacted into a fresh 9/8-sized allocation instead.
         """
         n_live = self._n_live()
-        source = self._store
-        if not source.flags.writeable:
-            self._store = np.empty((_capacity(n_live), self.dim), dtype=np.float64)
-        inverted = self.inverted
-        olds = inverted.column_firsts.tolist()
-        inverted.rows, inverted.column_firsts = inverted.packed()
-        for old, new, size in zip(
-            olds, inverted.column_firsts.tolist(), inverted.column_sizes.tolist()
-        ):
-            if old != new or self._store is not source:
-                self._store[new : new + size] = source[old : old + size]
+        if target is None:
+            target = self._store
+            if not target.flags.writeable:
+                target = np.empty((_capacity(n_live), self.dim), dtype=np.float64)
+        packed, blocks, tail_from, tail_to = self.inverted.compaction()
+        _move_rows(self._store, target, blocks, tail_from, tail_to)
+        self.inverted, self._store = packed, target
         self._n_rows = self.grid.n_vectors = n_live
         self.stats.n_vectors = n_live
 
@@ -380,23 +441,16 @@ class PexesoIndex:
         vectors = self.vectors  # raises on an empty index
         return self.pivot_space.map_vectors(vectors)
 
-    def live_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stores without deleted columns' rows, for a save.
-
-        Returns ``(vectors, rows, column_firsts)``: live rows keep their
-        order, so every column stays one contiguous range, and the
-        inverted index's rows and directory are renumbered to match
-        (:meth:`~repro.core.inverted_index.InvertedIndex.packed`). Without dead rows these are the
-        index's own arrays (``vectors`` a view).
-        """
-        inverted = self.inverted
-        rows, firsts = inverted.packed()
-        shift = inverted.column_firsts - firsts
-        n_live = self._n_live()
-        if not shift.any():
-            return self.vectors[:n_live], rows, firsts
-        keep = np.arange(n_live) + np.repeat(shift, inverted.column_sizes)
-        return self.vectors[keep], rows, firsts
+    def packed(self) -> tuple[np.ndarray, InvertedIndex]:
+        """The store and inverted index without dead rows or a tail, for
+        a save: the index's own (``vectors`` a view) when it holds
+        neither, else compacted copies; the index is not changed."""
+        if self._n_live() == self._n_rows and not self.inverted.tail_firsts.size:
+            return self.vectors, self.inverted
+        packed, blocks, tail_from, tail_to = self.inverted.compaction()
+        vectors = np.empty((self._n_live(), self.dim), dtype=np.float64)
+        _move_rows(self._store, vectors, blocks, tail_from, tail_to)
+        return vectors, packed
 
     @property
     def n_columns(self) -> int:
@@ -414,7 +468,8 @@ class PexesoIndex:
 
     def column_size(self, column_id: int) -> int:
         """Number of vectors in a column."""
-        return int(self.column_rows[column_id].size)
+        inverted = self.inverted
+        return int(inverted.column_sizes[inverted._position(column_id)])
 
     # -- reporting ---------------------------------------------------------------
 

@@ -2,28 +2,43 @@
 
 A leaf cell's postings are the columns with a vector in it, in column-ID
 order (the DaaT order of Algorithm 2), each with its rows in the cell.
-Columns occupy contiguous row ranges in ID order (``fit`` lays them out
-so, :meth:`add_column` appends past the last one, compaction keeps the
-order), so a cell's rows in ascending order *are* its postings in
-(column, row) order, and the index is one leaf → row CSR:
+The vector store is kept in *leaf order*, so a posting is a run of
+store rows and the index only records where runs start and whose they
+are. The store has two parts:
 
-* ``leaves`` / ``leaf_starts`` — ``HG_RV``'s sorted leaf codes (the
-  grid's own array, shared) and the row offsets aligned with them; a
-  leaf whose columns were all deleted keeps an empty range;
-* ``rows`` — every indexed row, grouped by leaf, ascending within one;
-* ``column_ids`` / ``column_firsts`` / ``column_sizes`` — the column
-  directory, in first-row (= ID) order: one ``searchsorted`` resolves
-  rows to columns.
+* the **sorted part**, rows ``[0, leaf_starts[-1])``: every leaf's rows
+  are the slice ``leaf_starts[l]:leaf_starts[l + 1]`` (``leaves`` is
+  ``HG_RV``'s sorted leaf level, the grid's own array), grouped by
+  column in ID order within it. The row → column map is run-length
+  encoded in three arrays:
 
-Every array counting or naming rows is int32 (at most :data:`MAX_ROWS`
-rows). Postings are derived on lookup: the cells' row slices, sorted,
-are grouped by column. :meth:`add_column` is one ``np.insert`` at the
-ends of the leaf ranges, :meth:`delete_column` one mask over the rows.
+  - ``post_bits`` — one bit per row (``np.packbits`` order), set where
+    a (leaf, column) posting starts;
+  - ``post_cols`` — one int32 directory position per posting, ``-1``
+    once its column is deleted (the rows stay, dead, until compaction);
+  - ``leaf_posts`` — the first posting of each leaf, aligned with
+    ``leaf_starts``;
+
+* the **tail**, rows added after the sorted part in arrival order, one
+  contiguous range per column (``tail_firsts``). It has its own leaf →
+  row CSR (``tail_codes`` / ``tail_starts`` / ``tail_rows``), sized by
+  the tail: an empty tail holds no array. Compaction
+  (:meth:`compaction`) appends each leaf's tail rows to the end of that
+  leaf's range; tail columns have the highest IDs, so column order
+  within a leaf holds.
+
+``column_ids`` / ``column_sizes`` are the column directory, in ID order;
+tail columns are its last ``tail_firsts.size`` entries. Every array
+counting or naming rows is int32 (at most :data:`MAX_ROWS` rows).
+Postings are derived on lookup: a leaf's rows are a slice, and where
+its postings start is read off ``post_bits``. The verifier reads a
+query's candidate leaves through :meth:`InvertedIndex.candidate_rows`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,6 +54,7 @@ ROW = np.int32
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_ROWS = np.empty(0, dtype=ROW)
+_EMPTY_BITS = np.empty(0, dtype=np.uint8)
 
 
 def check_row_count(n_rows: int) -> None:
@@ -53,6 +69,26 @@ def check_row_count(n_rows: int) -> None:
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Positions where a run of equal (non-negative) values starts."""
     return np.flatnonzero(np.diff(values, prepend=-1))
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenated ``arange(lo[i], hi[i])``."""
+    counts = np.asarray(hi, dtype=np.intp) - lo
+    offsets = np.cumsum(counts) - counts
+    out = np.arange(int(counts.sum()), dtype=np.intp)
+    out += np.repeat(lo - offsets, counts)
+    return out
+
+
+def _bits_at(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The ``np.packbits``-ordered bits of ``bits`` at ``rows``, as bools."""
+    return (bits[rows >> 3] << (rows & 7).astype(np.uint8)) >= 128
+
+
+def _starts_after(csr_starts: np.ndarray, codes: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``csr_starts`` realigned with a sorted superset ``codes`` of the
+    sorted ``at`` it is aligned with: a code new to it starts out empty."""
+    return np.append(csr_starts[np.searchsorted(at, codes)], csr_starts[-1]).astype(ROW)
 
 
 class Posting:
@@ -71,20 +107,54 @@ class Posting:
         return f"Posting(column={self.column_id}, rows={self.rows})"
 
 
+@dataclass
+class CandidateRows:
+    """The store rows of a set of leaf cells, as the verifier reads them.
+
+    They form one *virtual* row sequence: first the ``views``, ``(start,
+    stop)`` ranges of the sorted part read in place, in store order; then
+    the ``gathered`` rows, grouped by column in ascending order. The
+    sequence is cut into segments of one column each: ``segment_starts``
+    (ascending, the first one 0) and ``segment_columns``, a directory
+    position, or ``-1`` for a deleted column's rows inside a view. Only
+    the views can give a column several segments.
+    """
+
+    views: np.ndarray
+    gathered: np.ndarray
+    segment_starts: np.ndarray
+    segment_columns: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return int((self.views[:, 1] - self.views[:, 0]).sum()) + self.gathered.size
+
+
 class InvertedIndex:
-    """Leaf cell code -> rows, stored as one leaf → row CSR."""
+    """Leaf cell code -> rows over a leaf-ordered vector store."""
 
     def __init__(self) -> None:
-        #: sorted leaf codes the offsets are aligned with
+        #: sorted leaf codes the per-leaf offsets are aligned with
         self.leaves = _EMPTY_I64
-        #: CSR offsets of each leaf's rows inside ``rows``
+        #: offsets of each leaf's rows in the sorted part of the store
         self.leaf_starts = np.zeros(1, dtype=ROW)
-        #: global row indices, grouped by leaf, ascending within one
-        self.rows = _EMPTY_ROWS
-        #: the column directory, ordered by first row
+        #: offsets of each leaf's postings in ``post_cols``
+        self.leaf_posts = np.zeros(1, dtype=ROW)
+        #: one bit per sorted row: set where a posting starts
+        self.post_bits = _EMPTY_BITS
+        #: directory position of every posting's column, -1 when deleted
+        self.post_cols = _EMPTY_ROWS
+        #: the column directory, in ID order
         self.column_ids = _EMPTY_I64
-        self.column_firsts = _EMPTY_ROWS
         self.column_sizes = _EMPTY_ROWS
+        #: first store row of each tail column (the directory's last ones)
+        self.tail_firsts = _EMPTY_ROWS
+        #: the tail's leaf → row CSR: codes, offsets, store rows
+        self.tail_codes = _EMPTY_I64
+        self.tail_starts = _EMPTY_ROWS
+        self.tail_rows = _EMPTY_ROWS
+
+    # -- building ------------------------------------------------------------------
 
     def build_bulk(
         self,
@@ -93,15 +163,16 @@ class InvertedIndex:
         order: np.ndarray,
         leaves: np.ndarray,
     ) -> None:
-        """Build the whole index from per-row arrays and their code order.
+        """Build the sorted part for a store written in ``order``.
 
         Args:
             cell_of_row: leaf cell code of every repository vector.
             column_of_row: column ID of every vector; columns hold
-                consecutive rows in ID order, the layout
-                :meth:`~repro.core.index.PexesoIndex.fit` produces.
-            order: ``np.argsort(cell_of_row, kind="stable")``. With the
-                layout above it is also the (leaf, row) order of ``rows``.
+                consecutive rows in ID order, the layout of the columns
+                :meth:`~repro.core.index.PexesoIndex.fit` is given.
+            order: ``np.argsort(cell_of_row, kind="stable")``: store row
+                ``i`` holds input row ``order[i]``, so with the layout
+                above every leaf's rows are grouped by column in ID order.
             leaves: the grid's leaf level (sorted, a superset of
                 ``cell_of_row``), which the index then shares.
         """
@@ -110,20 +181,38 @@ class InvertedIndex:
         order = np.asarray(order, dtype=np.intp)
         if not (codes.size == cols.size == order.size):
             raise ValueError("cell, column and order arrays must align")
+        self.__init__()
         if codes.size == 0:
-            self.__init__()
             return
         if (cols[1:] < cols[:-1]).any():
             raise ValueError("columns must hold consecutive rows in ID order")
-        self.leaves = leaves
-        self.leaf_starts = np.append(
-            np.searchsorted(codes[order], leaves), codes.size
-        ).astype(ROW)
-        self.rows = order.astype(ROW)
         firsts = _run_starts(cols)
         self.column_ids = cols[firsts]
-        self.column_firsts = firsts.astype(ROW)
         self.column_sizes = np.diff(np.append(firsts, cols.size)).astype(ROW)
+        positions = np.repeat(np.arange(firsts.size, dtype=ROW), self.column_sizes)
+        self.build_sorted(codes[order], positions[order], leaves)
+
+    def build_sorted(self, codes: np.ndarray, positions: np.ndarray, leaves: np.ndarray) -> None:
+        """The sorted part from every store row's leaf code and directory
+        position, both in store (leaf, then column) order."""
+        new = np.empty(codes.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=new[1:])
+        new[1:] |= positions[1:] != positions[:-1]
+        starts = np.flatnonzero(new)
+        self.leaves = leaves
+        self.leaf_starts = np.append(np.searchsorted(codes, leaves), codes.size).astype(ROW)
+        self.leaf_posts = np.searchsorted(starts, self.leaf_starts).astype(ROW)
+        self.post_bits = np.packbits(new)
+        self.post_cols = positions[starts].astype(ROW)
+
+    def _realign(self, leaves: np.ndarray) -> None:
+        """Align the per-leaf offsets with ``leaves``, a sorted superset of
+        the current leaf level; the leaf array is then shared."""
+        if leaves is not self.leaves:
+            self.leaf_starts = _starts_after(self.leaf_starts, leaves, self.leaves)
+            self.leaf_posts = _starts_after(self.leaf_posts, leaves, self.leaves)
+            self.leaves = leaves
 
     def add_column(
         self,
@@ -136,11 +225,12 @@ class InvertedIndex:
         returns how many postings (leaves it occupies) it adds.
 
         ``cells[i]`` is the leaf cell code of the column's i-th vector;
-        global row indices are ``first_row + i``. The column must come
-        after every indexed one, in ID and in rows, so its rows go at the
-        end of each leaf's range: one ``np.insert`` (§III-E append).
-        ``leaves`` is the grid's leaf level after the column's cells were
-        inserted: a sorted superset of the current leaves and of ``cells``.
+        its store row is ``first_row + i``, in the tail. The column must
+        come after every indexed one, in ID and in rows, so its rows go at
+        the end of each tail leaf's range: one ``np.insert`` (§III-E
+        append). ``leaves`` is the grid's leaf level after the column's
+        cells were inserted: a sorted superset of the current leaves and
+        of ``cells``.
         """
         codes = np.asarray(cells, dtype=np.int64)
         if codes.ndim != 1:
@@ -148,59 +238,137 @@ class InvertedIndex:
         n = codes.size
         if n == 0:
             return 0
-        if self.column_ids.size and (
-            column_id <= self.column_ids[-1]
-            or first_row < self.column_firsts[-1] + self.column_sizes[-1]
-        ):
-            raise ValueError("columns must be added in ID order, after the indexed rows")
+        if self.column_ids.size and column_id <= self.column_ids[-1]:
+            raise ValueError("columns must be added in ID order")
+        if first_row < self._tail_end():
+            raise ValueError("a column must be added after the indexed rows")
+        self._realign(leaves)
         order = np.argsort(codes, kind="stable")
-        # realign the offsets with `leaves`: a new leaf starts out empty
-        starts = np.append(
-            self.leaf_starts[np.searchsorted(self.leaves, leaves)], self.rows.size
+        tail_codes = np.union1d(self.tail_codes, codes)
+        starts = (
+            _starts_after(self.tail_starts, tail_codes, self.tail_codes)
+            if self.tail_codes.size
+            else np.zeros(tail_codes.size + 1, dtype=ROW)
         )
-        leaf_of = np.searchsorted(leaves, codes[order])
-        self.rows = np.insert(self.rows, starts[leaf_of + 1], (first_row + order).astype(ROW))
-        added = np.bincount(leaf_of, minlength=leaves.size)
-        starts[1:] += np.cumsum(added)
-        self.leaves, self.leaf_starts = leaves, starts.astype(ROW)
+        leaf_of = np.searchsorted(tail_codes, codes[order])
+        self.tail_rows = np.insert(
+            self.tail_rows, starts[leaf_of + 1], (first_row + order).astype(ROW)
+        )
+        added = np.bincount(leaf_of, minlength=tail_codes.size)
+        starts[1:] += np.cumsum(added, dtype=ROW)
+        self.tail_codes, self.tail_starts = tail_codes, starts
+        self.tail_firsts = np.append(self.tail_firsts, ROW(first_row))
         self.column_ids = np.append(self.column_ids, np.int64(column_id))
-        self.column_firsts = np.append(self.column_firsts, ROW(first_row))
         self.column_sizes = np.append(self.column_sizes, ROW(n))
         return int(np.count_nonzero(added))
+
+    def _tail_end(self) -> int:
+        """The first store row past every indexed column's range."""
+        if self.tail_firsts.size:
+            return int(self.tail_firsts[-1]) + int(self.column_sizes[-1])
+        return self.n_sorted
 
     def delete_column(self, column_id: int) -> int:
         """Remove every posting of ``column_id``; returns how many were removed.
 
-        One mask over the rows; the leaves the column occupied keep
-        their (possibly now empty) ranges, and an empty one produces no
-        candidates.
+        A sorted-part column's postings are marked dead (``post_cols``
+        -1) and its rows stay where they are; a tail column's rows leave
+        the tail CSR (one mask). Either way the rows are dead until a
+        compaction, and a leaf with only dead rows produces no candidate.
         """
         try:
             at = self._position(column_id)
         except KeyError:
             return 0
-        first = self.column_firsts[at]
-        kill = (self.rows >= first) & (self.rows < first + self.column_sizes[at])
-        dead = np.flatnonzero(kill)
-        self.rows = self.rows[~kill]
-        leaf_of = np.searchsorted(self.leaf_starts, dead, side="right") - 1
-        self.leaf_starts = (
-            self.leaf_starts - np.searchsorted(dead, self.leaf_starts)
-        ).astype(ROW)
+        base = self.column_ids.size - self.tail_firsts.size
+        if at < base:
+            dead = self.post_cols == at
+            removed = int(np.count_nonzero(dead))
+            shift = (self.post_cols > at).astype(ROW)
+            self.post_cols = np.where(dead, ROW(-1), self.post_cols - shift).astype(ROW)
+        else:
+            first = self.tail_firsts[at - base]
+            kill = (self.tail_rows >= first) & (self.tail_rows < first + self.column_sizes[at])
+            leaf_of = np.searchsorted(self.tail_starts, np.flatnonzero(kill), side="right") - 1
+            removed = int(_run_starts(leaf_of).size)
+            counts = np.bincount(leaf_of, minlength=self.tail_codes.size)
+            counts = np.diff(self.tail_starts) - counts
+            keep = counts > 0
+            self.tail_rows = self.tail_rows[~kill]
+            self.tail_codes = self.tail_codes[keep]
+            starts = np.append(0, np.cumsum(counts[keep])).astype(ROW)
+            # an emptied tail holds no array, not even one offset
+            self.tail_starts = starts if keep.any() else _EMPTY_ROWS
+            self.tail_firsts = np.delete(self.tail_firsts, at - base)
         self.column_ids = np.delete(self.column_ids, at)
-        self.column_firsts = np.delete(self.column_firsts, at)
         self.column_sizes = np.delete(self.column_sizes, at)
-        return int(_run_starts(leaf_of).size)
+        return removed
 
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, column_firsts)`` with every column slid down to the end
-        of the one before it, the renumbering a compaction applies; the
-        index's own arrays when no column moves."""
-        firsts = (np.cumsum(self.column_sizes) - self.column_sizes).astype(ROW)
-        shift = self.column_firsts - firsts
-        if not shift.any():
-            return self.rows, self.column_firsts
-        return self.rows - shift[self._columns_of(self.rows)], firsts
+    # -- compaction -----------------------------------------------------------------
+
+    def compaction(self) -> tuple["InvertedIndex", np.ndarray, np.ndarray, np.ndarray]:
+        """The packed layout: no dead rows, no tail, every leaf's tail rows
+        appended to its range. Returns ``(packed, blocks, tail_from,
+        tail_to)``: the packed index (sharing ``leaves``), the ``(from,
+        to, length)`` row blocks the sorted part's live rows move by (in
+        store order; they never reorder), and where each tail row goes.
+        The moves are applied by the store's owner
+        (:meth:`~repro.core.index.PexesoIndex._compact`).
+        """
+        n_sorted = self.n_sorted
+        starts = np.flatnonzero(np.unpackbits(self.post_bits, count=n_sorted))
+        lens = np.diff(np.append(starts, n_sorted))
+        leaf = np.repeat(np.arange(self.leaves.size), np.diff(self.leaf_posts))
+        live = np.flatnonzero(self.post_cols >= 0)
+        t_rows, t_leaf, t_cols = self._tail_rows_by_posting()
+        t_first = _run_starts(t_leaf * (self.column_ids.size + 1) + t_cols)
+        t_lens = np.diff(np.append(t_first, t_rows.size))
+        # sorted postings before tail ones: a stable sort by leaf keeps
+        # both in column order within a leaf
+        all_leaf = np.concatenate([leaf[live], t_leaf[t_first]])
+        order = np.argsort(all_leaf, kind="stable")
+        all_lens = np.concatenate([lens[live], t_lens])[order]
+        new_starts = np.cumsum(all_lens) - all_lens
+        n_live = int(all_lens.sum())
+
+        packed = InvertedIndex()
+        packed.leaves = self.leaves
+        packed.leaf_posts = np.searchsorted(all_leaf[order], np.arange(self.leaves.size + 1)).astype(ROW)
+        packed.leaf_starts = np.append(new_starts, n_live)[packed.leaf_posts].astype(ROW)
+        packed.post_cols = np.concatenate([self.post_cols[live], t_cols[t_first]])[order].astype(ROW)
+        bits = np.zeros(n_live, dtype=bool)
+        bits[new_starts] = True
+        packed.post_bits = np.packbits(bits)
+        packed.column_ids, packed.column_sizes = self.column_ids, self.column_sizes
+
+        to = np.empty_like(new_starts)
+        to[order] = new_starts
+        src, dst, n = starts[live], to[: live.size], lens[live]
+        # one block while the source stays contiguous and the shift holds
+        joined = (src[1:] == src[:-1] + n[:-1]) & (dst[1:] - src[1:] == dst[:-1] - src[:-1])
+        brk = np.flatnonzero(np.append(True, ~joined)) if src.size else live
+        blocks = np.stack([src[brk], dst[brk], np.add.reduceat(n, brk) if brk.size else n], 1)
+        tail_to = np.repeat(to[live.size :] - t_first, t_lens) + np.arange(t_rows.size)
+        return packed, blocks, t_rows, tail_to
+
+    def _tail_rows_by_posting(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tail's live rows in (leaf, column, row) order, with each
+        row's leaf position and directory position."""
+        counts = np.diff(self.tail_starts) if self.tail_codes.size else _EMPTY_ROWS
+        leaf = np.repeat(np.searchsorted(self.leaves, self.tail_codes), counts)
+        return self.tail_rows, leaf, self._tail_positions(self.tail_rows)
+
+    def _tail_positions(self, rows: np.ndarray) -> np.ndarray:
+        """Directory position of each (live) tail row's column."""
+        base = self.column_ids.size - self.tail_firsts.size
+        return base + np.searchsorted(self.tail_firsts, rows, side="right") - 1
+
+    # -- lookups --------------------------------------------------------------------
+
+    @property
+    def n_sorted(self) -> int:
+        """Rows in the sorted part of the store (dead ones included)."""
+        return int(self.leaf_starts[-1])
 
     def _position(self, column_id: int) -> int:
         """Directory position of ``column_id`` (KeyError when absent)."""
@@ -209,48 +377,122 @@ class InvertedIndex:
             raise KeyError(column_id)
         return at
 
-    def _columns_of(self, rows: np.ndarray) -> np.ndarray:
-        """Directory position of each (live) row's column."""
-        return np.searchsorted(self.column_firsts, rows, side="right") - 1
+    def column_rows(self, column_id: int) -> np.ndarray:
+        """Store rows of ``column_id``, ascending (KeyError when absent)."""
+        at = self._position(column_id)
+        base = self.column_ids.size - self.tail_firsts.size
+        if at >= base:
+            first = int(self.tail_firsts[at - base])
+            return np.arange(first, first + int(self.column_sizes[at]), dtype=np.intp)
+        posts = np.flatnonzero(self.post_cols == at)
+        # a posting's end is where the next one starts
+        starts = np.flatnonzero(np.unpackbits(self.post_bits, count=self.n_sorted))
+        ends = np.append(starts[1:], self.n_sorted)
+        return _ranges(starts[posts], ends[posts])
 
-    def _gather(self, cells: Iterable[CellCode] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell row counts, and the positions in ``rows`` of every
-        cell's slice, concatenated in input order (unknown cells: none)."""
+    def rows_by_column(self) -> list[np.ndarray]:
+        """Every column's store rows, ascending, in directory order: one
+        pass, where :meth:`column_rows` per column costs one each."""
+        n_sorted = self.n_sorted
+        starts = np.flatnonzero(np.unpackbits(self.post_bits, count=n_sorted))
+        ends = np.append(starts[1:], n_sorted)
+        live = np.flatnonzero(self.post_cols >= 0)
+        posts = live[np.argsort(self.post_cols[live], kind="stable")]
+        rows = _ranges(starts[posts], ends[posts])
+        n_tail = self.tail_firsts.size
+        sizes = self.column_sizes[: self.column_ids.size - n_tail]
+        out = np.split(rows, np.cumsum(sizes)[:-1]) if sizes.size else []
+        tail = zip(self.tail_firsts.tolist(), self.column_sizes[sizes.size :].tolist())
+        return out + [np.arange(first, first + size, dtype=np.intp) for first, size in tail]
+
+    def _leaf_positions(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """``(position in cells, leaf position)`` of every cell of
+        ``cells`` the sorted part holds rows of."""
         codes = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells), np.int64)
         if self.leaves.size == 0:
-            return np.zeros(codes.size, dtype=np.intp), np.empty(0, dtype=np.intp)
+            return np.empty(0, np.intp), np.empty(0, np.intp)
         at = np.minimum(np.searchsorted(self.leaves, codes), self.leaves.size - 1)
-        lo = self.leaf_starts[at]
-        counts = np.where(self.leaves[at] == codes, self.leaf_starts[at + 1] - lo, 0)
-        offsets = np.cumsum(counts) - counts
-        positions = np.arange(int(counts.sum()), dtype=np.intp)
-        positions -= np.repeat(offsets - lo, counts)
-        return counts, positions
+        held = (self.leaves[at] == codes) & (self.leaf_starts[at + 1] > self.leaf_starts[at])
+        which = np.flatnonzero(held)
+        return which, at[which]
 
-    @property
-    def n_postings(self) -> int:
-        """Number of (leaf cell, column) postings: one vectorised pass."""
-        # each row's column by a prefix sum over the rows (not a search per row)
-        span = np.zeros(int(self.rows.max(initial=-1)) + 1, dtype=ROW)
-        span[self.column_firsts] = 1
-        cols = np.cumsum(span, dtype=ROW)[self.rows]
-        leaf = np.repeat(np.arange(self.leaves.size), np.diff(self.leaf_starts))
-        return int(np.count_nonzero(np.diff(leaf, prepend=-1) | np.diff(cols, prepend=-1)))
+    def _tail_gather(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell tail row counts, and the positions in ``tail_rows`` of
+        every cell's slice, concatenated in input order."""
+        codes = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells), np.int64)
+        if self.tail_codes.size == 0:
+            return np.zeros(codes.size, dtype=np.intp), np.empty(0, dtype=np.intp)
+        at = np.minimum(np.searchsorted(self.tail_codes, codes), self.tail_codes.size - 1)
+        lo = self.tail_starts[at]
+        counts = np.where(self.tail_codes[at] == codes, self.tail_starts[at + 1] - lo, 0)
+        return counts, _ranges(lo, lo + counts)
 
-    def postings(self, cell: CellCode) -> list[Posting]:
-        """Postings list of a cell (empty list when the cell is unknown)."""
-        return [Posting(c, rows) for c, rows in self.columns_in_cells([cell]).items()]
+    def _leaf_postings(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(owner, position)`` of every posting of the sorted part's
+        leaves ``at``, dead ones included: ``owner`` indexes ``at``,
+        ``position`` is a directory position (-1 when dead)."""
+        p0, p1 = self.leaf_posts[at], self.leaf_posts[at + 1]
+        return np.repeat(np.arange(at.size), p1 - p0), self.post_cols[_ranges(p0, p1)]
 
-    def __contains__(self, cell: CellCode) -> bool:
-        return bool(self._gather([cell])[0][0])
+    def candidate_rows(self, cells: np.ndarray, min_view: int) -> CandidateRows:
+        """The rows of the distinct, ascending ``cells`` (see
+        :class:`CandidateRows`). Touching leaves form runs of store rows;
+        when they average at least ``min_view`` rows they are read as
+        views, else every live row is gathered."""
+        at = np.searchsorted(self.leaves, cells)
+        at = at[at < self.leaves.size]  # a suffix of cells past the last leaf
+        at = at[self.leaves[at] == cells[: at.size]]
+        lo, hi = self.leaf_starts[at], self.leaf_starts[at + 1]
+        rows = _ranges(lo, hi)
+        starts = _bits_at(self.post_bits, rows)
+        cols = self.post_cols[_ranges(self.leaf_posts[at], self.leaf_posts[at + 1])]
+        touch = np.append(True, lo[1:] != hi[:-1])
+        if rows.size >= min_view * np.count_nonzero(touch):
+            first = np.flatnonzero(touch)
+            views = np.stack([lo[first], hi[np.append(first[1:], at.size) - 1]], 1)
+            seg_starts, seg_cols = np.flatnonzero(starts), cols
+            gathered = _EMPTY_ROWS
+        else:
+            views = np.empty((0, 2), dtype=ROW)
+            cols = cols[np.cumsum(starts) - 1]  # each row's column
+            order = np.argsort(cols, kind="stable")
+            cols = cols[order]
+            live = int(np.searchsorted(cols, 0))  # dead rows sort first
+            gathered, cols = rows[order[live:]], cols[live:]
+            seg_starts = _run_starts(cols)
+            seg_cols = cols[seg_starts]
+        if self.tail_rows.size:
+            tail = np.sort(self.tail_rows[self._tail_gather(cells)[1]])
+            cols = self._tail_positions(tail)
+            new_col = _run_starts(cols)
+            base = int((views[:, 1] - views[:, 0]).sum()) + gathered.size
+            seg_starts = np.concatenate([seg_starts, base + new_col])
+            seg_cols = np.concatenate([seg_cols, cols[new_col]])
+            gathered = np.concatenate([gathered, tail])
+        return CandidateRows(views.astype(np.intp), gathered, seg_starts, seg_cols)
 
-    def cells(self) -> Iterator[CellCode]:
-        """Iterate all indexed leaf cell codes (ascending)."""
-        return iter(self.leaves[np.diff(self.leaf_starts) > 0].tolist())
+    def _cell_posts(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(position in cells, directory position)`` of every live
+        posting of every cell, ordered by cell then column."""
+        which, at = self._leaf_positions(cells)
+        owner, cols = self._leaf_postings(at)
+        live = cols >= 0
+        counts, positions = self._tail_gather(cells)
+        t_which = np.repeat(np.arange(counts.size, dtype=np.intp), counts)
+        t_cols = self._tail_positions(self.tail_rows[positions])
+        new = np.flatnonzero(np.diff(t_which, prepend=-1) | np.diff(t_cols, prepend=-1))
+        # a stable sort by cell keeps sorted-part postings (lower IDs) first
+        cell = np.concatenate([which[owner[live]], t_which[new]])
+        order = np.argsort(cell, kind="stable")
+        return cell[order], np.concatenate([cols[live], t_cols[new]])[order]
 
-    @property
-    def n_cells(self) -> int:
-        return int(np.count_nonzero(np.diff(self.leaf_starts)))
+    def cell_postings(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(position, column)`` of every posting of every cell in ``cells``.
+
+        ``position`` indexes ``cells``; unknown cells contribute nothing.
+        """
+        which, positions = self._cell_posts(cells)
+        return which, self.column_ids[positions]
 
     def columns_in_cells_arrays(
         self, cells: Iterable[CellCode] | np.ndarray
@@ -258,27 +500,21 @@ class InvertedIndex:
         """Vectorised postings merge over several cells.
 
         Returns ``(columns, rows, lens)``: ascending column IDs, their
-        member row indices concatenated (ascending), and the per-column
-        row counts. This is the DaaT merge of Algorithm 2: a gather of
-        the cells' row slices, one sort, one search of the column starts.
+        store rows concatenated (ascending within a column), and the
+        per-column row counts: the DaaT merge of Algorithm 2.
         """
-        rows = np.sort(self.rows[self._gather(cells)[1]])
-        # column c's rows are those in [first(c), first(c + 1)): live rows
-        # lie in their column's range, deleted ones are gone
-        lens = np.diff(np.append(np.searchsorted(rows, self.column_firsts), rows.size))
-        present = np.flatnonzero(lens)
-        return self.column_ids[present], rows, lens[present]
-
-    def cell_postings(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(position, column)`` of every posting of every cell in ``cells``.
-
-        ``position`` indexes ``cells``; unknown cells contribute nothing.
-        """
-        counts, positions = self._gather(cells)
-        which = np.repeat(np.arange(counts.size, dtype=np.intp), counts)
-        cols = self._columns_of(self.rows[positions])
-        new = np.flatnonzero(np.diff(which, prepend=-1) | np.diff(cols, prepend=-1))
-        return which[new], self.column_ids[cols[new]]
+        _, at = self._leaf_positions(cells)
+        rows = _ranges(self.leaf_starts[at], self.leaf_starts[at + 1])
+        lens = np.diff(np.append(np.flatnonzero(_bits_at(self.post_bits, rows)), rows.size))
+        cols = np.repeat(self._leaf_postings(at)[1], lens)
+        live = cols >= 0
+        tail = self.tail_rows[self._tail_gather(cells)[1]]
+        rows = np.concatenate([rows[live], tail])
+        positions = np.concatenate([cols[live], self._tail_positions(tail)])
+        order = np.lexsort((rows, positions))
+        rows, positions = rows[order], positions[order]
+        first = _run_starts(positions)
+        return self.column_ids[positions[first]], rows, np.diff(np.append(first, rows.size))
 
     def columns_in_cells(
         self, cells: Iterable[CellCode] | np.ndarray
@@ -294,28 +530,79 @@ class InvertedIndex:
         split = np.split(rows, np.cumsum(lens)[:-1])
         return {col: part.tolist() for col, part in zip(cols.tolist(), split)}
 
+    def postings(self, cell: CellCode) -> list[Posting]:
+        """Postings list of a cell (empty list when the cell is unknown)."""
+        return [Posting(c, rows) for c, rows in self.columns_in_cells([cell]).items()]
+
+    def _occupied(self) -> np.ndarray:
+        """Sorted codes of the leaves holding a live posting."""
+        live = np.append(0, np.cumsum(self.post_cols >= 0))[self.leaf_posts]
+        held = self.leaves[np.diff(live) > 0]
+        if not self.tail_codes.size:
+            return held
+        return np.union1d(held, self.tail_codes)
+
+    def __contains__(self, cell: CellCode) -> bool:
+        return bool(self._cell_posts(np.asarray([cell], np.int64))[0].size)
+
+    def cells(self) -> Iterator[CellCode]:
+        """Iterate all indexed leaf cell codes (ascending)."""
+        return iter(self._occupied().tolist())
+
+    @property
+    def n_cells(self) -> int:
+        return int(self._occupied().size)
+
+    @property
+    def n_postings(self) -> int:
+        """Number of live (leaf cell, column) postings: O(postings + tail)."""
+        _, leaf, cols = self._tail_rows_by_posting()
+        tail = _run_starts(leaf * (self.column_ids.size + 1) + cols).size
+        return int(np.count_nonzero(self.post_cols >= 0)) + tail
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """Every array the index holds but ``leaves``, the grid's."""
+        return (
+            self.leaf_starts, self.leaf_posts, self.post_bits, self.post_cols,
+            self.column_ids, self.column_sizes, self.tail_firsts,
+            self.tail_codes, self.tail_starts, self.tail_rows,
+        )
+
     def memory_bytes(self) -> int:
         """Memory footprint for Fig. 6b: every array but ``leaves``, which
-        is the grid's leaf level and counted with the grid."""
-        held = (self.leaf_starts, self.rows, self.column_ids, self.column_firsts, self.column_sizes)
-        return sum(array.nbytes for array in held)
+        is the grid's leaf level and counted with the grid. An empty tail
+        counts nothing."""
+        return sum(array.nbytes for array in self.arrays())
 
 
 class ColumnRows(Mapping):
-    """Read-only ``{column_id: global row indices}`` view of an inverted
-    index's column directory; the row ``arange`` is built on access."""
+    """Read-only ``{column_id: store rows}`` view of an inverted index's
+    column directory. Membership and ``len`` read the directory alone;
+    a column's rows are built on access, ascending (leaf order)."""
 
     def __init__(self, inverted: InvertedIndex):
         self._inverted = inverted
 
     def __getitem__(self, column_id: int) -> np.ndarray:
-        inverted = self._inverted
-        at = inverted._position(column_id)
-        first = int(inverted.column_firsts[at])
-        return np.arange(first, first + int(inverted.column_sizes[at]), dtype=np.intp)
+        return self._inverted.column_rows(column_id)
+
+    def __contains__(self, column_id: object) -> bool:
+        try:
+            self._inverted._position(column_id)
+        except (KeyError, TypeError):
+            return False
+        return True
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._inverted.column_ids.tolist())
+
+    def items(self):
+        """``(column_id, rows)`` of every column, built in one pass."""
+        inverted = self._inverted
+        return zip(inverted.column_ids.tolist(), inverted.rows_by_column())
+
+    def values(self):
+        return self._inverted.rows_by_column()
 
     def __len__(self) -> int:
         return int(self._inverted.column_ids.size)

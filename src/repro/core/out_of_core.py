@@ -77,6 +77,14 @@ DEFAULT_SHARD_WORKERS = 1
 DEFAULT_LRU_SHARDS = 4
 
 
+def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` hold the same rows in any order: a column's
+    vectors come back from its shard in leaf order."""
+    if a.shape != b.shape:
+        return False
+    return np.array_equal(a[np.lexsort(a.T[::-1])], b[np.lexsort(b.T[::-1])])
+
+
 class PartitionedPexeso:
     """A data lake split into per-partition PEXESO indexes.
 
@@ -247,7 +255,7 @@ class PartitionedPexeso:
         column_ids = sorted(index.column_rows)
         if not column_ids:
             raise ValueError("index holds no live columns to repartition")
-        columns = [index.vectors[index.column_rows[cid]] for cid in column_ids]
+        columns = [index.vectors[rows] for rows in index.column_rows.values()]
         lake = cls(
             metric=index.metric,
             n_pivots=index.n_pivots,
@@ -615,7 +623,7 @@ class PartitionedPexeso:
                 # lost reply) may deliver the same (partition, id,
                 # vectors) twice; the second delivery must be a no-op,
                 # not an error that poisons the replica.
-                if existing[0] == part and np.array_equal(
+                if existing[0] == part and _same_rows(
                     self.column_vectors(gid),
                     np.atleast_2d(np.asarray(vectors, dtype=np.float64)),
                 ):
@@ -715,7 +723,8 @@ class PartitionedPexeso:
         return info
 
     def column_vectors(self, column_id: int) -> np.ndarray:
-        """Original vectors of one column, fetched from its shard.
+        """Vectors of one column, fetched from its shard, in the shard's
+        leaf order (not the order they were added in).
 
         Spilled shards come through the LRU, so repeated lookups stay
         disk-cheap without unbounding resident memory.
@@ -940,7 +949,7 @@ class LakeSearcher:
             )
 
     def column_vectors(self, column_id: int) -> np.ndarray:
-        """Original vectors of one indexed column (any backend)."""
+        """Vectors of one indexed column (any backend), in leaf order."""
         if isinstance(self.backend, PexesoIndex):
             return self.backend.vectors[self.backend.column_rows[column_id]]
         return self.backend.column_vectors(column_id)

@@ -25,21 +25,31 @@ commit point is that flip of ``partitioned.json``, made by
 ``delete_column`` and :func:`save_partitioned` all go through it — so a
 writer killed at any instant leaves the old lake or the new one.
 
-An epoch holds the vector store, the pivots, the grid's leaf codes, the
-inverted index's leaf → row CSR (``inv_leaf_starts`` and ``inv_rows``,
-both int32) and its column directory. Read-only layouts: format-3
-epochs (int64 ``inv_codes`` / ``inv_cols`` / ``inv_starts`` /
-``inv_rows`` posting entries, converted once on load; told apart by the
-missing ``inv_leaf_starts.npy``, so lake shards of either format mix),
-single-index format 2 (one ``index.npz``) and lake format 1 (a
-``manifest.json`` per shard) still load; the next write rewrites them
-in the current format. Epochs that also carry the ANN
-column graph (five ``ann_*.npy`` files and a manifest ``"ann"`` field)
-or the pivot-mapped row table (``mapped.npy``) load with those ignored;
-the next write of that epoch's index drops them. Epochs stopped
-carrying ``mapped.npy`` without a format bump, so a build from before
-that change cannot read an epoch written after it. Single-index
-version 1 (a ``structure.pkl``) is rejected; rebuild to migrate.
+An epoch (format 5) holds seven files: the vector store in leaf order,
+the pivots, the grid's leaf codes, the inverted index's per-leaf row and
+posting offsets (``inv_leaf_offsets``, one (2, leaves + 1) array), its
+run-length encoded row → column map (``inv_post_bits``, one bit per row,
+and ``inv_post_cols``, one int32 directory position per posting) and
+its column directory (``columns``: IDs and sizes). Writing a file costs
+about 0.7 ms on a 2-core VM, more than half of a short lake's whole
+store, so related small arrays share one. A save writes the packed layout: no dead rows, and
+the tail of columns added since the last compaction merged into its
+leaves. Read-only layouts, each converted once on load (a gather of the
+store into leaf order, counted by :data:`CONVERTED_LOADS` and the
+index's ``stats.converted_loads``): format-4 epochs (the store in
+column order and an int32 leaf → row CSR, ``inv_leaf_starts`` and
+``inv_rows``), format-3 epochs (int64 ``inv_codes`` / ``inv_cols`` /
+``inv_starts`` / ``inv_rows`` posting entries), single-index format 2
+(one ``index.npz``) and lake format 1 (a ``manifest.json`` per shard).
+Epochs are told apart by their files, so lake shards of every format
+mix; the next write rewrites them in the current format. Epochs that
+also carry the ANN column graph (five ``ann_*.npy`` files and a
+manifest ``"ann"`` field) or the pivot-mapped row table
+(``mapped.npy``) load with those ignored; the next write of that
+epoch's index drops them. Epochs stopped carrying ``mapped.npy`` without
+a format bump, so a build from before that change cannot read an epoch
+written after it. Single-index version 1 (a ``structure.pkl``) is
+rejected; rebuild to migrate.
 :func:`load_any` dispatches on the directory layout.
 """
 
@@ -60,19 +70,28 @@ from repro.core.atomic import (
 from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
 from repro.core.inverted_index import ROW, InvertedIndex
+from repro.core.stats import CounterBox
 
 #: the format every save writes; bumped when the on-disk layout changes
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
-#: the epoch layout before the leaf → row CSR (int64 posting entries),
-#: still loadable (never written)
+#: the epoch layout with the store in column order and an int32 leaf →
+#: row CSR, still loadable (never written)
+V4_FORMAT_VERSION = 4
+
+#: the epoch layout with int64 (cell, column) posting entries, still
+#: loadable (never written)
 V3_FORMAT_VERSION = 3
 
 #: the pre-mmap single-archive layout, still loadable (never written)
 V2_FORMAT_VERSION = 2
 
 #: formats :func:`load_index` accepts
-SUPPORTED_FORMATS = (V2_FORMAT_VERSION, V3_FORMAT_VERSION, FORMAT_VERSION)
+SUPPORTED_FORMATS = (V2_FORMAT_VERSION, V3_FORMAT_VERSION, V4_FORMAT_VERSION, FORMAT_VERSION)
+
+#: loads in this process that converted a format-2/3/4 index (or lake
+#: shard) to the current layout; ``/stats`` reports it
+CONVERTED_LOADS = CounterBox()
 
 #: the lake layout every commit writes: ``partitioned.json`` names every
 #: shard's live epoch
@@ -89,7 +108,7 @@ _MANIFEST = "manifest.json"
 _PARTITIONED_MANIFEST = "partitioned.json"
 
 #: epoch-directory prefix (a manifest names the live one); formats 3
-#: and 4 share it
+#: to 5 share it
 _V3_ARRAYS_PREFIX = "arrays_v3_"
 
 #: the arrays an epoch directory persists, one ``.npy`` each, with the
@@ -98,12 +117,21 @@ _EPOCH_ARRAYS = (
     ("vectors", np.float64),
     ("pivots", np.float64),
     ("grid_leaf_codes", np.int64),
-    ("inv_leaf_starts", np.int32),
-    ("inv_rows", np.int32),
-    ("column_ids", np.int64),
-    ("column_first_rows", np.int64),
-    ("column_counts", np.int64),
+    # (2, leaves + 1): each leaf's first row, then its first posting
+    ("inv_leaf_offsets", np.int32),
+    ("inv_post_bits", np.uint8),
+    ("inv_post_cols", np.int32),
+    # (2, columns): the column directory's IDs, then its sizes
+    ("columns", np.int64),
 )
+
+#: the arrays a mmap load maps: the store and the run arrays
+_MAPPED = ("vectors", "inv_leaf_offsets", "inv_post_bits", "inv_post_cols")
+
+#: what a format-4 epoch holds instead of the run arrays: the store in
+#: column order, its rows in leaf order and each column's first row
+_V4_ARRAYS = ("vectors", "pivots", "grid_leaf_codes", "inv_leaf_starts", "inv_rows",
+              "column_ids", "column_first_rows", "column_counts")
 
 #: what a format-2/3 index holds instead of ``inv_leaf_starts``: the
 #: cell code and row offset of one (cell, column) posting entry per range
@@ -112,18 +140,17 @@ _V3_INVERTED = ("inv_codes", "inv_starts")
 
 
 def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
-    """The arrays + manifest fields of one saved index (live rows only)."""
-    inverted = index.inverted
-    vectors, rows, column_firsts = index.live_arrays()
+    """The arrays + manifest fields of one saved index (packed: live rows
+    only, the tail merged into its leaves)."""
+    vectors, inverted = index.packed()
     arrays = {
         "vectors": vectors,
         "pivots": index.pivot_space.pivots,
         "grid_leaf_codes": index.grid.leaf_codes,
-        "inv_leaf_starts": inverted.leaf_starts,
-        "inv_rows": rows,
-        "column_ids": inverted.column_ids,
-        "column_first_rows": column_firsts,
-        "column_counts": inverted.column_sizes,
+        "inv_leaf_offsets": np.stack([inverted.leaf_starts, inverted.leaf_posts]),
+        "inv_post_bits": inverted.post_bits,
+        "inv_post_cols": inverted.post_cols,
+        "columns": np.stack([inverted.column_ids, inverted.column_sizes.astype(np.int64)]),
     }
     manifest = {
         "metric": index.metric.name,
@@ -225,36 +252,48 @@ def _load_epoch_arrays(
             f"index manifest names missing arrays dir {arrays_dir}"
         )
     names = [name for name, _ in _EPOCH_ARRAYS]
-    if not (arrays_dir / "inv_leaf_starts.npy").exists():  # a format-3 epoch
-        names = [name for name in names if name != "inv_leaf_starts"]
-        names += _V3_INVERTED
-    # only the two O(N) arrays are worth a mapping; small ones read faster
-    big = ("vectors", "inv_rows") if mmap else ()
+    if not (arrays_dir / "inv_post_bits.npy").exists():  # a format-3/4 epoch
+        names = list(_V4_ARRAYS)
+        if not (arrays_dir / "inv_leaf_starts.npy").exists():  # format 3
+            names = [name for name in names if name != "inv_leaf_starts"]
+            names += _V3_INVERTED
+    # only the O(N) arrays are worth a mapping; small ones read faster
+    big = _MAPPED + ("inv_rows",) if mmap else ()
     return {
         name: _np_load(arrays_dir / f"{name}.npy", "r" if name in big else None)
         for name in names
     }
 
 
-def _read_inverted(arrays: dict[str, np.ndarray], leaves: np.ndarray) -> InvertedIndex:
-    """The inverted index of a loaded epoch, aligned with the grid's
-    ``leaves``; a format-2/3 one is converted to the leaf → row CSR."""
+def _read_inverted(
+    arrays: dict[str, np.ndarray], leaves: np.ndarray
+) -> tuple[InvertedIndex, np.ndarray, bool]:
+    """The inverted index and store of a loaded epoch, aligned with the
+    grid's ``leaves``, and whether it was converted: a format-2/3/4 one
+    has its store gathered into leaf order and its run arrays derived."""
     inverted = InvertedIndex()
-    inverted.leaves = leaves
+    if "inv_post_bits" in arrays:
+        inverted.leaves = leaves
+        inverted.leaf_starts, inverted.leaf_posts = arrays["inv_leaf_offsets"]
+        inverted.post_bits = arrays["inv_post_bits"]
+        inverted.post_cols = arrays["inv_post_cols"]
+        inverted.column_ids, sizes = arrays["columns"]
+        inverted.column_sizes = sizes.astype(ROW)
+        return inverted, arrays["vectors"], False
+    inverted.column_ids = arrays["column_ids"].astype(np.int64, copy=False)
+    inverted.column_sizes = arrays["column_counts"].astype(ROW, copy=False)
     if "inv_leaf_starts" in arrays:
-        inverted.leaf_starts = arrays["inv_leaf_starts"].astype(ROW, copy=False)
+        starts = arrays["inv_leaf_starts"]
     else:
         # entries are (cell, column)-sorted and rows ascend within one, so
         # the concatenated rows are already in (leaf, row) order
         starts = arrays["inv_starts"]
-        inverted.leaf_starts = np.append(
-            starts[np.searchsorted(arrays["inv_codes"], leaves)], starts[-1]
-        ).astype(ROW)
-    inverted.rows = arrays["inv_rows"].astype(ROW, copy=False)
-    inverted.column_ids = arrays["column_ids"].astype(np.int64, copy=False)
-    inverted.column_firsts = arrays["column_first_rows"].astype(ROW, copy=False)
-    inverted.column_sizes = arrays["column_counts"].astype(ROW, copy=False)
-    return inverted
+        starts = np.append(starts[np.searchsorted(arrays["inv_codes"], leaves)], starts[-1])
+    rows = np.asarray(arrays["inv_rows"], dtype=np.intp)
+    codes = np.repeat(leaves, np.diff(starts))
+    firsts = arrays["column_first_rows"]
+    inverted.build_sorted(codes, np.searchsorted(firsts, rows, side="right") - 1, leaves)
+    return inverted, arrays["vectors"][rows], True
 
 
 def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
@@ -289,15 +328,18 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
         extent=extent,
         n_vectors=n_rows,
     )
-    index.inverted = inverted = _read_inverted(arrays, index.grid.leaf_codes)
+    index.inverted, store, converted = _read_inverted(arrays, index.grid.leaf_codes)
     index._next_column_id = int(manifest["next_column_id"])
-    index._n_rows = n_rows
     # a mmapped epoch's store is read-only: the first write copies it
-    index._store = arrays["vectors"]
+    index._store = store
+    index._n_rows = index.grid.n_vectors = store.shape[0]
     index.stats.n_vectors = index._n_rows
     index.stats.n_columns = index.n_columns
-    index.stats.n_leaf_cells = inverted.n_cells
-    index.stats.n_postings = inverted.n_postings
+    index.stats.n_leaf_cells = index.inverted.n_cells
+    index.stats.n_postings = index.inverted.n_postings
+    if converted:
+        CONVERTED_LOADS.add(1)
+        index.stats.converted_loads = 1
     return index
 
 
@@ -323,7 +365,7 @@ def _open_consistent(
 
 
 def save_index(index: PexesoIndex, directory: str | Path) -> Path:
-    """Persist a built index (format 4); returns the directory written.
+    """Persist a built index (format 5); returns the directory written.
 
     The write is crash-atomic: array data lands in an epoch the current
     manifest does not name, and the manifest swap is one
@@ -355,18 +397,18 @@ def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
     """Load an index saved by :func:`save_index`.
 
     Args:
-        mmap: open an epoch's two O(N) arrays, ``vectors`` and
-            ``inv_rows``, with ``mmap_mode="r"`` (zero-copy; pages fault
-            in on first touch). ``False`` reads them eagerly into RAM.
-            v2 directories always load eagerly (the npz must be
-            decompressed), and a format-3 epoch's int64 rows are
-            converted to int32 on load.
+        mmap: open an epoch's store and run arrays (``inv_post_bits``,
+            ``inv_post_cols``, ``inv_leaf_offsets``),
+            with ``mmap_mode="r"`` (zero-copy; pages fault in on first
+            touch). ``False`` reads them eagerly into RAM. A format-2/3/4
+            index is converted on load into an in-memory store in leaf
+            order, whatever ``mmap`` says.
 
     Mutating a mmap-loaded index is safe: the vector store is written in
     place only once the index owns it — the first append or compaction
-    copies a read-only mmapped store — and the inverted index's
-    maintenance paths (§III-E append/delete, compaction) build *new*
-    arrays. The epoch's files are never written through.
+    compacts a read-only mmapped store into a fresh allocation — and the
+    inverted index's maintenance paths (§III-E append/delete, compaction)
+    build *new* arrays. The epoch's files are never written through.
 
     Raises:
         FileNotFoundError: when the directory lacks the expected files.

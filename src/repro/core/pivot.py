@@ -14,11 +14,12 @@ are included as baselines (Fig. 7a compares PCA against random).
 
 from __future__ import annotations
 
+import contextlib
 from typing import Optional
 
 import numpy as np
 
-from repro.core.metric import Metric
+from repro.core.metric import EuclideanMetric, Metric
 
 
 def _unique_rows(candidates: np.ndarray) -> np.ndarray:
@@ -193,19 +194,32 @@ class PivotSpace:
         """Dimensionality of the original metric space."""
         return self.pivots.shape[1]
 
-    def map_vectors(self, vectors: np.ndarray) -> np.ndarray:
+    def map_vectors(self, vectors: np.ndarray, check_finite: bool = False) -> np.ndarray:
         """Pivot-map ``vectors``: row i becomes ``[d(v_i, p_1) .. d(v_i, p_k)]``.
 
         Coordinates are clipped to ``[0, extent]`` to guard against float
         drift past the theoretical bound (which would otherwise place a
         vector outside the grid).
+
+        Raises:
+            ValueError: with ``check_finite``, when a vector holds a NaN
+                or an infinity. Under the Euclidean metric such a vector's
+                distances are not finite (its squared norm is not), so the
+                vectors themselves are only checked when a distance is not
+                (or overflowed); other metrics always check them.
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if vectors.shape[1] != self.dim:
             raise ValueError(
                 f"vector dim {vectors.shape[1]} != pivot dim {self.dim}"
             )
-        mapped = self.metric.pairwise(vectors, self.pivots)
+        with np.errstate(invalid="ignore") if check_finite else contextlib.nullcontext():
+            mapped = self.metric.pairwise(vectors, self.pivots)
+        if check_finite and not (
+            isinstance(self.metric, EuclideanMetric) and np.isfinite(mapped).all()
+        ):
+            if not np.isfinite(vectors).all():
+                raise ValueError("column contains NaN or infinite values")
         return np.clip(mapped, 0.0, self.extent)
 
 

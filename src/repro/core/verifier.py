@@ -4,17 +4,24 @@ Blocking (Algorithm 1) leaves, per query row, *match* leaf cells proven
 within τ (Lemmas 5/6) and *candidate* leaf cells. :func:`verify_row_blocks`
 decides each query column of a batch in four steps:
 
-1. gather the union of lake rows in the query's candidate cells —
-   ``columns_in_cells_arrays`` concatenates the distinct cells' slices of
-   the leaf → row CSR and sorts them, which groups them by column
-   (deleted columns have no rows there, so they never appear);
-2. decide every (query row, union row) pair in chunks of the union:
-   Euclidean by the Gram form ``|q|² + |x|² - 2 Q Xᵀ`` (one GEMM, row
-   norms per gathered chunk), other metrics by ``Metric.pairwise``;
+1. find the lake rows of the query's candidate cells
+   (:meth:`InvertedIndex.candidate_rows`). The vector store is in leaf
+   order, so they are runs of touching leaves. Runs that average at
+   least a quarter of a chunk are read in place; shorter ones have
+   their live rows gathered, grouped by column, as have rows added since
+   the last compaction (the tail);
+2. decide every (query row, candidate row) pair in chunks of about
+   :data:`CHUNK_ELEMENTS`: a run's chunk is a view of the store, a
+   gathered chunk a copy. Euclidean pairs go through the Gram form
+   ``|q|² + |x|² - 2 Q Xᵀ`` (one GEMM, row norms per chunk), other
+   metrics through ``Metric.pairwise``;
 3. re-decide Euclidean pairs whose d² lies in the rounding band around
    τ² with ``Metric.distances_to`` (``SearchStats.exact_rechecks``);
-4. turn hits, plus the pairs blocking proved (credited without a
-   distance), into exact per-column counts, then ``>= T``.
+4. OR the hits per segment (a (leaf, column) posting of a run, or a
+   gathered column), then per column, add the pairs blocking proved
+   (credited without a distance), and count exactly per column, then
+   ``>= T``. A deleted column's rows inside a run are decided but belong
+   to no column.
 
 Pairs outside a row's own candidate cells are decided too: blocking is
 sound, so they are misses, and deciding them is cheaper than carving the
@@ -26,17 +33,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.core.blocker import BlockResult, PairCSR
-from repro.core.inverted_index import InvertedIndex
+from repro.core.inverted_index import CandidateRows, InvertedIndex
 from repro.core.metric import EuclideanMetric, Metric
 from repro.core.stats import SearchStats
 
-#: target size, in float64 elements, of one chunk's gathered lake rows plus
-#: its (rows x union) temporaries
+#: target size, in float64 elements, of one chunk's lake rows (when copied)
+#: plus its (rows x candidate rows) temporaries
 CHUNK_ELEMENTS = 1 << 18
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -71,6 +78,16 @@ def _rows_of(csr: PairCSR, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.diff(csr.starts[a : b + 1])
     cells = csr.cells[csr.starts[a] : csr.starts[b]]
     return np.repeat(csr.rows[a:b], lengths), cells
+
+
+def _chunks(store: np.ndarray, cand: CandidateRows, chunk: int) -> Iterator[np.ndarray]:
+    """``cand``'s rows in their virtual order, at most ``chunk`` at a time:
+    views of the store first, then gathered copies."""
+    for a, b in cand.views.tolist():
+        for at in range(a, b, chunk):
+            yield store[at : min(at + chunk, b)]
+    for at in range(0, cand.gathered.size, chunk):
+        yield store[cand.gathered[at : at + chunk]]
 
 
 def _chunk_hits(
@@ -160,35 +177,50 @@ def verify_row_blocks(
         lo, hi = int(bounds[q_idx]), int(bounds[q_idx + 1])
         queries, n_q = query_vectors[lo:hi], hi - lo
         chunk = chunk_rows(n_q, queries.shape[1], euclidean)
-        cand_cells = np.unique(_rows_of(block_result.candidate, lo, hi)[1])
-        cand_cols, union, lens = inverted_index.columns_in_cells_arrays(cand_cells)
-        match_rows, match_cells = _rows_of(block_result.match, lo, hi)
-        entry, match_cols = inverted_index.cell_postings(match_cells)
-
-        columns = np.union1d(cand_cols, match_cols)
-        hit = np.zeros((n_q, columns.size), dtype=bool)
-        hit[match_rows[entry] - lo, np.searchsorted(columns, match_cols)] = True
-        # union rows are grouped by column: each chunk ORs the column
-        # segments it overlaps into `hit`
-        ends = np.cumsum(lens)
-        seg_starts = ends - lens
-        cand_pos = np.searchsorted(columns, cand_cols)
-        rechecks = 0
-        for at in range(0, union.size, chunk):
-            stop = min(at + chunk, union.size)
-            x = target_vectors[union[at:stop]]
+        cand = inverted_index.candidate_rows(
+            np.unique(_rows_of(block_result.candidate, lo, hi)[1]), chunk // 4
+        )
+        n_rows = cand.n_rows
+        seg_starts, seg_cols = cand.segment_starts, cand.segment_columns
+        seg_ends = np.append(seg_starts[1:], n_rows)
+        # hits per segment, ORed over the chunks it spans
+        post_hit = np.zeros((n_q, seg_starts.size), dtype=bool)
+        rechecks, at = 0, 0
+        for x in _chunks(target_vectors, cand, chunk):
             pairs, n_band = _chunk_hits(queries, x, metric, tau)
             rechecks += n_band
-            first = int(np.searchsorted(ends, at, side="right"))
+            stop = at + x.shape[0]
+            first = int(np.searchsorted(seg_ends, at, side="right"))
             last = int(np.searchsorted(seg_starts, stop, side="left"))
             offsets = np.maximum(seg_starts[first:last], at) - at
-            hit[:, cand_pos[first:last]] |= np.logical_or.reduceat(
-                pairs, offsets, axis=1
-            )
-        counters[q_idx] = (n_q * union.size, rechecks, cand_cols.size)
+            post_hit[:, first:last] |= np.logical_or.reduceat(pairs, offsets, axis=1)
+            at = stop
+
+        if cand.views.size:
+            # views cut a column into one segment per leaf: group them
+            by_col = np.argsort(seg_cols, kind="stable")
+            by_col = by_col[seg_cols[by_col] >= 0]
+            firsts = np.flatnonzero(np.diff(seg_cols[by_col], prepend=-1))
+            columns = seg_cols[by_col[firsts]]
+            hit = post_hit[:, :0]
+            if firsts.size:
+                hit = np.logical_or.reduceat(post_hit[:, by_col], firsts, axis=1)
+        else:
+            columns, hit = seg_cols, post_hit
+        counters[q_idx] = (n_q * n_rows, rechecks, columns.size)
+        match_rows, match_cells = _rows_of(block_result.match, lo, hi)
+        if match_cells.size:
+            # pairs blocking proved: credited without a distance
+            entry, match_cols = inverted_index._cell_posts(match_cells)
+            merged = np.union1d(columns, match_cols)
+            widened = np.zeros((n_q, merged.size), dtype=bool)
+            widened[:, np.searchsorted(merged, columns)] = hit
+            widened[match_rows[entry] - lo, np.searchsorted(merged, match_cols)] = True
+            columns, hit = merged, widened
 
         counts = np.count_nonzero(hit, axis=0)
         keep = counts > 0
+        columns = inverted_index.column_ids[columns]
         if allowed_columns is not None and allowed_columns[q_idx] is not None:
             keep &= np.isin(columns, np.asarray(allowed_columns[q_idx], dtype=np.int64))
         columns, counts = columns[keep].tolist(), counts[keep].tolist()

@@ -435,12 +435,12 @@ class JoinableTableSearch:
     ) -> list[tuple[int, int]]:
         """Exact (query row, target row) pairs within τ for one hit column.
 
-        The hit column's vectors come from the searcher backend (a
-        spilled partitioned lake serves them through its shard LRU), so
+        The index keeps a column's vectors in leaf order, not in table-row
+        order, so the hit column is re-embedded from its stored values;
         the facade never keeps a second copy of the embedded lake.
         """
         assert self.searcher is not None
-        target = self.searcher.column_vectors(column_id)
+        target = self.embedder.embed_column(self.string_columns[column_id])
         pairwise = self.metric.pairwise(query_vectors, target)
         pairs = np.argwhere(pairwise <= tau)
         return [(int(qi), int(ti)) for qi, ti in pairs]

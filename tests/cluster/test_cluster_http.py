@@ -1,9 +1,15 @@
 """Cluster HTTP round trips: parity, maintenance, failover, recovery."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster import LocalCluster
+from repro.cluster import local as local_module
+from repro.cluster.local import worker_env
 from repro.cluster.resilience import ResilienceConfig
 from repro.core.metric import normalize_rows
 from repro.core.out_of_core import LakeSearcher, PartitionedPexeso
@@ -394,3 +400,26 @@ class TestRemoteDiscovery:
                 reference.topk(query, 0.7, 3).hits
             assert remote.n_columns == len(columns)
             assert remote.has_column(0) is True
+
+
+class TestProcessWorkerEnvironment:
+    """A process-mode worker runs with BLAS pinned to one thread unless
+    the caller chose a count; checked without spawning a process."""
+
+    def test_blas_is_pinned_unless_set(self):
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = worker_env({"PYTHONPATH": "elsewhere"})
+        assert env["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["PYTHONPATH"] == src_dir + os.pathsep + "elsewhere"
+        assert worker_env({"OPENBLAS_NUM_THREADS": "4"})["OPENBLAS_NUM_THREADS"] == "4"
+
+    def test_spawn_passes_it_to_the_child(self, tmp_path, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(
+            local_module.subprocess, "Popen", lambda cmd, env, **kwargs: spawned.append(env)
+        )
+        monkeypatch.setattr(LocalCluster, "url", "http://127.0.0.1:9")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        LocalCluster(tmp_path, 1, mode="process")._spawn_worker()
+        (env,) = spawned
+        assert env["OPENBLAS_NUM_THREADS"] == "1"

@@ -11,10 +11,10 @@ slower form it must equal bit for bit:
   argsort;
 * batched column histograms equal per-column ones, so the partition
   labels are unchanged;
-* ``fit``'s blocked map-and-encode pass and single sort equal appending
-  the columns one at a time (the array-level check of
-  ``test_reference_equivalence.py``, here through ``fit`` on the default
-  PCA path).
+* ``fit``'s blocked map-and-encode pass, single sort and leaf-order
+  scatter equal appending the columns one at a time and compacting the
+  tail (the array-level check of ``test_reference_equivalence.py``,
+  here through ``fit`` on the default PCA path, store included).
 """
 
 import numpy as np
@@ -189,6 +189,12 @@ class TestBatchedHistograms:
         np.testing.assert_array_equal(got, want)
 
 
+#: the inverted index's arrays that describe a packed (tail-free) layout
+LAYOUT = (
+    "leaves", "leaf_starts", "leaf_posts", "post_bits", "post_cols", "column_ids", "column_sizes"
+)
+
+
 class TestFitEqualsAppends:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("block_rows", [97, index_module.FIT_BLOCK_ROWS])
@@ -210,10 +216,14 @@ class TestFitEqualsAppends:
         assert fitted.grid.n_vectors == grid.n_vectors
         for level in range(fitted.levels + 1):
             np.testing.assert_array_equal(fitted.grid.level_codes(level), grid.level_codes(level))
-        for name in (
-            "leaves", "leaf_starts", "rows", "column_ids", "column_firsts", "column_sizes"
-        ):
+        # the appends sit in the tail in column order; compacting them
+        # into their leaves gives fit's leaf-ordered store and runs
+        packed, blocks, tail_from, tail_to = inverted.compaction()
+        store = np.concatenate(columns)
+        index_module._move_rows(store, store, blocks, tail_from, tail_to)
+        assert fitted.inverted.tail_firsts.size == 0
+        for name in LAYOUT:
             np.testing.assert_array_equal(
-                getattr(fitted.inverted, name), getattr(inverted, name)
+                getattr(fitted.inverted, name), getattr(packed, name)
             )
-        np.testing.assert_array_equal(fitted.vectors, np.concatenate(columns))
+        np.testing.assert_array_equal(fitted.vectors, store)

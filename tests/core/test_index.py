@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from repro.baselines.exact_naive import naive_search
+from repro.core.allpairs import discover_joinable_pairs
 from repro.core.index import PexesoIndex
+from repro.core.inverted_index import ColumnRows
 from repro.core.metric import ManhattanMetric, normalize_rows
 from repro.core.search import pexeso_search
+
+
+def by_value(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in lexicographic order."""
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 @pytest.fixture()
@@ -26,12 +33,17 @@ class TestBuild:
     def test_column_rows_partition_vector_store(self, columns):
         index = PexesoIndex.build(columns, n_pivots=3, levels=2)
         all_rows = np.concatenate([index.column_rows[c] for c in sorted(index.column_rows)])
-        np.testing.assert_array_equal(all_rows, np.arange(index.n_vectors))
+        # every store row belongs to exactly one column
+        np.testing.assert_array_equal(np.sort(all_rows), np.arange(index.n_vectors))
 
     def test_vectors_roundtrip(self, columns):
         index = PexesoIndex.build(columns, n_pivots=3, levels=2)
         for cid, column in enumerate(columns):
-            np.testing.assert_allclose(index.vectors[index.column_rows[cid]], column)
+            # the store is in leaf order: a column's rows come back grouped
+            # by leaf, so compare them as a set of rows
+            np.testing.assert_array_equal(
+                by_value(index.vectors[index.column_rows[cid]]), by_value(column)
+            )
 
     def test_mapped_consistent_with_pivot_space(self, columns):
         index = PexesoIndex.build(columns, n_pivots=3, levels=2)
@@ -143,6 +155,31 @@ class TestDelete:
     def test_column_size(self, columns):
         index = PexesoIndex.build(columns)
         assert index.column_size(0) == columns[0].shape[0]
+
+
+class TestColumnMembership:
+    def test_membership_never_builds_rows(self, columns, monkeypatch):
+        """``column_id in index.column_rows`` reads the column directory:
+        the delete path, the engine's per-hit filter and ``allpairs``
+        build a column's rows only where they read its vectors."""
+        index = PexesoIndex.build(columns, n_pivots=3, levels=2)
+        calls = []
+        real = ColumnRows.__getitem__
+
+        def counted(self, column_id):
+            calls.append(column_id)
+            return real(self, column_id)
+
+        monkeypatch.setattr(ColumnRows, "__getitem__", counted)
+        assert 3 in index.column_rows
+        assert 99 not in index.column_rows and "3" not in index.column_rows
+        index.delete_column(5)
+        assert 5 not in index.column_rows
+        assert index.search(columns[3], 0.5, 0.3).joinable
+        assert calls == []
+        graph = discover_joinable_pairs(index, 0.5, 0.3, include_self=True, column_ids=[1, 2])
+        assert graph.edges
+        assert sorted(calls) == [1, 2]  # one row read per query column
 
 
 class TestPickle:

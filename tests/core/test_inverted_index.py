@@ -45,8 +45,11 @@ class TestAddColumn:
         leaves = np.array([1, 5, 7, 9, 12], dtype=np.int64)
         index.add_column(1, [7, 5], 2, leaves)
         assert index.leaves is leaves
-        assert index.leaf_starts.tolist() == [0, 0, 2, 3, 4, 4]
-        assert index.rows.tolist() == [0, 3, 2, 1]
+        # appended columns live in the tail: the sorted part stays empty
+        assert index.leaf_starts.tolist() == [0, 0, 0, 0, 0, 0]
+        assert index.tail_codes.tolist() == [5, 7, 9]
+        assert index.tail_starts.tolist() == [0, 2, 3, 4]
+        assert index.tail_rows.tolist() == [0, 3, 2, 1]
         assert 1 not in index and 12 not in index
 
     def test_unknown_cell_empty(self):
@@ -77,7 +80,8 @@ class TestBuildBulk:
         cells = rng.integers(0, 30, size=60)
         cols = np.sort(rng.integers(0, 6, size=60))
         bulk = InvertedIndex()
-        bulk.build_bulk(cells, cols, np.argsort(cells, kind="stable"), np.unique(cells))
+        order = np.argsort(cells, kind="stable")
+        bulk.build_bulk(cells, cols, order, np.unique(cells))
         incremental = InvertedIndex()
         for col in np.unique(cols):
             mask = cols == col
@@ -85,7 +89,9 @@ class TestBuildBulk:
             add(incremental, int(col), cells[mask], first_row=first)
         assert bulk.n_postings == incremental.n_postings
         for cell in bulk.cells():
-            got = [(p.column_id, p.rows) for p in bulk.postings(cell)]
+            # a bulk build's rows are store rows in leaf order: store row
+            # i holds input row order[i]
+            got = [(p.column_id, order[p.rows].tolist()) for p in bulk.postings(cell)]
             want = [(p.column_id, p.rows) for p in incremental.postings(cell)]
             assert got == want
 
@@ -199,9 +205,10 @@ class TestRowBound:
 
     def test_add_column_refuses_a_store_past_the_bound(self, small_columns):
         index = PexesoIndex.build(small_columns, n_pivots=3, levels=3)
-        before = index.n_vectors, index.n_columns, index.inverted.rows.copy()
+        before = index.n_vectors, index.n_columns, [a.copy() for a in index.inverted.arrays()]
         with pytest.raises(ValueError, match="PartitionedPexeso"):
             index.add_column(self.rows(MAX_ROWS - index.n_vectors + 1, dim=8))
         assert (index.n_vectors, index.n_columns) == before[:2]
-        np.testing.assert_array_equal(index.inverted.rows, before[2])
+        for got, want in zip(index.inverted.arrays(), before[2]):
+            np.testing.assert_array_equal(got, want)
         index.add_column(small_columns[0])  # still writable

@@ -1,15 +1,21 @@
-"""The leaf -> row CSR against the seed's per-cell posting lists.
+"""The leaf-ordered store and its runs against the seed's posting lists.
 
 Seeded sequences of ``fit``, ``add_column``, ``delete_column`` (whose
-dead rows trigger compactions) and save / mmap-load round trips run on
-a :class:`PexesoIndex` and, in step, on ``tests/core/reference.py``'s
-``insort``-based :class:`ReferenceInvertedIndex`. After every step the
-index's postings views (``postings``, ``columns_in_cells_arrays``,
-``cell_postings``, ``n_cells``, ``n_postings``) must equal the
-reference's lists. The reference never renumbers, so its rows are
-translated by each column's move (current first row minus the one it was
-added at); the layout those first rows describe is checked on its own
-(contiguous columns in ID order holding the column's vectors).
+dead rows trigger compactions), explicit compactions and save /
+mmap-load round trips run on a :class:`PexesoIndex` and, in step, on
+``tests/core/reference.py``'s ``insort``-based
+:class:`ReferenceInvertedIndex`. After every step:
+
+* the store's sorted part is in leaf order: every row lies in the leaf
+  whose range holds it;
+* every (leaf, column) run holds exactly the vectors of the reference's
+  posting list, in its order (the reference's rows are the column's
+  input rows, so they are compared through the vectors);
+* the postings views (``postings``, ``columns_in_cells_arrays``,
+  ``cell_postings``, ``n_cells``, ``n_postings``) agree with each other
+  and with the reference;
+* ``memory_bytes()`` is the ``.nbytes`` of the arrays it counts;
+* hits equal ``naive_search`` over the live columns.
 """
 
 import tempfile
@@ -19,12 +25,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.exact_naive import naive_search
 from repro.core.index import PexesoIndex
 from repro.core.metric import normalize_rows
 from repro.core.persistence import load_index, save_index
 from reference import ReferenceInvertedIndex
 
 DIM = 5
+TAU, T = 0.9, 0.3
+
+
+def by_value(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in lexicographic order."""
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _column(rng: np.random.Generator, n_rows: int) -> np.ndarray:
@@ -40,31 +53,29 @@ class Run:
         columns = [_column(self.rng, int(self.rng.integers(1, 10))) for _ in range(8)]
         self.index = PexesoIndex.build(columns, n_pivots=3, levels=3, seed=seed % 97)
         self.reference = ReferenceInvertedIndex()
-        #: live columns: id -> (vectors, first row when added)
+        #: live columns: id -> (vectors, first reference row)
         self.live: dict[int, tuple[np.ndarray, int]] = {}
-        first = 0
+        self.next_first = 0
         for cid, column in enumerate(columns):
-            self._track(cid, column, first)
-            first += column.shape[0]
+            self._track(cid, column)
         #: which of the interesting situations this run has met
         self.seen: set[str] = set()
         self.mmapped = False
 
-    def _codes(self, vectors: np.ndarray) -> list[int]:
+    def _codes(self, vectors: np.ndarray) -> np.ndarray:
         index = self.index
-        return index.grid.leaf_codes_for(index.pivot_space.map_vectors(vectors)).tolist()
+        return index.grid.leaf_codes_for(index.pivot_space.map_vectors(vectors))
 
-    def _track(self, cid: int, vectors: np.ndarray, first: int) -> None:
-        self.reference.add_column(cid, self._codes(vectors), first)
-        self.live[cid] = (vectors, first)
+    def _track(self, cid: int, vectors: np.ndarray) -> None:
+        self.reference.add_column(cid, self._codes(vectors).tolist(), self.next_first)
+        self.live[cid] = (vectors, self.next_first)
+        self.next_first += vectors.shape[0]
 
     def add(self, n_rows: int) -> None:
         vectors = _column(self.rng, n_rows)
         n_leaves = self.index.grid.leaf_codes.size
         cid = self.index.add_column(vectors)
-        first = int(self.index.column_rows[cid][0])
-        assert first == self.index.n_vectors - n_rows  # appended last
-        self._track(cid, vectors, first)
+        self._track(cid, vectors)
         if self.index.grid.leaf_codes.size > n_leaves:
             self.seen.add("new leaf")
 
@@ -78,8 +89,13 @@ class Run:
         del self.live[cid]
         if self.index.n_vectors < n_rows:
             self.seen.add("compaction")
-        if (np.diff(self.index.inverted.leaf_starts) == 0).any():
+        if self.index.inverted.n_cells < self.index.grid.leaf_codes.size:
             self.seen.add("emptied leaf")
+
+    def compact(self) -> None:
+        if self.index.inverted.tail_firsts.size:
+            self.seen.add("tail merged")
+        self.index._compact()
 
     def roundtrip(self) -> None:
         if self.mmapped:
@@ -87,72 +103,87 @@ class Run:
         directory = self.workdir / "idx"
         save_index(self.index, directory)
         self.index = load_index(directory, mmap=True)
-        assert isinstance(self.index.inverted.rows, np.memmap)
+        assert isinstance(self.index.inverted.post_cols, np.memmap)
         self.mmapped = True
 
     # -- the comparison ----------------------------------------------------------
 
-    def expected_postings(self) -> dict[int, list[tuple[int, list[int]]]]:
-        """The reference's lists, rows translated to the current layout."""
-        column_rows = self.index.column_rows
-        move = {
-            cid: int(column_rows[cid][0]) - first for cid, (_, first) in self.live.items()
-        }
+    def expected_vectors(self) -> dict[int, list[tuple[int, np.ndarray]]]:
+        """The reference's lists, each posting's rows as the vectors they
+        name (a reference row is ``first + offset`` into its column)."""
         return {
-            cell: [(cid, [row + move[cid] for row in rows]) for cid, rows in postings]
+            cell: [
+                (cid, self.live[cid][0][np.asarray(rows) - self.live[cid][1]])
+                for cid, rows in postings
+            ]
             for cell, postings in self.reference.postings_by_cell().items()
         }
 
     def check(self) -> None:
         index, inverted = self.index, self.index.inverted
-        # the layout: contiguous columns in ID order, holding their vectors
+        vectors = index.vectors
         assert sorted(index.column_rows) == sorted(self.live)
-        end = 0
-        for cid in sorted(self.live):
-            rows = index.column_rows[cid]
-            assert rows[0] >= end
-            end = int(rows[-1]) + 1
-            np.testing.assert_array_equal(index.vectors[rows], self.live[cid][0])
-        assert end <= index.n_vectors
+        for cid, (column, _) in self.live.items():
+            got = vectors[index.column_rows[cid]]  # grouped by leaf
+            np.testing.assert_array_equal(by_value(got), by_value(column))
 
-        expected = self.expected_postings()
+        # the sorted part is in leaf order
+        n_sorted = inverted.n_sorted
+        want_codes = np.repeat(inverted.leaves, np.diff(inverted.leaf_starts))
+        np.testing.assert_array_equal(self._codes(vectors[:n_sorted]), want_codes)
+
+        # every (leaf, column) run holds the reference posting's vectors
+        expected = self.expected_vectors()
+        codes = index.grid.leaf_codes.tolist()
+        absent = [code for code in range(-1, 600) if code not in set(codes)][:5]
+        probe = self.rng.permutation(codes + absent).tolist()
+        for cell in probe:
+            got = inverted.postings(cell)
+            want = expected.get(cell, [])
+            assert [p.column_id for p in got] == [cid for cid, _ in want]
+            for posting, (_, rows) in zip(got, want):
+                np.testing.assert_array_equal(vectors[posting.rows], rows)
+
         assert inverted.n_cells == self.reference.n_cells == len(expected)
         assert inverted.n_postings == self.reference.n_postings
         assert index.stats.n_postings == inverted.n_postings
         assert index.stats.n_leaf_cells == inverted.n_cells
         assert inverted.leaves is index.grid.leaf_codes
 
-        leaves = index.grid.leaf_codes.tolist()
-        absent = [code for code in range(-1, 600) if code not in set(leaves)][:5]
-        probe = self.rng.permutation(leaves + absent).tolist()
-        for cell in probe:
-            got = [(p.column_id, p.rows) for p in inverted.postings(cell)]
-            assert got == expected.get(cell, [])
-
+        # the merged views agree with the per-cell postings
         for cells in (probe, probe[: len(probe) // 3], []):
             merged: dict[int, list[int]] = {}
             for cell in cells:
-                for cid, rows in expected.get(cell, []):
-                    merged.setdefault(cid, []).extend(rows)
-            cols, rows, lens = inverted.columns_in_cells_arrays(
-                np.asarray(cells, dtype=np.int64)
-            )
+                for posting in inverted.postings(cell):
+                    merged.setdefault(posting.column_id, []).extend(posting.rows)
+            cols, rows, lens = inverted.columns_in_cells_arrays(np.asarray(cells, np.int64))
             assert cols.tolist() == sorted(merged)
             assert lens.tolist() == [len(merged[c]) for c in sorted(merged)]
             assert rows.tolist() == [r for c in sorted(merged) for r in sorted(merged[c])]
-
         repeated = probe + probe[:4]
         which, cols = inverted.cell_postings(np.asarray(repeated, dtype=np.int64))
-        want = [
-            (i, cid) for i, cell in enumerate(repeated) for cid, _ in expected.get(cell, [])
-        ]
+        want = [(i, cid) for i, cell in enumerate(repeated) for cid, _ in expected.get(cell, [])]
         assert list(zip(which.tolist(), cols.tolist())) == want
+
+        # memory_bytes() is the arrays it counts
+        grid = index.grid
+        counted = [grid.level_codes(level) for level in range(grid.levels + 1)]
+        counted += [index.pivot_space.pivots, *inverted.arrays()]
+        assert index.memory_bytes() == sum(a.nbytes for a in counted)
+
+        # hits equal the exhaustive scan
+        ids = sorted(self.live)
+        query = self.live[ids[int(self.rng.integers(len(ids)))]][0]
+        got = sorted((h.column_id, h.match_count) for h in index.search(query, TAU, T).joinable)
+        exact = naive_search([self.live[c][0] for c in ids], query, TAU, T)
+        assert got == sorted((ids[h.column_id], h.match_count) for h in exact.joinable)
 
 
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.integers(1, 12)),
         st.tuples(st.just("delete"), st.integers(0, 1000)),
+        st.tuples(st.just("compact"), st.just(0)),
         st.tuples(st.just("roundtrip"), st.just(0)),
     ),
     max_size=14,
@@ -168,6 +199,8 @@ def run(seed: int, ops) -> set[str]:
                 state.add(arg)
             elif op == "delete":
                 state.delete(arg)
+            elif op == "compact":
+                state.compact()
             else:
                 state.roundtrip()
             state.check()
@@ -181,10 +214,14 @@ def test_postings_views_equal_the_reference(seed, ops):
 
 
 def test_a_fixed_sequence_meets_every_situation():
-    """Emptied leaves, new leaves, compactions and a written mmapped
-    epoch all occur (and check out) in one pinned sequence."""
+    """Emptied leaves, new leaves, compactions (by deletes and by hand,
+    merging a tail) and a written mmapped epoch all occur (and check
+    out) in one pinned sequence."""
     ops = [
         ("roundtrip", 0), ("add", 9), ("delete", 0), ("delete", 3), ("add", 4),
-        ("delete", 1), ("roundtrip", 0), ("add", 6), ("delete", 2), ("roundtrip", 0),
+        ("compact", 0), ("delete", 1), ("roundtrip", 0), ("add", 6), ("delete", 2),
+        ("roundtrip", 0),
     ]
-    assert run(7, ops) == {"new leaf", "compaction", "emptied leaf", "mmapped epoch written"}
+    assert run(7, ops) == {
+        "new leaf", "compaction", "emptied leaf", "mmapped epoch written", "tail merged"
+    }

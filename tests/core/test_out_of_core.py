@@ -496,6 +496,11 @@ class TestLruCapacityTracksFanOut:
         assert lake._lru.capacity == 2
 
 
+def by_value(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in lexicographic order."""
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 class TestColumnVectors:
     def test_matches_source_columns(self, columns, tmp_path):
         for spill in (None, tmp_path):
@@ -503,8 +508,9 @@ class TestColumnVectors:
                 n_pivots=2, levels=2, n_partitions=4, spill_dir=spill
             ).fit(columns)
             for cid in (0, 13, 29):
+                # a shard's store is in leaf order: compare as row sets
                 np.testing.assert_array_equal(
-                    lake.column_vectors(cid), columns[cid]
+                    by_value(lake.column_vectors(cid)), by_value(columns[cid])
                 )
         with pytest.raises(KeyError):
             lake.column_vectors(999)
@@ -513,5 +519,5 @@ class TestColumnVectors:
         single = LakeSearcher.build(columns, n_pivots=2, levels=2)
         sharded = LakeSearcher.build(columns, n_pivots=2, levels=2, n_partitions=3)
         np.testing.assert_array_equal(
-            single.column_vectors(7), sharded.column_vectors(7)
+            by_value(single.column_vectors(7)), by_value(sharded.column_vectors(7))
         )

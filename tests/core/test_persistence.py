@@ -239,29 +239,34 @@ class TestV3Format:
     def test_v3_layout_on_disk(self, built, tmp_path):
         save_index(built, tmp_path / "idx")
         manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-        assert manifest["format_version"] == FORMAT_VERSION == 4
+        assert manifest["format_version"] == FORMAT_VERSION == 5
         arrays_dir = tmp_path / "idx" / manifest["arrays_dir"]
-        assert (arrays_dir / "vectors.npy").exists()
-        assert (arrays_dir / "inv_leaf_starts.npy").exists()
-        assert np.load(arrays_dir / "inv_rows.npy").dtype == np.int32
-        for legacy in ("inv_codes", "inv_cols", "inv_starts"):
-            assert not (arrays_dir / f"{legacy}.npy").exists()
+        assert sorted(path.name for path in arrays_dir.iterdir()) == [
+            "columns.npy", "grid_leaf_codes.npy", "inv_leaf_offsets.npy",
+            "inv_post_bits.npy", "inv_post_cols.npy", "pivots.npy", "vectors.npy",
+        ]
+        assert np.load(arrays_dir / "inv_post_bits.npy").dtype == np.uint8
+        assert np.load(arrays_dir / "inv_post_cols.npy").dtype == np.int32
         assert not (tmp_path / "idx" / "index.npz").exists()
 
     def test_mmap_load_is_zero_copy(self, built, tmp_path):
         save_index(built, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx", mmap=True)
-        assert isinstance(loaded.vectors, np.memmap)
-        assert isinstance(loaded.inverted.rows, np.memmap)
-        # only the two O(N) arrays are mapped: the small ones are read
-        # eagerly, as plain writable arrays
+        inverted = loaded.inverted
+        # the store and the run arrays are mapped, read-only
+        mapped = (
+            loaded.vectors, inverted.post_bits, inverted.post_cols,
+            inverted.leaf_posts, inverted.leaf_starts,
+        )
+        for array in mapped:
+            assert isinstance(array, np.memmap)
+            assert not array.flags.writeable
+        # the small ones are read eagerly, as plain writable arrays
         small = [
             loaded.pivot_space.pivots,
             loaded.grid.leaf_codes,
-            loaded.inverted.leaf_starts,
-            loaded.inverted.column_ids,
-            loaded.inverted.column_firsts,
-            loaded.inverted.column_sizes,
+            inverted.column_ids,
+            inverted.column_sizes,
         ]
         for array in small:
             assert type(array) is np.ndarray

@@ -41,12 +41,8 @@ def test_csr_postings_equal_reference(seed, levels):
         cols_all.append(np.full(codes.size, column_id, dtype=np.int64))
         first_row += mapped.shape[0]
     codes_all = np.concatenate(codes_all)
-    inverted.build_bulk(
-        codes_all,
-        np.concatenate(cols_all),
-        np.argsort(codes_all, kind="stable"),
-        grid.leaf_codes,
-    )
+    order = np.argsort(codes_all, kind="stable")
+    inverted.build_bulk(codes_all, np.concatenate(cols_all), order, grid.leaf_codes)
 
     assert inverted.n_postings == ref_inverted.n_postings
     assert inverted.n_cells == ref_inverted.n_cells
@@ -56,7 +52,8 @@ def test_csr_postings_equal_reference(seed, levels):
         code = int(
             encode_cells(np.asarray([coords], dtype=np.int64), n_dims, levels)[0]
         )
-        got = [(p.column_id, p.rows) for p in inverted.postings(code)]
+        # store row i of the leaf-ordered build holds input row order[i]
+        got = [(p.column_id, order[p.rows].tolist()) for p in inverted.postings(code)]
         assert got == postings
 
     # per-level cell sets agree (codes decode to the reference coordinates)
@@ -93,10 +90,14 @@ def test_bulk_build_equals_incremental_appends(seed, levels=3):
         np.testing.assert_array_equal(
             bulk_grid.level_codes(level), inc_grid.level_codes(level)
         )
+    # the appends sit in the tail; compacted into their leaves they are
+    # the bulk build's leaf-ordered layout
+    packed = inc.compaction()[0]
     for name in (
-        "leaves", "leaf_starts", "rows", "column_ids", "column_firsts", "column_sizes"
+        "leaves", "leaf_starts", "leaf_posts", "post_bits", "post_cols",
+        "column_ids", "column_sizes",
     ):
-        np.testing.assert_array_equal(getattr(bulk, name), getattr(inc, name))
+        np.testing.assert_array_equal(getattr(bulk, name), getattr(packed, name))
 
 
 def test_delete_column_equals_reference_delete():

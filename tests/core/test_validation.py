@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.index import PexesoIndex
+from repro.core.metric import ManhattanMetric
 from repro.core.search import pexeso_search
 
 
@@ -34,6 +35,16 @@ class TestNanRejection:
     def test_build_rejects_nan(self):
         with pytest.raises(ValueError):
             PexesoIndex.build([np.full((4, 4), np.nan)])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", [None, ManhattanMetric()])
+    def test_build_rejects_one_bad_value_anywhere(self, value, metric):
+        """``fit`` checks finiteness inside its blocked mapping pass: one
+        bad value in a late block, outside the pivot sample, is found."""
+        columns = [np.full((100, 4), 0.5) + 0.001 * i for i in range(60)]
+        columns[57][3, 1] = value
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            PexesoIndex.build(columns, metric=metric)
 
     def test_index_unchanged_after_rejected_append(self, index, small_columns, small_query):
         before = pexeso_search(index, small_query, 0.8, 0.3).column_ids
