@@ -51,29 +51,30 @@ def _capacity(n_rows: int) -> int:
 def _scatter(
     arrays: Sequence[np.ndarray], sizes: np.ndarray, order: np.ndarray, store: np.ndarray
 ) -> None:
-    """Write the stacked ``arrays`` (of ``sizes`` rows) into ``store`` so
-    that store row ``j`` holds stacked row ``order[j]``, reading the
-    columns themselves: one
-    of at least :data:`SCATTER_BLOCK_ROWS` rows is scattered straight
-    from its array, shorter neighbours are stacked into blocks of about
-    that many rows first, so no lake-sized copy is made."""
+    """Write the stacked ``arrays`` into ``store`` so that store row ``j``
+    holds stacked row ``order[j]``, reading the columns themselves: a
+    column of at least :data:`SCATTER_BLOCK_ROWS` rows is scattered
+    straight from its array, runs of shorter ones are stacked into
+    blocks of at most that many rows first, so no lake-sized copy is
+    made."""
     n_rows = order.size
     dest = np.empty(n_rows, dtype=np.intp)
     dest[order] = np.arange(n_rows)
-    ends = np.cumsum(sizes)
-    # a block ends with the column that reaches the next multiple
-    cuts = np.searchsorted(ends, np.arange(SCATTER_BLOCK_ROWS, n_rows, SCATTER_BLOCK_ROWS))
-    # stacked blocks reuse one buffer: a stacked column is shorter than a block
-    buffer = np.empty((min(2 * SCATTER_BLOCK_ROWS, n_rows), store.shape[1]))
-    lo = first = 0
-    for last in np.unique(np.append(cuts, len(arrays) - 1)).tolist():
-        hi = int(ends[last])
-        if first == last:
-            block = arrays[first]
+    buffer = np.empty((min(SCATTER_BLOCK_ROWS, n_rows), store.shape[1]))
+    stacked: list[np.ndarray] = []  # short columns not yet written
+    lo = hi = 0  # rows [lo, hi) are the stacked columns'
+    for arr, size in zip(arrays, sizes.tolist()):
+        if stacked and hi + size - lo > SCATTER_BLOCK_ROWS:
+            store[dest[lo:hi]] = np.concatenate(stacked, out=buffer[: hi - lo])
+            stacked, lo = [], hi
+        if size >= SCATTER_BLOCK_ROWS:
+            store[dest[lo : lo + size]] = arr
+            lo = hi = lo + size
         else:
-            block = np.concatenate(arrays[first : last + 1], out=buffer[: hi - lo])
-        store[dest[lo:hi]] = block
-        lo, first = hi, last + 1
+            stacked.append(arr)
+            hi += size
+    if stacked:
+        store[dest[lo:hi]] = np.concatenate(stacked, out=buffer[: hi - lo])
 
 
 def _move_rows(
@@ -219,18 +220,13 @@ class PexesoIndex:
         lake = np.concatenate(arrays, axis=0, out=store[:n_rows])
 
         t0 = time.perf_counter()
-        try:
-            pivot_space = build_pivot_space(
-                lake,
-                self.n_pivots,
-                self.metric,
-                method=self.pivot_method,
-                rng=np.random.default_rng(self.seed),
-            )
-        except np.linalg.LinAlgError:
-            if not np.isfinite(lake).all():  # the usual error for a non-finite lake
-                raise ValueError("column contains NaN or infinite values") from None
-            raise
+        pivot_space = build_pivot_space(
+            lake,
+            self.n_pivots,
+            self.metric,
+            method=self.pivot_method,
+            rng=np.random.default_rng(self.seed),
+        )
         self.stats.pivot_selection_seconds += time.perf_counter() - t0
 
         grid = HierarchicalGrid(
@@ -241,7 +237,7 @@ class PexesoIndex:
         codes = np.empty(n_rows, dtype=np.int64)
         for lo in range(0, n_rows, FIT_BLOCK_ROWS):
             t0 = time.perf_counter()
-            mapped = pivot_space.map_vectors(lake[lo : lo + FIT_BLOCK_ROWS], check_finite=True)
+            mapped = pivot_space.map_vectors(lake[lo : lo + FIT_BLOCK_ROWS])
             t1 = time.perf_counter()
             codes[lo : lo + mapped.shape[0]] = grid.leaf_codes_for(mapped)
             self.stats.pivot_mapping_seconds += t1 - t0
@@ -292,7 +288,7 @@ class PexesoIndex:
             raise ValueError("cannot index an empty column")
         check_row_count(self._n_rows + vectors.shape[0])
         t0 = time.perf_counter()
-        mapped = self.pivot_space.map_vectors(vectors, check_finite=True)
+        mapped = self.pivot_space.map_vectors(vectors)
         self.stats.pivot_mapping_seconds += time.perf_counter() - t0
         if np.may_share_memory(vectors, self._store):
             vectors = vectors.copy()  # a compaction may move the rows it views

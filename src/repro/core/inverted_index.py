@@ -85,6 +85,22 @@ def _bits_at(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (bits[rows >> 3] << (rows & 7).astype(np.uint8)) >= 128
 
 
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+#: set bits of each byte value
+_POPCOUNT = _BYTE_BITS.sum(axis=1).astype(np.intp)
+#: ``_SELECT[byte, k]``: the ``np.packbits`` position of the byte's k-th set bit
+_SELECT = np.argsort(_BYTE_BITS == 0, axis=1, kind="stable")
+
+
+def _select(bits: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The positions of the ``ranks``-th set bits (0-based) of the
+    ``np.packbits``-ordered ``bits``: a popcount pass over the bytes,
+    not over the bits."""
+    through = np.cumsum(_POPCOUNT[bits])  # set bits up to and including each byte
+    byte = np.searchsorted(through, ranks, side="right")
+    return byte * 8 + _SELECT[bits[byte], ranks - through[byte] + _POPCOUNT[bits[byte]]]
+
+
 def _starts_after(csr_starts: np.ndarray, codes: np.ndarray, at: np.ndarray) -> np.ndarray:
     """``csr_starts`` realigned with a sorted superset ``codes`` of the
     sorted ``at`` it is aligned with: a code new to it starts out empty."""
@@ -112,12 +128,13 @@ class CandidateRows:
     """The store rows of a set of leaf cells, as the verifier reads them.
 
     They form one *virtual* row sequence: first the ``views``, ``(start,
-    stop)`` ranges of the sorted part read in place, in store order; then
-    the ``gathered`` rows, grouped by column in ascending order. The
-    sequence is cut into segments of one column each: ``segment_starts``
-    (ascending, the first one 0) and ``segment_columns``, a directory
-    position, or ``-1`` for a deleted column's rows inside a view. Only
-    the views can give a column several segments.
+    stop)`` ranges of the sorted part read in place; then the
+    ``gathered`` rows, the live rows of the sorted part and then of the
+    tail, each in store order. The sequence is cut into segments of one
+    column each: ``segment_starts`` (ascending, the first one 0) and
+    ``segment_columns``, a directory position, or ``-1`` for a deleted
+    column's rows inside a view. A column has a segment per run of its
+    rows, so usually several.
     """
 
     views: np.ndarray
@@ -156,45 +173,12 @@ class InvertedIndex:
 
     # -- building ------------------------------------------------------------------
 
-    def build_bulk(
-        self,
-        cell_of_row: np.ndarray,
-        column_of_row: np.ndarray,
-        order: np.ndarray,
-        leaves: np.ndarray,
-    ) -> None:
-        """Build the sorted part for a store written in ``order``.
-
-        Args:
-            cell_of_row: leaf cell code of every repository vector.
-            column_of_row: column ID of every vector; columns hold
-                consecutive rows in ID order, the layout of the columns
-                :meth:`~repro.core.index.PexesoIndex.fit` is given.
-            order: ``np.argsort(cell_of_row, kind="stable")``: store row
-                ``i`` holds input row ``order[i]``, so with the layout
-                above every leaf's rows are grouped by column in ID order.
-            leaves: the grid's leaf level (sorted, a superset of
-                ``cell_of_row``), which the index then shares.
-        """
-        codes = np.asarray(cell_of_row, dtype=np.int64)
-        cols = np.asarray(column_of_row, dtype=np.int64)
-        order = np.asarray(order, dtype=np.intp)
-        if not (codes.size == cols.size == order.size):
-            raise ValueError("cell, column and order arrays must align")
-        self.__init__()
-        if codes.size == 0:
-            return
-        if (cols[1:] < cols[:-1]).any():
-            raise ValueError("columns must hold consecutive rows in ID order")
-        firsts = _run_starts(cols)
-        self.column_ids = cols[firsts]
-        self.column_sizes = np.diff(np.append(firsts, cols.size)).astype(ROW)
-        positions = np.repeat(np.arange(firsts.size, dtype=ROW), self.column_sizes)
-        self.build_sorted(codes[order], positions[order], leaves)
-
     def build_sorted(self, codes: np.ndarray, positions: np.ndarray, leaves: np.ndarray) -> None:
-        """The sorted part from every store row's leaf code and directory
-        position, both in store (leaf, then column) order."""
+        """Build the sorted part from every store row's leaf code and
+        directory position, both in store (leaf, then column) order, for
+        ``column_ids`` / ``column_sizes`` already set. ``leaves`` is the
+        grid's leaf level (sorted, a superset of ``codes``), which the
+        index then shares."""
         new = np.empty(codes.size, dtype=bool)
         new[:1] = True
         np.not_equal(codes[1:], codes[:-1], out=new[1:])
@@ -378,21 +362,25 @@ class InvertedIndex:
         return at
 
     def column_rows(self, column_id: int) -> np.ndarray:
-        """Store rows of ``column_id``, ascending (KeyError when absent)."""
+        """Store rows of ``column_id``, ascending (KeyError when absent):
+        for the sorted part, a scan of ``post_cols`` for its postings and
+        a select of their start bits in ``post_bits``."""
         at = self._position(column_id)
         base = self.column_ids.size - self.tail_firsts.size
         if at >= base:
             first = int(self.tail_firsts[at - base])
             return np.arange(first, first + int(self.column_sizes[at]), dtype=np.intp)
         posts = np.flatnonzero(self.post_cols == at)
-        # a posting's end is where the next one starts
-        starts = np.flatnonzero(np.unpackbits(self.post_bits, count=self.n_sorted))
-        ends = np.append(starts[1:], self.n_sorted)
-        return _ranges(starts[posts], ends[posts])
+        # a posting runs from its start bit to the next posting's
+        last = self.post_cols.size - 1
+        bounds = _select(self.post_bits, np.concatenate([posts, np.minimum(posts + 1, last)]))
+        ends = np.where(posts == last, self.n_sorted, bounds[posts.size :])
+        return _ranges(bounds[: posts.size], ends)
 
     def rows_by_column(self) -> list[np.ndarray]:
         """Every column's store rows, ascending, in directory order: one
-        pass, where :meth:`column_rows` per column costs one each."""
+        pass over the run arrays, where :meth:`column_rows` scans
+        ``post_cols`` once per column."""
         n_sorted = self.n_sorted
         starts = np.flatnonzero(np.unpackbits(self.post_bits, count=n_sorted))
         ends = np.append(starts[1:], n_sorted)
@@ -438,7 +426,7 @@ class InvertedIndex:
         """The rows of the distinct, ascending ``cells`` (see
         :class:`CandidateRows`). Touching leaves form runs of store rows;
         when they average at least ``min_view`` rows they are read as
-        views, else every live row is gathered."""
+        views, else their live rows are gathered."""
         at = np.searchsorted(self.leaves, cells)
         at = at[at < self.leaves.size]  # a suffix of cells past the last leaf
         at = at[self.leaves[at] == cells[: at.size]]
@@ -447,7 +435,7 @@ class InvertedIndex:
         starts = _bits_at(self.post_bits, rows)
         cols = self.post_cols[_ranges(self.leaf_posts[at], self.leaf_posts[at + 1])]
         touch = np.append(True, lo[1:] != hi[:-1])
-        if rows.size >= min_view * np.count_nonzero(touch):
+        if at.size and rows.size >= min_view * np.count_nonzero(touch):
             first = np.flatnonzero(touch)
             views = np.stack([lo[first], hi[np.append(first[1:], at.size) - 1]], 1)
             seg_starts, seg_cols = np.flatnonzero(starts), cols
@@ -455,10 +443,8 @@ class InvertedIndex:
         else:
             views = np.empty((0, 2), dtype=ROW)
             cols = cols[np.cumsum(starts) - 1]  # each row's column
-            order = np.argsort(cols, kind="stable")
-            cols = cols[order]
-            live = int(np.searchsorted(cols, 0))  # dead rows sort first
-            gathered, cols = rows[order[live:]], cols[live:]
+            live = cols >= 0
+            gathered, cols = rows[live], cols[live]
             seg_starts = _run_starts(cols)
             seg_cols = cols[seg_starts]
         if self.tail_rows.size:

@@ -14,12 +14,11 @@ are included as baselines (Fig. 7a compares PCA against random).
 
 from __future__ import annotations
 
-import contextlib
 from typing import Optional
 
 import numpy as np
 
-from repro.core.metric import EuclideanMetric, Metric
+from repro.core.metric import Metric
 
 
 def _unique_rows(candidates: np.ndarray) -> np.ndarray:
@@ -194,7 +193,7 @@ class PivotSpace:
         """Dimensionality of the original metric space."""
         return self.pivots.shape[1]
 
-    def map_vectors(self, vectors: np.ndarray, check_finite: bool = False) -> np.ndarray:
+    def map_vectors(self, vectors: np.ndarray) -> np.ndarray:
         """Pivot-map ``vectors``: row i becomes ``[d(v_i, p_1) .. d(v_i, p_k)]``.
 
         Coordinates are clipped to ``[0, extent]`` to guard against float
@@ -202,24 +201,20 @@ class PivotSpace:
         vector outside the grid).
 
         Raises:
-            ValueError: with ``check_finite``, when a vector holds a NaN
-                or an infinity. Under the Euclidean metric such a vector's
-                distances are not finite (its squared norm is not), so the
-                vectors themselves are only checked when a distance is not
-                (or overflowed); other metrics always check them.
+            ValueError: when a vector holds a NaN or an infinity. Such a
+                vector's distances are not finite under every metric
+                here, so the vectors themselves are only checked when a
+                distance is not (or overflowed).
         """
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if vectors.shape[1] != self.dim:
             raise ValueError(
                 f"vector dim {vectors.shape[1]} != pivot dim {self.dim}"
             )
-        with np.errstate(invalid="ignore") if check_finite else contextlib.nullcontext():
+        with np.errstate(invalid="ignore"):
             mapped = self.metric.pairwise(vectors, self.pivots)
-        if check_finite and not (
-            isinstance(self.metric, EuclideanMetric) and np.isfinite(mapped).all()
-        ):
-            if not np.isfinite(vectors).all():
-                raise ValueError("column contains NaN or infinite values")
+        if not np.isfinite(mapped).all() and not np.isfinite(vectors).all():
+            raise ValueError("column contains NaN or infinite values")
         return np.clip(mapped, 0.0, self.extent)
 
 

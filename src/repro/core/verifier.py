@@ -8,8 +8,8 @@ decides each query column of a batch in four steps:
    (:meth:`InvertedIndex.candidate_rows`). The vector store is in leaf
    order, so they are runs of touching leaves. Runs that average at
    least a quarter of a chunk are read in place; shorter ones have
-   their live rows gathered, grouped by column, as have rows added since
-   the last compaction (the tail);
+   their live rows gathered, as have rows added since the last
+   compaction (the tail);
 2. decide every (query row, candidate row) pair in chunks of about
    :data:`CHUNK_ELEMENTS`: a run's chunk is a view of the store, a
    gathered chunk a copy. Euclidean pairs go through the Gram form
@@ -17,11 +17,11 @@ decides each query column of a batch in four steps:
    metrics through ``Metric.pairwise``;
 3. re-decide Euclidean pairs whose d² lies in the rounding band around
    τ² with ``Metric.distances_to`` (``SearchStats.exact_rechecks``);
-4. OR the hits per segment (a (leaf, column) posting of a run, or a
-   gathered column), then per column, add the pairs blocking proved
-   (credited without a distance), and count exactly per column, then
-   ``>= T``. A deleted column's rows inside a run are decided but belong
-   to no column.
+4. OR each chunk's hits into one (query row, column) mask through the
+   rows' columns (run-length coded per segment of one column's rows),
+   add the pairs blocking proved (credited without a distance), and
+   count exactly per column, then ``>= T``. A deleted column's rows
+   inside a run are decided but belong to no column.
 
 Pairs outside a row's own candidate cells are decided too: blocking is
 sound, so they are misses, and deciding them is cheaper than carving the
@@ -178,35 +178,25 @@ def verify_row_blocks(
         queries, n_q = query_vectors[lo:hi], hi - lo
         chunk = chunk_rows(n_q, queries.shape[1], euclidean)
         cand = inverted_index.candidate_rows(
-            np.unique(_rows_of(block_result.candidate, lo, hi)[1]), chunk // 4
+            np.unique(_rows_of(block_result.candidate, lo, hi)[1]), max(1, chunk // 4)
         )
         n_rows = cand.n_rows
-        seg_starts, seg_cols = cand.segment_starts, cand.segment_columns
-        seg_ends = np.append(seg_starts[1:], n_rows)
-        # hits per segment, ORed over the chunks it spans
-        post_hit = np.zeros((n_q, seg_starts.size), dtype=bool)
+        # each candidate row's column, as an index into `columns`
+        columns, local = np.unique(cand.segment_columns, return_inverse=True)
+        seg_sizes = np.diff(np.append(cand.segment_starts, n_rows))
+        row_column = np.repeat(local.astype(np.int32), seg_sizes)
+        hit = np.zeros((n_q, columns.size), dtype=bool)
         rechecks, at = 0, 0
         for x in _chunks(target_vectors, cand, chunk):
             pairs, n_band = _chunk_hits(queries, x, metric, tau)
             rechecks += n_band
-            stop = at + x.shape[0]
-            first = int(np.searchsorted(seg_ends, at, side="right"))
-            last = int(np.searchsorted(seg_starts, stop, side="left"))
-            offsets = np.maximum(seg_starts[first:last], at) - at
-            post_hit[:, first:last] |= np.logical_or.reduceat(pairs, offsets, axis=1)
-            at = stop
-
-        if cand.views.size:
-            # views cut a column into one segment per leaf: group them
-            by_col = np.argsort(seg_cols, kind="stable")
-            by_col = by_col[seg_cols[by_col] >= 0]
-            firsts = np.flatnonzero(np.diff(seg_cols[by_col], prepend=-1))
-            columns = seg_cols[by_col[firsts]]
-            hit = post_hit[:, :0]
-            if firsts.size:
-                hit = np.logical_or.reduceat(post_hit[:, by_col], firsts, axis=1)
-        else:
-            columns, hit = seg_cols, post_hit
+            # flatnonzero: a 2-d nonzero costs ~10x more on a sparse mask
+            q_rows, x_rows = np.divmod(np.flatnonzero(pairs), x.shape[0])
+            hit[q_rows, row_column[at + x_rows]] = True
+            at += x.shape[0]
+        if columns.size and columns[0] < 0:
+            # a deleted column's rows inside a run: decided, owned by none
+            columns, hit = columns[1:], hit[:, 1:]
         counters[q_idx] = (n_q * n_rows, rechecks, columns.size)
         match_rows, match_cells = _rows_of(block_result.match, lo, hi)
         if match_cells.size:

@@ -17,6 +17,7 @@ mode on either backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,6 +33,33 @@ from repro.lake.key_detection import detect_key_column
 from repro.lake.preprocessing import to_full_form
 from repro.lake.repository import ColumnRef, TableRepository
 from repro.lake.table import Table
+
+
+@lru_cache(maxsize=None)
+def _key_multipliers(dim: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers, one per coordinate."""
+    rng = np.random.default_rng(0x5EED)
+    return rng.integers(0, 2**64, size=dim, dtype=np.uint64, endpoint=False) | np.uint64(1)
+
+
+def _row_keys(vectors: np.ndarray) -> np.ndarray:
+    """One 64-bit key per row, equal for bit-identical rows: the rows'
+    float64 bits times :func:`_key_multipliers`, summed modulo 2**64."""
+    bits = np.ascontiguousarray(vectors, dtype=np.float64).view(np.uint64)
+    return bits @ _key_multipliers(bits.shape[1])
+
+
+def _table_order_keys(vectors: np.ndarray) -> Optional[np.ndarray]:
+    """:func:`_row_keys` of a column in table-row order, or ``None`` when
+    two different rows share a key, so a key does not name one vector."""
+    bits = np.ascontiguousarray(vectors, dtype=np.float64).view(np.uint64)
+    keys = _row_keys(vectors)
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    if same.any():
+        if (bits[order[1:][same]] != bits[order[:-1][same]]).any():
+            return None
+    return keys
 
 
 @dataclass
@@ -90,6 +118,10 @@ class JoinableTableSearch:
         self.repository = TableRepository(preprocess=preprocess)
         self.refs: list[ColumnRef] = []
         self.string_columns: list[list[str]] = []
+        #: per column, :func:`_row_keys` of its vectors in table-row
+        #: order: the index keeps a column's vectors in leaf order, and
+        #: record mappings put them back in table order by key
+        self.row_keys: list[Optional[np.ndarray]] = []
         self.searcher: Optional[LakeSearcher] = None
         #: registered table name -> live column IDs (maintained by
         #: index_tables / add_table / remove_table)
@@ -161,6 +193,7 @@ class JoinableTableSearch:
         vector_columns = [
             self.embedder.embed_column(values) for values in self.string_columns
         ]
+        self.row_keys = [_table_order_keys(vectors) for vectors in vector_columns]
         self.searcher = LakeSearcher.build(
             vector_columns,
             metric=self.metric,
@@ -207,7 +240,8 @@ class JoinableTableSearch:
             values = stored.column(key).values
             if self.repository.preprocess:
                 values = [to_full_form(v) for v in values]
-            column_id = self.searcher.add_column(self.embedder.embed_column(values))
+            vectors = self.embedder.embed_column(values)
+            column_id = self.searcher.add_column(vectors)
         except BaseException:
             # never leave a registered-but-unindexed zombie behind: a
             # retry would collide into a suffixed name and remove_table
@@ -219,8 +253,10 @@ class JoinableTableSearch:
         while len(self.refs) < column_id:
             self.refs.append(ColumnRef("?", "?"))
             self.string_columns.append([])
+            self.row_keys.append(None)
         self.refs.append(ColumnRef(registered, key))
         self.string_columns.append(values)
+        self.row_keys.append(_table_order_keys(vectors))
         self._table_columns.setdefault(registered, []).append(column_id)
         return column_id
 
@@ -435,12 +471,23 @@ class JoinableTableSearch:
     ) -> list[tuple[int, int]]:
         """Exact (query row, target row) pairs within τ for one hit column.
 
-        The index keeps a column's vectors in leaf order, not in table-row
-        order, so the hit column is re-embedded from its stored values;
-        the facade never keeps a second copy of the embedded lake.
+        The hit column's vectors come from the searcher backend (a
+        spilled partitioned lake serves them through its shard LRU) in
+        leaf order; their keys put them back in table-row order, so the
+        facade never keeps a second copy of the embedded lake. A column
+        whose keys do not name its rows one to one is re-embedded.
         """
         assert self.searcher is not None
-        target = self.embedder.embed_column(self.string_columns[column_id])
+        stored = self.searcher.column_vectors(column_id)
+        keys = self.row_keys[column_id]
+        target = None
+        if keys is not None and keys.size == stored.shape[0]:
+            stored_keys = _row_keys(stored)
+            by_key = np.argsort(stored_keys)
+            at = by_key[np.searchsorted(stored_keys, keys, sorter=by_key) % keys.size]
+            if np.array_equal(stored_keys[at], keys):
+                target = stored[at]
+        if target is None:
+            target = self.embedder.embed_column(self.string_columns[column_id])
         pairwise = self.metric.pairwise(query_vectors, target)
-        pairs = np.argwhere(pairwise <= tau)
-        return [(int(qi), int(ti)) for qi, ti in pairs]
+        return list(map(tuple, np.argwhere(pairwise <= tau).tolist()))

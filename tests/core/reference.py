@@ -18,6 +18,10 @@ one-column-at-a-time JSD histogram (checked against the batched
 lookups over an array grid that only tests read: children, subtree
 leaves, and leaf or subtree members.
 
+It also keeps ``build_bulk``, ``fit``'s bulk build of the inverted
+index from input rows rather than a store, which the equivalence tests
+compare with incremental appends.
+
 It is **not** wired into any search path.
 """
 
@@ -27,6 +31,8 @@ from bisect import bisect_left, insort
 from typing import Sequence
 
 import numpy as np
+
+from repro.core.inverted_index import ROW, InvertedIndex
 
 Coords = tuple[int, ...]
 
@@ -189,6 +195,42 @@ def build_reference_structures(
         inverted.add_column(column_id, cells, first_row)
         first_row += np.atleast_2d(mapped).shape[0]
     return grid, inverted
+
+
+def build_bulk(
+    index: InvertedIndex,
+    cell_of_row: np.ndarray,
+    column_of_row: np.ndarray,
+    order: np.ndarray,
+    leaves: np.ndarray,
+) -> None:
+    """Build a fresh ``index``'s sorted part as ``PexesoIndex.fit`` does,
+    from input rows instead of a store.
+
+    Args:
+        cell_of_row: leaf cell code of every input row.
+        column_of_row: column ID of every input row; columns hold
+            consecutive rows in ID order, the layout ``fit`` is given.
+        order: ``np.argsort(cell_of_row, kind="stable")``: store row
+            ``i`` holds input row ``order[i]``, so with the layout above
+            every leaf's rows are grouped by column in ID order.
+        leaves: the grid's leaf level (sorted, a superset of
+            ``cell_of_row``).
+    """
+    codes = np.asarray(cell_of_row, dtype=np.int64)
+    cols = np.asarray(column_of_row, dtype=np.int64)
+    order = np.asarray(order, dtype=np.intp)
+    if not (codes.size == cols.size == order.size):
+        raise ValueError("cell, column and order arrays must align")
+    if codes.size == 0:
+        return
+    if (cols[1:] < cols[:-1]).any():
+        raise ValueError("columns must hold consecutive rows in ID order")
+    firsts = np.flatnonzero(np.diff(cols, prepend=-1))
+    index.column_ids = cols[firsts]
+    index.column_sizes = np.diff(np.append(firsts, cols.size)).astype(ROW)
+    positions = np.repeat(np.arange(firsts.size, dtype=ROW), index.column_sizes)
+    index.build_sorted(codes[order], positions[order], leaves)
 
 
 def reference_encode_cells(coords: np.ndarray, n_dims: int, bits_per_axis: int) -> np.ndarray:

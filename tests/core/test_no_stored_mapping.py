@@ -50,8 +50,8 @@ def mapped_rows(monkeypatch):
     calls = []
     original = PivotSpace.map_vectors
 
-    def recording(self, vectors, **kwargs):
-        mapped = original(self, vectors, **kwargs)
+    def recording(self, vectors):
+        mapped = original(self, vectors)
         calls.append(mapped.shape[0])
         return mapped
 

@@ -13,7 +13,7 @@ import pytest
 from repro.core.cellcodes import encode_cells
 from repro.core.grid import HierarchicalGrid
 from repro.core.inverted_index import InvertedIndex
-from reference import build_reference_structures
+from reference import build_bulk, build_reference_structures
 
 
 def random_mapped_columns(seed, n_columns=25, n_dims=3, extent=2.0):
@@ -42,7 +42,7 @@ def test_csr_postings_equal_reference(seed, levels):
         first_row += mapped.shape[0]
     codes_all = np.concatenate(codes_all)
     order = np.argsort(codes_all, kind="stable")
-    inverted.build_bulk(codes_all, np.concatenate(cols_all), order, grid.leaf_codes)
+    build_bulk(inverted, codes_all, np.concatenate(cols_all), order, grid.leaf_codes)
 
     assert inverted.n_postings == ref_inverted.n_postings
     assert inverted.n_cells == ref_inverted.n_cells
@@ -71,7 +71,8 @@ def test_bulk_build_equals_incremental_appends(seed, levels=3):
     sizes = [np.atleast_2d(c).shape[0] for c in mapped_columns]
     codes = bulk_grid.insert(stacked)
     bulk = InvertedIndex()
-    bulk.build_bulk(
+    build_bulk(
+        bulk,
         codes,
         np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
         np.argsort(codes, kind="stable"),

@@ -170,3 +170,45 @@ class TestChunkBounds:
         assert truth[0] >= 2  # the first two query rows are column 0's
         assert verdict.match_counts == {c: n for c, n in truth.items() if n}
         assert verdict.joinable == set(verdict.match_counts)
+
+    @pytest.mark.parametrize("metric", [EuclideanMetric(), ManhattanMetric(), ChebyshevMetric()])
+    @pytest.mark.parametrize("chunk_elements", [1, 9, 100])
+    def test_queries_without_sorted_candidates_under_tiny_chunks(
+        self, verify_one, metric, chunk_elements, monkeypatch
+    ):
+        """Chunks of one to three rows give a zero quarter-chunk view
+        threshold; a query with no candidate cell in the sorted part (none
+        at all, match cells only, or tail cells only) still gets exact
+        counts."""
+        dim, n_q = 24, 4
+        rng = np.random.default_rng(5)
+        columns = [normalize_rows(rng.normal(size=(6, dim))) for _ in range(5)]
+        index = PexesoIndex.build(columns, metric=metric, n_pivots=2, levels=3)
+        # next to a pivot: leaves no fitted row shares
+        pivot = index.pivot_space.pivots[0]
+        tail = normalize_rows(pivot + rng.normal(scale=0.05, size=(8, dim)))
+        tail_id = index.add_column(tail)
+        monkeypatch.setattr(verifier, "CHUNK_ELEMENTS", chunk_elements)
+        assert verifier.chunk_rows(n_q, dim, isinstance(metric, EuclideanMetric)) < 4
+        queries = np.vstack([tail[:2], normalize_rows(rng.normal(size=(2, dim)))])
+        tau = 0.3 * metric.max_distance(dim)
+
+        def verify(pairs):
+            return verify_one(pairs, index, queries, None, tau=tau, t_count=1, stats=SearchStats())
+
+        assert verify(BlockResult.from_pairs()).match_counts == {}
+
+        leaf = int(index.inverted.leaves[0])
+        owners = set(index.inverted.columns_in_cells([leaf]))
+        matched = verify(BlockResult.from_pairs(match=[(1, leaf)]))
+        assert matched.match_counts == {c: 1 for c in owners}
+
+        sorted_leaves = index.inverted.leaves[np.diff(index.inverted.leaf_starts) > 0]
+        tail_only = np.setdiff1d(index.inverted.tail_codes, sorted_leaves)
+        assert tail_only.size
+        verdict = verify(
+            BlockResult.from_pairs(candidate=[(q, int(c)) for q in range(n_q) for c in tail_only])
+        )
+        rows = np.isin(index.grid.leaf_codes_for(index.pivot_space.map_vectors(tail)), tail_only)
+        want = int((metric.pairwise(queries, tail[rows]) <= tau).any(axis=1).sum())
+        assert verdict.match_counts == ({tail_id: want} if want else {})

@@ -1,7 +1,10 @@
 """Tests for the end-to-end discovery facade."""
 
+import numpy as np
 import pytest
 
+from repro.core.thresholds import distance_threshold
+from repro.lake import discovery
 from repro.lake.datagen import DataLakeGenerator
 from repro.lake.discovery import JoinableTableSearch
 from repro.lake.table import Column, Table
@@ -87,6 +90,63 @@ class TestSearch:
         bad = Table("q", [Column("n", ["1", "2", "3", "4", "5"])])
         with pytest.raises(ValueError, match="query column"):
             search.search(bad)
+
+
+def brute_force_mappings(search, query, tau_fraction):
+    """Every hit's (query row, table row) pairs within τ, from the
+    table's key column embedded afresh."""
+    _, query_vectors = search.prepare_query(query)
+    tau = distance_threshold(tau_fraction, search.metric, search.embedder.dim)
+    out = {}
+    for hit in search.search(query, tau_fraction=tau_fraction, joinability=0.2,
+                             with_mappings=False):
+        column_id = search.refs.index(hit.ref)
+        target = search.embedder.embed_column(search.string_columns[column_id])
+        pairs = np.argwhere(search.metric.pairwise(query_vectors, target) <= tau)
+        out[hit.ref] = [(int(q), int(t)) for q, t in pairs]
+    return out
+
+
+class TestRecordMappingOrder:
+    """The index keeps a column's vectors in leaf order; record mappings
+    still name table rows, without re-embedding the hit columns."""
+
+    @pytest.mark.parametrize("n_partitions", [1, 3])
+    def test_mappings_name_table_rows_after_adds_and_deletes(
+        self, gen, lake, n_partitions, monkeypatch
+    ):
+        search = JoinableTableSearch(
+            gen.embedder, n_pivots=3, levels=3, preprocess=False, n_partitions=n_partitions
+        )
+        search.index_tables(lake.tables[:24])
+        for table in lake.tables[24:]:
+            search.add_table(table)
+        for table in lake.tables[:6]:
+            search.remove_table(table.name)
+        query, _ = gen.generate_query_table(n_rows=15, domain=0)
+        want = brute_force_mappings(search, query, 0.06)
+        assert any(want.values())
+
+        embedded = []
+        real = type(gen.embedder).embed_column
+        monkeypatch.setattr(
+            type(gen.embedder), "embed_column",
+            lambda self, values: embedded.append(len(values)) or real(self, values),
+        )
+        hits = search.search(query, tau_fraction=0.06, joinability=0.2)
+        assert embedded == [15]  # the query alone
+        assert {h.ref: h.record_mapping for h in hits} == want
+
+    def test_a_key_collision_falls_back_to_embedding(self, gen, lake, monkeypatch):
+        monkeypatch.setattr(discovery, "_row_keys", lambda v: np.zeros(len(v), np.uint64))
+        search = JoinableTableSearch(gen.embedder, n_pivots=3, levels=3, preprocess=False)
+        search.index_tables(lake.tables)
+        assert all(keys is None for keys in search.row_keys)
+        query, _ = gen.generate_query_table(n_rows=15, domain=0)
+        hits = search.search(query, tau_fraction=0.06, joinability=0.2)
+        assert {h.ref: h.record_mapping for h in hits} == brute_force_mappings(
+            search, query, 0.06
+        )
 
 
 class TestShardedFacade:
