@@ -71,7 +71,7 @@ def start_worker(
     client = ClusterClient(coordinator_url, timeout=timeout, retries=retries)
     assignment = client.register_worker()
     slot = int(assignment["slot"])
-    # mmap=True: over a v3 lake the hosted shards open zero-copy, so a
+    # mmap=True: over a saved lake the hosted shards open zero-copy, so a
     # cold start (or a failover replacement spinning up) is a few mmap
     # calls instead of reading every shard's arrays into the heap.
     backend = load_partitioned(Path(lake_dir), parts=assignment["parts"], mmap=True)

@@ -105,7 +105,7 @@ class PartitionedPexeso:
             resolved worker count (one partition per worker), or to
             :data:`DEFAULT_LRU_SHARDS` when ``max_workers`` was not
             chosen either.
-        mmap: open spilled v3 partitions memory-mapped (zero-copy; see
+        mmap: open spilled partitions memory-mapped (zero-copy; see
             :func:`~repro.core.persistence.load_index`). The LRU then
             bounds address-space mappings rather than heap, so spill
             mode can afford a far larger ``lru_shards``.

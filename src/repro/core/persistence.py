@@ -9,7 +9,7 @@ loads open with ``mmap_mode="r"``: no copying, no decompression and
 almost no resident memory until pages are touched. Two layouts:
 
 * a **single index** (:func:`save_index` / :func:`load_index`, format
-  4): epoch directories plus a ``manifest.json`` naming the live one;
+  5): epoch directories plus a ``manifest.json`` naming the live one;
 * a **partitioned lake** (:func:`save_partitioned` /
   :func:`load_partitioned`, lake format 2): ``partition_<p>/`` holds
   *only* epoch directories, and one ``partitioned.json`` names every
@@ -34,22 +34,14 @@ its column directory (``columns``: IDs and sizes). Writing a file costs
 about 0.7 ms on a 2-core VM, more than half of a short lake's whole
 store, so related small arrays share one. A save writes the packed layout: no dead rows, and
 the tail of columns added since the last compaction merged into its
-leaves. Read-only layouts, each converted once on load (a gather of the
-store into leaf order, counted by :data:`CONVERTED_LOADS` and the
-index's ``stats.converted_loads``): format-4 epochs (the store in
-column order and an int32 leaf → row CSR, ``inv_leaf_starts`` and
-``inv_rows``), format-3 epochs (int64 ``inv_codes`` / ``inv_cols`` /
-``inv_starts`` / ``inv_rows`` posting entries), single-index format 2
-(one ``index.npz``) and lake format 1 (a ``manifest.json`` per shard).
-Epochs are told apart by their files, so lake shards of every format
-mix; the next write rewrites them in the current format. Epochs that
-also carry the ANN column graph (five ``ann_*.npy`` files and a
-manifest ``"ann"`` field) or the pivot-mapped row table
-(``mapped.npy``) load with those ignored; the next write of that
-epoch's index drops them. Epochs stopped carrying ``mapped.npy`` without
-a format bump, so a build from before that change cannot read an epoch
-written after it. Single-index version 1 (a ``structure.pkl``) is
-rejected; rebuild to migrate.
+leaves. These two layouts are the only ones that load: a directory in
+an older format raises ``ValueError`` and must be rebuilt from its
+columns. Epochs that also carry the ANN column graph (five
+``ann_*.npy`` files and a manifest ``"ann"`` field) or the pivot-mapped
+row table (``mapped.npy``) load with those ignored; the next write of
+that epoch's index drops them. Epochs stopped carrying ``mapped.npy``
+without a format bump, so a build from before that change cannot read
+an epoch written after it.
 :func:`load_any` dispatches on the directory layout.
 """
 
@@ -70,46 +62,23 @@ from repro.core.atomic import (
 from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
 from repro.core.inverted_index import ROW, InvertedIndex
-from repro.core.stats import CounterBox
 
-#: the format every save writes; bumped when the on-disk layout changes
+#: the format every save writes and the only one that loads; bumped when
+#: the on-disk layout changes
 FORMAT_VERSION = 5
-
-#: the epoch layout with the store in column order and an int32 leaf →
-#: row CSR, still loadable (never written)
-V4_FORMAT_VERSION = 4
-
-#: the epoch layout with int64 (cell, column) posting entries, still
-#: loadable (never written)
-V3_FORMAT_VERSION = 3
-
-#: the pre-mmap single-archive layout, still loadable (never written)
-V2_FORMAT_VERSION = 2
-
-#: formats :func:`load_index` accepts
-SUPPORTED_FORMATS = (V2_FORMAT_VERSION, V3_FORMAT_VERSION, V4_FORMAT_VERSION, FORMAT_VERSION)
-
-#: loads in this process that converted a format-2/3/4 index (or lake
-#: shard) to the current layout; ``/stats`` reports it
-CONVERTED_LOADS = CounterBox()
 
 #: the lake layout every commit writes: ``partitioned.json`` names every
 #: shard's live epoch
 PARTITIONED_FORMAT_VERSION = 2
 
-#: the lake layout whose shards carried their own ``manifest.json``;
-#: still loadable (never written)
-V1_PARTITIONED_FORMAT_VERSION = 1
-
-_ARCHIVE = "index.npz"
-
 _MANIFEST = "manifest.json"
 
 _PARTITIONED_MANIFEST = "partitioned.json"
 
-#: epoch-directory prefix (a manifest names the live one); formats 3
-#: to 5 share it
-_V3_ARRAYS_PREFIX = "arrays_v3_"
+#: epoch-directory prefix (a manifest names the live one); the value
+#: dates from format 3 and stays so that the epoch numbering and the
+#: sweep still find the epochs of directories already saved
+_EPOCH_PREFIX = "arrays_v3_"
 
 #: the arrays an epoch directory persists, one ``.npy`` each, with the
 #: dtype they are saved (and therefore mmapped) as
@@ -128,15 +97,13 @@ _EPOCH_ARRAYS = (
 #: the arrays a mmap load maps: the store and the run arrays
 _MAPPED = ("vectors", "inv_leaf_offsets", "inv_post_bits", "inv_post_cols")
 
-#: what a format-4 epoch holds instead of the run arrays: the store in
-#: column order, its rows in leaf order and each column's first row
-_V4_ARRAYS = ("vectors", "pivots", "grid_leaf_codes", "inv_leaf_starts", "inv_rows",
-              "column_ids", "column_first_rows", "column_counts")
 
-#: what a format-2/3 index holds instead of ``inv_leaf_starts``: the
-#: cell code and row offset of one (cell, column) posting entry per range
-#: of an int64 ``inv_rows`` (its ``inv_cols`` are not needed to convert)
-_V3_INVERTED = ("inv_codes", "inv_starts")
+def _unsupported(what: str, kind: str, fmt, want: int) -> ValueError:
+    """The error for a directory in a format this build does not read."""
+    return ValueError(
+        f"{what} is in {kind} format {fmt}; only {kind} format {want} loads. "
+        "Rebuild the index from its columns and save it again."
+    )
 
 
 def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
@@ -195,10 +162,10 @@ def _write_epoch(index: PexesoIndex, directory: Path) -> dict:
     fields["extent"] = float(index.pivot_space.extent)
     epochs = [
         int(suffix)
-        for entry in directory.glob(f"{_V3_ARRAYS_PREFIX}*")
-        if (suffix := entry.name[len(_V3_ARRAYS_PREFIX):]).isdigit()
+        for entry in directory.glob(f"{_EPOCH_PREFIX}*")
+        if (suffix := entry.name[len(_EPOCH_PREFIX):]).isdigit()
     ]
-    arrays_dir = f"{_V3_ARRAYS_PREFIX}{max(epochs, default=-1) + 1:08d}"
+    arrays_dir = f"{_EPOCH_PREFIX}{max(epochs, default=-1) + 1:08d}"
     epoch_path = directory / arrays_dir
     epoch_path.mkdir()
     for name, dtype in _EPOCH_ARRAYS:
@@ -210,17 +177,15 @@ def _write_epoch(index: PexesoIndex, directory: Path) -> dict:
 
 
 def _sweep_stale_epochs(directory: Path, keep: str) -> None:
-    """After a flip: drop every epoch dir but ``keep``, ``*.tmp-*`` debris
-    and a migrated v2 archive.
+    """After a flip: drop every epoch dir but ``keep`` and ``*.tmp-*`` debris.
 
     Safe while readers hold mmaps into a removed directory: on POSIX the
     unlinked files' pages stay valid until the last mapping goes away.
     """
-    for entry in directory.glob(f"{_V3_ARRAYS_PREFIX}*"):
+    for entry in directory.glob(f"{_EPOCH_PREFIX}*"):
         if entry.name != keep:
             shutil.rmtree(entry, ignore_errors=True)
     clean_temp_artifacts(directory)
-    (directory / _ARCHIVE).unlink(missing_ok=True)
 
 
 def _np_load(path: Path, mmap_mode: Optional[str]) -> np.ndarray:
@@ -251,49 +216,20 @@ def _load_epoch_arrays(
         raise FileNotFoundError(
             f"index manifest names missing arrays dir {arrays_dir}"
         )
-    names = [name for name, _ in _EPOCH_ARRAYS]
-    if not (arrays_dir / "inv_post_bits.npy").exists():  # a format-3/4 epoch
-        names = list(_V4_ARRAYS)
-        if not (arrays_dir / "inv_leaf_starts.npy").exists():  # format 3
-            names = [name for name in names if name != "inv_leaf_starts"]
-            names += _V3_INVERTED
     # only the O(N) arrays are worth a mapping; small ones read faster
-    big = _MAPPED + ("inv_rows",) if mmap else ()
-    return {
-        name: _np_load(arrays_dir / f"{name}.npy", "r" if name in big else None)
-        for name in names
-    }
-
-
-def _read_inverted(
-    arrays: dict[str, np.ndarray], leaves: np.ndarray
-) -> tuple[InvertedIndex, np.ndarray, bool]:
-    """The inverted index and store of a loaded epoch, aligned with the
-    grid's ``leaves``, and whether it was converted: a format-2/3/4 one
-    has its store gathered into leaf order and its run arrays derived."""
-    inverted = InvertedIndex()
-    if "inv_post_bits" in arrays:
-        inverted.leaves = leaves
-        inverted.leaf_starts, inverted.leaf_posts = arrays["inv_leaf_offsets"]
-        inverted.post_bits = arrays["inv_post_bits"]
-        inverted.post_cols = arrays["inv_post_cols"]
-        inverted.column_ids, sizes = arrays["columns"]
-        inverted.column_sizes = sizes.astype(ROW)
-        return inverted, arrays["vectors"], False
-    inverted.column_ids = arrays["column_ids"].astype(np.int64, copy=False)
-    inverted.column_sizes = arrays["column_counts"].astype(ROW, copy=False)
-    if "inv_leaf_starts" in arrays:
-        starts = arrays["inv_leaf_starts"]
-    else:
-        # entries are (cell, column)-sorted and rows ascend within one, so
-        # the concatenated rows are already in (leaf, row) order
-        starts = arrays["inv_starts"]
-        starts = np.append(starts[np.searchsorted(arrays["inv_codes"], leaves)], starts[-1])
-    rows = np.asarray(arrays["inv_rows"], dtype=np.intp)
-    codes = np.repeat(leaves, np.diff(starts))
-    firsts = arrays["column_first_rows"]
-    inverted.build_sorted(codes, np.searchsorted(firsts, rows, side="right") - 1, leaves)
-    return inverted, arrays["vectors"][rows], True
+    big = _MAPPED if mmap else ()
+    try:
+        return {
+            name: _np_load(arrays_dir / f"{name}.npy", "r" if name in big else None)
+            for name, _ in _EPOCH_ARRAYS
+        }
+    except FileNotFoundError:
+        # format-3/4 epochs hold ``inv_rows`` (row ids in leaf order) and a
+        # format-5 one never does: fail now, not retry as if a commit raced
+        if (arrays_dir / "inv_rows.npy").exists():
+            fmt = 4 if (arrays_dir / "inv_leaf_starts.npy").exists() else 3
+            raise _unsupported(f"epoch {arrays_dir}", "index", fmt, FORMAT_VERSION) from None
+        raise
 
 
 def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
@@ -305,13 +241,8 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
     from repro.core.metric import get_metric
     from repro.core.pivot import PivotSpace
 
-    if manifest.get("format_version") == V2_FORMAT_VERSION:
-        arrays = dict(np.load(directory / _ARCHIVE))
-        extent = float(arrays.pop("extent"))
-    else:
-        arrays = _load_epoch_arrays(directory, manifest, mmap)
-        extent = float(manifest["extent"])
-
+    arrays = _load_epoch_arrays(directory, manifest, mmap)
+    extent = float(manifest["extent"])
     index = PexesoIndex(
         metric=get_metric(manifest["metric"]),
         n_pivots=manifest["n_pivots"],
@@ -328,18 +259,21 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
         extent=extent,
         n_vectors=n_rows,
     )
-    index.inverted, store, converted = _read_inverted(arrays, index.grid.leaf_codes)
+    inverted = index.inverted = InvertedIndex()
+    inverted.leaves = index.grid.leaf_codes
+    inverted.leaf_starts, inverted.leaf_posts = arrays["inv_leaf_offsets"]
+    inverted.post_bits = arrays["inv_post_bits"]
+    inverted.post_cols = arrays["inv_post_cols"]
+    inverted.column_ids, sizes = arrays["columns"]
+    inverted.column_sizes = sizes.astype(ROW)
     index._next_column_id = int(manifest["next_column_id"])
     # a mmapped epoch's store is read-only: the first write copies it
-    index._store = store
-    index._n_rows = index.grid.n_vectors = store.shape[0]
+    index._store = arrays["vectors"]
+    index._n_rows = index.grid.n_vectors = index._store.shape[0]
     index.stats.n_vectors = index._n_rows
     index.stats.n_columns = index.n_columns
     index.stats.n_leaf_cells = index.inverted.n_cells
     index.stats.n_postings = index.inverted.n_postings
-    if converted:
-        CONVERTED_LOADS.add(1)
-        index.stats.converted_loads = 1
     return index
 
 
@@ -388,8 +322,8 @@ def _read_index_manifest(directory: Path) -> dict:
         raise FileNotFoundError(f"no index manifest under {directory}")
     manifest = json.loads(path.read_text())
     fmt = manifest.get("format_version")
-    if fmt not in SUPPORTED_FORMATS:
-        raise ValueError(f"index format {fmt} not in supported {SUPPORTED_FORMATS}")
+    if fmt != FORMAT_VERSION:
+        raise _unsupported(str(directory), "index", fmt, FORMAT_VERSION)
     return manifest
 
 
@@ -400,9 +334,7 @@ def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
         mmap: open an epoch's store and run arrays (``inv_post_bits``,
             ``inv_post_cols``, ``inv_leaf_offsets``),
             with ``mmap_mode="r"`` (zero-copy; pages fault in on first
-            touch). ``False`` reads them eagerly into RAM. A format-2/3/4
-            index is converted on load into an in-memory store in leaf
-            order, whatever ``mmap`` says.
+            touch). ``False`` reads them eagerly into RAM.
 
     Mutating a mmap-loaded index is safe: the vector store is written in
     place only once the index owns it — the first append or compaction
@@ -412,7 +344,8 @@ def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
 
     Raises:
         FileNotFoundError: when the directory lacks the expected files.
-        ValueError: on a format-version mismatch.
+        ValueError: when the directory is in another format, including a
+            format-3/4 epoch that a format-5 manifest names.
     """
     directory = Path(directory)
     return _open_consistent(directory, lambda: _read_index_manifest(directory), mmap)
@@ -428,17 +361,9 @@ def _read_lake(directory: Path) -> tuple[dict, dict[int, dict]]:
         raise FileNotFoundError(f"no partitioned manifest under {directory}")
     manifest = json.loads(path.read_text())
     fmt = manifest.get("format_version")
-    if fmt == PARTITIONED_FORMAT_VERSION:
-        shards = {int(p): entry for p, entry in manifest["partitions"].items()}
-    elif fmt == V1_PARTITIONED_FORMAT_VERSION:
-        # each shard's own manifest.json names its epoch (or v2 archive)
-        shards = {
-            int(p): {"dir": subdir, **_read_index_manifest(directory / subdir)}
-            for p, subdir in manifest["partitions"].items()
-        }
-    else:
-        raise ValueError(f"partitioned format {fmt} not in supported (1, 2)")
-    return manifest, shards
+    if fmt != PARTITIONED_FORMAT_VERSION:
+        raise _unsupported(str(directory), "lake", fmt, PARTITIONED_FORMAT_VERSION)
+    return manifest, {int(p): entry for p, entry in manifest["partitions"].items()}
 
 
 def load_shard(directory: Path, part: int, entry: dict, mmap: bool) -> PexesoIndex:
@@ -462,8 +387,7 @@ def commit_lake(
     the previous lake; any crash after it, the new one.
 
     In the lake's own spill directory the other partitions keep the
-    epochs the lake names (format-1 shards, which name their own, are
-    rewritten) and the lake is pointed at the new ones.
+    epochs the lake names and the lake is pointed at the new ones.
     """
     directory = Path(directory)
     own = lake.spill_dir is not None and directory.resolve() == lake.spill_dir.resolve()
@@ -476,9 +400,7 @@ def commit_lake(
     for part, index in fresh:
         write(part, index)
     for part, globals_ in enumerate(lake.partition_columns):
-        entry = shards.get(part)
-        # not in this directory yet, or a format-1 shard's own manifest
-        if globals_ and (entry is None or "format_version" in entry):
+        if globals_ and part not in shards:
             write(part, lake._get_index(part)[0])
 
     manifest = {
@@ -506,7 +428,6 @@ def commit_lake(
             shutil.rmtree(shard_dir, ignore_errors=True)
         elif shard_dir.is_dir():
             _sweep_stale_epochs(shard_dir, keep=live[shard_dir.name])
-            (shard_dir / _MANIFEST).unlink(missing_ok=True)
     clean_temp_artifacts(directory)
 
 
@@ -551,7 +472,8 @@ def load_partitioned(
 
     Raises:
         FileNotFoundError: when the directory lacks the manifest.
-        ValueError: on a format-version mismatch.
+        ValueError: when the lake, or a shard epoch it names, is in
+            another format.
         KeyError: when ``parts`` names a partition the lake does not have.
     """
     from repro.core.metric import get_metric

@@ -182,8 +182,6 @@ class IndexStats:
     n_columns: int = 0
     n_leaf_cells: int = 0
     n_postings: int = 0
-    #: 1 when the index was loaded from a format-2/3/4 epoch and converted
-    converted_loads: int = 0
 
     @property
     def total_seconds(self) -> float:

@@ -41,7 +41,6 @@ from repro.core.engine import validated_vectors
 from repro.core.index import PexesoIndex
 from repro.core.metric import EuclideanMetric
 from repro.core.out_of_core import LakeSearcher, PartitionedPexeso
-from repro.core.persistence import CONVERTED_LOADS
 from repro.core.search import AblationFlags, SearchResult
 from repro.core.stats import SearchStats, StageTimings
 from repro.core.thresholds import resolve_tau
@@ -428,8 +427,6 @@ class QueryService:
             },
             "distance_computations": stats.distance_computations,
             "shard_lru": self.lru_info(),
-            # loads in this process that converted a format-2/3/4 epoch
-            "converted_loads": CONVERTED_LOADS.count,
         }
 
     def metrics_registry(self) -> MetricsRegistry:

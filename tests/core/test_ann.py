@@ -308,17 +308,6 @@ class TestPersistence:
         # and the tier still works through a lazy build
         assert loaded.ensure_ann_graph() is not None
 
-    def test_v2_format_rebuilds_lazily(self, lake, tmp_path, write_v2):
-        columns, _ = lake
-        index = PexesoIndex.build(columns, n_pivots=2, levels=3)
-        index.build_ann_graph()
-        loaded = load_index(write_v2(index, tmp_path / "v2"))
-        assert loaded.ann_graph is None  # v2 does not persist the graph
-        query = make_query(columns, 7)
-        want = LakeSearcher(index).search(query, 0.3, 0.5, ef_search=6)
-        got = LakeSearcher(loaded).search(query, 0.3, 0.5, ef_search=6)
-        assert hit_rows(got) == hit_rows(want)
-
 
 class TestKnobHelpers:
     def test_measure_recall(self):

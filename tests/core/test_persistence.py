@@ -313,56 +313,74 @@ class TestV3Format:
         assert again.n_columns == loaded.n_columns
 
 
-class TestV2Compat:
-    """v2 (single .npz) directories stay loadable; only the current format
-    is written."""
+class TestRetiredFormats:
+    """Only format 5 (lake format 2) loads. A directory in an older
+    layout raises ValueError naming its format on the first read; a
+    format-3/4 shard epoch is not mistaken for one a commit swept."""
 
-    def test_v2_save_and_load(self, built, small_query, tmp_path, write_v2):
-        from repro.core.persistence import V2_FORMAT_VERSION
+    @pytest.mark.parametrize(
+        "fmt", [2, 3, 4, "lake 1"], ids=["index-2", "index-3", "index-4", "lake-1"]
+    )
+    def test_rejected_on_the_first_read(
+        self, fmt, built, small_columns, tmp_path, monkeypatch
+    ):
+        from repro.core import persistence
+        from repro.core.out_of_core import PartitionedPexeso
 
-        write_v2(built, tmp_path / "idx")
-        assert (tmp_path / "idx" / "index.npz").exists()
-        manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-        assert manifest["format_version"] == V2_FORMAT_VERSION
-        loaded = load_index(tmp_path / "idx")
-        for tau in (0.3, 0.9):
-            assert (
-                pexeso_search(loaded, small_query, tau, 0.3).column_ids
-                == pexeso_search(built, small_query, tau, 0.3).column_ids
+        reads = []
+        for name in ("_read_index_manifest", "_read_lake"):
+            real = getattr(persistence, name)
+            monkeypatch.setattr(
+                persistence, name, lambda d, real=real: reads.append(d) or real(d)
             )
 
-    def test_migration_v2_to_v3_in_place(
-        self, built, small_query, tmp_path, write_v2
-    ):
-        target = write_v2(built, tmp_path / "idx")
-        migrated = load_index(target)
-        save_index(migrated, target)  # re-save upgrades to v3
-        manifest = json.loads((target / "manifest.json").read_text())
-        assert manifest["format_version"] == FORMAT_VERSION
-        assert not (target / "index.npz").exists()
-        v3 = load_index(target, mmap=True)
-        assert (
-            pexeso_search(v3, small_query, 0.6, 0.3).column_ids
-            == pexeso_search(built, small_query, 0.6, 0.3).column_ids
-        )
+        def rejected(load, target, match):
+            reads.clear()
+            with pytest.raises(ValueError, match=match):
+                load(target)
+            assert len(reads) == 1
 
-    def test_partitioned_v2_lake_loads(
-        self, small_columns, small_query, tmp_path, write_format1_lake
-    ):
-        from repro.core.out_of_core import PartitionedPexeso
-        from repro.core.persistence import load_partitioned
+        if fmt == 2:  # one compressed archive beside the manifest
+            target = tmp_path / "idx"
+            target.mkdir()
+            np.savez_compressed(target / "index.npz", vectors=built.vectors)
+            (target / "manifest.json").write_text(json.dumps({"format_version": 2}))
+            rejected(persistence.load_index, target, "index format 2; only index format 5")
+        elif fmt == "lake 1":  # partitioned.json names shard directories
+            target = tmp_path / "lake"
+            target.mkdir()
+            manifest = {"format_version": 1, "partitions": {"0": "partition_0"}}
+            (target / "partitioned.json").write_text(json.dumps(manifest))
+            rejected(persistence.load_partitioned, target, "lake format 1; only lake format 2")
+        else:  # an epoch with leaf-ordered row ids in place of the runs
+            retired = ("inv_rows", "column_ids", "column_first_rows", "column_counts")
+            retired += ("inv_leaf_starts",) if fmt == 4 else ("inv_codes", "inv_cols", "inv_starts")
 
-        lake = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=3, seed=5).fit(
-            small_columns
-        )
-        write_format1_lake(lake, tmp_path / "lake", v2=True)
-        assert list((tmp_path / "lake").glob("partition_*/index.npz"))
-        assert not list((tmp_path / "lake").glob("partition_*/arrays_v3_*"))
-        loaded = load_partitioned(tmp_path / "lake")
-        assert (
-            loaded.search(small_query, 0.8, 0.3).column_ids
-            == lake.search(small_query, 0.8, 0.3).column_ids
-        )
+            def age(epoch):
+                for name in ("inv_leaf_offsets", "inv_post_bits", "inv_post_cols", "columns"):
+                    (epoch / f"{name}.npy").unlink()
+                for name in retired:
+                    np.save(epoch / f"{name}.npy", np.zeros(1, dtype=np.int64))
+
+            target = save_index(built, tmp_path / "idx")
+            manifest = json.loads((target / "manifest.json").read_text())
+            age(target / manifest["arrays_dir"])
+            manifest["format_version"] = fmt
+            (target / "manifest.json").write_text(json.dumps(manifest))
+            rejected(persistence.load_index, target, f"index format {fmt}; only index format 5")
+
+            # a format-5 lake whose shard epoch was never rewritten
+            lake = tmp_path / "lake"
+            PartitionedPexeso(
+                n_pivots=3, levels=3, n_partitions=2, seed=5, spill_dir=lake
+            ).fit(small_columns)
+            shards = json.loads((lake / "partitioned.json").read_text())["partitions"]
+            part, entry = next(iter(shards.items()))
+            age(lake / entry["dir"] / entry["arrays_dir"])
+            rejected(
+                lambda d: persistence.load_partitioned(d, parts=[int(part)]),
+                lake, f"epoch .* is in index format {fmt}; only index format 5",
+            )
 
 
 class TestAnnEpochCompat:
@@ -630,41 +648,3 @@ class TestLakeLayout:
             entry["dir"] for entry in manifest["partitions"].values()
         )
         assert load_partitioned(target).n_columns == 10
-
-
-class TestLakeFormat1:
-    """Format-1 lakes (a manifest per shard) load as-is; a commit upgrades them."""
-
-    @pytest.mark.parametrize("v2", [False, True], ids=["v3-shards", "v2-shards"])
-    def test_loads_bit_identically_then_mutation_rewrites_as_format2(
-        self, small_columns, small_query, tmp_path, write_format1_lake, v2
-    ):
-        from repro.core.out_of_core import PartitionedPexeso
-        from repro.core.persistence import load_partitioned
-
-        lake = PartitionedPexeso(n_pivots=3, levels=3, n_partitions=3, seed=5).fit(
-            small_columns
-        )
-        lake.delete_column(7)
-        target = write_format1_lake(lake, tmp_path / "lake", v2=v2)
-        loaded = load_partitioned(target)
-        assert loaded.dim == lake.dim
-        for tau in (0.4, 0.8):
-            assert _hit_rows(
-                loaded.search(small_query, tau, 0.3)
-            ) == _hit_rows(lake.search(small_query, tau, 0.3))
-            assert loaded.topk(small_query, tau, 5).hits == lake.topk(
-                small_query, tau, 5
-            ).hits
-
-        extra = small_columns[1][:5].copy()
-        assert loaded.add_column(extra) == lake.add_column(extra)
-        manifest = json.loads((target / "partitioned.json").read_text())
-        assert manifest["format_version"] == 2
-        assert not list(target.glob("partition_*/manifest.json"))
-        assert not list(target.glob("partition_*/index.npz"))
-        again = load_partitioned(target)
-        assert again.n_columns == lake.n_columns
-        assert _hit_rows(
-            again.search(small_query, 0.8, 0.3)
-        ) == _hit_rows(lake.search(small_query, 0.8, 0.3))

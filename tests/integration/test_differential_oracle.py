@@ -426,15 +426,15 @@ def test_ann_lane_matches_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_persistence_formats_and_backends_agree(seed, tmp_path, write_v2, write_v3):
-    """The storage lane: every on-disk format (v2 archive, v3 and v4
-    epochs, eager and mmap) replays the same seeds bit-identically.
+def test_persistence_formats_and_backends_agree(seed, tmp_path):
+    """The storage lane: the on-disk format, loaded eagerly and mmapped,
+    replays the same seeds bit-identically.
 
-        in-memory == v2 roundtrip == v3 eager == v3 mmap == v4 eager == v4 mmap
+        in-memory == format-5 eager == format-5 mmap
 
-    The v4 path serves searches straight off read-only mmaps, so a torn
+    The mmap path serves searches straight off read-only mmaps, so a torn
     serialization or an mmap aliasing bug shows up as a
-    seed-reproducible mismatch here; v3 epochs are converted on load.
+    seed-reproducible mismatch here.
     """
     from repro.core.persistence import load_index, save_index
 
@@ -446,13 +446,9 @@ def test_persistence_formats_and_backends_agree(seed, tmp_path, write_v2, write_
     ]
 
     lanes = {}
-    lanes["v2"] = load_index(write_v2(index, tmp_path / "v2"))
-    write_v3(index, tmp_path / "v3")
-    lanes["v3-eager"] = load_index(tmp_path / "v3", mmap=False)
-    lanes["v3-mmap"] = load_index(tmp_path / "v3", mmap=True)
-    save_index(index, tmp_path / "v4")
-    lanes["v4-eager"] = load_index(tmp_path / "v4", mmap=False)
-    lanes["v4-mmap"] = load_index(tmp_path / "v4", mmap=True)
+    save_index(index, tmp_path / "v5")
+    lanes["v5-eager"] = load_index(tmp_path / "v5", mmap=False)
+    lanes["v5-mmap"] = load_index(tmp_path / "v5", mmap=True)
 
     for lane, loaded in lanes.items():
         got = [
