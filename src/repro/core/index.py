@@ -25,7 +25,13 @@ import numpy as np
 
 from repro.core.cellcodes import stable_code_order
 from repro.core.grid import HierarchicalGrid
-from repro.core.inverted_index import ROW, ColumnRows, InvertedIndex, check_row_count
+from repro.core.inverted_index import (
+    ROW,
+    ColumnRows,
+    InvertedIndex,
+    check_row_count,
+    posting_dtype,
+)
 from repro.core.metric import EuclideanMetric, Metric
 from repro.core.pivot import PivotSpace, build_pivot_space
 from repro.core.stats import IndexStats
@@ -255,7 +261,8 @@ class PexesoIndex:
         inverted = InvertedIndex()
         inverted.column_ids = np.arange(len(arrays), dtype=np.int64)
         inverted.column_sizes = sizes.astype(ROW)
-        positions = np.repeat(np.arange(len(arrays), dtype=ROW), sizes)[order]
+        width = posting_dtype(len(arrays))
+        positions = np.repeat(np.arange(len(arrays), dtype=width), sizes)[order]
         inverted.build_sorted(sorted_codes, positions, grid.leaf_codes)
         del sorted_codes, positions
         _scatter(arrays, sizes, order, store)

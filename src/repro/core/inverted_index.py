@@ -14,8 +14,11 @@ are. The store has two parts:
 
   - ``post_bits`` — one bit per row (``np.packbits`` order), set where
     a (leaf, column) posting starts;
-  - ``post_cols`` — one int32 directory position per posting, ``-1``
-    once its column is deleted (the rows stay, dead, until compaction);
+  - ``post_cols`` — one directory position per posting, ``-1`` once
+    its column is deleted (the rows stay, dead, until compaction), in
+    the narrowest signed type holding ``-1`` through the directory's
+    last position (:func:`posting_dtype`: int8 up to 128 columns, int16
+    up to 32,768, else int32);
   - ``leaf_posts`` — the first posting of each leaf, aligned with
     ``leaf_starts``;
 
@@ -30,6 +33,11 @@ are. The store has two parts:
 ``column_ids`` / ``column_sizes`` are the column directory, in ID order;
 tail columns are its last ``tail_firsts.size`` entries. Every array
 counting or naming rows is int32 (at most :data:`MAX_ROWS` rows).
+``post_cols`` takes its type from the directory when it is built
+(:meth:`~InvertedIndex.build_sorted`, :meth:`~InvertedIndex.compaction`);
+a delete keeps the type, and adds go to the tail and never touch it.
+Positions leave the index as ``intp``, so no caller's arithmetic wraps
+in a narrow type.
 Postings are derived on lookup: a leaf's rows are a slice, and where
 its postings start is read off ``post_bits``. The verifier reads a
 query's candidate leaves through :meth:`InvertedIndex.candidate_rows`.
@@ -64,6 +72,12 @@ def check_row_count(n_rows: int) -> None:
             f"{n_rows} rows exceed one index's int32 row ids ({MAX_ROWS}); "
             "shard the lake with repro.core.out_of_core.PartitionedPexeso"
         )
+
+
+def posting_dtype(n_columns: int) -> np.dtype:
+    """The narrowest signed integer type holding ``-1`` (a dead posting)
+    through ``n_columns - 1``, the directory's last position."""
+    return np.min_scalar_type(-max(n_columns, 1))
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -188,7 +202,8 @@ class InvertedIndex:
         self.leaf_starts = np.append(np.searchsorted(codes, leaves), codes.size).astype(ROW)
         self.leaf_posts = np.searchsorted(starts, self.leaf_starts).astype(ROW)
         self.post_bits = np.packbits(new)
-        self.post_cols = positions[starts].astype(ROW)
+        width = posting_dtype(self.column_ids.size)
+        self.post_cols = positions[starts].astype(width, copy=False)
 
     def _realign(self, leaves: np.ndarray) -> None:
         """Align the per-leaf offsets with ``leaves``, a sorted superset of
@@ -266,10 +281,11 @@ class InvertedIndex:
             return 0
         base = self.column_ids.size - self.tail_firsts.size
         if at < base:
-            dead = self.post_cols == at
+            cols = self.post_cols
+            dead = cols == at
             removed = int(np.count_nonzero(dead))
-            shift = (self.post_cols > at).astype(ROW)
-            self.post_cols = np.where(dead, ROW(-1), self.post_cols - shift).astype(ROW)
+            # the directory shrinks, so the held type still fits
+            self.post_cols = np.where(dead, -1, cols - (cols > at)).astype(cols.dtype, copy=False)
         else:
             first = self.tail_firsts[at - base]
             kill = (self.tail_rows >= first) & (self.tail_rows < first + self.column_sizes[at])
@@ -319,7 +335,8 @@ class InvertedIndex:
         packed.leaves = self.leaves
         packed.leaf_posts = np.searchsorted(all_leaf[order], np.arange(self.leaves.size + 1)).astype(ROW)
         packed.leaf_starts = np.append(new_starts, n_live)[packed.leaf_posts].astype(ROW)
-        packed.post_cols = np.concatenate([self.post_cols[live], t_cols[t_first]])[order].astype(ROW)
+        cols = np.concatenate([self.post_cols[live], t_cols[t_first]])
+        packed.post_cols = cols[order].astype(posting_dtype(self.column_ids.size))
         bits = np.zeros(n_live, dtype=bool)
         bits[new_starts] = True
         packed.post_bits = np.packbits(bits)
@@ -420,7 +437,8 @@ class InvertedIndex:
         leaves ``at``, dead ones included: ``owner`` indexes ``at``,
         ``position`` is a directory position (-1 when dead)."""
         p0, p1 = self.leaf_posts[at], self.leaf_posts[at + 1]
-        return np.repeat(np.arange(at.size), p1 - p0), self.post_cols[_ranges(p0, p1)]
+        cols = self.post_cols[_ranges(p0, p1)].astype(np.intp)
+        return np.repeat(np.arange(at.size), p1 - p0), cols
 
     def candidate_rows(self, cells: np.ndarray, min_view: int) -> CandidateRows:
         """The rows of the distinct, ascending ``cells`` (see
@@ -433,7 +451,7 @@ class InvertedIndex:
         lo, hi = self.leaf_starts[at], self.leaf_starts[at + 1]
         rows = _ranges(lo, hi)
         starts = _bits_at(self.post_bits, rows)
-        cols = self.post_cols[_ranges(self.leaf_posts[at], self.leaf_posts[at + 1])]
+        cols = self.post_cols[_ranges(self.leaf_posts[at], self.leaf_posts[at + 1])].astype(np.intp)
         touch = np.append(True, lo[1:] != hi[:-1])
         if at.size and rows.size >= min_view * np.count_nonzero(touch):
             first = np.flatnonzero(touch)

@@ -29,10 +29,15 @@ An epoch (format 5) holds seven files: the vector store in leaf order,
 the pivots, the grid's leaf codes, the inverted index's per-leaf row and
 posting offsets (``inv_leaf_offsets``, one (2, leaves + 1) array), its
 run-length encoded row → column map (``inv_post_bits``, one bit per row,
-and ``inv_post_cols``, one int32 directory position per posting) and
-its column directory (``columns``: IDs and sizes). Writing a file costs
-about 0.7 ms on a 2-core VM, more than half of a short lake's whole
-store, so related small arrays share one. A save writes the packed layout: no dead rows, and
+and ``inv_post_cols``, one directory position per posting) and its
+column directory (``columns``: IDs and sizes). ``inv_post_cols`` is
+written in the type the index holds it in, the narrowest signed one
+holding -1 through the directory's last position (int8 up to 128
+columns, int16 up to 32,768, else int32); a load accepts any signed
+type of at most 4 bytes wide enough for the manifest's ``n_columns``,
+so an int32 file loads as it is. Writing a file costs about 0.7 ms on a
+2-core VM, more than half of a short lake's whole store, so related
+small arrays share one. A save writes the packed layout: no dead rows, and
 the tail of columns added since the last compaction merged into its
 leaves. These two layouts are the only ones that load: a directory in
 an older format raises ``ValueError`` and must be rebuilt from its
@@ -61,7 +66,7 @@ from repro.core.atomic import (
 )
 from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
-from repro.core.inverted_index import ROW, InvertedIndex
+from repro.core.inverted_index import ROW, InvertedIndex, posting_dtype
 
 #: the format every save writes and the only one that loads; bumped when
 #: the on-disk layout changes
@@ -81,7 +86,8 @@ _PARTITIONED_MANIFEST = "partitioned.json"
 _EPOCH_PREFIX = "arrays_v3_"
 
 #: the arrays an epoch directory persists, one ``.npy`` each, with the
-#: dtype they are saved (and therefore mmapped) as
+#: dtype they are saved (and therefore mmapped) as; ``None`` saves the
+#: type the index holds
 _EPOCH_ARRAYS = (
     ("vectors", np.float64),
     ("pivots", np.float64),
@@ -89,7 +95,7 @@ _EPOCH_ARRAYS = (
     # (2, leaves + 1): each leaf's first row, then its first posting
     ("inv_leaf_offsets", np.int32),
     ("inv_post_bits", np.uint8),
-    ("inv_post_cols", np.int32),
+    ("inv_post_cols", None),
     # (2, columns): the column directory's IDs, then its sizes
     ("columns", np.int64),
 )
@@ -169,9 +175,8 @@ def _write_epoch(index: PexesoIndex, directory: Path) -> dict:
     epoch_path = directory / arrays_dir
     epoch_path.mkdir()
     for name, dtype in _EPOCH_ARRAYS:
-        atomic_write_array(
-            epoch_path / f"{name}.npy", arrays[name].astype(dtype, copy=False)
-        )
+        array = arrays[name] if dtype is None else arrays[name].astype(dtype, copy=False)
+        atomic_write_array(epoch_path / f"{name}.npy", array)
     fields["arrays_dir"] = arrays_dir
     return fields
 
@@ -232,6 +237,19 @@ def _load_epoch_arrays(
         raise
 
 
+def _checked_post_cols(post_cols: np.ndarray, n_columns: int) -> np.ndarray:
+    """``inv_post_cols`` as read, once its type is known to hold every
+    directory position of ``n_columns`` columns (ValueError if not)."""
+    dtype = post_cols.dtype
+    if dtype.kind != "i" or dtype.itemsize > 4:
+        raise ValueError(
+            f"inv_post_cols is {dtype}; it must be a signed integer type of at most 4 bytes"
+        )
+    if dtype.itemsize < posting_dtype(n_columns).itemsize:
+        raise ValueError(f"inv_post_cols is {dtype}, too narrow for {n_columns} columns")
+    return post_cols
+
+
 def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
     """Rebuild the index whose arrays ``manifest`` names under ``directory``.
 
@@ -263,7 +281,7 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
     inverted.leaves = index.grid.leaf_codes
     inverted.leaf_starts, inverted.leaf_posts = arrays["inv_leaf_offsets"]
     inverted.post_bits = arrays["inv_post_bits"]
-    inverted.post_cols = arrays["inv_post_cols"]
+    inverted.post_cols = _checked_post_cols(arrays["inv_post_cols"], manifest["n_columns"])
     inverted.column_ids, sizes = arrays["columns"]
     inverted.column_sizes = sizes.astype(ROW)
     index._next_column_id = int(manifest["next_column_id"])
@@ -345,7 +363,9 @@ def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
     Raises:
         FileNotFoundError: when the directory lacks the expected files.
         ValueError: when the directory is in another format, including a
-            format-3/4 epoch that a format-5 manifest names.
+            format-3/4 epoch that a format-5 manifest names, or its
+            ``inv_post_cols`` is not a signed integer type of at most 4
+            bytes wide enough for its columns.
     """
     directory = Path(directory)
     return _open_consistent(directory, lambda: _read_index_manifest(directory), mmap)
@@ -473,7 +493,7 @@ def load_partitioned(
     Raises:
         FileNotFoundError: when the directory lacks the manifest.
         ValueError: when the lake, or a shard epoch it names, is in
-            another format.
+            another format (see :func:`load_index`).
         KeyError: when ``parts`` names a partition the lake does not have.
     """
     from repro.core.metric import get_metric

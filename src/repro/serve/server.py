@@ -426,8 +426,12 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", f"{retry_after:g}")
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            # the client hung up before its reply: routine, not a server error
+            self.close_connection = True
 
     def _send_error_json(
         self, message: str, status: int, retry_after: Optional[float] = None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.index import PexesoIndex
+from repro.core.inverted_index import posting_dtype
 from repro.core.metric import normalize_rows
 from repro.core.persistence import load_index, save_index
 
@@ -55,7 +56,7 @@ class TestMemoryBytes:
     def test_runs_cost_a_bit_per_row_and_an_empty_tail_nothing(self, built):
         inverted = built.inverted
         assert inverted.post_bits.nbytes == -(-built.n_vectors // 8)
-        assert inverted.post_cols.dtype == np.int32
+        assert inverted.post_cols.dtype == posting_dtype(built.n_columns)
         assert inverted.post_cols.size == built.stats.n_postings
         for name in ("tail_firsts", "tail_codes", "tail_starts", "tail_rows"):
             assert getattr(inverted, name).nbytes == 0

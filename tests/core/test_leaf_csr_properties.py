@@ -4,16 +4,20 @@ Seeded sequences of ``fit``, ``add_column``, ``delete_column`` (whose
 dead rows trigger compactions), explicit compactions and save /
 mmap-load round trips run on a :class:`PexesoIndex` and, in step, on
 ``tests/core/reference.py``'s ``insort``-based
-:class:`ReferenceInvertedIndex`. After every step:
+:class:`ReferenceInvertedIndex`. Lakes start at 8 columns, or near 128,
+where ``post_cols`` widens from int8 to int16. After every step:
 
 * the store's sorted part is in leaf order: every row lies in the leaf
   whose range holds it;
-* every (leaf, column) run holds exactly the vectors of the reference's
-  posting list, in its order (the reference's rows are the column's
-  input rows, so they are compared through the vectors);
+* every (leaf, column) run of a sample of the leaves holds exactly the
+  vectors of the reference's posting list, in its order (the
+  reference's rows are the column's input rows, so they are compared
+  through the vectors);
 * the postings views (``postings``, ``columns_in_cells_arrays``,
   ``cell_postings``, ``n_cells``, ``n_postings``) agree with each other
   and with the reference;
+* ``post_cols`` is wide enough for the sorted part's columns, and
+  exactly as wide as the directory needs after a compaction;
 * ``memory_bytes()`` is the ``.nbytes`` of the arrays it counts;
 * hits equal ``naive_search`` over the live columns.
 """
@@ -27,12 +31,15 @@ from hypothesis import strategies as st
 
 from repro.baselines.exact_naive import naive_search
 from repro.core.index import PexesoIndex
+from repro.core.inverted_index import posting_dtype
 from repro.core.metric import normalize_rows
 from repro.core.persistence import load_index, save_index
 from reference import ReferenceInvertedIndex
 
 DIM = 5
 TAU, T = 0.9, 0.3
+#: most cells whose postings are compared per check
+PROBED_CELLS = 32
 
 
 def by_value(rows: np.ndarray) -> np.ndarray:
@@ -47,10 +54,12 @@ def _column(rng: np.random.Generator, n_rows: int) -> np.ndarray:
 class Run:
     """One index and its reference, mutated in step."""
 
-    def __init__(self, seed: int, workdir: Path):
+    def __init__(self, seed: int, workdir: Path, n_columns: int = 8):
         self.rng = np.random.default_rng(seed)
         self.workdir = workdir
-        columns = [_column(self.rng, int(self.rng.integers(1, 10))) for _ in range(8)]
+        # many columns are short, so that the lake stays small
+        rows = 10 if n_columns <= 8 else 4
+        columns = [_column(self.rng, int(self.rng.integers(1, rows))) for _ in range(n_columns)]
         self.index = PexesoIndex.build(columns, n_pivots=3, levels=3, seed=seed % 97)
         self.reference = ReferenceInvertedIndex()
         #: live columns: id -> (vectors, first reference row)
@@ -60,6 +69,7 @@ class Run:
             self._track(cid, column)
         #: which of the interesting situations this run has met
         self.seen: set[str] = set()
+        self.width = self.index.inverted.post_cols.dtype.itemsize
         self.mmapped = False
 
     def _codes(self, vectors: np.ndarray) -> np.ndarray:
@@ -96,6 +106,7 @@ class Run:
         if self.index.inverted.tail_firsts.size:
             self.seen.add("tail merged")
         self.index._compact()
+        assert self.index.inverted.post_cols.dtype == posting_dtype(self.index.n_columns)
 
     def roundtrip(self) -> None:
         if self.mmapped:
@@ -136,7 +147,8 @@ class Run:
         expected = self.expected_vectors()
         codes = index.grid.leaf_codes.tolist()
         absent = [code for code in range(-1, 600) if code not in set(codes)][:5]
-        probe = self.rng.permutation(codes + absent).tolist()
+        # a sample of the leaves; every column's rows are checked above
+        probe = self.rng.permutation(codes + absent)[:PROBED_CELLS].tolist()
         for cell in probe:
             got = inverted.postings(cell)
             want = expected.get(cell, [])
@@ -149,6 +161,16 @@ class Run:
         assert index.stats.n_postings == inverted.n_postings
         assert index.stats.n_leaf_cells == inverted.n_cells
         assert inverted.leaves is index.grid.leaf_codes
+
+        # post_cols holds every sorted-part position; a change of width
+        # comes with a compaction, which fits it to the sorted part
+        fit = posting_dtype(inverted.column_ids.size - inverted.tail_firsts.size)
+        assert np.can_cast(fit, inverted.post_cols.dtype)
+        width = inverted.post_cols.dtype.itemsize
+        if width != self.width:
+            self.seen.add("widened" if width > self.width else "narrowed")
+            assert inverted.post_cols.dtype == fit
+            self.width = width
 
         # the merged views agree with the per-cell postings
         for cells in (probe, probe[: len(probe) // 3], []):
@@ -190,9 +212,9 @@ OPS = st.lists(
 )
 
 
-def run(seed: int, ops) -> set[str]:
+def run(seed: int, ops, n_columns: int = 8) -> set[str]:
     with tempfile.TemporaryDirectory() as workdir:
-        state = Run(seed, Path(workdir))
+        state = Run(seed, Path(workdir), n_columns)
         state.check()
         for op, arg in ops:
             if op == "add":
@@ -208,9 +230,9 @@ def run(seed: int, ops) -> set[str]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), ops=OPS)
-def test_postings_views_equal_the_reference(seed, ops):
-    run(seed, ops)
+@given(seed=st.integers(0, 2**31 - 1), ops=OPS, n_columns=st.just(8) | st.integers(122, 134))
+def test_postings_views_equal_the_reference(seed, ops, n_columns):
+    run(seed, ops, n_columns)
 
 
 def test_a_fixed_sequence_meets_every_situation():
@@ -225,3 +247,12 @@ def test_a_fixed_sequence_meets_every_situation():
     assert run(7, ops) == {
         "new leaf", "compaction", "emptied leaf", "mmapped epoch written", "tail merged"
     }
+
+
+def test_a_fixed_sequence_straddles_128_columns():
+    """Adds to 129 columns and a compaction widen ``post_cols`` to int16;
+    deletes back to 127 and the compaction a save makes narrow it to
+    int8."""
+    ops = [("add", 2), ("roundtrip", 0), ("add", 3), ("compact", 0), ("delete", 5),
+           ("delete", 700), ("roundtrip", 0), ("delete", 3), ("compact", 0)]
+    assert {"widened", "narrowed"} <= run(3, ops, n_columns=127)

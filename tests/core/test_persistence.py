@@ -7,6 +7,7 @@ import pytest
 
 from repro.baselines.exact_naive import naive_search
 from repro.core.index import PexesoIndex
+from repro.core.inverted_index import posting_dtype
 from repro.core.metric import ManhattanMetric, normalize_rows
 from repro.core.persistence import FORMAT_VERSION, load_index, save_index
 from repro.core.search import pexeso_search
@@ -246,7 +247,8 @@ class TestV3Format:
             "inv_post_bits.npy", "inv_post_cols.npy", "pivots.npy", "vectors.npy",
         ]
         assert np.load(arrays_dir / "inv_post_bits.npy").dtype == np.uint8
-        assert np.load(arrays_dir / "inv_post_cols.npy").dtype == np.int32
+        # the narrowest signed type holding -1 through the last position
+        assert np.load(arrays_dir / "inv_post_cols.npy").dtype == posting_dtype(built.n_columns)
         assert not (tmp_path / "idx" / "index.npz").exists()
 
     def test_mmap_load_is_zero_copy(self, built, tmp_path):

@@ -1,5 +1,7 @@
 """HTTP round-trip tests: server + client over ephemeral ports."""
 
+import json
+import socket
 import threading
 
 import numpy as np
@@ -161,6 +163,37 @@ class TestErrors:
                       "tau_fraction": 0.06},
             )
         assert err.value.status == 400
+
+
+class TestClientHangUp:
+    def test_a_client_that_hangs_up_is_no_server_error(self, columns, capfd):
+        """Clients send ``/search`` and close before reading the reply.
+        Writing it then fails with a broken pipe or a reset; the server
+        treats that as a hang-up, prints nothing, and answers the next
+        client."""
+        index = PexesoIndex.build(columns, n_pivots=3, levels=3)
+        server = make_server(QueryService(index, window_ms=0, cache_size=0), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        body = json.dumps(
+            {"vectors": columns[3][:6].tolist(), "tau": 0.6, "joinability": 0.3}
+        ).encode()
+        request = (
+            f"POST /search HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        try:
+            for _ in range(5):
+                with socket.create_connection(server.server_address[:2]) as sock:
+                    sock.sendall(request)
+            reply = ServeClient(server.url).search(
+                vectors=columns[3][:6], tau=0.6, joinability=0.3
+            )
+            assert reply["hits"]
+        finally:
+            server.close()  # drains the hung-up requests' handlers
+            thread.join(timeout=5.0)
+        assert capfd.readouterr().err == ""
 
 
 class TestPartitionedLayout:

@@ -88,7 +88,14 @@ class TestGracefulShutdown:
 
         index = PexesoIndex.build(columns, n_pivots=3, levels=3)
         service = QueryService(index, window_ms=None, cache_size=0)
-        service.search = lambda *a, **k: time.sleep(30.0)
+        release = threading.Event()
+        handlers = []
+
+        def stuck_search(*args, **kwargs):
+            handlers.append(threading.current_thread())
+            release.wait(30.0)
+
+        service.search = stuck_search
         server = make_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -104,8 +111,15 @@ class TestGracefulShutdown:
         hang.start()
         time.sleep(0.15)
         started = time.monotonic()
-        server.close(drain_seconds=0.3)
-        assert time.monotonic() - started < 5.0
+        try:
+            server.close(drain_seconds=0.3)
+            assert time.monotonic() - started < 5.0
+        finally:
+            # the abandoned handler must not outlive the test
+            release.set()
+            for worker in [hang, thread, *handlers]:
+                worker.join(timeout=5.0)
+                assert not worker.is_alive()
 
 
 class TestShardLRUMetrics:
