@@ -4,15 +4,15 @@ Seeded sequences of ``fit``, ``add_column``, ``delete_column`` (whose
 dead rows trigger compactions), explicit compactions and save /
 mmap-load round trips run on a :class:`PexesoIndex` and, in step, on
 ``tests/core/reference.py``'s ``insort``-based
-:class:`ReferenceInvertedIndex`. Lakes start at 8 columns, or near 128,
-where ``post_cols`` widens from int8 to int16. After every step:
+:class:`ReferenceInvertedIndex`. Lakes start at 8 columns or, in a lane
+of their own, near 128, where ``post_cols`` widens from int8 to int16.
+After every step:
 
 * the store's sorted part is in leaf order: every row lies in the leaf
   whose range holds it;
-* every (leaf, column) run of a sample of the leaves holds exactly the
-  vectors of the reference's posting list, in its order (the
-  reference's rows are the column's input rows, so they are compared
-  through the vectors);
+* every (leaf, column) run holds exactly the vectors of the reference's
+  posting list, in its order (the reference's rows are the column's
+  input rows, so they are compared through the vectors);
 * the postings views (``postings``, ``columns_in_cells_arrays``,
   ``cell_postings``, ``n_cells``, ``n_postings``) agree with each other
   and with the reference;
@@ -38,8 +38,6 @@ from reference import ReferenceInvertedIndex
 
 DIM = 5
 TAU, T = 0.9, 0.3
-#: most cells whose postings are compared per check
-PROBED_CELLS = 32
 
 
 def by_value(rows: np.ndarray) -> np.ndarray:
@@ -69,7 +67,6 @@ class Run:
             self._track(cid, column)
         #: which of the interesting situations this run has met
         self.seen: set[str] = set()
-        self.width = self.index.inverted.post_cols.dtype.itemsize
         self.mmapped = False
 
     def _codes(self, vectors: np.ndarray) -> np.ndarray:
@@ -147,8 +144,7 @@ class Run:
         expected = self.expected_vectors()
         codes = index.grid.leaf_codes.tolist()
         absent = [code for code in range(-1, 600) if code not in set(codes)][:5]
-        # a sample of the leaves; every column's rows are checked above
-        probe = self.rng.permutation(codes + absent)[:PROBED_CELLS].tolist()
+        probe = self.rng.permutation(codes + absent).tolist()
         for cell in probe:
             got = inverted.postings(cell)
             want = expected.get(cell, [])
@@ -162,15 +158,9 @@ class Run:
         assert index.stats.n_leaf_cells == inverted.n_cells
         assert inverted.leaves is index.grid.leaf_codes
 
-        # post_cols holds every sorted-part position; a change of width
-        # comes with a compaction, which fits it to the sorted part
+        # post_cols holds every sorted-part position
         fit = posting_dtype(inverted.column_ids.size - inverted.tail_firsts.size)
         assert np.can_cast(fit, inverted.post_cols.dtype)
-        width = inverted.post_cols.dtype.itemsize
-        if width != self.width:
-            self.seen.add("widened" if width > self.width else "narrowed")
-            assert inverted.post_cols.dtype == fit
-            self.width = width
 
         # the merged views agree with the per-cell postings
         for cells in (probe, probe[: len(probe) // 3], []):
@@ -230,8 +220,16 @@ def run(seed: int, ops, n_columns: int = 8) -> set[str]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), ops=OPS, n_columns=st.just(8) | st.integers(122, 134))
-def test_postings_views_equal_the_reference(seed, ops, n_columns):
+@given(seed=st.integers(0, 2**31 - 1), ops=OPS)
+def test_postings_views_equal_the_reference(seed, ops):
+    run(seed, ops)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), ops=OPS, n_columns=st.integers(122, 134))
+def test_lakes_near_128_columns_equal_the_reference(seed, ops, n_columns):
+    """Adds and deletes take these lakes across 128 columns, where a
+    compaction widens ``post_cols`` to int16 or narrows it to int8."""
     run(seed, ops, n_columns)
 
 
@@ -247,12 +245,3 @@ def test_a_fixed_sequence_meets_every_situation():
     assert run(7, ops) == {
         "new leaf", "compaction", "emptied leaf", "mmapped epoch written", "tail merged"
     }
-
-
-def test_a_fixed_sequence_straddles_128_columns():
-    """Adds to 129 columns and a compaction widen ``post_cols`` to int16;
-    deletes back to 127 and the compaction a save makes narrow it to
-    int8."""
-    ops = [("add", 2), ("roundtrip", 0), ("add", 3), ("compact", 0), ("delete", 5),
-           ("delete", 700), ("roundtrip", 0), ("delete", 3), ("compact", 0)]
-    assert {"widened", "narrowed"} <= run(3, ops, n_columns=127)
