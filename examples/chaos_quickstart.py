@@ -99,7 +99,7 @@ def main() -> None:
 
         # 4. Deadline propagation. The client attaches its remaining
         #    budget as a header; the coordinator re-propagates what is
-        #    left to every worker wave, and an exhausted budget is
+        #    left to every worker call, and an exhausted budget is
         #    refused up front with 504 — no doomed work queued.
         try:
             client.search(vectors=query, tau=tau, joinability=0.25,

@@ -5,7 +5,7 @@ PEXESO index is built per partition, and every partition is spilled to
 disk in the array-native format; a search answers the whole query batch
 per shard and fans shards out over a worker pool, with an LRU bounding
 how many partitions are resident at once. Threshold results and the
-theta-shared sharded top-k are identical to a single in-memory index.
+sharded top-k are identical to a single in-memory index.
 
     python examples/out_of_core_partitioning.py
 """
@@ -51,8 +51,8 @@ def main() -> None:
         assert result.column_ids == in_memory.column_ids
         print("matches the single in-memory index exactly")
 
-        # Ranked discovery across shards: later shards prune against the
-        # running k-th-best joinability of earlier shards (shared theta).
+        # Ranked discovery across shards: each shard returns its own
+        # top-5 and the lake merges them once by count, then column ID.
         ranked = lake_index.topk(query, tau, k=5)
         assert ranked.hits == pexeso_topk(reference, query, tau, 5).hits
         print("top-5 across shards:",

@@ -25,8 +25,8 @@ spilled under INDEX_DIR (paper §IV out-of-core layout). ``search`` embeds
 the query CSV's column with the same embedder settings and prints
 joinable tables — single-index and partitioned layouts are detected
 automatically and answered identically; ``--workers W`` widens the shard
-fan-out, ``--top-k K`` serves ranked discovery (theta-shared across
-shards), ``--partitions N`` repartitions a single-index directory into N
+fan-out, ``--top-k K`` serves ranked discovery (each shard's k best,
+merged once), ``--partitions N`` repartitions a single-index directory into N
 in-memory shards for this run, and ``--all-columns`` answers every
 candidate join column of the query table in one batch pass (results per
 column are identical to running each search on its own), and ``--json``
@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fraction of the query column size")
     p_search.add_argument("--topk", "--top-k", type=int, default=0,
                           help="return the k best columns instead (exact "
-                               "top-k; theta-shared across shards)")
+                               "top-k; each shard's k best, merged once)")
     p_search.add_argument("--all-columns", action="store_true",
                           help="batch-search every candidate join column "
                                "of the query table via the batch engine")

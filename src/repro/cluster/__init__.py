@@ -11,7 +11,7 @@ core guarantee — results bit-identical to a single-node
   next to the lake's ``partitioned.json``;
 * :class:`~repro.cluster.coordinator.ClusterCoordinator` — runs
   :class:`~repro.core.out_of_core.PartitionedPexeso` (exact merge,
-  strict-``theta`` top-k waves, placement, IDs) over remote shard
+  one-scatter top-k, placement, IDs) over remote shard
   groups (:class:`~repro.cluster.groups.RemoteGroups`), keeping
   membership, failover, hedging, breakers, deadlines and
   ``cluster.json`` itself;

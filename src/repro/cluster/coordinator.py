@@ -11,9 +11,9 @@ worker slot answering a set of partitions:
 * **search** — every partition is routed to exactly one live owner
   (primary, else first live replica), so the lake's exact merge is
   bit-identical to a local :class:`~repro.core.out_of_core.LakeSearcher`.
-* **top-k** — worker groups run in waves, each pruning against the
-  running global k-th-best count as a *strict* ``theta`` floor, so ID
-  tie-breaks survive and the ranking equals single-node top-k.
+* **top-k** — one scatter too: every routed worker returns the top-k
+  of its partitions and the lake merges them once by count, then
+  global ID, so the ranking equals single-node top-k.
 * **maintenance** — the lake places the column and allocates its ID;
   the write goes through to *every* live replica. A worker that missed
   writes while down is replayed from the coordinator's mutation log
@@ -607,7 +607,7 @@ class ClusterCoordinator:
         excluded: set[int] = set()
         for _attempt in range(self.shard_map.n_workers + 1):
             if deadline is not None:
-                deadline.check("scatter wave")
+                deadline.check("scatter round")
             groups = sorted(plan.items())
 
             def run(group: tuple[int, list[int]]):
@@ -700,15 +700,13 @@ class ClusterCoordinator:
         deadline: Optional[Deadline] = None,
         trace=None,
     ) -> tuple[TopKResult, list[int]]:
-        """Wave-parallel exact top-k across the cluster.
+        """Exact top-k across the cluster in one scatter.
 
         The lake's top-k over :class:`~repro.cluster.groups.RemoteGroups`:
-        each wave of routed worker groups prunes against the running
-        global k-th-best count as a strict ``theta`` floor, so the
-        ranking equals single-node top-k. ``deadline`` bounds the whole
-        request: the remaining budget is re-checked before every wave and
-        propagated into each worker call, so a late wave fails fast
-        instead of running anyway.
+        every routed worker returns the top-k of its partitions and the
+        one merge keeps the k best, so the ranking equals single-node
+        top-k. ``deadline`` bounds the whole request and is propagated
+        into each worker call, as in :meth:`search`.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -835,7 +833,7 @@ class ClusterCoordinator:
                 "cluster_requests":
                     (self._requests_served, "Search/top-k requests served."),
                 "cluster_failovers":
-                    (self._failovers, "Scatter waves that re-routed work."),
+                    (self._failovers, "Scatter rounds that re-routed work."),
                 "cluster_hedges_fired":
                     (self._hedges_fired, "Hedged duplicate calls fired."),
                 "cluster_hedges_won":

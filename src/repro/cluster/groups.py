@@ -1,13 +1,13 @@
 """The cluster's side of the partitioned lake's shard seam.
 
-Reads go through the coordinator's scatter (routing, failover, hedging,
-breakers, deadline), one HTTP call per routed worker per wave; writes go
-to every live replica of the partition and into the mutation log.
+Reads, top-k included, are one scatter each through the coordinator
+(routing, failover, hedging, breakers, deadline): one HTTP call per
+routed worker. Writes go to every live replica of the partition and
+into the mutation log.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Optional
@@ -23,10 +23,6 @@ from repro.serve.schema import search_result_from_payload, topk_result_from_payl
 
 if TYPE_CHECKING:
     from repro.cluster.coordinator import ClusterCoordinator
-
-#: how many routed worker groups one top-k wave queries in parallel
-GROUPS_PER_WAVE = 4
-
 
 class RemoteGroups:
     """The shard seam (see :class:`~repro.core.shards.LocalShards`) over
@@ -48,10 +44,9 @@ class RemoteGroups:
         self.trace = trace
         self.answered: list[tuple[int, Any]] = []
         self.generations: Optional[list[int]] = None
-        self._waves = itertools.count()
         self._applied: Optional[tuple[tuple, list]] = None
 
-    def _gather(self, parts, request, piece, **annotations) -> list[tuple]:
+    def _gather(self, parts, request, piece) -> list[tuple]:
         """One scatter of ``request(client, parts=, deadline_ms=, trace=)``
         over ``parts``; each reply becomes ``piece(payload)``."""
         coordinator = self.coordinator
@@ -63,7 +58,6 @@ class RemoteGroups:
 
         try:
             with coordinator.tracer.span("coordinator.scatter", parent=self.trace) as span:
-                span.annotate(**annotations)
                 outcomes = coordinator._scatter(parts, call, self.deadline, trace=span)
                 span.annotate(n_groups=len(outcomes))
         except DeadlineExceeded:
@@ -90,14 +84,7 @@ class RemoteGroups:
             vectors=vectors, tau=tau, joinability=joinability, **kw
         ), piece)
 
-    def waves(self, parts) -> list[list[int]]:
-        groups = sorted(self.coordinator.shard_map.route(parts).items())
-        return [
-            [part for _, group in groups[at : at + GROUPS_PER_WAVE] for part in group]
-            for at in range(0, len(groups), GROUPS_PER_WAVE)
-        ]
-
-    def topk(self, parts, query, tau, k, theta) -> list[tuple]:
+    def topk(self, parts, query, tau, k) -> list[tuple]:
         vectors = query.tolist()
 
         def piece(payload):
@@ -105,8 +92,8 @@ class RemoteGroups:
             return result, {cid: cid for cid, _, _ in result.hits}
 
         return self._gather(parts, lambda client, **kw: client.topk(
-            vectors=vectors, tau=tau, k=k, theta=theta, **kw
-        ), piece, wave=next(self._waves), theta=theta)
+            vectors=vectors, tau=tau, k=k, **kw
+        ), piece)
 
     def merging(self):
         return self.coordinator.tracer.span("coordinator.merge", parent=self.trace)

@@ -12,7 +12,7 @@ of the differential oracle without any approximation budget.
   propagates the *remaining* budget (milliseconds) to workers in the
   ``X-Repro-Deadline-Ms`` header; a worker rejects already-expired work
   with a 504 before touching the index, and the coordinator checks the
-  budget before every scatter wave. Remaining time (not an absolute
+  budget before every scatter round. Remaining time (not an absolute
   wall-clock instant) crosses the wire, so clock skew between processes
   cannot corrupt the budget.
 * :class:`LatencyTracker` — a bounded window of recent call latencies;

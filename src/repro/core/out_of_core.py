@@ -24,14 +24,12 @@ The sharded layer is the fast path, not a fallback:
   (:class:`~repro.core.shards.ShardLRU`) keeps at most ``lru_shards``
   indexes resident, so memory stays bounded while repeated queries skip
   the disk;
-* :meth:`PartitionedPexeso.topk` runs the Lemma-7-bounded top-k across
-  partitions with a *shared* running k-th-best ``theta``: shards are
-  processed in waves of ``max_workers``, and each wave prunes against
-  the k-th best confirmed count of all earlier waves. The output is
-  provably identical to single-index
+* :meth:`PartitionedPexeso.topk` is one pass too: every shard returns
+  its own top-k and the lake merges them once, by count then global
+  column ID. The output is provably identical to single-index
   :func:`~repro.core.topk.pexeso_topk` over the union of the shards
-  (the theta floor abandons only columns strictly below the global
-  k-th best, so count ties — broken by column ID — survive);
+  (a shard's local tie-break order is the global one restricted to
+  it, so its local top-k holds every global top-k member it owns);
 * this scatter-gather, placement and ID bookkeeping are written once and
   reach shards through a seam (:class:`~repro.core.shards.LocalShards`,
   or a cluster's :class:`~repro.cluster.groups.RemoteGroups`).
@@ -459,36 +457,24 @@ class PartitionedPexeso:
         k: int,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
-        theta: int = 0,
         shards=None,
     ) -> TopKResult:
         """Exact top-k columns by joinability across all shards.
 
-        Shards are processed in waves (of ``max_workers`` in process);
-        every wave passes the running global k-th-best count into each
-        shard's :func:`~repro.core.topk.pexeso_topk` as the ``theta``
-        floor, so later shards abandon columns that provably cannot
-        enter the global top-k. Because the floor is strict (ties survive) and
-        each shard's local tie-break order equals the global one
-        restricted to that shard, the merged result is identical to
-        single-index top-k over the union of the shards.
+        Every shard answers its own top-k in one pass and the lake merges
+        them once. Each shard's local tie-break order equals the global
+        one restricted to that shard, so its local top-k holds every
+        member of the global top-k it owns, and the merged result is
+        identical to single-index top-k over the union of the shards.
 
         Args:
             parts: restrict this call to a subset of the (hosted)
                 partitions.
-            theta: external lower bound on the global k-th best count —
-                the cluster coordinator threads its running k-th best
-                through here so one worker's shards prune against the
-                other workers' earlier waves. ``0`` disables the seed
-                floor; the floor stays strict, so ID tie-breaks are
-                preserved.
             shards: the shard seam (see :meth:`search_many`).
         """
         self._require_fitted()
         if k < 1:
             raise ValueError("k must be at least 1")
-        if theta < 0:
-            raise ValueError("theta must be non-negative")
         query = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
         if query.shape[0] == 0:
             raise ValueError("query column is empty")
@@ -497,26 +483,15 @@ class PartitionedPexeso:
 
         merged_stats = SearchStats()
         best: list[tuple[int, int, float]] = []  # (global id, count, joinability)
-        theta = int(theta)
-        for wave in shards.waves(self._shards(parts)):
-            for local, column_map in shards.topk(wave, query, tau, k, theta):
-                merged_stats.merge(local.stats)
-                best.extend(
-                    (int(column_map[cid]), count, jn) for cid, count, jn in local.hits
-                )
-            # Global order: count desc, column ID asc; only the k best
-            # can ever matter, and the k-th best count is the theta floor
-            # the next wave prunes against.
-            best.sort(key=lambda row: (-row[1], row[0]))
-            del best[k:]
-            if len(best) == k:
-                # max(): an externally seeded floor may exceed the local
-                # k-th best (it reflects other workers' shards too) and
-                # must never be lowered — lowering only costs pruning,
-                # but the stronger bound is already proven sound.
-                theta = max(theta, best[-1][1])
+        for local, column_map in shards.topk(self._shards(parts), query, tau, k):
+            merged_stats.merge(local.stats)
+            best.extend(
+                (int(column_map[cid]), count, jn) for cid, count, jn in local.hits
+            )
+        # global order: count desc, column ID asc
+        best.sort(key=lambda row: (-row[1], row[0]))
         return TopKResult(
-            hits=best, stats=merged_stats, tau=float(tau), k=min(k, self.n_columns)
+            hits=best[:k], stats=merged_stats, tau=float(tau), k=min(k, self.n_columns)
         )
 
     # -- incremental maintenance (§III-E over shards) ------------------------------
@@ -924,20 +899,14 @@ class LakeSearcher:
         k: int,
         max_workers: Optional[int] = None,
         parts: Optional[Sequence[int]] = None,
-        theta: int = 0,
     ) -> TopKResult:
-        """Exact top-k discovery (global column IDs).
-
-        ``theta`` seeds the k-th-best pruning floor (see
-        :meth:`PartitionedPexeso.topk`); the floor is strict, so results
-        never change — only the amount of pruning does.
-        """
+        """Exact top-k discovery (global column IDs)."""
         workers = max_workers if max_workers is not None else self.max_workers
         if isinstance(self.backend, PexesoIndex):
             self._reject_parts(parts)
-            return pexeso_topk(self.backend, query_vectors, tau, k, theta=theta)
+            return pexeso_topk(self.backend, query_vectors, tau, k)
         return self.backend.topk(
-            query_vectors, tau, k, max_workers=workers, parts=parts, theta=theta
+            query_vectors, tau, k, max_workers=workers, parts=parts
         )
 
     @staticmethod

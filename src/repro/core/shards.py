@@ -1,4 +1,8 @@
-"""In-process shards: the resident-shard LRU and the shard seam over it."""
+"""In-process shards: the resident-shard LRU and the shard seam over it.
+
+A search or a top-k is one call of the seam over every partition it
+asks, fanned out as wide as ``max_workers`` (serial by default).
+"""
 
 from __future__ import annotations
 
@@ -126,9 +130,8 @@ class LocalShards:
     only through a seam with this interface (the other implementation
     is the cluster's :class:`~repro.cluster.groups.RemoteGroups`):
     ``search(parts, queries, tau, joinability)`` and ``topk(parts,
-    query, tau, k, theta)`` answer ``parts`` as ``(result, column map)``
+    query, tau, k)`` answer ``parts`` as ``(result, column map)``
     pieces, the map taking the piece's column IDs to global ones;
-    ``waves(parts)`` splits the top-k partitions into waves;
     ``merging()`` is the context of the exact merge; ``add(part, gid,
     vectors)`` (returning the shard-local ID or ``None``) and
     ``delete(part, local, gid)`` apply a mutation that ``commit(part)``
@@ -166,10 +169,6 @@ class LocalShards:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, parts))
 
-    def waves(self, parts: Sequence[int]) -> list[list[int]]:
-        workers = self._workers(parts)
-        return [list(parts[at : at + workers]) for at in range(0, len(parts), workers)]
-
     def search(self, parts, queries, tau, joinability) -> list[tuple]:
         def answer(index: PexesoIndex):
             return BatchSearch(index, flags=self.flags).search_many(
@@ -178,10 +177,9 @@ class LocalShards:
 
         return self._run(answer, parts, self._workers(parts))
 
-    def topk(self, parts, query, tau, k, theta) -> list[tuple]:
+    def topk(self, parts, query, tau, k) -> list[tuple]:
         return self._run(
-            lambda index: pexeso_topk(index, query, tau, k, theta=theta),
-            parts, len(parts),
+            lambda index: pexeso_topk(index, query, tau, k), parts, self._workers(parts)
         )
 
     def merging(self):

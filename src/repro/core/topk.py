@@ -5,10 +5,9 @@ discovery; PEXESO's threshold search extends to exact top-k naturally:
 find the k columns with the highest joinability ``jn(Q, S)``, breaking
 ties by column ID.
 
-Strategy: a top-k search is a threshold search whose ``T`` is the floor a
-column must reach — one :func:`~repro.core.search.pexeso_search` call,
-whose counts are exact, then sort and cut at k. The result provably
-equals sorting all exact joinabilities.
+Strategy: a top-k search is one :func:`~repro.core.search.pexeso_search`
+call with ``T = 1``, whose counts are exact, then sort and cut at k. The
+result provably equals sorting all exact joinabilities.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ def pexeso_topk(
     tau: float,
     k: int,
     stats: Optional[SearchStats] = None,
-    theta: int = 0,
 ) -> TopKResult:
     """Exact top-k columns by joinability.
 
@@ -52,38 +50,21 @@ def pexeso_topk(
         query_vectors: ``(|Q|, dim)`` query column.
         tau: distance threshold.
         k: number of columns to return (clamped to the repository size).
-        theta: external lower bound on the k-th best match count. Columns
-            whose match count is *strictly* below it are dropped (ties
-            survive, so ID tie-breaking across shards stays exact). The
-            partitioned search threads the running global k-th best
-            through here so later shards drop against earlier shards'
-            results; ``0`` disables the floor.
 
     Returns:
         Hits sorted by decreasing joinability, ties by ascending column ID.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
     n_q = np.atleast_2d(np.asarray(query_vectors)).shape[0]
     if n_q == 0:
         raise ValueError("query column is empty")
     k = min(k, index.n_columns)
 
-    # Zero-match columns never rank (the floor is at least 1); a floor above
-    # |Q| is unreachable, so T is clamped and the floor re-applied below.
-    floor = max(1, theta)
-    result = pexeso_search(
-        index,
-        query_vectors,
-        tau,
-        min(floor, n_q),
-        stats=stats,
-    )
+    # T = 1: every column with a match is a hit, with its exact count.
+    result = pexeso_search(index, query_vectors, tau, 1, stats=stats)
     ranked = sorted(
-        (hit for hit in result.joinable if hit.match_count >= floor),
-        key=lambda hit: (-hit.match_count, hit.column_id),
+        result.joinable, key=lambda hit: (-hit.match_count, hit.column_id)
     )
     hits = [(hit.column_id, hit.match_count, hit.joinability) for hit in ranked[:k]]
     return TopKResult(hits=hits, stats=result.stats, tau=float(tau), k=k)

@@ -340,7 +340,7 @@ class JoinableTableSearch:
     ) -> list[TableHit]:
         """Ranked discovery: the k most joinable tables for the query.
 
-        Runs exact top-k (single index or theta-shared sharded top-k —
+        Runs exact top-k (single index or sharded top-k, merged once —
         identical results) and returns hits in rank order: decreasing
         joinability, ties by column ID.
         """

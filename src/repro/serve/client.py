@@ -237,24 +237,20 @@ class ServeClient:
         tau_fraction: Optional[float] = None,
         k: int = 10,
         parts: Optional[Sequence[int]] = None,
-        theta: int = 0,
         deadline_ms: Optional[float] = None,
         trace=None,
     ) -> dict[str, Any]:
         """Exact top-k; returns the shared topk payload.
 
-        ``parts`` / ``theta`` are the cluster scatter parameters (answer
-        these partitions only, pruning against an external k-th-best
-        floor). ``deadline_ms`` sends the remaining latency budget;
-        ``trace`` propagates the caller's trace context.
+        ``parts`` is the cluster scatter parameter (answer these
+        partitions only). ``deadline_ms`` sends the remaining latency
+        budget; ``trace`` propagates the caller's trace context.
         """
         body = self._query_body(values, vectors)
         body.update(self._tau_body(tau, tau_fraction))
         body["k"] = int(k)
         if parts is not None:
             body["parts"] = [int(p) for p in parts]
-        if theta:
-            body["theta"] = int(theta)
         return self._request(
             "POST", "/topk", body, deadline_ms=deadline_ms, trace=trace
         )

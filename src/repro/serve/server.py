@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -153,6 +154,13 @@ class GracefulHTTPServer(ThreadingHTTPServer):
             with self._inflight_cond:
                 self._inflight -= 1
                 self._inflight_cond.notify_all()
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that hangs up mid-request or before its reply is
+        # routine, not a server error: reads and writes alike land here.
+        hung_up = isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError))
+        if not hung_up:
+            super().handle_error(request, client_address)
 
     def close(self, drain_seconds: float = 5.0) -> None:
         """Stop accepting, drain in-flight requests, release the socket.
@@ -426,12 +434,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", f"{retry_after:g}")
-        try:
-            self.end_headers()
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # the client hung up before its reply: routine, not a server error
-            self.close_connection = True
+        self.end_headers()
+        self.wfile.write(body)
 
     def _send_error_json(
         self, message: str, status: int, retry_after: Optional[float] = None
@@ -619,9 +623,7 @@ def _topk(request: JsonRequestHandler, body: dict) -> dict:
     ) as span:
         span.annotate(n_queries=int(query.shape[0]), k=k)
         response = request.server.backend.topk(
-            query, tau, k,
-            parts=_parse_parts(body), theta=int(body.get("theta", 0)),
-            trace=span,
+            query, tau, k, parts=_parse_parts(body), trace=span,
         )
     return topk_payload(
         response.result,

@@ -305,21 +305,18 @@ class QueryService:
         tau: float,
         k: int,
         parts: Optional[Sequence[int]] = None,
-        theta: int = 0,
         trace=None,
     ) -> ServeResponse:
         """Serve one exact top-k request (cached, not coalesced).
 
-        ``parts`` / ``theta`` are the cluster scatter parameters: answer
-        only these partitions, pruning against an externally proven
-        k-th-best floor (strict, so results are unchanged). ``trace``
-        is the optional parent span, as in :meth:`search`.
+        ``parts`` is the cluster scatter parameter: answer only these
+        partitions. ``trace`` is the optional parent span, as in
+        :meth:`search`.
         """
         query = self._validated_query(query)
         parts = self._normalized_parts(parts)
-        theta = int(theta)
         with self.tracer.span("service.topk", parent=trace) as span:
-            key = query_cache_key("topk", query, float(tau), int(k), parts, theta)
+            key = query_cache_key("topk", query, float(tau), int(k), parts)
             entry = self.cache.get(key, self._generation)
             if entry is not None:
                 self._count_cache(hit=True)
@@ -330,9 +327,7 @@ class QueryService:
             self._count_cache(hit=False)
             with self._rw.read():
                 generation = self._generation
-                result = self.searcher.topk(
-                    query, tau, k, parts=parts, theta=theta
-                )
+                result = self.searcher.topk(query, tau, k, parts=parts)
             self._merge_stats(result.stats)
             self.cache.put(key, result, generation)
             span.annotate(

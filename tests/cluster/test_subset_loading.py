@@ -92,15 +92,6 @@ class TestRestrictedSearch:
         with pytest.raises(KeyError, match="not hosted here"):
             w0.search(columns[0][:4], 0.6, 0.3, parts=[2])
 
-    def test_topk_theta_floor_is_sound(self, saved_lake, columns):
-        """Any externally seeded theta <= true k-th best leaves top-k intact."""
-        full = load_partitioned(saved_lake)
-        query = columns[2][:6]
-        want = full.topk(query, 0.7, 3)
-        floor = want.hits[-1][1] if len(want.hits) == 3 else 0
-        again = full.topk(query, 0.7, 3, theta=floor)
-        assert again.hits == want.hits
-
     def test_single_index_rejects_parts(self, columns):
         from repro.core.index import PexesoIndex
 

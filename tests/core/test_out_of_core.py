@@ -211,30 +211,55 @@ class TestPartitionedTopK:
             got = lake.topk(query, 0.9, 7)
             assert [(c, n) for c, n, _ in got.hits] == [(c, n) for c, n, _ in want]
 
-    def test_theta_prunes_later_shards(self):
-        # One column clones the query (count 6); every other column is a
-        # single vector, so its match count is at most 1. With one worker,
-        # shards run in sequence: once the clone's shard confirms theta=6,
-        # every later shard's columns fall below the theta floor — and the
-        # result must still equal the oracle.
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_ties_across_shards_break_by_global_id(self, tmp_path, spill):
+        # Every column holds copies of exactly 0-4 of the query's rows,
+        # so match counts tie in classes that the random partitioner
+        # spreads over the shards: for most k the k-th place is a tie
+        # that only the global column ID breaks.
+        rng = np.random.default_rng(9)
         query = normalize_rows(rng.normal(size=(6, 6)))
-        cols = [query.copy()]
-        for i in range(11):
-            v = query[i % 6] + 0.05 * rng.normal(size=6)
-            cols.append(normalize_rows(v[None, :]))
+
+        def column(count):
+            far = normalize_rows(rng.normal(size=(3, 6)))
+            rows = rng.choice(6, size=count, replace=False)
+            return np.vstack([query[rows] + 1e-4 * rng.normal(size=(count, 6)), far])
+
+        cols = [column(int(c)) for c in rng.choice([0, 1, 2, 2, 3, 3, 4], size=24)]
         lake = PartitionedPexeso(
-            n_pivots=2, levels=2, n_partitions=4, partitioner="random",
-            seed=1, max_workers=1,
+            n_pivots=2, levels=3, n_partitions=4, partitioner="random", seed=2,
+            spill_dir=(tmp_path / "lake") if spill else None,
         ).fit(cols)
-        got = lake.topk(query, 0.3, 1)
-        want = naive_topk(cols, query, 0.3, 1)
-        assert [(c, n) for c, n, _ in got.hits] == [(c, n) for c, n, _ in want]
-        # a shard without the clone answers nothing under that floor
-        for part, members in enumerate(lake.partition_columns):
-            if members and 0 not in members:
-                shard = lake._get_index(part)[0]
-                assert pexeso_topk(shard, query, 0.3, 1, theta=6).hits == []
+        full = naive_topk(cols, query, 0.05, len(cols))
+        part_of = {
+            cid: part
+            for part, members in enumerate(lake.partition_columns)
+            for cid in members
+        }
+        assert any(
+            len({part_of[c] for c, n, _ in full if n == count}) > 1
+            for count in (1, 2, 3, 4)
+        )
+        # one shard owns the whole global top-3, so a shard that answered
+        # fewer than k columns would lose a member
+        assert len({part_of[c] for c, _, _ in full[:3]}) == 1
+
+        def check():
+            for k in range(1, len(cols) + 1):
+                got = lake.topk(query, 0.05, k)
+                want = naive_topk(cols, query, 0.05, k)
+                assert [(c, n) for c, n, _ in got.hits] == [
+                    (c, n) for c, n, _ in want
+                ], k
+
+        check()
+        cols.append(column(2))  # ties with the count-2 class, last by ID
+        assert lake.add_column(cols[-1]) == len(cols) - 1
+        check()
+        victim = next(c for c, n, _ in full if n == 2)
+        lake.delete_column(victim)
+        cols[victim] = normalize_rows(rng.normal(size=(3, 6)))
+        check()
 
     def test_invalid_k(self, columns, query):
         lake = PartitionedPexeso(n_pivots=2, levels=2, n_partitions=2).fit(columns)

@@ -94,10 +94,6 @@ class TestTopKEdgeCases:
         with pytest.raises(ValueError):
             pexeso_topk(index, small_query, 0.5, -3)
 
-    def test_negative_theta_rejected(self, index, small_query):
-        with pytest.raises(ValueError):
-            pexeso_topk(index, small_query, 0.5, 3, theta=-1)
-
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), extra=st.integers(0, 30))
     def test_k_at_least_repository_size_returns_all_matching(self, seed, extra):
@@ -144,34 +140,3 @@ class TestTopKEdgeCases:
         index = PexesoIndex.build(columns, n_pivots=2, levels=3)
         got = pexeso_topk(index, query, 1e-12, k)
         assert got.hits == naive_topk(columns, query, 1e-12, k)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), k=st.integers(1, 8),
-           tau=st.floats(0.1, 1.5))
-    def test_theta_at_most_kth_count_never_changes_results(self, seed, k, tau):
-        # The theta floor is sound: any value <= the true k-th best count
-        # (the largest floor the partitioned search can ever pass) leaves
-        # the result untouched.
-        rng = np.random.default_rng(seed)
-        columns = [
-            normalize_rows(rng.normal(size=(int(rng.integers(2, 10)), 5)))
-            for _ in range(9)
-        ]
-        query = normalize_rows(rng.normal(size=(5, 5)))
-        index = PexesoIndex.build(columns, n_pivots=2, levels=3)
-        want = pexeso_topk(index, query, tau, k)
-        kth = want.hits[k - 1][1] if len(want.hits) >= k else 0
-        for theta in {0, max(0, kth - 1), kth}:
-            got = pexeso_topk(index, query, tau, k, theta=theta)
-            assert got.hits == want.hits
-
-    def test_theta_above_every_count_abandons_all(self, index, small_query):
-        # A floor no column can reach drops the whole candidate set — this
-        # is what lets a later shard answer nothing once earlier shards
-        # are better.
-        baseline = pexeso_topk(index, small_query, 0.9, 5)
-        assert baseline.hits  # sanity: the floor below has something to beat
-        got = pexeso_topk(
-            index, small_query, 0.9, 5, theta=small_query.shape[0] + 1
-        )
-        assert got.hits == []

@@ -19,7 +19,7 @@ the surviving replica).
 This is the safety net behind the parallel shard engine: the sequential
 scalar pipeline, the batch engine and the partitioned fan-out share no
 result-assembly code, so a merge bug, an off-by-one in the global ID
-remap or an unsound theta floor shows up here as a seed-reproducible
+remap or a top-k merge that drops a tie shows up here as a seed-reproducible
 divergence. Run over >= 20 seeds in CI (see the differential-oracle
 job).
 """
@@ -118,7 +118,7 @@ def test_all_implementations_agree(seed, tmp_path):
                     f"!= naive (seed {seed})"
                 )
 
-    # -- top-k: sharded theta-shared == single-index == naive prefix --------------
+    # -- top-k: sharded, merged once == single-index == naive prefix -------------
     lake = PartitionedPexeso(
         metric=metric, n_pivots=2, levels=3, n_partitions=n_partitions,
         max_workers=2,

@@ -161,11 +161,13 @@ class TestCalmCluster:
 
 
 class TestWireShape:
-    """One call per routed worker per wave, every partition answered once.
+    """One call per routed worker, every partition answered once.
 
     A 4-partition lake on 2 unreplicated workers: each worker owns two
     partitions, so a search is exactly two worker calls whose partition
-    groups tile the lake, and a top-k is the same two calls in one wave.
+    groups tile the lake, and a top-k is the same two calls in one
+    scatter. Five workers over five partitions make five routed groups,
+    and a top-k is still one scatter.
     """
 
     @pytest.fixture()
@@ -206,6 +208,30 @@ class TestWireShape:
             for p in node["annotations"]["parts"]
         ]
         assert sorted(parts) == [0, 1, 2, 3]
+
+    def test_topk_over_five_groups_is_one_scatter(
+        self, tracer, columns, tmp_path
+    ):
+        lake_dir = tmp_path / "lake"
+        lake = PartitionedPexeso(
+            n_pivots=2, levels=3, n_partitions=5, partitioner="random"
+        ).fit(columns)
+        assert all(lake.partition_columns)
+        save_partitioned(lake, lake_dir)
+        with LocalCluster(
+            lake_dir, n_workers=5, replication=1, mode="thread",
+            worker_kwargs=WORKER_KWARGS,
+        ) as cluster:
+            tracer.reset()
+            reply = cluster.client.topk(vectors=columns[3][:5], tau=0.7, k=3)
+        (tree,) = tracer.traces()
+        (scatter,) = _find_all(tree, "coordinator.scatter")
+        assert scatter["annotations"]["n_groups"] == 5
+        assert len(_find_all(tree, "worker.call")) == 5
+        want = LakeSearcher(lake).topk(columns[3][:5], 0.7, 3)
+        assert [(h["column_id"], h["match_count"]) for h in reply["hits"]] == [
+            (cid, count) for cid, count, _ in want.hits
+        ]
 
 
 def _find_all(tree, name):

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -193,6 +194,32 @@ class TestClientHangUp:
         finally:
             server.close()  # drains the hung-up requests' handlers
             thread.join(timeout=5.0)
+        assert capfd.readouterr().err == ""
+
+    def test_a_reset_before_the_headers_end_is_no_server_error(
+        self, columns, capfd
+    ):
+        """Clients send a request line and one header, then reset the
+        connection (``SO_LINGER`` 0). Reading the next header line then
+        fails with a reset; the server treats that as a hang-up too."""
+        index = PexesoIndex.build(columns, n_pivots=3, levels=3)
+        server = make_server(QueryService(index, window_ms=0, cache_size=0), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        linger = struct.pack("ii", 1, 0)
+        try:
+            for _ in range(5):
+                with socket.create_connection(server.server_address[:2]) as sock:
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+                    sock.sendall(b"POST /search HTTP/1.1\r\nHost: x\r\n")
+            reply = ServeClient(server.url).search(
+                vectors=columns[3][:6], tau=0.6, joinability=0.3
+            )
+            assert reply["hits"]
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
         assert capfd.readouterr().err == ""
 
 
