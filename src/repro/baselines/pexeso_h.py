@@ -1,7 +1,9 @@
 """PEXESO-H: grid blocking + naive per-cell verification (paper §VI-A).
 
-PEXESO-H shares Algorithm 1 (hierarchical-grid blocking) with PEXESO but
-replaces the inverted-index verification: for each candidate pair it
+PEXESO-H shares blocking with PEXESO (Algorithm 1's Lemmas 3/5 and quick
+browsing, run as one flat pass over every (query row, occupied leaf)
+pair, :mod:`repro.core.blocker`) but replaces the inverted-index
+verification: for each candidate pair it
 computes the exact distance between the query vector and *every* vector in
 the candidate cell — no Lemma 1/2 point filtering, no DaaT traversal, no
 Lemma 7 mismatch bound. Only the early-accept rule (stop once a column
@@ -16,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.blocker import block
-from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
 from repro.core.search import JoinableColumn, SearchResult
 from repro.core.stats import SearchStats
@@ -46,13 +47,7 @@ def pexeso_h_search(
 
     query_mapped = index.pivot_space.map_vectors(query_vectors)
     stats.pivot_mapping_distances += query_mapped.size
-    hg_q = HierarchicalGrid.build(
-        query_mapped,
-        levels=index.levels,
-        extent=index.pivot_space.extent,
-        store_members=True,
-    )
-    pairs = block(hg_q, index.grid, query_mapped, tau, stats=stats)
+    pairs = block(None, index.grid, query_mapped, tau, stats=stats)
 
     started = time.perf_counter()
     match_counts: dict[int, int] = {}

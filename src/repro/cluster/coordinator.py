@@ -175,6 +175,10 @@ class ClusterCoordinator:
             )
             for _ in range(self.shard_map.n_workers)
         ]
+        #: per-slot health epoch, bumped by every successful probe: a call
+        #: that started before the slot's last promotion (a hedge loser)
+        #: cannot demote it afterwards
+        self._health_epochs = [0] * self.shard_map.n_workers
         self._latency = LatencyTracker(default=cfg.hedge_default_delay)
         #: per-slot latency windows, feeding the slot-labelled summaries
         #: on /metrics (the shared tracker above keeps the hedge delay)
@@ -362,6 +366,8 @@ class ClusterCoordinator:
         else:
             self.shard_map.mark_up(slot)
         self._breakers[slot].record_success()
+        with self._stats_lock:
+            self._health_epochs[slot] += 1
         return True
 
     def probe_half_open(self) -> list[int]:
@@ -412,7 +418,10 @@ class ClusterCoordinator:
         — surfaced as :class:`DeadlineExceeded`, never as a liveness
         failure. So is a transport error that arrives once the deadline
         has passed: the budget-capped socket timeout fired, which says
-        nothing about the worker's health. ``trace`` parents a
+        nothing about the worker's health. Nor does a failure of a call
+        that started before the slot's last successful probe (a hedge
+        loser arriving late): it feeds the latency windows only.
+        ``trace`` parents a
         per-attempt ``worker.call`` span whose context travels to the
         worker on the wire.
         """
@@ -425,6 +434,7 @@ class ClusterCoordinator:
                 deadline_remaining_ms=deadline_ms,
             )
             start = time.monotonic()
+            epoch = self._health_epochs[slot]
             try:
                 payload = call(self._client(slot), send_parts, deadline_ms, span)
             except ServeError as exc:
@@ -438,13 +448,19 @@ class ClusterCoordinator:
                     raise DeadlineExceeded(
                         f"budget ran out during the call to worker {slot}"
                     ) from exc
-                self._demote(slot)
+                if epoch == self._health_epochs[slot]:
+                    self._demote(slot)
+                else:
+                    self._record_latency(slot, time.monotonic() - start)
                 raise
             elapsed = time.monotonic() - start
-        self._latency.record(elapsed)
-        self._slot_latency[slot].record(elapsed)
+        self._record_latency(slot, elapsed)
         self._breakers[slot].record_call_success()
         return payload
+
+    def _record_latency(self, slot: int, seconds: float) -> None:
+        self._latency.record(seconds)
+        self._slot_latency[slot].record(seconds)
 
     def _hedge_delay(self) -> float:
         """How long to let the primary run before firing the hedge."""
@@ -469,7 +485,9 @@ class ClusterCoordinator:
         primary runs first; if no answer lands within the tracked hedge
         delay, the duplicate fires and the first success wins — losers
         are abandoned to their daemon threads, with their breaker /
-        latency bookkeeping still applied by :meth:`_timed_call`.
+        latency bookkeeping still applied by :meth:`_timed_call` (a loser
+        failing after the slot's next successful probe leaves its health
+        alone).
         Returns ``(answering slot, payload)``.
         """
         hedge_slot = None

@@ -16,9 +16,7 @@ section argues indexing methods should support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.core.index import PexesoIndex
 from repro.core.engine import BatchSearch
@@ -128,20 +126,26 @@ def discover_joinable_pairs(
     """
     if index.pivot_space is None:
         raise RuntimeError("index is not built; call fit() first")
-    queries = column_ids if column_ids is not None else sorted(index.column_rows)
+    if column_ids is None:
+        # every column's store rows in one pass over the postings, where a
+        # lookup per column walks them once per column
+        rows_of = dict(index.column_rows.items())
+        queries = sorted(rows_of)
+    else:  # a chosen few: one lookup each
+        rows_of, queries = index.column_rows, column_ids
     for query_column in queries:
-        if query_column not in index.column_rows:
+        if query_column not in rows_of:
             raise KeyError(f"unknown column id {query_column}")
-    # Batches of query columns share tau, hence one pivot mapping, one HG_Q
-    # and one blocking descent each; T resolves per query size. Slicing
-    # bounds the verifier state, which is O(batch x touched columns).
+    # Batches of query columns share tau, hence one pivot mapping and one
+    # blocking pass each; T resolves per query size. Slicing bounds the
+    # verifier state, which is O(batch x touched columns).
     engine = BatchSearch(index, flags=flags)
     stats = SearchStats()
     edges: list[JoinableEdge] = []
     for start in range(0, len(queries), _BATCH_QUERIES):
         chunk = queries[start : start + _BATCH_QUERIES]
         batch = engine.search_many(
-            [index.vectors[index.column_rows[c]] for c in chunk], tau, joinability
+            [index.vectors[rows_of[c]] for c in chunk], tau, joinability
         )
         stats.merge(batch.stats)
         edges.extend(

@@ -1,40 +1,38 @@
-"""Blocking with hierarchical grids — Algorithm 1 + quick browsing (§III-B/C).
+"""Blocking — Algorithm 1 + quick browsing (§III-B/C) as one flat pass.
 
-The two grids (``HG_Q`` over the mapped query vectors, ``HG_RV`` over the
-mapped repository vectors) are descended simultaneously in a hierarchical
-block-nested-loop join. Cell pairs proven disjoint by Lemma 4 are pruned
-with their whole subtrees; cell pairs proven matching by Lemma 6 emit
-matching pairs for every (query vector, target leaf) underneath. At the
-leaf level Lemmas 3 and 5 decide per query vector.
+Algorithm 1 descends ``HG_Q`` x ``HG_RV`` from the root so that Lemmas 4
+and 6 can prune or match whole cell pairs. What it finally decides is a
+set of (query vector, occupied ``HG_RV`` leaf) pairs, and occupied leaves
+are few (under a thousand on every benchmarked lake), so this module
+decides those pairs directly: every query row is tested against every
+occupied leaf of ``HG_RV`` with Lemma 5 (match) and Lemma 3 (filter).
 
-The descent is breadth-first. Its state is a *frontier* of surviving
-``(q_code, r_code)`` cell pairs held as two int64 arrays, and one level
-is a fixed number of NumPy calls over the whole frontier:
+* The leaf cells are decoded once per call into their integer
+  coordinates, one pivot axis per row of a ``(|P|, leaves)`` array.
+* On one axis a leaf's box is one of ``2^m`` intervals, so a row's Lemma
+  5 and Lemma 3 tests on that axis are made once per interval and
+  gathered per leaf: the float work is ``rows x 2^m`` per axis, and only
+  a one-byte verdict per (row, leaf) is ``rows x leaves``. Every test is
+  the same float expression as on the leaf's own box.
+* Query rows go in chunks of at most ``_PAIRS`` (row, leaf) pairs, so no
+  temporary is larger than a few bytes per pair of one chunk.
+* Selecting by a row-major mask lists rows ascending and, per row,
+  leaves ascending, so the output CSRs need no sort.
 
-1. the children of every frontier cell are one ``np.searchsorted`` range
-   of the next level's sorted code array (a parent code is a bit-prefix
-   of its children's codes, :mod:`repro.core.cellcodes`);
-2. the child pairs are the ragged cartesian product of those ranges
-   (in slices of about ``_SLICE`` pairs: bounded memory, same result);
-3. one ``decode_cells`` per side gives the children's boxes (each
-   distinct cell decoded once), and the Lemma 6 / Lemma 4 masks are
-   evaluated over all child pairs at once, one pivot axis at a time;
-4. Lemma 6 pairs emit their subtrees (member rows x target leaves, both
-   contiguous ranges), Lemma 4 pairs are dropped, the rest are the next
-   frontier.
+The result equals the descent's. Lemmas 4 and 6 are monotone under box
+containment: a pair under a Lemma 4 cell pair fails Lemma 3, and a pair
+under a Lemma 6 cell pair passes Lemma 5 (the query box shrinks to the
+query point, the target box to its leaf).
 
-At the leaf level every surviving (query leaf, target leaf) pair is
-expanded by the query leaf's member rows, and Lemmas 5 and 3 decide all
-(query vector, target leaf) pairs as one ragged batch — the cell-level
-masks with the query box shrunk to the query point. Every predicate is
-the same elementwise float expression as in the depth-first formulation
-of Algorithm 1, so the surviving pairs and every counter are identical
-to it (``tests/core/reference_blocker.py`` keeps that formulation as the
-test oracle).
-
-Quick browsing: a query leaf cell and a target leaf cell with identical
-codes can never be separated by Lemma 3/4 (they overlap), so such pairs
-are emitted as candidates up front and dropped from the leaf stage.
+Quick browsing: a row whose own leaf cell is occupied in ``HG_RV`` cannot
+be separated from it by Lemma 3/4 (the two overlap), so that *aligned*
+pair is a candidate outright and skips Lemmas 5/3. The descent reaches the
+aligned pair's ancestors paired with themselves, so it also emits the
+pair as a match when Lemma 6 holds for the level-(m-1) parent cell paired
+with itself (on some axis ``2 * hi <= τ``); the flat pass applies the same
+rule, and the duplicate match is harmless to verification.
+``tests/core/reference_blocker.py`` keeps the recursive descent as the
+test oracle.
 
 The output pairs the paper's ``⟨mapped query vector, leaf cells⟩`` form:
 :class:`BlockResult` holds one :class:`PairCSR` per kind (matching and
@@ -54,8 +52,8 @@ from repro.core.grid import CellCode, HierarchicalGrid
 from repro.core.stats import SearchStats
 
 _EMPTY = np.zeros(0, dtype=np.int64)
-#: (cell or row) pairs evaluated at once; bounds the descent's working set
-_SLICE = 1 << 13
+#: (query row, leaf) pairs decided at once; bounds the pass's working set
+_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,65 +120,41 @@ class BlockResult:
         return csr.cells[csr.starts[i] : csr.starts[i + 1]]
 
 
-def _ragged(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten the ranges ``[lo[i], hi[i])``: (owner ``i``, value) each."""
-    lens = hi - lo
-    owner = np.repeat(np.arange(lens.size), lens)
-    offsets = np.arange(owner.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    return owner, lo[owner] + offsets
-
-
-def _product(a_lo, a_hi, b_lo, b_hi) -> tuple[np.ndarray, np.ndarray]:
-    """Per ``i``, every ``(a, b)`` of ``[a_lo[i], a_hi[i]) x [b_lo[i], b_hi[i])``."""
-    n_b = b_hi - b_lo
-    owner, flat = _ragged(np.zeros_like(n_b), (a_hi - a_lo) * n_b)
-    return a_lo[owner] + flat // n_b[owner], b_lo[owner] + flat % n_b[owner]
-
-
-def _slices(q_from, q_to, r_from, r_to, work):
-    """``_product`` of the spans in slices of consecutive frontier pairs,
-    each carrying about ``_SLICE`` units of ``work``: a wide level is
-    evaluated in bounded memory."""
-    cuts = (np.flatnonzero(np.diff(np.cumsum(work) // _SLICE)) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, work.size]):
-        yield _product(q_from[lo:hi], q_to[lo:hi], r_from[lo:hi], r_to[lo:hi])
-
-
-def _span(sorted_codes: np.ndarray, codes: np.ndarray, shift: int):
-    """Index range (from, to) of the descendants ``shift`` bits below each code."""
-    return np.searchsorted(sorted_codes, [codes << shift, (codes + 1) << shift])
-
-
-def _boxes(grid: HierarchicalGrid, level: int, idx: np.ndarray):
-    """Boxes of the cells ``grid.level_codes(level)[idx]`` as ``(lo, size,
-    at)``: box ``i`` spans ``lo[at[i]]`` to ``lo[at[i]] + size``. Each
-    distinct cell is decoded once."""
-    cells, at = np.unique(idx, return_inverse=True)
+def _intervals(grid: HierarchicalGrid, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of the ``2^level`` intervals a level-``level`` cell can
+    span on one pivot axis, indexed by the cell's coordinate on it."""
     size = grid.cell_size(level)
-    codes = grid.level_codes(level)[cells]
-    return decode_cells(codes, grid.n_dims, level).astype(np.float64) * size, size, at
+    lo = np.arange(1 << level, dtype=np.float64) * size
+    return lo, lo + size
 
 
-def _lemma_masks(q_boxes, r_boxes, tau, use56, use34):
-    """Row-aligned (matched, filtered) masks: Lemma 6 / 4 between cell
-    boxes, Lemma 5 / 3 when the query boxes are points (size 0). One pivot
-    axis at a time, so every temporary is one value per pair."""
-    (q_lo, q_size, qi), (r_lo, r_size, ri) = q_boxes, r_boxes
-    matched = np.zeros(ri.size, dtype=bool)
-    filtered = np.zeros(ri.size, dtype=bool)
-    for axis in range(r_lo.shape[1]):
-        ql, rl = q_lo[qi, axis], r_lo[ri, axis]
-        qh, rh = ql + q_size, rl + r_size
-        if use56:
-            matched |= rh + qh <= tau
-        if use34:
-            filtered |= (rl > qh + tau) | (rh < ql - tau)
-    filtered &= ~matched
-    return matched, filtered
+class _CSRParts:
+    """The (rows, cells) of one pair kind, gathered chunk by chunk."""
+
+    def __init__(self):
+        self.rows: list[np.ndarray] = []
+        self.lengths: list[np.ndarray] = []
+        self.cells: list[np.ndarray] = []
+
+    def add(self, first_row: int, mask: np.ndarray, leaves: np.ndarray) -> None:
+        counts = np.count_nonzero(mask, axis=1)
+        held = np.flatnonzero(counts)
+        self.rows.append(first_row + held)
+        self.lengths.append(counts[held])
+        self.cells.append(np.broadcast_to(leaves, mask.shape)[mask])
+
+    def csr(self) -> PairCSR:
+        lengths = np.concatenate([_EMPTY, *self.lengths])
+        starts = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        return PairCSR(
+            np.concatenate([_EMPTY, *self.rows]), starts,
+            np.concatenate([_EMPTY, *self.cells]),
+        )
 
 
 def block(
-    hg_q: HierarchicalGrid,
+    hg_q: Optional[HierarchicalGrid],
     hg_rv: HierarchicalGrid,
     q_mapped: np.ndarray,
     tau: float,
@@ -192,86 +166,71 @@ def block(
     """Run quick browsing + Algorithm 1 and return all pairs.
 
     Args:
-        hg_q: hierarchical grid of the mapped query vectors (with members).
+        hg_q: hierarchical grid of the mapped query vectors, only checked
+            against ``hg_rv`` (the pass places each row in ``hg_rv``'s
+            cells itself); ``None`` skips the check.
         hg_rv: hierarchical grid of the mapped repository vectors.
         q_mapped: ``(|Q|, |P|)`` mapped query vectors.
         tau: distance threshold in original-space units.
         stats: counters to update (a fresh one is created when omitted).
         use_lemma34 / use_lemma56: ablation switches (Fig. 9).
-        use_quick_browsing: process aligned leaf cells up front.
+        use_quick_browsing: aligned pairs are candidates outright.
     """
-    if hg_q.levels != hg_rv.levels:
+    if hg_q is not None and hg_q.levels != hg_rv.levels:
         raise ValueError("HG_Q and HG_RV must have the same number of levels")
-    if hg_q.n_dims != hg_rv.n_dims:
+    if hg_q is not None and hg_q.n_dims != hg_rv.n_dims:
         raise ValueError("HG_Q and HG_RV must share one pivot space")
     stats = stats if stats is not None else SearchStats()
     started = time.perf_counter()
     q_mapped = np.atleast_2d(q_mapped)
-    d, m = hg_q.n_dims, hg_q.levels
-    starts, order = hg_q.members_csr()
-    q_leaves, r_leaves = hg_q.leaf_codes, hg_rv.leaf_codes
-    match_parts: list[tuple[np.ndarray, np.ndarray]] = []
-    cand_parts: list[tuple[np.ndarray, np.ndarray]] = []
+    n_rows, m = q_mapped.shape[0], hg_rv.levels
+    leaves = hg_rv.leaf_codes
+    coords = np.ascontiguousarray(decode_cells(leaves, hg_rv.n_dims, m).T)
+    lo_v, hi_v = _intervals(hg_rv, m)
 
-    if use_quick_browsing:  # §III-C: aligned leaves are candidates outright
-        aligned = np.intersect1d(q_leaves, r_leaves)
-        stats.quick_browse_cells += int(aligned.size)
-        at = np.searchsorted(q_leaves, aligned)
-        owner, pos = _ragged(starts[at], starts[at + 1])
-        cand_parts.append((order[pos], aligned[owner]))
+    # quick browsing (§III-C): each row's own leaf, where HG_RV occupies it
+    aligned = np.zeros(n_rows, dtype=bool)
+    own = np.zeros(n_rows, dtype=np.intp)
+    parent_match = aligned
+    if use_quick_browsing and leaves.size:
+        codes = hg_rv.leaf_codes_for(q_mapped)
+        own = np.minimum(np.searchsorted(leaves, codes), leaves.size - 1)
+        aligned = leaves[own] == codes
+        stats.quick_browse_cells += int(np.unique(codes[aligned]).size)
+        if use_lemma56 and m > 1:  # the descent's Lemma 6 on (parent, parent)
+            parents = decode_cells(codes >> hg_rv.n_dims, hg_rv.n_dims, m - 1)
+            hi = _intervals(hg_rv, m - 1)[1][parents]
+            parent_match = aligned & ((hi + hi) <= tau).any(axis=1)
 
-    # Levels above the leaves: Lemma 6 (match) and Lemma 4 (filter) per
-    # child cell pair, all pairs of one level at once (in slices).
-    fq = fr = np.zeros(1, dtype=np.int64)  # the root pair
-    for level in range(1, m):
-        q_lv, r_lv = hg_q.level_codes(level), hg_rv.level_codes(level)
-        spans = (*_span(q_lv, fq, d), *_span(r_lv, fr, d))
-        survivors = []
-        for qi, ri in _slices(*spans, (spans[1] - spans[0]) * (spans[3] - spans[2])):
-            stats.cells_visited += int(qi.size)
-            matched, filtered = _lemma_masks(
-                _boxes(hg_q, level, qi), _boxes(hg_rv, level, ri),
-                tau, use_lemma56, use_lemma34,
-            )
-            qc, rc = q_lv[qi], r_lv[ri]
-            stats.lemma6_matched += int(matched.sum())
-            stats.lemma4_filtered += int(filtered.sum())
-            if matched.any():  # member rows below x target leaves below (l.11-12)
-                shift = d * (m - level)
-                q_from, q_to = _span(q_leaves, qc[matched], shift)
-                r_from, r_to = _span(r_leaves, rc[matched], shift)
-                pos, leaf = _product(starts[q_from], starts[q_to], r_from, r_to)
-                match_parts.append((order[pos], r_leaves[leaf]))
-            survive = ~(matched | filtered)
-            survivors.append((qc[survive], rc[survive]))
-        fq, fr = (np.concatenate(side) for side in zip(*survivors))
+    match, candidate = _CSRParts(), _CSRParts()
+    step = max(1, _PAIRS // max(1, leaves.size))
+    for lo in range(0, n_rows, step):
+        q = q_mapped[lo : lo + step]
+        stats.cells_visited += q.shape[0] * leaves.size
+        # Lemma 5 (bit 0: match) and Lemma 3 (bit 1: filter) per (row, leaf),
+        # one pivot axis at a time: decided once per (row, interval) of the
+        # axis, then gathered by each leaf's coordinate on it
+        verdict = np.zeros((q.shape[0], leaves.size), dtype=np.uint8)
+        for axis in range(q.shape[1]):
+            qa = q[:, axis, None]
+            table = np.zeros((q.shape[0], lo_v.size), dtype=np.uint8)
+            if use_lemma56:
+                table[qa + hi_v <= tau] = 1
+            if use_lemma34:
+                table[(lo_v > qa + tau) | (hi_v < qa - tau)] |= 2
+            verdict |= table[:, coords[axis]]
+        matched = (verdict & 1).view(bool)
+        filtered = (verdict >> 1).view(bool) & ~matched
+        at = np.flatnonzero(aligned[lo : lo + step])
+        matched[at, own[lo + at]] = filtered[at, own[lo + at]] = False
+        stats.lemma5_matched += int(np.count_nonzero(matched))
+        stats.lemma3_filtered += int(np.count_nonzero(filtered))
+        candidate.add(lo, ~(matched | filtered), leaves)
+        matched[at, own[lo + at]] = parent_match[lo + at]
+        stats.lemma6_matched += int(np.count_nonzero(parent_match[lo + at]))
+        match.add(lo, matched, leaves)
 
-    # Leaf level: Lemma 5 (match) and Lemma 3 (filter) per (query vector,
-    # target leaf), a ragged batch over the member rows (Alg. 1 l.3–9).
-    spans = (*_span(q_leaves, fq, d), *_span(r_leaves, fr, d))
-    rows_below = starts[spans[1]] - starts[spans[0]]
-    for qi, ri in _slices(*spans, rows_below * (spans[3] - spans[2])):
-        stats.cells_visited += int(qi.size)
-        if use_quick_browsing:
-            keep = q_leaves[qi] != r_leaves[ri]
-            qi, ri = qi[keep], ri[keep]
-        owner, pos = _ragged(starts[qi], starts[qi + 1])
-        rows, cells = order[pos], r_leaves[ri[owner]]
-        r_lo, r_size, r_at = _boxes(hg_rv, m, ri)
-        matched, filtered = _lemma_masks(
-            (q_mapped, 0.0, rows), (r_lo, r_size, r_at[owner]),
-            tau, use_lemma56, use_lemma34,
-        )
-        stats.lemma5_matched += int(matched.sum())
-        stats.lemma3_filtered += int(filtered.sum())
-        candidate = ~(matched | filtered)
-        match_parts.append((rows[matched], cells[matched]))
-        cand_parts.append((rows[candidate], cells[candidate]))
-
-    def csr(parts) -> PairCSR:
-        return PairCSR.build(*(np.concatenate(side) for side in zip(*parts)))
-
-    result = BlockResult(csr(match_parts), csr(cand_parts))
+    result = BlockResult(match.csr(), candidate.csr())
     stats.blocking_seconds += time.perf_counter() - started
     stats.matching_pairs += result.n_match_pairs
     stats.candidate_pairs += result.n_candidate_pairs

@@ -12,9 +12,12 @@ repository vectors:
 
 where ``h`` is the leaf half-cell width of an m-level grid. To pick ``m``
 the paper runs *blocking only* for a sampled query workload and minimises
-the estimated cost. The optimum the paper's gradient descent finds is
-fractional and rounded up; here the same objective is evaluated on the
-integer candidate range directly, which is equivalent at these scales.
+the estimated cost; here that is :func:`repro.core.blocker.block`'s flat
+pass of Lemmas 3/5 over every (query row, occupied ``HG_RV`` leaf) pair,
+whose candidate pairs equal Algorithm 1's, so no query grid is built.
+The optimum the paper's gradient descent finds is fractional and rounded
+up; here the same objective is evaluated on the integer candidate range
+directly, which is equivalent at these scales.
 """
 
 from __future__ import annotations
@@ -83,10 +86,7 @@ def estimate_query_cost(
     tau: float,
 ) -> float:
     """Eq. 1 for one query column: blocking only, then Eq. 2 per occurrence."""
-    hg_q = HierarchicalGrid.build(
-        query_mapped, levels=hg_rv.levels, extent=hg_rv.extent, store_members=True
-    )
-    candidates = block(hg_q, hg_rv, query_mapped, tau).candidate
+    candidates = block(None, hg_rv, query_mapped, tau).candidate
     total = 0.0
     for q, n_cells in zip(candidates.rows.tolist(), candidates.lengths.tolist()):
         # The occurrence count of q in the multiset C equals its number of

@@ -8,12 +8,11 @@ batches. :class:`BatchSearch` shares the pipeline setup across a batch:
 
 * all query columns are pivot-mapped in **one** vectorised pass over the
   stacked ``(ΣQ_i, dim)`` matrix;
-* queries sharing a distance threshold τ share **one** ``HG_Q`` build and
-  **one** blocking descent: every blocking predicate (Lemmas 3–6, quick
-  browsing) is geometric per query *row*, so a combined grid over all
-  rows yields, for each row, exactly the match/candidate cell pairs its
-  own per-query descent would — while descending the repository grid
-  once instead of once per query;
+* queries sharing a distance threshold τ share **one** blocking pass:
+  every blocking predicate (Lemmas 3/5, quick browsing) is geometric per
+  query *row*, so one pass over all rows yields, for each row, exactly
+  the match/candidate cell pairs its own per-query pass would — while
+  decoding the repository grid's leaves once instead of once per query;
 * verification decides each query's candidate rows with one chunked
   GEMM (:func:`~repro.core.verifier.verify_row_blocks`);
 * batches mixing several τ values are split into per-τ groups that run
@@ -41,7 +40,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.blocker import block
-from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
 from repro.core.search import AblationFlags, JoinableColumn, SearchResult
 from repro.core.stats import SearchStats
@@ -81,9 +79,8 @@ class BatchResult:
     verifier counters, stage timings); a query sharing a blocking pass
     carries its own verification counters plus its share of blocking
     output (matching/candidate pairs, pivot-mapping distances), because
-    the shared descent cannot be attributed. ``stats`` on the batch
-    aggregates everything, counting shared work (grid descent, HG_Q
-    build) once.
+    the shared pass cannot be attributed. ``stats`` on the batch
+    aggregates everything, counting shared work (blocking) once.
     """
 
     results: list[SearchResult]
@@ -252,7 +249,7 @@ class BatchSearch:
         joins: list,
         allowed_columns: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> tuple[list[SearchResult], SearchStats]:
-        """One shared pivot-map + HG_Q + blocking pass + batched verify."""
+        """One shared pivot-map + blocking pass + batched verify."""
         index = self.index
         flags = self.flags
         group_stats = SearchStats()
@@ -265,18 +262,12 @@ class BatchSearch:
         stacked = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=0)
         mapped = index.pivot_space.map_vectors(stacked)
         group_stats.pivot_mapping_distances += mapped.size
-        hg_q = HierarchicalGrid.build(
-            mapped,
-            levels=index.levels,
-            extent=index.pivot_space.extent,
-            store_members=True,
-        )
         group_stats.stage_seconds.add(
             "pivot_map", time.perf_counter() - stage_started
         )
         stage_started = time.perf_counter()
         block_result = block(
-            hg_q,
+            None,
             index.grid,
             mapped,
             tau,

@@ -6,20 +6,20 @@ A grid of ``m`` levels divides the pivot space ``[0, extent]^|P|`` into
 paper notes this explicitly to save memory.
 
 The grid is **array-native**: a cell is a bit-interleaved int64 *cell
-code* (:mod:`repro.core.cellcodes`) and each level is one sorted code
-array. Because a parent code is a bit-prefix of its children's codes,
-
-* every level is derived from the sorted leaf codes with vectorised
-  shifts — inserting ``n`` rows is one ``floor``/``clip``/encode pass,
-  one sort and a shift-and-dedupe per level, with no per-row Python;
-* the children of a cell, the leaves of a subtree, and the member rows
-  of a subtree are all *contiguous ranges* of the sorted arrays, found
-  with ``np.searchsorted`` — the blocker descends the grid without ever
-  touching a dict or a tuple.
+code* (:mod:`repro.core.cellcodes`) and the grid holds one sorted array
+of its occupied leaf codes. A parent code is a bit-prefix of its
+children's codes, so any upper level is the leaf codes shifted right and
+deduplicated; :meth:`HierarchicalGrid.level_codes` derives it on demand
+and nothing above the leaves is stored (the blocker decides (query row,
+leaf) pairs directly, :mod:`repro.core.blocker`). Inserting ``n`` rows is
+one ``floor``/``clip``/encode pass, one sort and one merge, with no
+per-row Python.
 
 Member rows (kept for ``HG_Q`` only, mirroring §III-B's structural
 difference between the query and repository grids) live in a CSR layout:
 one row-index array grouped by sorted leaf code plus an offsets array.
+The search path builds no ``HG_Q``; the blocking oracle and the perf
+ledger's layer ladder do.
 
 There is no per-cell object: the tuple-coordinate object tree of the
 original design lives on only as the test oracle ``ReferenceGrid`` in
@@ -58,6 +58,14 @@ def _merge_sorted_unique(current: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.insert(current, positions[fresh], new[fresh])
 
 
+def _distinct(sorted_codes: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (one neighbour comparison)."""
+    fresh = np.empty(sorted_codes.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=fresh[1:])
+    return sorted_codes[fresh]
+
+
 class HierarchicalGrid:
     """Sparse m-level grid over pivot-space coordinates in ``[0, extent]``.
 
@@ -81,11 +89,8 @@ class HierarchicalGrid:
         self.levels = levels
         self.extent = float(extent)
         self.store_members = store_members
-        #: sorted cell codes per level; index 0 is the root level
-        self._level_codes: list[np.ndarray] = [
-            np.zeros(1, dtype=np.int64) if level == 0 else np.empty(0, dtype=np.int64)
-            for level in range(levels + 1)
-        ]
+        #: sorted occupied leaf codes
+        self._leaf_codes = np.empty(0, dtype=np.int64)
         #: leaf code of every inserted row, in insertion (= row) order
         self._row_codes = np.empty(0, dtype=np.int64)
         #: cached members CSR: (starts over sorted leaves, row order)
@@ -117,11 +122,8 @@ class HierarchicalGrid:
         extent: float,
         n_vectors: int = 0,
     ) -> "HierarchicalGrid":
-        """Reconstruct an occupancy-only grid (HG_RV) from its leaf codes.
-
-        Every ancestor level is derived by shifting, so persisting the
-        leaf codes persists the whole grid.
-        """
+        """Reconstruct an occupancy-only grid (HG_RV) from its leaf codes,
+        which are the whole grid."""
         grid = cls(n_dims, levels, extent, store_members=False)
         grid.add_leaves(np.sort(np.asarray(leaf_codes, dtype=np.int64)), n_vectors)
         return grid
@@ -159,34 +161,24 @@ class HierarchicalGrid:
         return codes
 
     def add_leaves(self, sorted_codes: np.ndarray, n_rows: int) -> None:
-        """Add the cells of ``n_rows`` rows, given their sorted leaf codes.
-
-        ``sorted_codes`` may repeat a code. Shifting keeps codes sorted,
-        so each level's distinct codes are one neighbour comparison away
-        from the level below, and are merged into what the level holds.
-        """
-        codes = sorted_codes
-        for level in range(self.levels, 0, -1):
-            fresh = np.empty(codes.size, dtype=bool)
-            fresh[:1] = True
-            np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
-            codes = codes[fresh]
-            self._level_codes[level] = _merge_sorted_unique(
-                self._level_codes[level], codes
-            )
-            codes = codes >> self.n_dims
+        """Add the cells of ``n_rows`` rows, given their sorted leaf codes
+        (``sorted_codes`` may repeat a code)."""
+        self._leaf_codes = _merge_sorted_unique(self._leaf_codes, _distinct(sorted_codes))
         self.n_vectors += int(n_rows)
 
     # -- array-side structure ----------------------------------------------------
 
     def level_codes(self, level: int) -> np.ndarray:
-        """Sorted cell codes of one level (level 0 is the root's [0])."""
-        return self._level_codes[level]
+        """Sorted cell codes of one level (level 0 is the root's [0]),
+        derived from the leaf codes on each call."""
+        if level == 0:
+            return np.zeros(1, dtype=np.int64)
+        return _distinct(self._leaf_codes >> (self.n_dims * (self.levels - level)))
 
     @property
     def leaf_codes(self) -> np.ndarray:
         """Sorted populated leaf cell codes."""
-        return self._level_codes[self.levels]
+        return self._leaf_codes
 
     def members_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Members CSR: offsets aligned with ``leaf_codes``, grouped rows."""
@@ -194,7 +186,7 @@ class HierarchicalGrid:
             raise RuntimeError("this grid does not store member indices")
         if self._members_cache is None:
             order = np.argsort(self._row_codes, kind="stable").astype(np.intp)
-            leaves = self._level_codes[self.levels]
+            leaves = self._leaf_codes
             starts = np.empty(leaves.size + 1, dtype=np.intp)
             starts[:-1] = np.searchsorted(self._row_codes[order], leaves, side="left")
             starts[-1] = order.size
@@ -209,19 +201,18 @@ class HierarchicalGrid:
 
     def level_coords(self, level: int) -> np.ndarray:
         """Decoded ``(n_cells, n_dims)`` integer coordinates of one level."""
-        return decode_cells(self._level_codes[level], self.n_dims, level)
+        return decode_cells(self.level_codes(level), self.n_dims, level)
 
     # -- reporting ---------------------------------------------------------------
 
     @property
     def n_cells(self) -> int:
         """Total number of populated cells over all levels (excluding root)."""
-        return sum(arr.size for arr in self._level_codes[1:])
+        return sum(self.level_codes(level).size for level in range(1, self.levels + 1))
 
     def memory_bytes(self) -> int:
         """Memory footprint of the grid arrays (for Fig. 6b)."""
-        total = sum(arr.nbytes for arr in self._level_codes)
-        total += self._row_codes.nbytes
+        total = self._leaf_codes.nbytes + self._row_codes.nbytes
         if self._members_cache is not None:
             starts, order = self._members_cache
             total += starts.nbytes + order.nbytes

@@ -1,6 +1,6 @@
 """Kernel provenance for benchmark artifacts.
 
-The search hot path is pure NumPy: the blocker's array descent
+The search hot path is pure NumPy: the blocker's flat pass
 (:mod:`repro.core.blocker`) and the verifier's GEMM
 (:mod:`repro.core.verifier`). :func:`get_backend` names that
 implementation so recorded results say what produced them.

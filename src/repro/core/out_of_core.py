@@ -15,7 +15,7 @@ The sharded layer is the fast path, not a fallback:
 * :meth:`PartitionedPexeso.search_many` answers many query columns over
   many shards in one pass — every shard runs the batch engine
   (:class:`~repro.core.engine.BatchSearch`: one shared pivot mapping,
-  one HG_Q build, one blocking descent per τ group); shards run one
+  one blocking pass per τ group); shards run one
   after another by default (:data:`DEFAULT_SHARD_WORKERS` is 1: on the
   ledger's spilled short lake, 2 and 4 shard threads cost 1.20x and
   1.73x the wall time of one) and fan out over a thread pool when
@@ -377,7 +377,7 @@ class PartitionedPexeso:
         """Answer many query columns over every shard in one pass.
 
         Each shard runs the batch engine over the *whole* query list
-        (shared pivot mapping / HG_Q / blocking per τ group) and shards
+        (shared pivot mapping / blocking per τ group) and shards
         fan out over a thread pool. Results carry global column IDs and
         are bit-identical to a single index over the union of the shards
         (per-query hits, match counts and joinabilities — the engine's
@@ -481,15 +481,19 @@ class PartitionedPexeso:
         if shards is None:
             shards = LocalShards(self, max_workers=max_workers)
 
+        pieces = shards.topk(self._shards(parts), query, tau, k)
+        merge_started = time.perf_counter()
         merged_stats = SearchStats()
         best: list[tuple[int, int, float]] = []  # (global id, count, joinability)
-        for local, column_map in shards.topk(self._shards(parts), query, tau, k):
-            merged_stats.merge(local.stats)
-            best.extend(
-                (int(column_map[cid]), count, jn) for cid, count, jn in local.hits
-            )
-        # global order: count desc, column ID asc
-        best.sort(key=lambda row: (-row[1], row[0]))
+        with shards.merging():
+            for local, column_map in pieces:
+                merged_stats.merge(local.stats)
+                best.extend(
+                    (int(column_map[cid]), count, jn) for cid, count, jn in local.hits
+                )
+            # global order: count desc, column ID asc
+            best.sort(key=lambda row: (-row[1], row[0]))
+        merged_stats.stage_seconds.add("merge", time.perf_counter() - merge_started)
         return TopKResult(
             hits=best[:k], stats=merged_stats, tau=float(tau), k=min(k, self.n_columns)
         )

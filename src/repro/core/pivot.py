@@ -3,7 +3,8 @@
 A vector ``x`` is mapped to the pivot space of ``P = {p1..pk}`` as
 ``x' = [d(p1, x), ..., d(pk, x)]``. Matching vectors are then confined to
 a square query region around ``q'`` (Lemma 1) and per-pivot rectangle
-query regions (Lemma 2); see :mod:`repro.core.filtering`.
+query regions (Lemma 2); the blocker (:mod:`repro.core.blocker`) applies
+their cell forms, Lemmas 3 and 5.
 
 The paper adopts the PCA-based selection of Mao et al. [22]: good pivots
 are outliers, but not all outliers are good pivots, so candidates are drawn

@@ -3,8 +3,8 @@
 The result types and the :class:`AblationFlags` switches (the paper's
 Fig. 9 ablation: each lemma group can be disabled without affecting
 exactness — only performance) live here. The pipeline itself — map the
-query column into the pivot space, build ``HG_Q``, quick-browse aligned
-leaf cells, run Algorithm 1 (blocking) and verification (one GEMM over
+query column into the pivot space, quick-browse aligned leaf cells,
+run Algorithm 1 (blocking, :mod:`repro.core.blocker`) and verification (one GEMM over
 the candidate rows, :mod:`repro.core.verifier`) —
 is :class:`~repro.core.engine.BatchSearch`; :func:`pexeso_search` is a
 batch of one.

@@ -23,7 +23,7 @@ class StageTimings(dict):
 
     Canonical stage names, chosen disjoint so a sequential request's
     stages sum to at most its wall time: ``pivot_map`` (query pivot
-    mapping + HG_Q build), ``blocking`` (grid descent), ``verify``
+    mapping), ``blocking`` (the blocker's flat pass), ``verify``
     (verification), ``merge`` (cross-shard /
     cross-worker result merge), ``shard_load`` (spilled-partition
     loads), ``queue_wait`` (micro-batcher latency before dispatch),
@@ -78,19 +78,29 @@ class SearchStats:
             always 0. Verification no longer runs Lemmas 1/2, Lemma 7 or
             early accept; the perf ledger still reads the fields until its
             next re-baseline.
+        cells_visited: (query vector, occupied leaf cell) pairs the
+            blocker's flat pass looked at: |Q| x occupied ``HG_RV`` leaves.
+            Every such pair is exactly one of an aligned quick-browsing
+            candidate, ``lemma5_matched``, ``lemma3_filtered`` or another
+            candidate pair.
         lemma3_filtered: (query vector, leaf cell) pairs pruned by
-            vector-cell filtering (Lemma 3).
-        lemma4_filtered: cell-cell pairs pruned during the grid descent
-            (Lemma 4).
+            vector-cell filtering (Lemma 3), over every pair quick browsing
+            does not take
+            (the descent's Lemma 4 pruning included).
         lemma5_matched: (query vector, leaf cell) pairs matched by
-            vector-cell matching (Lemma 5).
-        lemma6_matched: cell-cell pairs matched during the grid descent
-            (Lemma 6).
-        cells_visited: grid cell pairs examined by Algorithm 1.
-        quick_browse_cells: leaf cells handled by quick browsing.
+            vector-cell matching (Lemma 5), over every pair quick browsing
+            does not take
+            (the descent's Lemma 6 subtree matches included).
+        lemma6_matched: aligned pairs that are also matching pairs
+            because their level-(m-1) parent cell, paired with itself,
+            passes Lemma 6; ``matching_pairs`` is this plus
+            ``lemma5_matched``.
+        quick_browse_cells: distinct leaf cells holding both a query
+            vector and a repository vector, whose (query vector, leaf)
+            pairs quick browsing makes candidates outright.
         columns_verified: distinct (query, column) pairs whose candidate
             rows verification scanned.
-        blocking_seconds: wall-clock time spent in Algorithm 1.
+        blocking_seconds: wall-clock time spent in blocking.
         verification_seconds: wall-clock time spent in verification.
         shard_load_seconds: wall-clock time spent loading spilled
             partitions from disk (the paper's protocol includes this in
@@ -121,7 +131,6 @@ class SearchStats:
     lemma1_filtered: int = 0
     lemma2_matched: int = 0
     lemma3_filtered: int = 0
-    lemma4_filtered: int = 0
     lemma5_matched: int = 0
     lemma6_matched: int = 0
     lemma7_skips: int = 0

@@ -390,7 +390,7 @@ class JoinableTableSearch:
         The query table's join-key candidates (most distinct string/date
         columns first) are embedded together and answered in **one**
         :class:`~repro.core.engine.BatchSearch` pass — one shared pivot
-        mapping, grid build and blocking descent instead of one full
+        mapping and blocking pass instead of one full
         pipeline per column. Results are identical to calling
         :meth:`search` once per candidate (the engine's exactness
         guarantee); record mappings for independent hits are computed on

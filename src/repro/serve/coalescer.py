@@ -1,8 +1,7 @@
 """Micro-batching request coalescer.
 
 The batch engine answers N queries far cheaper than N single searches
-(one shared pivot mapping, one HG_Q build, one blocking descent per τ
-group), but online clients arrive one request at a time. The
+(one shared pivot mapping and one blocking pass per τ group), but online clients arrive one request at a time. The
 :class:`MicroBatcher` bridges the two: concurrently arriving requests
 queue up, the first arrival becomes the *leader*, waits a small window
 for followers to pile in, and then executes fused batches while

@@ -13,8 +13,8 @@ produced — and layers the online concerns on top:
   client can reason about which index state answered it.
 * **micro-batching** — single-query ``search`` calls are coalesced by a
   :class:`~repro.serve.coalescer.MicroBatcher` into fused
-  ``search_many`` dispatches (one shared pivot mapping / grid build /
-  blocking descent), which is where the serving throughput comes from.
+  ``search_many`` dispatches (one shared pivot mapping and blocking
+  pass), which is where the serving throughput comes from.
 * **caching** — a generation-stamped LRU
   (:class:`~repro.serve.cache.ResultCache`); a mutation invalidates the
   whole cache by bumping the generation.

@@ -1,5 +1,6 @@
 """Resilience layer: deadlines, breakers, hedged reads, worker flapping."""
 
+import threading
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.core.metric import normalize_rows
 from repro.core.out_of_core import LakeSearcher, PartitionedPexeso
 from repro.core.persistence import load_partitioned, save_partitioned
 from repro.serve.client import ServeError
-from repro.serve.faults import FaultInjector
+from repro.serve.faults import FaultInjector, InjectedDrop
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +251,61 @@ class TestHedgedReads:
             )
             assert parity(reply["hits"], want)
             assert cluster.coordinator._hedges_fired == 0
+
+
+class HeldSearchDrop(FaultInjector):
+    """A fault plane whose barrier holds the first ``/search`` send until
+    ``release`` is set, then drops it; later sends pass."""
+
+    def __init__(self):
+        super().__init__()
+        self.holding = threading.Event()
+        self.release = threading.Event()
+
+    def before_send(self, target, method, path):
+        if path.startswith("/search") and not self.holding.is_set():
+            self.holding.set()
+            assert self.release.wait(10)
+            raise InjectedDrop("held send dropped")
+        super().before_send(target, method, path)
+
+
+class TestHedgeLosers:
+    def test_a_loser_failing_after_a_probe_leaves_health_alone(
+        self, lake_dir, reference, columns
+    ):
+        """The primary call is held, so the hedge answers; a health check
+        then finds both workers up, and only afterwards does the held
+        call fail. That loser started before the probe, so it must not
+        demote its worker."""
+        held = HeldSearchDrop()
+        with LocalCluster(
+            lake_dir,
+            n_workers=2,
+            replication=2,
+            mode="thread",
+            worker_kwargs=dict(window_ms=None, cache_size=0),
+            coordinator_kwargs=dict(
+                retries=0,
+                fault_injector=held,
+                resilience=ResilienceConfig(
+                    hedge_default_delay=0.01, hedge_delay_max=0.01
+                ),
+            ),
+        ) as cluster:
+            coordinator = cluster.coordinator
+            query = columns[3][:5]
+            reply = cluster.client.search(vectors=query, tau=0.6, joinability=0.3)
+            assert parity(reply["hits"], reference.search(query, 0.6, 0.3))
+            assert held.holding.is_set() and coordinator._hedges_won >= 1
+            assert coordinator.health_check() == ["up", "up"]
+            held.release.set()
+            for thread in threading.enumerate():
+                if thread.name.startswith(("scatter-", "hedge-")):
+                    thread.join(10)
+            assert coordinator.shard_map.statuses() == ["up", "up"]
+            assert coordinator._breakers[0].state == BREAKER_CLOSED
+            assert coordinator._breakers[1].state == BREAKER_CLOSED
 
 
 class TestDeadlinePropagation:

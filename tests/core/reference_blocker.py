@@ -5,7 +5,7 @@ This is the recursive formulation of the blocking descent: one call per
 (query cell, sibling target group), and output pushed pair by pair into
 ``{query row: [leaf codes]}`` dicts. :func:`repro.core.blocker.block`
 must produce the same (row, cell) pairs of each kind and the same
-counters; ``test_blocker_equivalence.py`` checks that, the same way
+quick-browsing count; ``test_blocker_equivalence.py`` checks that, the same way
 ``reference.ReferenceGrid`` (beside this file) pins the array grid.
 """
 
@@ -164,7 +164,6 @@ class _Blocker:
                     self._emit_subtree_matches(
                         child_level, q_code, int(r_codes[ri])
                     )
-            self.stats.lemma4_filtered += int(filtered.sum())
             for ri in np.nonzero(~matched & ~filtered)[0]:
                 self._block(child_level, q_code, int(r_codes[ri]))
 

@@ -5,6 +5,8 @@ must be reachable through either a matching pair or a candidate pair —
 blocking may only discard provably-nonmatching combinations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,28 @@ def test_stats_populated():
     assert stats.blocking_seconds >= 0.0
     assert stats.candidate_pairs == result.n_candidate_pairs
     assert stats.matching_pairs == result.n_match_pairs
+
+
+def test_a_batch_group_blocks_in_bounded_memory():
+    """One ``block()`` over a 320-row group (a batch of 16 short columns)
+    against ~700 occupied leaves peaks under 2 MB: the pass goes in
+    chunks, so it never holds a rows x leaves x |P| float64 array
+    (8.9 MB here), nor one value per pair for the whole group."""
+    rng = np.random.default_rng(4)
+    data = normalize_rows(rng.normal(size=(800, 16)))
+    queries = normalize_rows(rng.normal(size=(320, 16)))
+    space = PivotSpace(data[:5], EuclideanMetric())
+    hg_rv = HierarchicalGrid.build(space.map_vectors(data), 4, space.extent, store_members=False)
+    q_mapped = space.map_vectors(queries)
+    assert 650 < hg_rv.leaf_codes.size < 750
+    tracemalloc.start()
+    try:
+        result = block(None, hg_rv, q_mapped, 0.15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_candidate_pairs > 0
+    assert peak < 2 * 2**20, peak
 
 
 def test_mismatched_levels_raise():

@@ -3,8 +3,12 @@
 Sweeps seeds x |P| 1–5 x m 1–5 x a τ grid reaching past the pivot-space
 extent (so Lemmas 5 and 6 fire) x the four Lemma 3/4 and 5/6 ablation
 combinations x one- and three-column query grids, with and without quick
-browsing. Every case must produce the same (row, cell) multiset of each
-pair kind and the same six blocking counters as ``reference_blocker``.
+browsing, plus a many-leaf lake (uniform vectors, about one per leaf).
+Every case must produce the same (row, cell) multiset of each pair kind
+as ``reference_blocker`` and the same quick-browsing count. The other
+blocking counters count the flat pass's (row, leaf) tests, which the
+descent does not make, so they are checked against the pass's own
+identities instead.
 """
 
 from functools import lru_cache
@@ -23,14 +27,18 @@ from repro.core.stats import SearchStats
 SEEDS = (0, 1)
 TAUS = (0.0, 0.15, 0.5, 1.2, 2.5)
 FLAGS = list(product((True, False), repeat=2))  # (use_lemma34, use_lemma56)
-COUNTERS = (
-    "cells_visited",
-    "lemma3_filtered",
-    "lemma4_filtered",
-    "lemma5_matched",
-    "lemma6_matched",
-    "quick_browse_cells",
-)
+
+
+def _check_counters(got, want, n_rows: int, n_leaves: int, case) -> None:
+    """Counters equal where both formulations count the same thing, and
+    the flat pass's own counters add up: every (row, leaf) pair is looked
+    at once and lands in exactly one bucket."""
+    assert got.quick_browse_cells == want.quick_browse_cells, case
+    assert got.cells_visited == n_rows * n_leaves, case
+    assert got.cells_visited == (
+        got.lemma3_filtered + got.lemma5_matched + got.candidate_pairs
+    ), case
+    assert got.matching_pairs == got.lemma5_matched + got.lemma6_matched, case
 
 
 def _lake(seed: int, n_pivots: int, n_query_columns: int):
@@ -72,8 +80,7 @@ def _sweep(n_pivots: int, levels: int) -> tuple[int, int]:
             case = (seed, n_cols, tau, use34, use56, quick)
             assert _csr_pairs(got.match) == _pairs(want.match_pairs), case
             assert _csr_pairs(got.candidate) == _pairs(want.candidate_pairs), case
-            for name in COUNTERS:
-                assert getattr(got_stats, name) == getattr(want_stats, name), (name, case)
+            _check_counters(got_stats, want_stats, len(q_mapped), hg_rv.leaf_codes.size, case)
             fired5 += want_stats.lemma5_matched
             fired6 += want_stats.lemma6_matched
     return fired5, fired6
@@ -83,6 +90,29 @@ def _sweep(n_pivots: int, levels: int) -> tuple[int, int]:
 @pytest.mark.parametrize("n_pivots", [1, 2, 3, 4, 5])
 def test_matches_reference_blocker(n_pivots, levels):
     _sweep(n_pivots, levels)
+
+
+@pytest.mark.parametrize("tau", [0.1, 1.3])
+def test_many_leaves_match_reference_blocker(tau):
+    """Uniform dim-16 vectors on a 5-level grid: about one vector per
+    occupied leaf, the shape where the descent prunes most."""
+    rng = np.random.default_rng(11)
+    data = normalize_rows(rng.normal(size=(1500, 16)))
+    queries = normalize_rows(data[:6] + rng.normal(scale=0.05, size=(6, 16)))
+    space = PivotSpace(data[:5], EuclideanMetric())
+    data_mapped, q_mapped = space.map_vectors(data), space.map_vectors(queries)
+    hg_rv = HierarchicalGrid.build(data_mapped, 5, space.extent, store_members=False)
+    hg_q = HierarchicalGrid.build(q_mapped, 5, space.extent)
+    assert hg_rv.leaf_codes.size > 1000
+    for (use34, use56), quick in product(FLAGS, (True, False)):
+        kwargs = dict(use_lemma34=use34, use_lemma56=use56, use_quick_browsing=quick)
+        want_stats, got_stats = SearchStats(), SearchStats()
+        want = reference_block(hg_q, hg_rv, q_mapped, tau, want_stats, **kwargs)
+        got = block(hg_q, hg_rv, q_mapped, tau, got_stats, **kwargs)
+        case = (tau, use34, use56, quick)
+        assert _csr_pairs(got.match) == _pairs(want.match_pairs), case
+        assert _csr_pairs(got.candidate) == _pairs(want.candidate_pairs), case
+        _check_counters(got_stats, want_stats, len(q_mapped), hg_rv.leaf_codes.size, case)
 
 
 def test_sweep_fires_lemmas_5_and_6():

@@ -1,11 +1,15 @@
-"""Tests for the Lemma 1-6 predicates.
+"""Soundness of the Lemma 1-6 predicates of the blocking oracle.
 
-The soundness properties are the heart of PEXESO's exactness:
+The predicates are ``reference_blocker``'s ``_leaf_masks`` (Lemmas 3/5,
+query vectors against leaf boxes) and ``_cell_masks`` (Lemmas 4/6, cell
+against cell), the oracle the flat-pass blocker is checked against. The
+soundness properties are the heart of PEXESO's exactness:
 * filters (Lemmas 1, 3, 4) must never prune a true match;
 * matchers (Lemmas 2, 5, 6) must never accept a false match.
 Both are checked against brute-force distances on random data. Lemmas 1
 and 2 are Lemmas 3 and 5 on a zero-width cell (``lo = hi = q'``, the
-mapped vectors playing the query rows), which is how they are evaluated.
+mapped vectors playing the query rows), and the square / rectangle query
+regions SQR and RQR are what Lemmas 3 and 5 keep and accept for a point.
 """
 
 import numpy as np
@@ -13,16 +17,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.filtering import (
-    lemma3_filter_vectors_vs_cell,
-    lemma4_filter_cell_vs_cell,
-    lemma5_match_vectors_vs_cell,
-    lemma6_match_cell_vs_cell,
-    rectangle_query_regions,
-    square_query_region,
-)
+from reference_blocker import _cell_masks, _leaf_masks
 from repro.core.metric import EuclideanMetric, normalize_rows
 from repro.core.pivot import PivotSpace
+
+
+def lemma3_filter_vectors_vs_cell(q_mapped, cell_lo, cell_hi, tau):
+    """Rows of ``q_mapped`` whose SQR misses the box (Lemma 3 alone)."""
+    lo, hi = np.atleast_2d(cell_lo), np.atleast_2d(cell_hi)
+    return _leaf_masks(np.atleast_2d(q_mapped), lo, hi, tau, False, True)[1][:, 0]
+
+
+def lemma5_match_vectors_vs_cell(q_mapped, cell_hi, tau):
+    """Rows of ``q_mapped`` that every vector of the box matches (Lemma 5)."""
+    hi = np.atleast_2d(cell_hi)
+    return _leaf_masks(np.atleast_2d(q_mapped), hi, hi, tau, True, False)[0][:, 0]
+
+
+def lemma4_filter_cell_vs_cell(qcell_lo, qcell_hi, tcell_lo, tcell_hi, tau):
+    """Whether the target box is farther than τ from the query box (Lemma 4)."""
+    t_lo, t_hi = np.atleast_2d(tcell_lo), np.atleast_2d(tcell_hi)
+    return bool(_cell_masks(t_lo, t_hi, qcell_lo, qcell_hi, tau, False, True)[1][0])
+
+
+def lemma6_match_cell_vs_cell(qcell_hi, tcell_hi, tau):
+    """Whether every pair across the two boxes matches (Lemma 6)."""
+    t_hi = np.atleast_2d(tcell_hi)
+    return bool(_cell_masks(t_hi, t_hi, qcell_hi, qcell_hi, tau, True, False)[0][0])
 
 
 def lemma1_filter_mask(x_mapped, q_mapped, tau):
@@ -66,6 +87,20 @@ class TestLemma1And2Soundness:
             true_match = metric.distances_to(q, data) <= tau
             accepted = lemma2_match_mask(x_mapped, q_mapped[qi], tau)
             assert not (accepted & ~true_match).any()
+
+    def test_lemma1_matches_definition(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 2, size=(40, 5))
+        q = rng.uniform(0, 2, size=(1, 5))
+        got = lemma1_filter_mask(x, q[0], 0.7)
+        np.testing.assert_array_equal(got, (np.abs(x - q) > 0.7).any(axis=1))
+
+    def test_lemma2_matches_definition_rowwise(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0, 2, size=(40, 5))
+        q = rng.uniform(0, 2, size=(40, 5))
+        got = np.array([lemma2_match_mask(x[i], q[i], 1.1)[0] for i in range(40)])
+        np.testing.assert_array_equal(got, ((x + q) <= 1.1).any(axis=1))
 
     def test_lemma2_fires_near_pivot(self):
         """Vectors near a pivot are accepted when the query is also near it."""
@@ -186,21 +221,30 @@ class TestCellSoundnessAgainstBruteForce:
 
 
 class TestQueryRegions:
+    """SQR(q', τ) = [q' - τ, q' + τ] is what Lemma 3 keeps of a point;
+    RQR(q', p_i, τ) = [0, τ - q'_i] on axis i exists when τ >= q'_i and is
+    what Lemma 5 accepts through pivot i."""
+
     def test_sqr_bounds(self):
-        lo, hi = square_query_region(np.array([1.0, 2.0]), 0.5)
-        np.testing.assert_allclose(lo, [0.5, 1.5])
-        np.testing.assert_allclose(hi, [1.5, 2.5])
+        q = np.array([1.0, 2.0])
+        for point in ([0.5, 1.5], [1.5, 2.5], [0.5, 2.5]):  # corners: kept
+            assert not lemma1_filter_mask(np.array([point]), q, 0.5)[0]
+        for point in ([0.49, 2.0], [1.0, 2.51]):  # just outside: pruned
+            assert lemma1_filter_mask(np.array([point]), q, 0.5)[0]
 
     def test_rqr_existence(self):
-        regions = rectangle_query_regions(np.array([0.2, 0.9]), tau=0.5)
-        assert [idx for idx, _ in regions] == [0]
-        assert regions[0][1] == pytest.approx(0.3)
+        q = np.array([[0.2, 0.9]])
+        # pivot 0's region reaches 0.3 on axis 0; pivot 1 has none
+        assert lemma5_match_vectors_vs_cell(q, np.array([0.3, 9.0]), 0.5)[0]
+        assert not lemma5_match_vectors_vs_cell(q, np.array([0.31, 9.0]), 0.5)[0]
+        assert not lemma5_match_vectors_vs_cell(q, np.array([9.0, 0.0]), 0.5)[0]
 
     def test_rqr_none_when_tau_small(self):
-        assert rectangle_query_regions(np.array([0.6, 0.9]), tau=0.5) == []
+        q = np.array([[0.6, 0.9]])
+        assert not lemma5_match_vectors_vs_cell(q, np.zeros(2), 0.5)[0]
 
     @settings(max_examples=30, deadline=None)
     @given(tau=st.floats(0.01, 2.0), coord=st.floats(0.0, 2.0))
     def test_rqr_extent_never_negative(self, tau, coord):
-        for _, extent in rectangle_query_regions(np.array([coord]), tau):
-            assert extent >= 0.0
+        accepted = lemma5_match_vectors_vs_cell(np.array([[coord]]), np.zeros(1), tau)[0]
+        assert accepted == (tau - coord >= 0.0)

@@ -1,5 +1,5 @@
 """The index's in-memory layout: ``memory_bytes()`` is exactly the
-``.nbytes`` of the pivots, the grid levels and every ndarray the inverted
+``.nbytes`` of the pivots, the grid's leaf codes and every ndarray the inverted
 index holds (the leaf array it shares with the grid counted once), so no
 bytes hide in structures Fig. 6b does not count; the runs cost one bit
 per row and an empty tail nothing.
@@ -20,11 +20,10 @@ def built(small_columns):
 
 
 def held_bytes(index: PexesoIndex) -> int:
-    """``.nbytes`` of the pivots, the grid levels and every ndarray the
-    inverted index holds, each array object counted once."""
-    grid = index.grid
-    arrays = [index.pivot_space.pivots]
-    arrays += [grid.level_codes(level) for level in range(grid.levels + 1)]
+    """``.nbytes`` of the pivots, the grid's leaf codes (it stores no
+    upper level) and every ndarray the inverted index holds, each array
+    object counted once."""
+    arrays = [index.pivot_space.pivots, index.grid.leaf_codes]
     arrays += [v for v in vars(index.inverted).values() if isinstance(v, np.ndarray)]
     return sum(a.nbytes for a in {id(a): a for a in arrays}.values())
 

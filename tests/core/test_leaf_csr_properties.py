@@ -177,10 +177,10 @@ class Run:
         want = [(i, cid) for i, cell in enumerate(repeated) for cid, _ in expected.get(cell, [])]
         assert list(zip(which.tolist(), cols.tolist())) == want
 
-        # memory_bytes() is the arrays it counts
+        # memory_bytes() is the arrays it counts (the grid stores its
+        # leaf codes alone)
         grid = index.grid
-        counted = [grid.level_codes(level) for level in range(grid.levels + 1)]
-        counted += [index.pivot_space.pivots, *inverted.arrays()]
+        counted = [index.pivot_space.pivots, grid.leaf_codes, *inverted.arrays()]
         assert index.memory_bytes() == sum(a.nbytes for a in counted)
 
         # hits equal the exhaustive scan

@@ -209,6 +209,17 @@ class TestWireShape:
         ]
         assert sorted(parts) == [0, 1, 2, 3]
 
+    def test_topk_records_its_merge(self, tracer, cluster, columns):
+        """A top-k merges its workers' answers under a ``coordinator.merge``
+        span and reports the stage, as ``/search`` does."""
+        tracer.reset()
+        reply = cluster.client.topk(vectors=columns[3][:5], tau=0.7, k=3)
+        (tree,) = tracer.traces()
+        (root,) = tree["roots"]
+        assert root["name"] == "coordinator.topk"
+        assert len(_find_all(tree, "coordinator.merge")) == 1
+        assert set(reply["timings"]) == {"scatter", "merge"}
+
     def test_topk_over_five_groups_is_one_scatter(
         self, tracer, columns, tmp_path
     ):
