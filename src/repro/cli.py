@@ -63,6 +63,7 @@ from repro.lake.key_detection import detect_key_column
 from repro.lake.repository import TableRepository
 from repro.lake.statistics import DatasetStatistics, dataset_statistics
 from repro.serve.client import ServeError
+from repro.serve.schema import search_payload, topk_payload
 
 
 def _build_embedder(args: argparse.Namespace) -> HashingNGramEmbedder:
@@ -116,16 +117,26 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hit_rows(result) -> list[tuple[int, int, float]]:
-    return [(h.column_id, h.match_count, h.joinability) for h in result.joinable]
+def _print_payload_hits(hits, columns) -> None:
+    """Print a search or top-k payload's hits, one per line.
 
-
-def _print_hits(rows, columns) -> None:
-    for column_id, count, joinability in rows:
-        ref = columns[column_id]
+    A hit is labelled by the payload when it carries a label — a
+    coordinator's catalog tracks live adds, while the local catalog.json
+    is frozen at index time — else by ``columns``, else by its ID.
+    """
+    if not hits:
+        print("no joinable tables found")
+    for h in hits:
+        table, column = h.get("table"), h.get("column")
+        if table is None:
+            cid = h["column_id"]
+            if 0 <= cid < len(columns):
+                table, column = columns[cid]["table"], columns[cid]["column"]
+            else:
+                table, column = f"column_{cid}", "?"
         print(
-            f"{ref['table']}.{ref['column']}\t"
-            f"matches={count}\tjoinability={joinability:.3f}"
+            f"{table}.{column}\tmatches={h['match_count']}\t"
+            f"joinability={h['joinability']:.3f}"
         )
 
 
@@ -171,26 +182,8 @@ def _cluster_search(args: argparse.Namespace, catalog: dict, embedder) -> int:
         return 1
     if args.json:
         print(json.dumps(payload, indent=2))
-        return 0
-    if not payload["hits"]:
-        print("no joinable tables found")
-        return 0
-    # Label hits from the payload when the coordinator annotated them —
-    # its catalog tracks live adds, while the local catalog.json is
-    # frozen at index time and may not cover every live column ID.
-    columns = catalog["columns"]
-    for h in payload["hits"]:
-        table, column = h.get("table"), h.get("column")
-        if table is None:
-            cid = h["column_id"]
-            if 0 <= cid < len(columns):
-                table, column = columns[cid]["table"], columns[cid]["column"]
-            else:
-                table, column = f"column_{cid}", "?"
-        print(
-            f"{table}.{column}\tmatches={h['match_count']}\t"
-            f"joinability={h['joinability']:.3f}"
-        )
+    else:
+        _print_payload_hits(payload["hits"], catalog["columns"])
     return 0
 
 
@@ -247,28 +240,21 @@ def cmd_search(args: argparse.Namespace) -> int:
         ]
         batch = searcher.search_many(vectors, tau, args.joinability)
         columns = catalog["columns"]
+        payloads = {
+            name: search_payload(result, columns=columns)
+            for name, result in zip(candidates, batch.results)
+        }
         if args.json:
-            from repro.serve.schema import search_payload
-
-            payload = {
-                "columns": {
-                    name: search_payload(result, columns=columns)
-                    for name, result in zip(candidates, batch.results)
-                },
+            print(json.dumps({
+                "columns": payloads,
                 "wall_seconds": batch.wall_seconds,
                 "distance_computations": batch.stats.distance_computations,
-            }
-            print(json.dumps(payload, indent=2))
+            }, indent=2))
             return 0
-        total = 0
-        for name, result in zip(candidates, batch.results):
+        for name, payload in payloads.items():
             print(f"[{name}]")
-            rows = _hit_rows(result)
-            if rows:
-                _print_hits(rows, columns)
-                total += len(rows)
-            else:
-                print("no joinable tables found")
+            _print_payload_hits(payload["hits"], columns)
+        total = sum(len(payload["hits"]) for payload in payloads.values())
         print(
             f"# {total} hits over {len(candidates)} query columns "
             f"in {batch.wall_seconds:.3f}s "
@@ -284,30 +270,19 @@ def cmd_search(args: argparse.Namespace) -> int:
         query_table.column(column).values, catalog, embedder
     )
 
+    columns = catalog["columns"]
     if args.topk:
-        result = searcher.topk(query_vectors, tau, args.topk)
-        rows = result.hits
-        if args.json:
-            from repro.serve.schema import topk_payload
-
-            print(json.dumps(topk_payload(result, columns=catalog["columns"]),
-                             indent=2))
-            return 0
+        payload = topk_payload(
+            searcher.topk(query_vectors, tau, args.topk), columns=columns
+        )
     else:
-        result = searcher.search(query_vectors, tau, args.joinability)
-        rows = _hit_rows(result)
-        if args.json:
-            from repro.serve.schema import search_payload
-
-            print(json.dumps(
-                search_payload(result, columns=catalog["columns"]), indent=2
-            ))
-            return 0
-
-    if not rows:
-        print("no joinable tables found")
-        return 0
-    _print_hits(rows, catalog["columns"])
+        payload = search_payload(
+            searcher.search(query_vectors, tau, args.joinability), columns=columns
+        )
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        _print_payload_hits(payload["hits"], columns)
     return 0
 
 

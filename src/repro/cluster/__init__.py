@@ -13,8 +13,8 @@ core guarantee — results bit-identical to a single-node
   :class:`~repro.core.out_of_core.PartitionedPexeso` (exact merge,
   one-scatter top-k, placement, IDs) over remote shard
   groups (:class:`~repro.cluster.groups.RemoteGroups`), keeping
-  membership, failover, hedging, breakers, deadlines and
-  ``cluster.json`` itself;
+  membership, the worker transport (scatter, failover, hedging,
+  breakers, deadlines) and ``cluster.json`` itself;
 * :func:`~repro.cluster.worker.start_worker` — a serving node over a
   shard-subset lake (:func:`~repro.core.persistence.load_partitioned`
   with ``parts=``), joined through the coordinator's registration

@@ -1,26 +1,30 @@
-"""The cluster coordinator: membership, resilience and metadata for remote shards.
+"""The cluster coordinator: membership, resilience and the worker transport.
 
 :class:`ClusterCoordinator` owns the shard map over one saved
 partitioned lake and speaks to its workers through
-:class:`~repro.serve.client.ServeClient`. The scatter-gather is the
-saved lake's own: the coordinator runs a metadata-only
+:class:`~repro.serve.client.ServeClient`. The merge is the saved lake's
+own: the coordinator runs a metadata-only
 :class:`~repro.core.out_of_core.PartitionedPexeso` over
-:class:`~repro.cluster.groups.RemoteGroups`, whose unit is one routed
-worker slot answering a set of partitions:
+:class:`~repro.cluster.groups.RemoteGroups`, which only translates
+between the lake's shard seam and worker payloads. Every worker call
+goes through this module, beside the per-slot state it reads: clients,
+breakers, health epochs and latency windows.
 
-* **search** — every partition is routed to exactly one live owner
-  (primary, else first live replica), so the lake's exact merge is
-  bit-identical to a local :class:`~repro.core.out_of_core.LakeSearcher`.
+* **search** — :meth:`ClusterCoordinator.scatter` routes every
+  partition to exactly one live owner (primary, else first live
+  replica) and makes one hedged call per routed worker, so the lake's
+  exact merge is bit-identical to a local
+  :class:`~repro.core.out_of_core.LakeSearcher`.
 * **top-k** — one scatter too: every routed worker returns the top-k
   of its partitions and the lake merges them once by count, then
   global ID, so the ranking equals single-node top-k.
 * **maintenance** — the lake places the column and allocates its ID;
-  the write goes through to *every* live replica. A worker that missed
-  writes while down is replayed from the coordinator's mutation log
-  before it is promoted back to ``up``.
-* **failover** — a worker that fails a scatter call (or a health check)
-  is demoted and its partitions are re-routed to live replicas, within
-  the same request.
+  :meth:`ClusterCoordinator.write_through` sends the write to *every*
+  live replica. A worker that missed writes while down is replayed from
+  the coordinator's mutation log before it is promoted back to ``up``.
+* **failover** — the first transport failure of a scatter call (or a
+  failed health check) opens the worker's breaker and demotes it; its
+  partitions are re-routed to live replicas within the same request.
 
 Every response stamps a **cluster generation vector** — the last known
 per-worker service generation, indexed by worker slot — rolling the
@@ -52,6 +56,8 @@ from repro.serve.schema import label_column
 from repro.cluster.groups import RemoteGroups
 from repro.cluster.resilience import (
     BREAKER_CLOSED,
+    HEDGE_DELAY_MIN,
+    HEDGE_QUANTILE,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
@@ -83,7 +89,7 @@ class ClusterCoordinator:
         timeout: per-worker-call socket timeout in seconds.
         resilience: :class:`~repro.cluster.resilience.ResilienceConfig`
             tuning hedged reads, circuit breakers and default deadlines
-            (``None`` = defaults: hedging on, breaker threshold 1).
+            (``None`` = defaults: hedging on).
         fault_injector: optional
             :class:`~repro.serve.faults.FaultInjector` applied to every
             worker client this coordinator creates (scope rules to one
@@ -156,7 +162,7 @@ class ClusterCoordinator:
         self._generations = [0] * self.shard_map.n_workers
         #: mutation log for replaying missed writes to returning workers:
         #: (partition, apply) pairs, ``apply(client)`` re-sending one
-        #: idempotent write-through (see RemoteGroups)
+        #: idempotent write-through (see :meth:`write_through`)
         self._mutation_log: list[tuple[int, Callable]] = []
         #: log position each slot has confirmed (applied or registered at)
         self._slot_log_pos = [0] * self.shard_map.n_workers
@@ -168,7 +174,6 @@ class ClusterCoordinator:
         cfg = self.resilience
         self._breakers = [
             CircuitBreaker(
-                failure_threshold=cfg.breaker_failure_threshold,
                 cooldown=cfg.breaker_cooldown,
                 max_cooldown=cfg.breaker_max_cooldown,
                 clock=breaker_clock,
@@ -300,6 +305,82 @@ class ClusterCoordinator:
             self._slot_log_pos[slot] = max(self._slot_log_pos[slot], target)
         return replayed
 
+    def write_through(
+        self, part: int, what: str, apply: Callable
+    ) -> list[tuple[int, Optional[int]]]:
+        """Run ``apply(client)`` on every live owner of ``part``.
+
+        Callers hold the mutation lock. Returns ``(slot, generation or
+        None)`` for every owner that applied the write. Owners that fail
+        are demoted; the idempotent ``apply`` is replayed to them from
+        the mutation log (see :meth:`log_mutation`) before they rejoin.
+
+        Raises:
+            ClusterUnavailable: when no live owner applied it.
+        """
+        live = [
+            slot for slot in self.shard_map.owners[part]
+            if self.shard_map.worker(slot).status == "up"
+        ]
+
+        def attempt(slot: int):
+            try:
+                return slot, apply(self._client(slot))
+            except (ServeError, OSError, ClusterUnavailable):
+                # A ServeError means the worker answered but rejected the
+                # write. The request itself was validated here, so a
+                # rejection means *this replica's* state diverged (or it
+                # failed internally) — demote it rather than abort: an
+                # abort after another replica applied would leave a
+                # phantom column the coordinator never recorded. The
+                # recovery replay retries the mutation; a replica that
+                # keeps rejecting it stays down for an operator to inspect.
+                return slot, None
+
+        # Replicas are written in parallel (the mutation lock is held
+        # around the whole fan-out, so ordering is unchanged): summed
+        # sequential round trips would let one black-holed replica stall
+        # every mutation and worker promotion behind the lock for the
+        # full timeout × replication budget.
+        if len(live) <= 1:
+            outcomes = [attempt(slot) for slot in live]
+        else:
+            with ThreadPoolExecutor(max_workers=len(live)) as pool:
+                outcomes = list(pool.map(attempt, live))
+
+        applied: list[tuple[int, Optional[int]]] = []
+        for slot, reply in outcomes:
+            if reply is None:
+                self._demote(slot)
+                continue
+            generation = reply.get("generation")
+            applied.append((slot, generation if isinstance(generation, int) else None))
+        if not applied:
+            raise ClusterUnavailable(
+                f"no live replica of partition {part} accepted the {what}"
+            )
+        return applied
+
+    def log_mutation(
+        self, entry: tuple[int, Callable], applied: Sequence[tuple[int, Optional[int]]]
+    ) -> list[int]:
+        """Log one written-through mutation (under the mutation lock) for
+        the slots that applied it; returns the generations it landed in.
+
+        Logged writes keep their full vectors so any worker (re)joining
+        from the fit-time saved lake can be brought level; the log is
+        never compacted, because a future registrant always replays from
+        position zero. A very long-lived coordinator bounds this by
+        re-saving the lake and restarting the cluster.
+        """
+        self._mutation_log.append(entry)
+        generations = self.generation_vector()
+        for slot, generation in applied:
+            self._slot_log_pos[slot] = len(self._mutation_log)
+            if generation is not None:
+                self._generations[slot] = generations[slot] = generation
+        return generations
+
     def _client(self, slot: int) -> ServeClient:
         with self._clients_lock:
             client = self._clients.get(slot)
@@ -315,24 +396,15 @@ class ClusterCoordinator:
                 self._clients[slot] = client
         return client
 
-    def _demote(self, slot: int, force: bool = False) -> None:
-        """Record one failure against a slot's breaker; demote when open.
+    def _demote(self, slot: int) -> None:
+        """Open a slot's breaker and mark it down.
 
-        With the default ``failure_threshold=1`` this reproduces the old
-        demote-on-first-failure behaviour exactly; a higher threshold
-        absorbs transient faults (the failed partitions are re-routed
-        per request via ``route(exclude=...)`` without marking the
-        worker down). ``force`` trips the breaker outright — used for
-        failed health probes and write-through rejections, where
-        continuing to route to the worker is never right.
+        The first transport failure of a call, a failed health probe and
+        a rejected write-through all demote: the slot's partitions are
+        routed to live replicas until a half-open probe re-promotes it.
         """
-        breaker = self._breakers[slot]
-        if force:
-            breaker.trip()
-        else:
-            breaker.record_failure()
-        if breaker.state != BREAKER_CLOSED:
-            self.shard_map.mark_down(slot)
+        self._breakers[slot].record_failure()
+        self.shard_map.mark_down(slot)
 
     def health_check(self) -> list[str]:
         """Probe every claimed worker; demote the dead, revive the recovered.
@@ -350,25 +422,30 @@ class ClusterCoordinator:
         worker = self.shard_map.worker(slot)
         try:
             reply = self._client(slot).healthz()
-        except (ServeError, OSError, ClusterUnavailable):
-            self._demote(slot, force=True)
-            return False
-        self._generations[slot] = int(reply.get("generation", 0))
-        if worker.status == "down":
-            try:
+            self._generations[slot] = int(reply.get("generation", 0))
+            if worker.status == "down":
                 self._replay_and_promote(
                     slot, set(worker.parts),
                     lambda: self.shard_map.mark_up(slot),
                 )
-            except (ServeError, OSError):
-                self._demote(slot, force=True)
-                return False
-        else:
-            self.shard_map.mark_up(slot)
+            else:
+                self.shard_map.mark_up(slot)
+        except (ServeError, OSError, ClusterUnavailable):
+            self._demote(slot)
+            return False
         self._breakers[slot].record_success()
         with self._stats_lock:
             self._health_epochs[slot] += 1
         return True
+
+    def _due_probes(self) -> list[int]:
+        """Down slots whose breaker grants a half-open probe right now
+        (each grant moves that breaker to ``half-open``)."""
+        return [
+            worker.slot for worker in list(self.shard_map.workers)
+            if worker.status == "down" and worker.url is not None
+            and self._breakers[worker.slot].should_probe()
+        ]
 
     def probe_half_open(self) -> list[int]:
         """Probe every down worker whose breaker grants a half-open probe.
@@ -376,52 +453,219 @@ class ClusterCoordinator:
         Each granted probe is a *full* recovery probe (health check,
         mutation-log replay, then promotion), run synchronously; a probe
         that fails re-opens the breaker with a doubled cooldown. The
-        scatter path calls this asynchronously (see
-        :meth:`_maybe_probe_async`), so a demoted worker is retried on
-        the breaker's schedule without blocking any query; tests call it
-        directly for deterministic flapping sequences. Returns the slots
-        probed.
+        scatter loop launches the same probes on background threads, so
+        a demoted worker is retried on the breaker's schedule without
+        blocking any query; tests call this directly for deterministic
+        flapping sequences. Returns the slots probed.
         """
-        probed = []
-        for worker in list(self.shard_map.workers):
-            if worker.status != "down" or worker.url is None:
-                continue
-            if self._breakers[worker.slot].should_probe():
-                probed.append(worker.slot)
-                self._probe(worker.slot)
+        probed = self._due_probes()
+        for slot in probed:
+            self._probe(slot)
         return probed
 
-    def _maybe_probe_async(self) -> None:
-        """Launch background half-open probes for eligible down workers."""
-        for worker in list(self.shard_map.workers):
-            if worker.status != "down" or worker.url is None:
-                continue
-            if self._breakers[worker.slot].should_probe():
-                threading.Thread(
-                    target=self._probe, args=(worker.slot,),
-                    name=f"half-open-probe-{worker.slot}", daemon=True,
-                ).start()
+    # -- the transport: one scatter loop -------------------------------------------
 
-    # -- scatter-gather ------------------------------------------------------------
+    def scatter(
+        self,
+        parts: Optional[Sequence[int]],
+        request: Callable[..., dict],
+        deadline: Optional[Deadline] = None,
+        trace=None,
+    ) -> list[tuple[int, dict]]:
+        """Fan one read out over the routed workers, failing over.
+
+        ``request(client, parts=, deadline_ms=, trace=)`` is one worker
+        read, such as ``partial(ServeClient.search, vectors=..., ...)``;
+        ``parts`` is ``None`` for a worker that answers its whole
+        assignment. Each routed group is one hedged call (see
+        :meth:`_hedged_call`) in its own ``scatter.slot`` span, run on a
+        thread pool. Groups that fail with a transport error are
+        re-routed to live replicas until they succeed or some partition
+        has no live owner left; slots that failed are excluded from the
+        re-route even when they are still ``up``. A
+        :class:`DeadlineExceeded` is counted as a deadline violation.
+        Returns ``(answering slot, payload)`` pairs so callers can stamp
+        each answer with the exact generation it executed at.
+        """
+        try:
+            with self.tracer.span("coordinator.scatter", parent=trace) as span:
+                for slot in self._due_probes():
+                    threading.Thread(
+                        target=self._probe, args=(slot,),
+                        name=f"half-open-probe-{slot}", daemon=True,
+                    ).start()
+
+                def run(group: tuple[int, list[int]]) -> Optional[tuple[int, dict]]:
+                    slot, group_parts = group
+                    # a worker answering its *entire* assignment needs no
+                    # partition restriction — the unrestricted path keeps
+                    # the worker's micro-batcher eligible to fuse
+                    # concurrent scatters
+                    assigned = self.shard_map.worker(slot).parts
+                    restricted = sorted(group_parts) != sorted(assigned)
+                    call = partial(request, parts=group_parts if restricted else None)
+                    with self.tracer.span("scatter.slot", parent=span) as slot_span:
+                        slot_span.annotate(
+                            slot=slot, parts=list(group_parts),
+                            restricted=restricted,
+                            breaker=self._breakers[slot].state,
+                        )
+                        try:
+                            answered, payload = self._hedged_call(
+                                slot, group_parts, call, deadline, slot_span
+                            )
+                        except (OSError, ClusterUnavailable):
+                            # _timed_call already demoted the slot, or left
+                            # it to its probe
+                            with self._stats_lock:
+                                self._slot_failovers[slot] += 1
+                            slot_span.annotate(failover=True)
+                            return None
+                        slot_span.annotate(answered_by=answered)
+                    generation = payload.get("generation")
+                    if isinstance(generation, int):
+                        self._generations[answered] = generation
+                    return answered, payload
+
+                plan = self.shard_map.route(parts)
+                replies: list[tuple[int, dict]] = []
+                failed: set[int] = set()
+                while True:
+                    if deadline is not None:
+                        deadline.check("scatter round")
+                    groups = sorted(plan.items())
+                    if len(groups) == 1:
+                        outcomes = [run(groups[0])]
+                    else:
+                        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+                            outcomes = list(pool.map(run, groups))
+                    lost: list[int] = []
+                    for (slot, group_parts), outcome in zip(groups, outcomes):
+                        if outcome is None:  # the worker died mid-call
+                            lost.extend(group_parts)
+                            failed.add(slot)
+                        else:
+                            replies.append(outcome)
+                    if not lost:
+                        break
+                    with self._stats_lock:
+                        self._failovers += 1
+                    # re-route only the lost partitions, never back to a
+                    # slot that failed this request; each round fails at
+                    # least one more slot, so route() runs out of owners
+                    # (ClusterUnavailable) before this loop can spin
+                    plan = self.shard_map.route(lost, exclude=failed)
+                span.annotate(n_groups=len(replies))
+        except DeadlineExceeded:
+            with self._stats_lock:
+                self._deadline_violations += 1
+            raise
+        return replies
+
+    def _hedged_call(
+        self,
+        slot: int,
+        parts: list[int],
+        call,
+        deadline: Optional[Deadline],
+        trace,
+    ) -> tuple[int, dict]:
+        """One group call, hedged to a replica when the primary is slow.
+
+        The hedge candidate is a live replica hosting *all* of the
+        group's partitions (same parts + same query = bit-identical
+        payload, so racing the two is free of correctness risk). The
+        primary runs first; if no answer lands within the tracked hedge
+        delay, the duplicate fires and the first success wins — losers
+        are abandoned to their daemon threads, with their breaker /
+        latency bookkeeping still applied by :meth:`_timed_call` (a loser
+        failing after the slot's next successful probe leaves its health
+        alone).
+        Returns ``(answering slot, payload)``.
+        """
+        hedge_slot = None
+        if self.resilience.hedge and self.shard_map.replication > 1:
+            hedge_slot = self.shard_map.live_common_owner(parts, exclude=(slot,))
+        if hedge_slot is None:
+            return slot, self._timed_call(slot, call, deadline, trace)
+
+        cond = threading.Condition()
+        outcomes: list[tuple[int, Any, Optional[BaseException]]] = []
+
+        def run(target: int) -> None:
+            try:
+                payload = self._timed_call(target, call, deadline, trace)
+                outcome = (target, payload, None)
+            except BaseException as exc:  # delivered through `outcomes`
+                outcome = (target, None, exc)
+            with cond:
+                outcomes.append(outcome)
+                cond.notify_all()
+
+        threading.Thread(
+            target=run, args=(slot,), name=f"scatter-{slot}", daemon=True
+        ).start()
+        with cond:
+            if cond.wait_for(lambda: outcomes, timeout=self._hedge_delay()):
+                target, payload, error = outcomes[0]
+                if error is not None:
+                    # the primary failed *fast* — let the ordinary failover
+                    # re-route machinery handle it instead of burning a hedge
+                    raise error
+                return target, payload
+        with self._stats_lock:
+            self._hedges_fired += 1
+        trace.annotate(hedge_fired=True, hedge_slot=hedge_slot)
+        threading.Thread(
+            target=run, args=(hedge_slot,), name=f"hedge-{hedge_slot}",
+            daemon=True,
+        ).start()
+        errors: dict[int, BaseException] = {}
+        while True:
+            with cond:
+                timeout = deadline.remaining() if deadline is not None else None
+                if not cond.wait_for(
+                    lambda: len(outcomes) > len(errors), timeout=timeout
+                ):
+                    raise DeadlineExceeded(
+                        "deadline exceeded waiting for hedged answers"
+                    )
+                target, payload, error = outcomes[len(errors)]
+            if error is None:
+                if target == hedge_slot:
+                    with self._stats_lock:
+                        self._hedges_won += 1
+                    trace.annotate(hedge_won=True)
+                return target, payload
+            errors[target] = error
+            if len(errors) == 2:
+                # both branches failed: surface the primary's error so
+                # the re-route path charges the right slot
+                raise errors[slot]
+
+    def _hedge_delay(self) -> float:
+        """How long to let the primary run before firing the hedge: the
+        shared window's p95, clamped to [10 ms, ``hedge_delay_max``]."""
+        delay = self._latency.quantile(HEDGE_QUANTILE)
+        return min(max(delay, HEDGE_DELAY_MIN), self.resilience.hedge_delay_max)
 
     def _timed_call(
-        self, slot: int, send_parts, call, deadline: Optional[Deadline],
-        trace=NULL_SPAN,
-    ) -> Any:
-        """One worker call with breaker / latency / deadline bookkeeping.
+        self, slot: int, call, deadline: Optional[Deadline], trace=NULL_SPAN
+    ) -> dict:
+        """One worker call, ``call(client, deadline_ms=, trace=)``, with
+        breaker / latency / deadline bookkeeping.
 
         Success feeds the hedge-delay latency window (shared and
-        per-slot) and resets a closed breaker's failure count (a demoted
-        slot stays demoted until its probe); a transport failure
-        records against the breaker (demoting the worker when it opens).
-        A worker-side 504 means the propagated budget expired in flight
-        — surfaced as :class:`DeadlineExceeded`, never as a liveness
-        failure. So is a transport error that arrives once the deadline
-        has passed: the budget-capped socket timeout fired, which says
-        nothing about the worker's health. Nor does a failure of a call
-        that started before the slot's last successful probe (a hedge
-        loser arriving late): it feeds the latency windows only.
-        ``trace`` parents a
+        per-slot); it never closes a breaker, so a slot demoted while
+        the call was in flight stays demoted until its probe. A
+        transport failure demotes the slot. A worker-side 504 means the
+        propagated budget expired in flight — surfaced as
+        :class:`DeadlineExceeded`, never as a liveness failure. So is a
+        transport error that arrives once the deadline has passed: the
+        budget-capped socket timeout fired, which says nothing about the
+        worker's health. Nor does a failure of a call that started
+        before the slot's last successful probe (a hedge loser arriving
+        late): it feeds the latency windows only. ``trace`` parents a
         per-attempt ``worker.call`` span whose context travels to the
         worker on the wire.
         """
@@ -436,7 +680,7 @@ class ClusterCoordinator:
             start = time.monotonic()
             epoch = self._health_epochs[slot]
             try:
-                payload = call(self._client(slot), send_parts, deadline_ms, span)
+                payload = call(self._client(slot), deadline_ms=deadline_ms, trace=span)
             except ServeError as exc:
                 if exc.status == 504:
                     raise DeadlineExceeded(
@@ -455,208 +699,13 @@ class ClusterCoordinator:
                 raise
             elapsed = time.monotonic() - start
         self._record_latency(slot, elapsed)
-        self._breakers[slot].record_call_success()
         return payload
 
     def _record_latency(self, slot: int, seconds: float) -> None:
         self._latency.record(seconds)
         self._slot_latency[slot].record(seconds)
 
-    def _hedge_delay(self) -> float:
-        """How long to let the primary run before firing the hedge."""
-        cfg = self.resilience
-        delay = self._latency.quantile(cfg.hedge_quantile)
-        return min(max(delay, cfg.hedge_delay_min), cfg.hedge_delay_max)
-
-    def _hedged_call(
-        self,
-        slot: int,
-        parts: list[int],
-        send_parts,
-        call,
-        deadline: Optional[Deadline],
-        trace=NULL_SPAN,
-    ) -> tuple[int, Any]:
-        """One group call, hedged to a replica when the primary is slow.
-
-        The hedge candidate is a live replica hosting *all* of the
-        group's partitions (same parts + same query = bit-identical
-        payload, so racing the two is free of correctness risk). The
-        primary runs first; if no answer lands within the tracked hedge
-        delay, the duplicate fires and the first success wins — losers
-        are abandoned to their daemon threads, with their breaker /
-        latency bookkeeping still applied by :meth:`_timed_call` (a loser
-        failing after the slot's next successful probe leaves its health
-        alone).
-        Returns ``(answering slot, payload)``.
-        """
-        hedge_slot = None
-        cfg = self.resilience
-        if cfg.hedge and self.shard_map.replication > 1:
-            hedge_slot = self.shard_map.live_common_owner(parts, exclude=(slot,))
-        if hedge_slot is None:
-            return slot, self._timed_call(
-                slot, send_parts, call, deadline, trace=trace
-            )
-
-        cond = threading.Condition()
-        outcomes: list[tuple[int, Any, Optional[BaseException]]] = []
-
-        def run(target: int) -> None:
-            try:
-                payload = self._timed_call(
-                    target, send_parts, call, deadline, trace=trace
-                )
-                outcome = (target, payload, None)
-            except BaseException as exc:  # delivered through `outcomes`
-                outcome = (target, None, exc)
-            with cond:
-                outcomes.append(outcome)
-                cond.notify_all()
-
-        threading.Thread(
-            target=run, args=(slot,), name=f"scatter-{slot}", daemon=True
-        ).start()
-        with cond:
-            cond.wait_for(lambda: outcomes, timeout=self._hedge_delay())
-            arrived = bool(outcomes)
-        if arrived:
-            target, payload, error = outcomes[0]
-            if error is None:
-                return target, payload
-            # the primary failed *fast* — let the ordinary failover
-            # re-route machinery handle it instead of burning a hedge
-            raise error
-        with self._stats_lock:
-            self._hedges_fired += 1
-        trace.annotate(hedge_fired=True, hedge_slot=hedge_slot)
-        threading.Thread(
-            target=run, args=(hedge_slot,), name=f"hedge-{hedge_slot}",
-            daemon=True,
-        ).start()
-        seen = 0
-        failures: list[tuple[int, BaseException]] = []
-        while True:
-            with cond:
-                timeout = deadline.remaining() if deadline is not None else None
-                if not cond.wait_for(lambda: len(outcomes) > seen, timeout=timeout):
-                    raise DeadlineExceeded(
-                        "deadline exceeded waiting for hedged answers"
-                    )
-                target, payload, error = outcomes[seen]
-                seen += 1
-            if error is None:
-                if target == hedge_slot:
-                    with self._stats_lock:
-                        self._hedges_won += 1
-                    trace.annotate(hedge_won=True)
-                return target, payload
-            failures.append((target, error))
-            if len(failures) == 2:
-                # both branches failed: surface the primary's error so
-                # the re-route path charges the right slot
-                for failed_slot, failed_error in failures:
-                    if failed_slot == slot:
-                        raise failed_error
-                raise failures[0][1]  # pragma: no cover - defensive
-
-    def _call_group(
-        self,
-        slot: int,
-        parts: list[int],
-        call,
-        deadline: Optional[Deadline] = None,
-        trace=NULL_SPAN,
-    ) -> Optional[tuple[int, Any]]:
-        """One (possibly hedged) group call with failover bookkeeping.
-
-        Returns ``(answering slot, payload)`` — the answering slot may
-        be the hedge replica, and the generation stamp must name *it* —
-        or ``None`` when the worker failed at the transport level, for
-        the caller to re-route the group's partitions.
-        """
-        worker = self.shard_map.worker(slot)
-        # a worker answering its *entire* assignment needs no partition
-        # restriction — the unrestricted path keeps the worker's
-        # micro-batcher eligible to fuse concurrent scatters
-        restricted = sorted(parts) != sorted(worker.parts)
-        send_parts = parts if restricted else None
-        with self.tracer.span("scatter.slot", parent=trace) as span:
-            span.annotate(
-                slot=slot, parts=list(parts), restricted=restricted,
-                breaker=self._breakers[slot].state,
-            )
-            try:
-                answered, payload = self._hedged_call(
-                    slot, parts, send_parts, call, deadline, trace=span
-                )
-            except (OSError, ClusterUnavailable):
-                # _timed_call already recorded the breaker failure/demotion
-                with self._stats_lock:
-                    self._slot_failovers[slot] += 1
-                span.annotate(failover=True)
-                return None
-            span.annotate(answered_by=answered)
-        generation = payload.get("generation")
-        if isinstance(generation, int):
-            self._generations[answered] = generation
-        return answered, payload
-
-    def _scatter(
-        self,
-        parts: Optional[Sequence[int]],
-        call,
-        deadline: Optional[Deadline] = None,
-        trace=NULL_SPAN,
-    ) -> list[tuple[int, Any]]:
-        """Fan one request out over the routed workers, failing over.
-
-        ``call(client, parts_or_none, deadline_ms)`` runs per group on a
-        thread pool. Groups that fail with a transport error are
-        re-routed to live replicas and retried until they succeed or
-        some partition has no live owner left; slots that failed are
-        excluded from the re-route even when their breaker kept them
-        ``up``. Returns ``(slot, payload)`` pairs so callers can stamp
-        each answer with the exact generation it executed at.
-        """
-        self._maybe_probe_async()
-        plan = self.shard_map.route(parts)
-        payloads: list[tuple[int, Any]] = []
-        excluded: set[int] = set()
-        for _attempt in range(self.shard_map.n_workers + 1):
-            if deadline is not None:
-                deadline.check("scatter round")
-            groups = sorted(plan.items())
-
-            def run(group: tuple[int, list[int]]):
-                return self._call_group(*group, call, deadline, trace=trace)
-
-            if len(groups) == 1:
-                outcomes = [run(groups[0])]
-            else:
-                with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                    outcomes = list(pool.map(run, groups))
-            failed_parts: list[int] = []
-            for (slot, group_parts), outcome in zip(groups, outcomes):
-                if outcome is None:  # the worker died mid-call
-                    failed_parts.extend(group_parts)
-                    excluded.add(slot)
-                else:
-                    payloads.append(outcome)
-            if not failed_parts:
-                return payloads
-            with self._stats_lock:
-                self._failovers += 1
-            # re-route only the failed partitions, never back to a slot
-            # that failed this request
-            plan = self.shard_map.route(failed_parts, exclude=excluded)
-        raise ClusterUnavailable("scatter retries exhausted")  # pragma: no cover
-
     # -- serving -------------------------------------------------------------------
-
-    def _count_deadline_violation(self) -> None:
-        with self._stats_lock:
-            self._deadline_violations += 1
 
     def _read(self, deadline: Optional[Deadline], trace) -> RemoteGroups:
         """Count one read request; its shard seam, under the request's
@@ -743,9 +792,9 @@ class ClusterCoordinator:
         """Add one column cluster-wide; returns ``(column id, generations)``.
 
         The lake places it in the least-loaded partition and allocates
-        its global ID; :class:`~repro.cluster.groups.RemoteGroups` writes
-        the identical ``(partition, id, vectors)`` through to **every**
-        live replica of that partition. Replicas that are down are
+        its global ID; :meth:`write_through` sends the identical
+        ``(partition, id, vectors)`` to **every** live replica of that
+        partition. Replicas that are down are
         brought level by the mutation-log replay before they rejoin.
 
         Raises:
@@ -775,26 +824,6 @@ class ClusterCoordinator:
         self._save()
         return groups.generations
 
-    def _log_mutation(
-        self, entry: tuple[int, Callable], applied: Sequence[tuple[int, Optional[int]]]
-    ) -> list[int]:
-        """Log one written-through mutation (under the mutation lock) for
-        the slots that applied it; returns the generations it landed in.
-
-        Logged writes keep their full vectors so any worker (re)joining
-        from the fit-time saved lake can be brought level; the log is
-        never compacted, because a future registrant always replays from
-        position zero. A very long-lived coordinator bounds this by
-        re-saving the lake and restarting the cluster.
-        """
-        self._mutation_log.append(entry)
-        generations = self.generation_vector()
-        for slot, generation in applied:
-            self._slot_log_pos[slot] = len(self._mutation_log)
-            if generation is not None:
-                self._generations[slot] = generations[slot] = generation
-        return generations
-
     # -- telemetry and persistence -------------------------------------------------
 
     def describe(self) -> dict[str, Any]:
@@ -810,7 +839,6 @@ class ClusterCoordinator:
                 "hedges_won": self._hedges_won,
                 "deadline_violations": self._deadline_violations,
                 "default_deadline_ms": cfg.default_deadline_ms,
-                "breaker_failure_threshold": cfg.breaker_failure_threshold,
                 "breakers": [b.state for b in self._breakers],
                 "worker_failovers": list(self._slot_failovers),
             }

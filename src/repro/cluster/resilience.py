@@ -15,15 +15,18 @@ of the differential oracle without any approximation budget.
   budget before every scatter round. Remaining time (not an absolute
   wall-clock instant) crosses the wire, so clock skew between processes
   cannot corrupt the budget.
-* :class:`LatencyTracker` — a bounded window of recent call latencies;
-  its p95 sets the hedge delay, the classic "defer the duplicate until
-  the primary is slower than expected" rule.
+* :class:`LatencyTracker` — a bounded window of recent call latencies.
+  The coordinator keeps one window shared by all workers; its p95
+  (:data:`HEDGE_QUANTILE`), clamped to [:data:`HEDGE_DELAY_MIN`,
+  ``hedge_delay_max``], sets the hedge delay — the classic "defer the
+  duplicate until the primary is slower than expected" rule.
 * :class:`CircuitBreaker` — per-worker ``closed -> open -> half-open``
-  with exponential probe backoff. It replaces one-way demotion: a
-  worker that failed is probed again after a cooldown (replayed any
-  missed mutations, then re-promoted), and a worker that keeps failing
-  backs its probes off instead of being hammered.
-* :class:`ResilienceConfig` — the knobs, in one place.
+  with exponential probe backoff. The first failure opens it. It
+  replaces one-way demotion: a worker that failed is probed again after
+  a cooldown (replayed any missed mutations, then re-promoted), and a
+  worker that keeps failing backs its probes off instead of being
+  hammered.
+* :class:`ResilienceConfig` — the knobs callers set, in one place.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.metrics import BoundedHistogram
-from repro.serve.client import DEADLINE_HEADER  # noqa: F401  (re-export)
 
 
 class DeadlineExceeded(RuntimeError):
@@ -122,35 +124,33 @@ class CircuitBreaker:
 
     State machine (all transitions counted in :attr:`transitions`):
 
-    * ``closed`` — healthy. ``record_failure`` increments a counter;
-      at ``failure_threshold`` the breaker opens.
+    * ``closed`` — healthy. The first :meth:`record_failure` opens it.
     * ``open`` — the worker is demoted. After the cooldown (doubling on
       every consecutive open, capped) :meth:`should_probe` grants
       exactly one probe and moves to ``half-open``.
     * ``half-open`` — one probe is out. Success closes the breaker
-      (failure count and backoff reset); failure re-opens it with a
-      longer cooldown. A probe that never reports back stops blocking
-      after one cooldown (the grant times out and can be re-issued).
+      (backoff reset); failure re-opens it with a longer cooldown. A
+      probe that never reports back stops blocking after one cooldown
+      (the grant times out and can be re-issued).
+
+    Only the probe reports success: a call already in flight when the
+    breaker opened (a hedge loser, say) must not close it, because the
+    probe is what replays the writes the worker missed.
 
     ``clock`` is injectable for deterministic tests.
     """
 
     def __init__(
         self,
-        failure_threshold: int = 1,
         cooldown: float = 1.0,
         max_cooldown: float = 30.0,
         clock=time.monotonic,
     ):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        self.failure_threshold = int(failure_threshold)
         self.cooldown = float(cooldown)
         self.max_cooldown = float(max_cooldown)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = BREAKER_CLOSED
-        self._failures = 0
         self._consecutive_opens = 0
         self._state_since = self._clock()
         self.transitions = {"opened": 0, "half_open": 0, "closed": 0}
@@ -174,47 +174,21 @@ class CircuitBreaker:
         self._state_since = self._clock()
         self.transitions["opened"] += 1
 
-    def record_failure(self) -> str:
-        """One failed call (or failed probe); returns the new state."""
+    def record_failure(self) -> None:
+        """One failed call, probe or write: open the breaker (a failed
+        half-open probe re-opens it with a doubled cooldown)."""
         with self._lock:
-            self._failures += 1
-            if self._state == BREAKER_HALF_OPEN:
-                self._open()  # the probe failed: back off harder
-            elif (
-                self._state == BREAKER_CLOSED
-                and self._failures >= self.failure_threshold
-            ):
-                self._open()
-            return self._state
-
-    def trip(self) -> None:
-        """Force the breaker open (e.g. a replica that diverged)."""
-        with self._lock:
-            self._failures = max(self._failures, self.failure_threshold)
             if self._state != BREAKER_OPEN:
                 self._open()
 
     def record_success(self) -> None:
-        """One successful call or probe: close and reset the backoff."""
+        """One successful probe: close and reset the backoff."""
         with self._lock:
             if self._state != BREAKER_CLOSED:
                 self.transitions["closed"] += 1
             self._state = BREAKER_CLOSED
-            self._failures = 0
             self._consecutive_opens = 0
             self._state_since = self._clock()
-
-    def record_call_success(self) -> None:
-        """One successful ordinary call: forget past failures while closed.
-
-        A call already in flight when the breaker opened (a hedge loser,
-        say) must not close it: only the half-open probe, which replays
-        what the worker missed before re-promoting it, reports through
-        :meth:`record_success`.
-        """
-        with self._lock:
-            if self._state == BREAKER_CLOSED:
-                self._failures = 0
 
     def should_probe(self) -> bool:
         """Whether a half-open probe may be issued right now.
@@ -238,6 +212,13 @@ class CircuitBreaker:
             return True
 
 
+#: the latency quantile of the shared window that sets the hedge delay
+#: (the classic "hedge after p95")
+HEDGE_QUANTILE = 0.95
+#: floor of the hedge delay, in seconds
+HEDGE_DELAY_MIN = 0.01
+
+
 @dataclass
 class ResilienceConfig:
     """Knobs for the coordinator's resilience layer.
@@ -246,15 +227,9 @@ class ResilienceConfig:
         hedge: fan a slow shard call out to a live replica hosting the
             same partitions after the hedge delay; first exact answer
             wins. Needs ``replication >= 2`` to ever fire.
-        hedge_quantile: latency quantile that sets the hedge delay
-            (0.95 = classic "hedge after p95").
-        hedge_delay_min / hedge_delay_max: clamp on the computed delay.
-        hedge_default_delay: delay used before any latency samples.
-        breaker_failure_threshold: transport failures before a worker
-            is demoted. 1 reproduces the pre-breaker behaviour (one
-            surviving transport failure demotes); higher values keep a
-            flaky worker in rotation, with failed partitions re-routed
-            per request.
+        hedge_delay_max: ceiling of the hedge delay, in seconds.
+        hedge_default_delay: the window's quantile before its first
+            sample, in seconds.
         breaker_cooldown / breaker_max_cooldown: half-open probe
             backoff window (doubles per consecutive open, capped).
         default_deadline_ms: budget applied to requests that do not
@@ -262,11 +237,8 @@ class ResilienceConfig:
     """
 
     hedge: bool = True
-    hedge_quantile: float = 0.95
-    hedge_delay_min: float = 0.01
     hedge_delay_max: float = 5.0
     hedge_default_delay: float = 0.05
-    breaker_failure_threshold: int = 1
     breaker_cooldown: float = 1.0
     breaker_max_cooldown: float = 30.0
     default_deadline_ms: Optional[float] = None

@@ -214,9 +214,9 @@ class ShardMap:
         per-worker results are disjoint and merge exactly.
 
         ``exclude`` removes slots from consideration for this plan only
-        — the coordinator's per-request failover when a still-``up``
-        worker just failed a call (e.g. a breaker with a threshold above
-        one absorbing a transient fault without demoting the worker).
+        — the coordinator's per-request failover never sends a group
+        back to a slot that failed it, even one still ``up`` because
+        its failed call started before the slot's last successful probe.
 
         Raises:
             ClusterUnavailable: when some partition has no live owner.

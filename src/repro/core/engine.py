@@ -119,10 +119,6 @@ class BatchSearch:
             concurrently (trading a little shared-blocking reuse for
             parallelism); ``None`` keeps whole τ groups as the units and
             pools only across them; ``1`` forces serial execution.
-        record_batch_sizes: when set, every :meth:`search_many` call
-            appends the number of queries it fused to the batch stats'
-            ``coalesced_batch_sizes`` — the serving layer's micro-batcher
-            reads this to report how well requests coalesce.
     """
 
     def __init__(
@@ -130,14 +126,12 @@ class BatchSearch:
         index: PexesoIndex,
         flags: Optional[AblationFlags] = None,
         max_workers: Optional[int] = None,
-        record_batch_sizes: bool = False,
     ):
         if index.pivot_space is None or index.grid is None:
             raise RuntimeError("index is not built; call fit() first")
         self.index = index
         self.flags = flags if flags is not None else AblationFlags()
         self.max_workers = max_workers
-        self.record_batch_sizes = record_batch_sizes
 
     # -- public API ---------------------------------------------------------------
 
@@ -170,8 +164,6 @@ class BatchSearch:
         batch_stats = SearchStats()
         if n == 0:
             return BatchResult(results=[], stats=batch_stats, wall_seconds=0.0)
-        if self.record_batch_sizes:
-            batch_stats.coalesced_batch_sizes.append(n)
 
         arrays = [
             validated_vectors(q, self.index.dim, f"query column {position}")

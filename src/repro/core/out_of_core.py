@@ -743,9 +743,6 @@ class LakeSearcher:
         flags: default ablation switches for threshold searches.
         max_workers: default worker-pool width (per-τ engine groups on a
             single index; shard fan-out on a partitioned lake).
-        record_batch_sizes: append each ``search_many`` fan-in size to
-            the batch stats' ``coalesced_batch_sizes`` (the serving
-            layer's coalescing telemetry).
     """
 
     def __init__(
@@ -753,7 +750,6 @@ class LakeSearcher:
         backend: Union[PexesoIndex, PartitionedPexeso],
         flags: Optional[AblationFlags] = None,
         max_workers: Optional[int] = None,
-        record_batch_sizes: bool = False,
     ):
         if isinstance(backend, PexesoIndex):
             if backend.pivot_space is None or backend.grid is None:
@@ -769,7 +765,6 @@ class LakeSearcher:
         self.backend = backend
         self.flags = flags
         self.max_workers = max_workers
-        self.record_batch_sizes = record_batch_sizes
 
     @classmethod
     def build(
@@ -883,18 +878,12 @@ class LakeSearcher:
         workers = max_workers if max_workers is not None else self.max_workers
         if isinstance(self.backend, PexesoIndex):
             self._reject_parts(parts)
-            engine = BatchSearch(
-                self.backend, flags=flags, max_workers=workers,
-                record_batch_sizes=self.record_batch_sizes,
-            )
+            engine = BatchSearch(self.backend, flags=flags, max_workers=workers)
             return engine.search_many(queries, tau, joinability)
-        batch = self.backend.search_many(
+        return self.backend.search_many(
             queries, tau, joinability,
             flags=flags, max_workers=workers, parts=parts,
         )
-        if self.record_batch_sizes and len(queries):
-            batch.stats.coalesced_batch_sizes.append(len(queries))
-        return batch
 
     def topk(
         self,

@@ -115,29 +115,36 @@ class ServeClient:
         explicit column ID, tombstone deletes. A non-idempotent request
         (an add that *allocates* an ID) fails straight to the caller.
 
-        ``deadline_ms`` attaches the remaining latency budget as the
-        ``X-Repro-Deadline-Ms`` header and caps the socket timeout to
-        it, so a call never outlives the budget it carries (a spent
-        budget keeps the normal timeout, to hear the server's 504). ``trace``
-        (a :class:`~repro.obs.trace.Span` or ``TraceContext``) attaches
-        the ``X-Repro-Trace`` header so the server joins the caller's
-        trace.
+        ``deadline_ms`` is the latency budget left at call entry. Each
+        attempt sends what is left of it at that attempt as the
+        ``X-Repro-Deadline-Ms`` header and caps its socket timeout to
+        it, so a call never outlives the budget it carries. A first
+        attempt whose budget is already spent still goes out with the
+        normal timeout, to hear the server's 504; a retry never does.
+
+        ``trace`` (a :class:`~repro.obs.trace.Span` or ``TraceContext``)
+        attaches the ``X-Repro-Trace`` header so the server joins the
+        caller's trace.
         """
         data = None
         headers = {}
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        timeout = self.timeout
+        expires = None
         if deadline_ms is not None:
-            headers[DEADLINE_HEADER] = f"{float(deadline_ms):.3f}"
-            if deadline_ms > 0:
-                timeout = min(timeout, float(deadline_ms) / 1000.0)
+            expires = time.monotonic() + float(deadline_ms) / 1000.0
         trace_header = self._trace_header_value(trace)
         if trace_header is not None:
             headers[TRACE_HEADER] = trace_header
         attempts = (self.retries + 1) if idempotent else 1
         for attempt in range(attempts):
+            timeout = self.timeout
+            if expires is not None:
+                left = expires - time.monotonic()
+                headers[DEADLINE_HEADER] = f"{left * 1000.0:.3f}"
+                if left > 0:
+                    timeout = min(timeout, left)
             request = urllib.request.Request(
                 self.base_url + path, data=data, headers=headers, method=method
             )
@@ -160,12 +167,18 @@ class ServeClient:
                     retry_after = None
                 raise ServeError(exc.code, detail, retry_after=retry_after) from exc
             except (urllib.error.URLError, ConnectionError, TimeoutError):
-                if attempt == attempts - 1:
+                if attempt == attempts - 1 or self._spent(expires):
                     raise
                 self._backoff_sleep(attempt)
+                if self._spent(expires):
+                    raise  # no retry could be answered within the budget
         if raw:
             return payload.decode("utf-8")
         return json.loads(payload)
+
+    @staticmethod
+    def _spent(expires: Optional[float]) -> bool:
+        return expires is not None and time.monotonic() >= expires
 
     @staticmethod
     def _trace_header_value(trace) -> Optional[str]:

@@ -160,8 +160,6 @@ class QueryService:
         if window_ms is not None and window_ms < 0:
             raise ValueError("window_ms must be non-negative (or None)")
         if isinstance(backend, LakeSearcher):
-            # left untouched — the service records fused fan-in itself,
-            # so a caller-shared searcher keeps its own configuration
             searcher = backend
         else:
             searcher = LakeSearcher(backend, flags=flags, max_workers=max_workers)
@@ -548,10 +546,7 @@ class QueryService:
                 except Exception as exc:
                     request.error = exc
             return
-        if not self.searcher.record_batch_sizes:
-            # the service owns fan-in telemetry unless the caller's own
-            # searcher is already recording it (avoid double counting)
-            batch.stats.coalesced_batch_sizes.append(len(requests))
+        batch.stats.coalesced_batch_sizes.append(len(requests))
         self._merge_stats(batch.stats)
         for request, result in zip(requests, batch.results):
             # a fused request's breakdown: the whole batch's stage costs

@@ -116,13 +116,6 @@ class FakeClock:
 
 
 class TestCircuitBreaker:
-    def test_threshold_gates_opening(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2, clock=clock)
-        assert breaker.record_failure() == BREAKER_CLOSED
-        assert breaker.record_failure() == BREAKER_OPEN
-        assert breaker.transitions["opened"] == 1
-
     def test_probe_granted_once_per_cooldown_window(self):
         clock = FakeClock()
         breaker = CircuitBreaker(cooldown=1.0, clock=clock)
@@ -165,29 +158,12 @@ class TestCircuitBreaker:
         assert breaker.current_cooldown() == 1.0
         assert breaker.transitions["closed"] == 1
 
-    def test_ordinary_call_success_never_closes_an_open_breaker(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=1.0, clock=clock)
-        breaker.record_failure()
-        breaker.record_call_success()  # closed: the failure is forgotten
-        assert breaker.record_failure() == BREAKER_CLOSED
-        assert breaker.record_failure() == BREAKER_OPEN
-        breaker.record_call_success()  # a call in flight before the open
-        assert breaker.state == BREAKER_OPEN
-        clock.advance(1.0)
-        assert breaker.should_probe()
-        breaker.record_call_success()
-        assert breaker.state == BREAKER_HALF_OPEN
-        assert breaker.transitions["closed"] == 0
-
     def test_trip_forces_open_and_closed_never_probes(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=5, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         assert not breaker.should_probe()
-        breaker.trip()
+        breaker.record_failure()
         assert breaker.state == BREAKER_OPEN
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
 
 
 class TestHedgedReads:
@@ -507,11 +483,11 @@ class TestWorkerFlapping:
         ) as cluster:
             coordinator = cluster.coordinator
 
-            def demoted_mid_flight(client, parts, deadline_ms, span):
+            def demoted_mid_flight(client, deadline_ms, trace):
                 coordinator._demote(0)
                 return client.healthz()
 
-            coordinator._timed_call(0, None, demoted_mid_flight, None)
+            coordinator._timed_call(0, demoted_mid_flight, None)
             assert coordinator.shard_map.statuses()[0] == "down"
             assert coordinator._breakers[0].state == BREAKER_OPEN
             clock.advance(1.0)

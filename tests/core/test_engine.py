@@ -247,17 +247,6 @@ class TestBatchStats:
                 == query.shape[0] * index.n_pivots
             )
 
-    def test_record_batch_sizes_off_by_default(self, index, queries):
-        batch = BatchSearch(index).search_many(queries, 0.8, 0.2)
-        assert batch.stats.coalesced_batch_sizes == []
-
-    def test_record_batch_sizes_appends_fan_in(self, index, queries):
-        engine = BatchSearch(index, record_batch_sizes=True)
-        batch = engine.search_many(queries, 0.8, 0.2)
-        assert batch.stats.coalesced_batch_sizes == [len(queries)]
-        # empty batches record nothing
-        assert engine.search_many([], 0.8, 0.2).stats.coalesced_batch_sizes == []
-
 
 class TestMergeShardBatches:
     """The global-ID merge the partitioned search is built on."""

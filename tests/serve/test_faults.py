@@ -147,6 +147,30 @@ class TestClientFaultsAndJitter:
             server.close()
             thread.join(timeout=5.0)
 
+    def test_retry_never_outlives_the_deadline(self, service, columns):
+        """The first send is black-holed for longer than the whole
+        budget: the call must fail with the transport error rather than
+        retry with a budget it no longer has."""
+        arrivals = FaultInjector()
+        arrivals.script("delay", path="/search", delay=0.0)  # counts sends
+        server, thread = running_server(service, fault_injector=arrivals)
+        try:
+            injector = FaultInjector()
+            injector.script("blackhole", path="/search", delay=0.2, first=1)
+            client = ServeClient(
+                server.url, retries=1, retry_backoff=0.001,
+                fault_injector=injector,
+            )
+            with pytest.raises(OSError):
+                client.search(
+                    vectors=columns[0][:4], tau=0.6, joinability=0.3,
+                    deadline_ms=100.0,
+                )
+            assert arrivals.fired("delay") == 0, "no second /search was sent"
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
+
     def test_full_jitter_desynchronizes_backoff(self, service, columns):
         """Two clients with the same schedule but different RNGs must not
         sleep the same deterministic ceiling (the retry-storm fix)."""

@@ -253,18 +253,7 @@ class TestPartitionedBackend:
         searcher = LakeSearcher(PexesoIndex.build(columns, n_pivots=3, levels=3))
         service = QueryService(searcher, window_ms=0, cache_size=0)
         assert service.search(query, 0.6, 0.3).result is not None
-        # the caller's searcher keeps its own configuration; fan-in
-        # telemetry is recorded by the service itself
-        assert searcher.record_batch_sizes is False
-        assert service.snapshot_stats().coalesced_batch_sizes == [1]
-
-    def test_recording_searcher_not_double_counted(self, columns, query):
-        searcher = LakeSearcher(
-            PexesoIndex.build(columns, n_pivots=3, levels=3),
-            record_batch_sizes=True,
-        )
-        service = QueryService(searcher, window_ms=0, cache_size=0)
-        service.search(query, 0.6, 0.3)
+        # fan-in telemetry is recorded by the service itself
         assert service.snapshot_stats().coalesced_batch_sizes == [1]
 
     def test_batch_size_samples_are_bounded_with_exact_totals(self, index, query):
