@@ -497,22 +497,15 @@ class ClusterCoordinator:
 
                 def run(group: tuple[int, list[int]]) -> Optional[tuple[int, dict]]:
                     slot, group_parts = group
-                    # a worker answering its *entire* assignment needs no
-                    # partition restriction — the unrestricted path keeps
-                    # the worker's micro-batcher eligible to fuse
-                    # concurrent scatters
-                    assigned = self.shard_map.worker(slot).parts
-                    restricted = sorted(group_parts) != sorted(assigned)
-                    call = partial(request, parts=group_parts if restricted else None)
                     with self.tracer.span("scatter.slot", parent=span) as slot_span:
                         slot_span.annotate(
                             slot=slot, parts=list(group_parts),
-                            restricted=restricted,
+                            restricted=self._restriction(slot, group_parts) is not None,
                             breaker=self._breakers[slot].state,
                         )
                         try:
                             answered, payload = self._hedged_call(
-                                slot, group_parts, call, deadline, slot_span
+                                slot, group_parts, request, deadline, slot_span
                             )
                         except (OSError, ClusterUnavailable):
                             # _timed_call already demoted the slot, or left
@@ -562,31 +555,43 @@ class ClusterCoordinator:
             raise
         return replies
 
+    def _restriction(self, slot: int, parts: list[int]) -> Optional[list[int]]:
+        """The ``parts`` to send ``slot`` for the group ``parts``: ``None``
+        when they are its whole assignment. A worker answering all it
+        hosts needs no restriction, and the unrestricted path keeps its
+        micro-batcher eligible to fuse concurrent scatters."""
+        if sorted(parts) == sorted(self.shard_map.worker(slot).parts):
+            return None
+        return list(parts)
+
     def _hedged_call(
         self,
         slot: int,
         parts: list[int],
-        call,
+        request: Callable[..., dict],
         deadline: Optional[Deadline],
         trace,
     ) -> tuple[int, dict]:
         """One group call, hedged to a replica when the primary is slow.
 
         The hedge candidate is a live replica hosting *all* of the
-        group's partitions (same parts + same query = bit-identical
-        payload, so racing the two is free of correctness risk). The
-        primary runs first; if no answer lands within the tracked hedge
-        delay, the duplicate fires and the first success wins — losers
-        are abandoned to their daemon threads, with their breaker /
-        latency bookkeeping still applied by :meth:`_timed_call` (a loser
-        failing after the slot's next successful probe leaves its health
-        alone).
+        group's partitions. Each target is sent the group restricted to
+        its own assignment (:meth:`_restriction`), so a replica hosting
+        more partitions answers only the group's: same parts + same
+        query = bit-identical payload, so racing the two is free of
+        correctness risk. The primary runs first; if no answer lands
+        within the tracked hedge delay, the duplicate fires and the first
+        success wins — losers are abandoned to their daemon threads, with
+        their breaker / latency bookkeeping still applied by
+        :meth:`_timed_call` (a loser failing after the slot's next
+        successful probe leaves its health alone).
         Returns ``(answering slot, payload)``.
         """
         hedge_slot = None
         if self.resilience.hedge and self.shard_map.replication > 1:
             hedge_slot = self.shard_map.live_common_owner(parts, exclude=(slot,))
         if hedge_slot is None:
+            call = partial(request, parts=self._restriction(slot, parts))
             return slot, self._timed_call(slot, call, deadline, trace)
 
         cond = threading.Condition()
@@ -594,6 +599,7 @@ class ClusterCoordinator:
 
         def run(target: int) -> None:
             try:
+                call = partial(request, parts=self._restriction(target, parts))
                 payload = self._timed_call(target, call, deadline, trace)
                 outcome = (target, payload, None)
             except BaseException as exc:  # delivered through `outcomes`

@@ -129,12 +129,13 @@ def _intervals(grid: HierarchicalGrid, level: int) -> tuple[np.ndarray, np.ndarr
 
 
 class _CSRParts:
-    """The (rows, cells) of one pair kind, gathered chunk by chunk."""
+    """The (rows, cells) of one pair kind, gathered chunk by chunk; the
+    cells keep the type of ``leaves``."""
 
-    def __init__(self):
-        self.rows: list[np.ndarray] = []
-        self.lengths: list[np.ndarray] = []
-        self.cells: list[np.ndarray] = []
+    def __init__(self, leaves: np.ndarray):
+        self.rows: list[np.ndarray] = [_EMPTY]
+        self.lengths: list[np.ndarray] = [_EMPTY]
+        self.cells: list[np.ndarray] = [leaves[:0]]
 
     def add(self, first_row: int, mask: np.ndarray, leaves: np.ndarray) -> None:
         counts = np.count_nonzero(mask, axis=1)
@@ -144,13 +145,10 @@ class _CSRParts:
         self.cells.append(np.broadcast_to(leaves, mask.shape)[mask])
 
     def csr(self) -> PairCSR:
-        lengths = np.concatenate([_EMPTY, *self.lengths])
+        lengths = np.concatenate(self.lengths)
         starts = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=starts[1:])
-        return PairCSR(
-            np.concatenate([_EMPTY, *self.rows]), starts,
-            np.concatenate([_EMPTY, *self.cells]),
-        )
+        return PairCSR(np.concatenate(self.rows), starts, np.concatenate(self.cells))
 
 
 def block(
@@ -202,7 +200,7 @@ def block(
             hi = _intervals(hg_rv, m - 1)[1][parents]
             parent_match = aligned & ((hi + hi) <= tau).any(axis=1)
 
-    match, candidate = _CSRParts(), _CSRParts()
+    match, candidate = _CSRParts(leaves), _CSRParts(leaves)
     step = max(1, _PAIRS // max(1, leaves.size))
     for lo in range(0, n_rows, step):
         q = q_mapped[lo : lo + step]

@@ -3,7 +3,7 @@
 The hierarchical grid of §III-B addresses a level-``m`` cell by ``|P|``
 integer coordinates in ``[0, 2^m)``. Tuple keys make every grid and
 inverted-index operation a Python dict lookup; instead each cell is
-linearized into one ``int64`` *cell code* by interleaving the coordinate
+linearized into one integer *cell code* by interleaving the coordinate
 bits: bit ``b`` of axis ``a`` lands at code bit ``b * n_dims + a``.
 
 Two properties make this the right linearization for PEXESO:
@@ -18,7 +18,11 @@ Two properties make this the right linearization for PEXESO:
 
 Codes use ``n_dims * levels`` bits and must fit a signed int64, which
 covers every configuration the paper uses (|P| <= 5, m <= 8) with a wide
-margin; :func:`check_code_width` guards the limit explicitly.
+margin; :func:`check_code_width` guards the limit explicitly. A
+geometry's codes are held in the narrowest signed type their bits need
+(:func:`code_dtype`: int32 at the default |P| = 5, m = 4), and every
+array of one grid's codes has that one type, so no ``searchsorted``
+casts a code array to compare it with another.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from repro.core.inverted_index import narrowest
 
 #: one sign bit and one slack bit below the int64 limit
 MAX_CODE_BITS = 62
@@ -42,8 +48,14 @@ def check_code_width(n_dims: int, levels: int) -> None:
         )
 
 
+def code_dtype(n_dims: int, levels: int) -> np.dtype:
+    """The type of a geometry's cell codes: the narrowest signed one
+    holding its ``n_dims * levels``-bit codes."""
+    return narrowest((1 << (n_dims * levels)) - 1)
+
+
 def encode_cells(coords: np.ndarray, n_dims: int, bits_per_axis: int) -> np.ndarray:
-    """Interleave integer cell coordinates into int64 cell codes.
+    """Interleave integer cell coordinates into cell codes.
 
     Args:
         coords: ``(n, n_dims)`` non-negative integer coordinates, each in
@@ -53,7 +65,7 @@ def encode_cells(coords: np.ndarray, n_dims: int, bits_per_axis: int) -> np.ndar
             coordinates).
 
     Returns:
-        ``(n,)`` int64 codes.
+        ``(n,)`` codes of :func:`code_dtype` ``(n_dims, bits_per_axis)``.
     """
     check_code_width(n_dims, bits_per_axis)
     coords = np.asarray(coords, dtype=np.int64)
@@ -68,7 +80,7 @@ def encode_cells(coords: np.ndarray, n_dims: int, bits_per_axis: int) -> np.ndar
             if chunk < bits_per_axis:
                 part = part & (spread.size - 1)
             codes |= spread[part] << (low * n_dims + axis)
-    return codes
+    return codes.astype(code_dtype(n_dims, bits_per_axis), copy=False)
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,11 +102,11 @@ def stable_code_order(codes: np.ndarray, code_bits: int) -> np.ndarray:
     Where code and row fit one int64, the distinct keys ``code << row_bits
     | row`` are sorted instead: same order, several times faster.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
     row_bits = max(1, codes.size.bit_length())
     if code_bits + row_bits > 63:
         return np.argsort(codes, kind="stable")
-    keys = codes << row_bits
+    keys = np.left_shift(codes, row_bits, dtype=np.int64)
     keys |= np.arange(codes.size, dtype=np.int64)
     keys.sort()
     return keys & ((1 << row_bits) - 1)
@@ -115,7 +127,7 @@ def ancestor_codes(codes: np.ndarray, n_dims: int, levels_up: int) -> np.ndarray
     """Codes of the ancestors ``levels_up`` levels above (vectorised)."""
     if levels_up < 0:
         raise ValueError("levels_up must be non-negative")
-    return np.asarray(codes, dtype=np.int64) >> (n_dims * levels_up)
+    return np.asarray(codes) >> (n_dims * levels_up)
 
 
 def subtree_bounds(code: int, n_dims: int, levels_down: int) -> tuple[int, int]:

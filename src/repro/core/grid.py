@@ -5,15 +5,19 @@ A grid of ``m`` levels divides the pivot space ``[0, extent]^|P|`` into
 ``2^i`` equal intervals). Only populated cells are materialised — the
 paper notes this explicitly to save memory.
 
-The grid is **array-native**: a cell is a bit-interleaved int64 *cell
-code* (:mod:`repro.core.cellcodes`) and the grid holds one sorted array
-of its occupied leaf codes. A parent code is a bit-prefix of its
-children's codes, so any upper level is the leaf codes shifted right and
-deduplicated; :meth:`HierarchicalGrid.level_codes` derives it on demand
-and nothing above the leaves is stored (the blocker decides (query row,
-leaf) pairs directly, :mod:`repro.core.blocker`). Inserting ``n`` rows is
-one ``floor``/``clip``/encode pass, one sort and one merge, with no
-per-row Python.
+The grid is **array-native**: a cell is a bit-interleaved *cell code*
+(:mod:`repro.core.cellcodes`) and the grid holds one sorted array of its
+occupied leaf codes, in the narrowest signed type its geometry's codes
+need (:func:`~repro.core.cellcodes.code_dtype`: int32 at |P| = 5, m = 4).
+Every code the grid hands out has that type, so the inverted index,
+which shares the leaf array, never compares codes of two types. A parent
+code is a bit-prefix of its children's codes, so any upper level is the
+leaf codes shifted right and deduplicated;
+:meth:`HierarchicalGrid.level_codes` derives it on demand and nothing
+above the leaves is stored (the blocker decides (query row, leaf) pairs
+directly, :mod:`repro.core.blocker`). Inserting ``n`` rows is one
+``floor``/``clip``/encode pass, one sort and one merge, with no per-row
+Python.
 
 Member rows (kept for ``HG_Q`` only, mirroring §III-B's structural
 difference between the query and repository grids) live in a CSR layout:
@@ -33,9 +37,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.cellcodes import check_code_width, decode_cells, encode_cells
+from repro.core.cellcodes import check_code_width, code_dtype, decode_cells, encode_cells
 
-#: alias: cells are int64 codes everywhere downstream of the grid
+#: alias: cells are integer codes everywhere downstream of the grid
 CellCode = int
 
 
@@ -89,10 +93,12 @@ class HierarchicalGrid:
         self.levels = levels
         self.extent = float(extent)
         self.store_members = store_members
+        #: the type of every code of this geometry
+        self.code_dtype = code_dtype(n_dims, levels)
         #: sorted occupied leaf codes
-        self._leaf_codes = np.empty(0, dtype=np.int64)
+        self._leaf_codes = np.empty(0, dtype=self.code_dtype)
         #: leaf code of every inserted row, in insertion (= row) order
-        self._row_codes = np.empty(0, dtype=np.int64)
+        self._row_codes = np.empty(0, dtype=self.code_dtype)
         #: cached members CSR: (starts over sorted leaves, row order)
         self._members_cache: Optional[tuple[np.ndarray, np.ndarray]] = None
         self.n_vectors = 0
@@ -123,9 +129,9 @@ class HierarchicalGrid:
         n_vectors: int = 0,
     ) -> "HierarchicalGrid":
         """Reconstruct an occupancy-only grid (HG_RV) from its leaf codes,
-        which are the whole grid."""
+        which are the whole grid; they are cast to the geometry's type."""
         grid = cls(n_dims, levels, extent, store_members=False)
-        grid.add_leaves(np.sort(np.asarray(leaf_codes, dtype=np.int64)), n_vectors)
+        grid.add_leaves(np.sort(np.asarray(leaf_codes, dtype=grid.code_dtype)), n_vectors)
         return grid
 
     def leaf_coords_for(self, mapped: np.ndarray) -> np.ndarray:
@@ -142,7 +148,7 @@ class HierarchicalGrid:
         return encode_cells(self.leaf_coords_for(mapped), self.n_dims, self.levels)
 
     def insert(self, mapped: np.ndarray) -> np.ndarray:
-        """Insert mapped rows; returns the int64 leaf cell code of each row.
+        """Insert mapped rows; returns the leaf cell code of each row.
 
         Row indices assigned to members continue from the current
         ``n_vectors`` counter, so repeated inserts (column appends) index a
@@ -162,7 +168,8 @@ class HierarchicalGrid:
 
     def add_leaves(self, sorted_codes: np.ndarray, n_rows: int) -> None:
         """Add the cells of ``n_rows`` rows, given their sorted leaf codes
-        (``sorted_codes`` may repeat a code)."""
+        (``sorted_codes`` may repeat a code), held in the geometry's type."""
+        sorted_codes = sorted_codes.astype(self.code_dtype, copy=False)
         self._leaf_codes = _merge_sorted_unique(self._leaf_codes, _distinct(sorted_codes))
         self.n_vectors += int(n_rows)
 
@@ -172,7 +179,7 @@ class HierarchicalGrid:
         """Sorted cell codes of one level (level 0 is the root's [0]),
         derived from the leaf codes on each call."""
         if level == 0:
-            return np.zeros(1, dtype=np.int64)
+            return np.zeros(1, dtype=self.code_dtype)
         return _distinct(self._leaf_codes >> (self.n_dims * (self.levels - level)))
 
     @property

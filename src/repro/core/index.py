@@ -7,13 +7,14 @@ the last fit or compaction, so a leaf's rows are one slice of it and
 the inverted index only run-length encodes which column each row
 belongs to; its column directory is the index's only record of which
 rows hold which column (:attr:`PexesoIndex.column_rows` is a view of
-it). Row ids are int32, so
-one index holds at most :data:`~repro.core.inverted_index.MAX_ROWS`
-rows; larger lakes are sharded by
-:class:`~repro.core.out_of_core.PartitionedPexeso`. It supports the
-incremental maintenance of §III-E (column append and delete);
-out-of-core partitions spill it to disk through the array-native
-:mod:`~repro.core.persistence` format.
+it). Every integer array is held at the narrowest type its values
+need (see :mod:`~repro.core.inverted_index`); the tail's row ids are
+int32, so one index holds at most
+:data:`~repro.core.inverted_index.MAX_ROWS` rows; larger lakes are
+sharded by :class:`~repro.core.out_of_core.PartitionedPexeso`. It
+supports the incremental maintenance of §III-E (column append and
+delete); out-of-core partitions spill it to disk through the
+array-native :mod:`~repro.core.persistence` format.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from repro.core.cellcodes import stable_code_order
 from repro.core.grid import HierarchicalGrid
 from repro.core.inverted_index import (
-    ROW,
     ColumnRows,
     InvertedIndex,
     check_row_count,
@@ -240,7 +240,7 @@ class PexesoIndex:
         )
         # one pass over the lake in blocks: map a block to the pivot space
         # (which checks it is finite), encode its leaf cells, keep the codes
-        codes = np.empty(n_rows, dtype=np.int64)
+        codes = np.empty(n_rows, dtype=grid.code_dtype)
         for lo in range(0, n_rows, FIT_BLOCK_ROWS):
             t0 = time.perf_counter()
             mapped = pivot_space.map_vectors(lake[lo : lo + FIT_BLOCK_ROWS])
@@ -259,8 +259,8 @@ class PexesoIndex:
 
         t0 = time.perf_counter()
         inverted = InvertedIndex()
-        inverted.column_ids = np.arange(len(arrays), dtype=np.int64)
-        inverted.column_sizes = sizes.astype(ROW)
+        inverted.column_ids = np.arange(len(arrays))
+        inverted.column_sizes = sizes
         width = posting_dtype(len(arrays))
         positions = np.repeat(np.arange(len(arrays), dtype=width), sizes)[order]
         inverted.build_sorted(sorted_codes, positions, grid.leaf_codes)

@@ -15,10 +15,7 @@ are. The store has two parts:
   - ``post_bits`` — one bit per row (``np.packbits`` order), set where
     a (leaf, column) posting starts;
   - ``post_cols`` — one directory position per posting, ``-1`` once
-    its column is deleted (the rows stay, dead, until compaction), in
-    the narrowest signed type holding ``-1`` through the directory's
-    last position (:func:`posting_dtype`: int8 up to 128 columns, int16
-    up to 32,768, else int32);
+    its column is deleted (the rows stay, dead, until compaction);
   - ``leaf_posts`` — the first posting of each leaf, aligned with
     ``leaf_starts``;
 
@@ -31,13 +28,23 @@ are. The store has two parts:
   within a leaf holds.
 
 ``column_ids`` / ``column_sizes`` are the column directory, in ID order;
-tail columns are its last ``tail_firsts.size`` entries. Every array
-counting or naming rows is int32 (at most :data:`MAX_ROWS` rows).
-``post_cols`` takes its type from the directory when it is built
-(:meth:`~InvertedIndex.build_sorted`, :meth:`~InvertedIndex.compaction`);
-a delete keeps the type, and adds go to the tail and never touch it.
-Positions leave the index as ``intp``, so no caller's arithmetic wraps
-in a narrow type.
+tail columns are its last ``tail_firsts.size`` entries.
+
+One width rule covers every integer array the index holds: it is
+stored in :func:`narrowest` of the largest value it must hold. Leaf
+codes (``leaves``, ``tail_codes``) take the grid geometry's type
+(:func:`~repro.core.cellcodes.code_dtype`), so a lookup never mixes
+code types. ``leaf_starts`` / ``leaf_posts`` take theirs from the
+sorted part's row and posting counts and ``post_cols`` from the
+directory size (:func:`posting_dtype`: int8 up to 128 columns), all
+chosen when the sorted part is built (:meth:`~InvertedIndex.build_sorted`,
+:meth:`~InvertedIndex.compaction`). ``column_ids`` / ``column_sizes``
+take theirs from the largest ID and size: an add widens them only when
+its value needs more bits, and compaction narrows them again. A delete
+keeps every type. The tail's row arrays are int32 (:data:`ROW`; at most
+:data:`MAX_ROWS` rows). Values leave the index as ``intp`` / int64, so
+no caller's arithmetic wraps in a narrow type.
+
 Postings are derived on lookup: a leaf's rows are a slice, and where
 its postings start is read off ``post_bits``. The verifier reads a
 query's candidate leaves through :meth:`InvertedIndex.candidate_rows`.
@@ -57,10 +64,11 @@ CellCode = int
 #: into shards by :class:`~repro.core.out_of_core.PartitionedPexeso`
 MAX_ROWS = int(np.iinfo(np.int32).max)
 
-#: dtype of every array counting or naming rows
+#: dtype of the tail's row arrays, which name store rows
 ROW = np.int32
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+_EMPTY_I8 = np.empty(0, dtype=np.int8)
 _EMPTY_ROWS = np.empty(0, dtype=ROW)
 _EMPTY_BITS = np.empty(0, dtype=np.uint8)
 
@@ -74,10 +82,31 @@ def check_row_count(n_rows: int) -> None:
         )
 
 
+def narrowest(max_value: int) -> np.dtype:
+    """The narrowest signed integer type holding ``-1`` through
+    ``max_value``: int8 up to 127, int16 up to 32,767, int32 up to
+    2**31 - 1, else int64."""
+    return np.min_scalar_type(-(max(int(max_value), 0) + 1))
+
+
 def posting_dtype(n_columns: int) -> np.dtype:
-    """The narrowest signed integer type holding ``-1`` (a dead posting)
-    through ``n_columns - 1``, the directory's last position."""
-    return np.min_scalar_type(-max(n_columns, 1))
+    """The type of ``post_cols`` for a directory of ``n_columns``
+    columns: ``-1`` (a dead posting) through its last position."""
+    return narrowest(n_columns - 1)
+
+
+def _narrowed(values: np.ndarray) -> np.ndarray:
+    """``values`` (non-negative) in :func:`narrowest` of their maximum."""
+    return values.astype(narrowest(values.max() if values.size else 0), copy=False)
+
+
+def _appended(values: np.ndarray, value: int) -> np.ndarray:
+    """``values`` with ``value`` appended, widened only when ``value``
+    needs more bits than their type has."""
+    out = np.empty(values.size + 1, dtype=np.promote_types(values.dtype, narrowest(value)))
+    out[:-1] = values
+    out[-1] = value
+    return out
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -92,6 +121,13 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     out = np.arange(int(counts.sum()), dtype=np.intp)
     out += np.repeat(lo - offsets, counts)
     return out
+
+
+def _codes(cells) -> np.ndarray:
+    """``cells`` as an array of codes: an array as it is (the search path
+    passes the leaves' own type, so no lookup casts the leaves), any
+    other iterable as int64."""
+    return cells if isinstance(cells, np.ndarray) else np.asarray(list(cells), np.int64)
 
 
 def _bits_at(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -117,8 +153,9 @@ def _select(bits: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 def _starts_after(csr_starts: np.ndarray, codes: np.ndarray, at: np.ndarray) -> np.ndarray:
     """``csr_starts`` realigned with a sorted superset ``codes`` of the
-    sorted ``at`` it is aligned with: a code new to it starts out empty."""
-    return np.append(csr_starts[np.searchsorted(at, codes)], csr_starts[-1]).astype(ROW)
+    sorted ``at`` it is aligned with: a code new to it starts out empty.
+    The type is kept: no offset changes."""
+    return np.append(csr_starts[np.searchsorted(at, codes)], csr_starts[-1])
 
 
 class Posting:
@@ -168,16 +205,16 @@ class InvertedIndex:
         #: sorted leaf codes the per-leaf offsets are aligned with
         self.leaves = _EMPTY_I64
         #: offsets of each leaf's rows in the sorted part of the store
-        self.leaf_starts = np.zeros(1, dtype=ROW)
+        self.leaf_starts = np.zeros(1, dtype=np.int8)
         #: offsets of each leaf's postings in ``post_cols``
-        self.leaf_posts = np.zeros(1, dtype=ROW)
+        self.leaf_posts = np.zeros(1, dtype=np.int8)
         #: one bit per sorted row: set where a posting starts
         self.post_bits = _EMPTY_BITS
         #: directory position of every posting's column, -1 when deleted
-        self.post_cols = _EMPTY_ROWS
+        self.post_cols = _EMPTY_I8
         #: the column directory, in ID order
-        self.column_ids = _EMPTY_I64
-        self.column_sizes = _EMPTY_ROWS
+        self.column_ids = _EMPTY_I8
+        self.column_sizes = _EMPTY_I8
         #: first store row of each tail column (the directory's last ones)
         self.tail_firsts = _EMPTY_ROWS
         #: the tail's leaf → row CSR: codes, offsets, store rows
@@ -198,12 +235,15 @@ class InvertedIndex:
         np.not_equal(codes[1:], codes[:-1], out=new[1:])
         new[1:] |= positions[1:] != positions[:-1]
         starts = np.flatnonzero(new)
-        self.leaves = leaves
-        self.leaf_starts = np.append(np.searchsorted(codes, leaves), codes.size).astype(ROW)
-        self.leaf_posts = np.searchsorted(starts, self.leaf_starts).astype(ROW)
+        self.leaves, self.tail_codes = leaves, leaves[:0]
+        leaf_starts = np.append(np.searchsorted(codes, leaves), codes.size)
+        self.leaf_starts = leaf_starts.astype(narrowest(codes.size))
+        self.leaf_posts = np.searchsorted(starts, leaf_starts).astype(narrowest(starts.size))
         self.post_bits = np.packbits(new)
         width = posting_dtype(self.column_ids.size)
         self.post_cols = positions[starts].astype(width, copy=False)
+        self.column_ids = _narrowed(self.column_ids)
+        self.column_sizes = _narrowed(self.column_sizes)
 
     def _realign(self, leaves: np.ndarray) -> None:
         """Align the per-leaf offsets with ``leaves``, a sorted superset of
@@ -231,7 +271,7 @@ class InvertedIndex:
         cells were inserted: a sorted superset of the current leaves and
         of ``cells``.
         """
-        codes = np.asarray(cells, dtype=np.int64)
+        codes = np.asarray(cells).astype(leaves.dtype, copy=False)
         if codes.ndim != 1:
             raise ValueError("cells must be a flat sequence of cell codes")
         n = codes.size
@@ -243,12 +283,12 @@ class InvertedIndex:
             raise ValueError("a column must be added after the indexed rows")
         self._realign(leaves)
         order = np.argsort(codes, kind="stable")
-        tail_codes = np.union1d(self.tail_codes, codes)
-        starts = (
-            _starts_after(self.tail_starts, tail_codes, self.tail_codes)
-            if self.tail_codes.size
-            else np.zeros(tail_codes.size + 1, dtype=ROW)
-        )
+        if self.tail_codes.size:
+            tail_codes = np.union1d(self.tail_codes, codes)
+            starts = _starts_after(self.tail_starts, tail_codes, self.tail_codes)
+        else:
+            tail_codes = np.unique(codes)
+            starts = np.zeros(tail_codes.size + 1, dtype=ROW)
         leaf_of = np.searchsorted(tail_codes, codes[order])
         self.tail_rows = np.insert(
             self.tail_rows, starts[leaf_of + 1], (first_row + order).astype(ROW)
@@ -257,8 +297,8 @@ class InvertedIndex:
         starts[1:] += np.cumsum(added, dtype=ROW)
         self.tail_codes, self.tail_starts = tail_codes, starts
         self.tail_firsts = np.append(self.tail_firsts, ROW(first_row))
-        self.column_ids = np.append(self.column_ids, np.int64(column_id))
-        self.column_sizes = np.append(self.column_sizes, ROW(n))
+        self.column_ids = _appended(self.column_ids, column_id)
+        self.column_sizes = _appended(self.column_sizes, n)
         return int(np.count_nonzero(added))
 
     def _tail_end(self) -> int:
@@ -287,8 +327,8 @@ class InvertedIndex:
             # the directory shrinks, so the held type still fits
             self.post_cols = np.where(dead, -1, cols - (cols > at)).astype(cols.dtype, copy=False)
         else:
-            first = self.tail_firsts[at - base]
-            kill = (self.tail_rows >= first) & (self.tail_rows < first + self.column_sizes[at])
+            first = int(self.tail_firsts[at - base])
+            kill = (self.tail_rows >= first) & (self.tail_rows < first + int(self.column_sizes[at]))
             leaf_of = np.searchsorted(self.tail_starts, np.flatnonzero(kill), side="right") - 1
             removed = int(_run_starts(leaf_of).size)
             counts = np.bincount(leaf_of, minlength=self.tail_codes.size)
@@ -332,15 +372,17 @@ class InvertedIndex:
         n_live = int(all_lens.sum())
 
         packed = InvertedIndex()
-        packed.leaves = self.leaves
-        packed.leaf_posts = np.searchsorted(all_leaf[order], np.arange(self.leaves.size + 1)).astype(ROW)
-        packed.leaf_starts = np.append(new_starts, n_live)[packed.leaf_posts].astype(ROW)
+        packed.leaves, packed.tail_codes = self.leaves, self.leaves[:0]
+        leaf_posts = np.searchsorted(all_leaf[order], np.arange(self.leaves.size + 1))
+        packed.leaf_posts = leaf_posts.astype(narrowest(all_leaf.size))
+        packed.leaf_starts = np.append(new_starts, n_live)[leaf_posts].astype(narrowest(n_live))
         cols = np.concatenate([self.post_cols[live], t_cols[t_first]])
         packed.post_cols = cols[order].astype(posting_dtype(self.column_ids.size))
         bits = np.zeros(n_live, dtype=bool)
         bits[new_starts] = True
         packed.post_bits = np.packbits(bits)
-        packed.column_ids, packed.column_sizes = self.column_ids, self.column_sizes
+        packed.column_ids = _narrowed(self.column_ids)
+        packed.column_sizes = _narrowed(self.column_sizes)
 
         to = np.empty_like(new_starts)
         to[order] = new_starts
@@ -378,6 +420,10 @@ class InvertedIndex:
             raise KeyError(column_id)
         return at
 
+    def ids(self, positions: np.ndarray) -> np.ndarray:
+        """The column IDs at directory ``positions``, as int64."""
+        return self.column_ids[positions].astype(np.int64)
+
     def column_rows(self, column_id: int) -> np.ndarray:
         """Store rows of ``column_id``, ascending (KeyError when absent):
         for the sorted part, a scan of ``post_cols`` for its postings and
@@ -413,7 +459,7 @@ class InvertedIndex:
     def _leaf_positions(self, cells) -> tuple[np.ndarray, np.ndarray]:
         """``(position in cells, leaf position)`` of every cell of
         ``cells`` the sorted part holds rows of."""
-        codes = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells), np.int64)
+        codes = _codes(cells)
         if self.leaves.size == 0:
             return np.empty(0, np.intp), np.empty(0, np.intp)
         at = np.minimum(np.searchsorted(self.leaves, codes), self.leaves.size - 1)
@@ -424,7 +470,7 @@ class InvertedIndex:
     def _tail_gather(self, cells) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell tail row counts, and the positions in ``tail_rows`` of
         every cell's slice, concatenated in input order."""
-        codes = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells), np.int64)
+        codes = _codes(cells)
         if self.tail_codes.size == 0:
             return np.zeros(codes.size, dtype=np.intp), np.empty(0, dtype=np.intp)
         at = np.minimum(np.searchsorted(self.tail_codes, codes), self.tail_codes.size - 1)
@@ -496,7 +542,7 @@ class InvertedIndex:
         ``position`` indexes ``cells``; unknown cells contribute nothing.
         """
         which, positions = self._cell_posts(cells)
-        return which, self.column_ids[positions]
+        return which, self.ids(positions)
 
     def columns_in_cells_arrays(
         self, cells: Iterable[CellCode] | np.ndarray
@@ -518,7 +564,7 @@ class InvertedIndex:
         order = np.lexsort((rows, positions))
         rows, positions = rows[order], positions[order]
         first = _run_starts(positions)
-        return self.column_ids[positions[first]], rows, np.diff(np.append(first, rows.size))
+        return self.ids(positions[first]), rows, np.diff(np.append(first, rows.size))
 
     def columns_in_cells(
         self, cells: Iterable[CellCode] | np.ndarray

@@ -30,14 +30,19 @@ the pivots, the grid's leaf codes, the inverted index's per-leaf row and
 posting offsets (``inv_leaf_offsets``, one (2, leaves + 1) array), its
 run-length encoded row → column map (``inv_post_bits``, one bit per row,
 and ``inv_post_cols``, one directory position per posting) and its
-column directory (``columns``: IDs and sizes). ``inv_post_cols`` is
-written in the type the index holds it in, the narrowest signed one
-holding -1 through the directory's last position (int8 up to 128
-columns, int16 up to 32,768, else int32); a load accepts any signed
-type of at most 4 bytes wide enough for the manifest's ``n_columns``,
-so an int32 file loads as it is. Writing a file costs about 0.7 ms on a
-2-core VM, more than half of a short lake's whole store, so related
-small arrays share one. A save writes the packed layout: no dead rows, and
+column directory (``columns``: IDs and sizes). Every integer array is
+written in the type the index holds it in, the narrowest signed one its
+values need (see :mod:`~repro.core.inverted_index`); a stacked pair is
+written in the wider of its two types. A load takes each as it is
+stored, once its type is a signed integer type wide enough for the
+manifest: ``grid_leaf_codes`` for ``n_pivots * levels`` code bits (the
+codes are then cast to the geometry's type), ``inv_leaf_offsets`` for
+``n_vectors`` rows and the postings, and ``inv_post_cols`` (at most 4
+bytes) and ``columns`` for ``n_columns`` distinct positions and IDs. So
+an epoch written with wider types (int64 codes and IDs, int32 offsets
+and sizes) loads as it is and narrows at its next compaction. Writing a
+file costs about 0.7 ms on a 2-core VM, more than half of a short
+lake's whole store, so related small arrays share one. A save writes the packed layout: no dead rows, and
 the tail of columns added since the last compaction merged into its
 leaves. These two layouts are the only ones that load: a directory in
 an older format raises ``ValueError`` and must be rebuilt from its
@@ -66,7 +71,7 @@ from repro.core.atomic import (
 )
 from repro.core.grid import HierarchicalGrid
 from repro.core.index import PexesoIndex
-from repro.core.inverted_index import ROW, InvertedIndex, posting_dtype
+from repro.core.inverted_index import InvertedIndex, narrowest
 
 #: the format every save writes and the only one that loads; bumped when
 #: the on-disk layout changes
@@ -85,19 +90,18 @@ _PARTITIONED_MANIFEST = "partitioned.json"
 #: sweep still find the epochs of directories already saved
 _EPOCH_PREFIX = "arrays_v3_"
 
-#: the arrays an epoch directory persists, one ``.npy`` each, with the
-#: dtype they are saved (and therefore mmapped) as; ``None`` saves the
-#: type the index holds
+#: the arrays an epoch directory persists, one ``.npy`` each, saved (and
+#: therefore mmapped) in the type the index holds them in
 _EPOCH_ARRAYS = (
-    ("vectors", np.float64),
-    ("pivots", np.float64),
-    ("grid_leaf_codes", np.int64),
+    "vectors",
+    "pivots",
+    "grid_leaf_codes",
     # (2, leaves + 1): each leaf's first row, then its first posting
-    ("inv_leaf_offsets", np.int32),
-    ("inv_post_bits", np.uint8),
-    ("inv_post_cols", None),
+    "inv_leaf_offsets",
+    "inv_post_bits",
+    "inv_post_cols",
     # (2, columns): the column directory's IDs, then its sizes
-    ("columns", np.int64),
+    "columns",
 )
 
 #: the arrays a mmap load maps: the store and the run arrays
@@ -123,7 +127,7 @@ def _index_payload(index: PexesoIndex) -> tuple[dict[str, np.ndarray], dict]:
         "inv_leaf_offsets": np.stack([inverted.leaf_starts, inverted.leaf_posts]),
         "inv_post_bits": inverted.post_bits,
         "inv_post_cols": inverted.post_cols,
-        "columns": np.stack([inverted.column_ids, inverted.column_sizes.astype(np.int64)]),
+        "columns": np.stack([inverted.column_ids, inverted.column_sizes]),
     }
     manifest = {
         "metric": index.metric.name,
@@ -174,9 +178,8 @@ def _write_epoch(index: PexesoIndex, directory: Path) -> dict:
     arrays_dir = f"{_EPOCH_PREFIX}{max(epochs, default=-1) + 1:08d}"
     epoch_path = directory / arrays_dir
     epoch_path.mkdir()
-    for name, dtype in _EPOCH_ARRAYS:
-        array = arrays[name] if dtype is None else arrays[name].astype(dtype, copy=False)
-        atomic_write_array(epoch_path / f"{name}.npy", array)
+    for name in _EPOCH_ARRAYS:
+        atomic_write_array(epoch_path / f"{name}.npy", arrays[name])
     fields["arrays_dir"] = arrays_dir
     return fields
 
@@ -226,7 +229,7 @@ def _load_epoch_arrays(
     try:
         return {
             name: _np_load(arrays_dir / f"{name}.npy", "r" if name in big else None)
-            for name, _ in _EPOCH_ARRAYS
+            for name in _EPOCH_ARRAYS
         }
     except FileNotFoundError:
         # format-3/4 epochs hold ``inv_rows`` (row ids in leaf order) and a
@@ -237,17 +240,18 @@ def _load_epoch_arrays(
         raise
 
 
-def _checked_post_cols(post_cols: np.ndarray, n_columns: int) -> np.ndarray:
-    """``inv_post_cols`` as read, once its type is known to hold every
-    directory position of ``n_columns`` columns (ValueError if not)."""
-    dtype = post_cols.dtype
-    if dtype.kind != "i" or dtype.itemsize > 4:
+def _checked(arrays: dict[str, np.ndarray], name: str, max_value: int, max_bytes: int = 8):
+    """``arrays[name]`` as read, once its type is known to be a signed
+    integer type of at most ``max_bytes`` bytes holding ``max_value``
+    (ValueError naming the array if not)."""
+    dtype = arrays[name].dtype
+    if dtype.kind != "i" or dtype.itemsize > max_bytes:
         raise ValueError(
-            f"inv_post_cols is {dtype}; it must be a signed integer type of at most 4 bytes"
+            f"{name} is {dtype}; it must be a signed integer type of at most {max_bytes} bytes"
         )
-    if dtype.itemsize < posting_dtype(n_columns).itemsize:
-        raise ValueError(f"inv_post_cols is {dtype}, too narrow for {n_columns} columns")
-    return post_cols
+    if dtype.itemsize < narrowest(max_value).itemsize:
+        raise ValueError(f"{name} is {dtype}, too narrow for values up to {max_value}")
+    return arrays[name]
 
 
 def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
@@ -270,20 +274,24 @@ def _read_index(directory: Path, manifest: dict, mmap: bool) -> PexesoIndex:
     )
     index.pivot_space = PivotSpace(arrays["pivots"], index.metric, extent=extent)
     n_rows = int(manifest["n_vectors"])
+    n_dims, levels = manifest["n_pivots"], manifest["levels"]
     index.grid = HierarchicalGrid.from_leaf_codes(
-        arrays["grid_leaf_codes"],
-        n_dims=manifest["n_pivots"],
-        levels=manifest["levels"],
+        _checked(arrays, "grid_leaf_codes", (1 << (n_dims * levels)) - 1),
+        n_dims=n_dims,
+        levels=levels,
         extent=extent,
         n_vectors=n_rows,
     )
     inverted = index.inverted = InvertedIndex()
-    inverted.leaves = index.grid.leaf_codes
-    inverted.leaf_starts, inverted.leaf_posts = arrays["inv_leaf_offsets"]
+    inverted.leaves, inverted.tail_codes = index.grid.leaf_codes, index.grid.leaf_codes[:0]
+    post_cols = _checked(arrays, "inv_post_cols", manifest["n_columns"] - 1, max_bytes=4)
+    offsets = _checked(arrays, "inv_leaf_offsets", max(n_rows, post_cols.size))
+    inverted.leaf_starts, inverted.leaf_posts = offsets
     inverted.post_bits = arrays["inv_post_bits"]
-    inverted.post_cols = _checked_post_cols(arrays["inv_post_cols"], manifest["n_columns"])
-    inverted.column_ids, sizes = arrays["columns"]
-    inverted.column_sizes = sizes.astype(ROW)
+    inverted.post_cols = post_cols
+    # distinct IDs: the largest is at least the directory's last position
+    columns = _checked(arrays, "columns", manifest["n_columns"] - 1)
+    inverted.column_ids, inverted.column_sizes = columns
     index._next_column_id = int(manifest["next_column_id"])
     # a mmapped epoch's store is read-only: the first write copies it
     index._store = arrays["vectors"]
@@ -363,9 +371,9 @@ def load_index(directory: str | Path, mmap: bool = True) -> PexesoIndex:
     Raises:
         FileNotFoundError: when the directory lacks the expected files.
         ValueError: when the directory is in another format, including a
-            format-3/4 epoch that a format-5 manifest names, or its
-            ``inv_post_cols`` is not a signed integer type of at most 4
-            bytes wide enough for its columns.
+            format-3/4 epoch that a format-5 manifest names, or one of its
+            integer arrays is not a signed integer type wide enough for
+            the manifest (see the module docstring).
     """
     directory = Path(directory)
     return _open_consistent(directory, lambda: _read_index_manifest(directory), mmap)

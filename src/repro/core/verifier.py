@@ -210,7 +210,7 @@ def verify_row_blocks(
 
         counts = np.count_nonzero(hit, axis=0)
         keep = counts > 0
-        columns = inverted_index.column_ids[columns]
+        columns = inverted_index.ids(columns)
         if allowed_columns is not None and allowed_columns[q_idx] is not None:
             keep &= np.isin(columns, np.asarray(allowed_columns[q_idx], dtype=np.int64))
         columns, counts = columns[keep].tolist(), counts[keep].tolist()

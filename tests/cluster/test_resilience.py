@@ -284,6 +284,74 @@ class TestHedgeLosers:
             assert coordinator._breakers[1].state == BREAKER_CLOSED
 
 
+class HeldSearch(FaultInjector):
+    """A fault plane whose barrier holds the first ``/search`` send to
+    the worker at ``url`` (set once the cluster is up) until ``release``
+    is set, then lets it through."""
+
+    def __init__(self):
+        super().__init__()
+        self.url = None
+        self.holding = threading.Event()
+        self.release = threading.Event()
+
+    def before_send(self, target, method, path):
+        if path.startswith("/search") and target == self.url and not self.holding.is_set():
+            self.holding.set()
+            assert self.release.wait(10)
+        super().before_send(target, method, path)
+
+
+@pytest.fixture(scope="module")
+def two_part_lake(columns, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("hedge_topology") / "lake"
+    lake = PartitionedPexeso(n_pivots=2, levels=3, n_partitions=2).fit(columns)
+    save_partitioned(lake, directory)
+    return directory, lake.partition_columns
+
+
+class TestHedgeTopology:
+    def test_a_hedge_to_a_wider_replica_answers_only_the_group(
+        self, two_part_lake, columns
+    ):
+        """Two partitions on three workers, replication 2: assignments
+        [[0], [0, 1], [1]]. Slot 0's group [0] is its whole assignment, so
+        it goes unrestricted. Its call is held, so the hedge to slot 1
+        answers; slot 1 also hosts partition 1, so the hedge must be
+        restricted to [0], or partition 1's hits come back twice."""
+        directory, partition_columns = two_part_lake
+        held = HeldSearch()
+        with LocalCluster(
+            directory,
+            n_workers=3,
+            replication=2,
+            mode="thread",
+            worker_kwargs=dict(window_ms=None, cache_size=0),
+            coordinator_kwargs=dict(
+                fault_injector=held,
+                resilience=ResilienceConfig(
+                    hedge_default_delay=0.01, hedge_delay_max=0.01
+                ),
+            ),
+        ) as cluster:
+            coordinator = cluster.coordinator
+            shard_map = coordinator.shard_map
+            assert [shard_map.worker(s).parts for s in range(3)] == [[0], [0, 1], [1]]
+            held.url = shard_map.worker(0).url.rstrip("/")
+            query = columns[partition_columns[1][0]][:5]
+            want = LakeSearcher(load_partitioned(directory)).search(query, 0.6, 0.3)
+            assert want.joinable
+            reply = cluster.client.search(vectors=query, tau=0.6, joinability=0.3)
+            assert held.holding.is_set() and coordinator._hedges_won >= 1
+            held.release.set()
+            for thread in threading.enumerate():
+                if thread.name.startswith(("scatter-", "hedge-")):
+                    thread.join(10)
+            ids = [h["column_id"] for h in reply["hits"]]
+            assert len(ids) == len(set(ids))
+            assert parity(reply["hits"], want)
+
+
 class TestDeadlinePropagation:
     def test_expired_budget_rejected_at_the_front_door(
         self, lake_dir, columns
